@@ -24,8 +24,8 @@ from .algebra import verify_identities
 from .errors import ConfigError, ConstraintViolation, Dirac88Error, FitError
 from .evolution import (EvolutionConfig, alpha_density_series,
                         alpha_expectation_series, energy_expectation,
-                        evolve_sourced, run_free, zitter_decompose)
-from .fields import GridSpec, save_em_csv
+                        evolve_sourced, omega_k, run_free, zitter_decompose)
+from .fields import PHOTON, EMField, GridSpec, embed_em, extract_em, save_em_csv
 from .lorentz import (Boost, closed_form_field_boost, em_wavefunction_transform,
                       nonmomentum_boost_residual, tensor_boost_oracle)
 from .oracle import compare, maxwell_evolve
@@ -102,7 +102,6 @@ def _state_from_config(cfg: dict, grid: GridSpec, mass: float):
     kind = cfg["type"]
     mode = cfg.get("mode", 1)
     if kind == "zero_field":
-        from .fields import EMField, embed_em
         return embed_em(EMField.zero(grid))
     if kind == "travelling_wave":
         return states.travelling_wave(grid, mode, cfg.get("polarisation", "x"),
@@ -144,6 +143,17 @@ def _source_from_config(cfg: dict | None, grid: GridSpec):
     raise ConfigError(f"unknown source.type '{kind}'")
 
 
+def _check_snapshots(outputs: dict, samples: int, kind: str):
+    """Field snapshots need a photon run and sample indices in [-samples, samples)."""
+    _expect_keys(outputs, {"snapshots"}, set(), "outputs")
+    snapshots = outputs.get("snapshots", [])
+    if snapshots and kind != PHOTON:
+        raise ConfigError(f"outputs.snapshots needs a photon state, not {kind!r}")
+    bad = [s for s in snapshots if not isinstance(s, int) or not -samples <= s < samples]
+    if bad:
+        raise ConfigError(f"outputs.snapshots {bad} are not sample indices in [{-samples}, {samples})")
+
+
 def _run_from_config(cfg: dict):
     _expect_keys(cfg, {"grid", "mass", "c", "hbar", "units", "duration", "samples",
                        "state", "source", "substeps", "checks", "series",
@@ -153,11 +163,15 @@ def _run_from_config(cfg: dict):
     units = cfg.get("units", {})
     _expect_keys(units, {"c", "hbar"}, set(), "units")
     grid = _grid_from_config(cfg["grid"])
+    samples = cfg["samples"]
+    if not isinstance(samples, int) or samples < 2:
+        raise ConfigError(f"samples must be an integer >= 2, got {samples!r}")
     econf = EvolutionConfig(grid=grid, mass=float(cfg.get("mass", 0.0)),
-                            duration=float(cfg["duration"]), samples=int(cfg["samples"]),
+                            duration=float(cfg["duration"]), samples=samples,
                             c=float(cfg.get("c", units.get("c", 1.0))),
                             hbar=float(cfg.get("hbar", units.get("hbar", 1.0))))
     psi0 = _state_from_config(cfg["state"], grid, econf.mass)
+    _check_snapshots(cfg.get("outputs", {}), samples, psi0.kind)
     source = _source_from_config(cfg.get("source"), grid)
     times = econf.times()
     if source is None:
@@ -168,21 +182,22 @@ def _run_from_config(cfg: dict):
     return run, psi0, source
 
 
-def _evolve_checks(cfg: dict, run, checks: _Checks):
-    wanted = cfg.get("checks", {"norm_drift": 1e-8, "energy_drift": 1e-8})
+def _sample_diagnostics(run):
+    """Norm, <H> and <alpha> of every sample, shared by the checks and samples.csv."""
     norms = [run.sample(i).norm() for i in range(run.n_samples)]
+    energies = [energy_expectation(run.sample(i), run.c, run.hbar) for i in range(run.n_samples)]
+    return norms, energies, alpha_expectation_series(run)
+
+
+def _evolve_checks(wanted: dict, run, norms, energies, angular, checks: _Checks):
     if "norm_drift" in wanted:
         # meaningful for free runs; sourced runs inject norm and fail it
         drift = (max(norms) - min(norms)) / max(norms[0], 1e-300)
         checks.add("norm conservation", "unitary per-mode phases", drift, wanted["norm_drift"])
     if "energy_drift" in wanted:
-        energies = [energy_expectation(run.sample(i), run.c, run.hbar)
-                    for i in range(run.n_samples)]
         # real classical fields have <H> = 0 exactly (balanced branches);
         # scale by the populated mode frequencies instead
-        from .evolution import omega_k
-        hat0 = np.fft.fftn(run.values[0], axes=tuple(range(run.grid.ndim)))
-        weights = np.sum(np.abs(hat0) ** 2, axis=-1)
+        weights = np.sum(np.abs(run.grid.fft(run.values[0])) ** 2, axis=-1)
         w = omega_k(run.grid.wave_vectors(), run.mass, run.c, run.hbar)
         omega_scale = run.hbar * float(np.sum(weights * w) / max(np.sum(weights), 1e-300))
         scale = max(abs(energies[0]), omega_scale, 1e-300)
@@ -193,20 +208,17 @@ def _evolve_checks(cfg: dict, run, checks: _Checks):
         checks.add("constrained components stay zero", "Gauss-law rows of the wave-function",
                    resid, wanted["constraint"])
     if "angular_momentum_drift" in wanted:
-        orbital, spin, total = angular_momentum_series(run, hbar=run.hbar)
-        scale = max(float(np.max(np.abs(total.values))), 1.0)
-        drift = float(np.ptp(total.values, axis=0).max()) / scale
+        total = angular[2].values
+        scale = max(float(np.max(np.abs(total))), 1.0)
+        drift = float(np.ptp(total, axis=0).max()) / scale
         checks.add("total angular momentum constant", "orbital plus spin conservation",
                    drift, wanted["angular_momentum_drift"])
 
 
-def _write_samples_csv(path: Path, run):
-    series = alpha_expectation_series(run)
-    norms = [run.sample(i).norm() for i in range(run.n_samples)]
-    energies = [energy_expectation(run.sample(i), run.c, run.hbar) for i in range(run.n_samples)]
+def _write_samples_csv(path: Path, times, norms, energies, series):
     with path.open("w") as fh:
         fh.write("t,norm,energy,alpha_x,alpha_y,alpha_z\n")
-        for i, t in enumerate(run.times):
+        for i, t in enumerate(times):
             ax, ay, az = series.values[i]
             fh.write(f"{t:.17g},{norms[i]:.17g},{energies[i]:.17g},"
                      f"{ax:.17g},{ay:.17g},{az:.17g}\n")
@@ -252,30 +264,30 @@ def _cmd_spin_check(cfg: dict, outdir: Path, checks: _Checks):
 
 def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     run, psi0, source = _run_from_config(cfg)
-    _evolve_checks(cfg, run, checks)
-    outputs = cfg.get("outputs", {})
-    _write_samples_csv(outdir / "samples.csv", run)
-    for snap in outputs.get("snapshots", []):
-        index = int(snap)
-        em_ok = run.kind == "photon"
-        if em_ok:
-            from .fields import extract_em
-            em = extract_em(run.sample(index), tol=1e-6)
-            save_em_csv(outdir / f"fields-{index % run.n_samples}.csv", em)
+    wanted = cfg.get("checks", {"norm_drift": 1e-8, "energy_drift": 1e-8})
+    norms, energies, alpha = _sample_diagnostics(run)
+    angular = (angular_momentum_series(run, hbar=run.hbar)
+               if "angular_momentum_drift" in wanted or cfg.get("series") == "angular_momentum"
+               else None)
+    _evolve_checks(wanted, run, norms, energies, angular, checks)
+    _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
+    for snap in cfg.get("outputs", {}).get("snapshots", []):
+        em = extract_em(run.sample(snap), tol=1e-6)
+        save_em_csv(outdir / f"fields-{snap % run.n_samples}.csv", em)
     if cfg.get("series") == "angular_momentum":
-        orbital, spin, total = angular_momentum_series(run, hbar=run.hbar)
-        write_angular_momentum_csv(outdir / "angular_momentum.csv", orbital, spin, total)
+        write_angular_momentum_csv(outdir / "angular_momentum.csv", *angular)
 
 
 def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
     run, psi0, _ = _run_from_config(cfg)
-    series = None
+    norms, energies, alpha = _sample_diagnostics(run)
+    series = alpha
     if cfg.get("series") == "point":
         index = tuple(int(i) for i in cfg.get("point_index", [0] * run.grid.ndim))
         series = alpha_density_series(run, index)
     report = zitter_decompose(run, series)
     (outdir / "zitter.json").write_text(json.dumps(report.to_dict(), indent=1))
-    _write_samples_csv(outdir / "samples.csv", run)
+    _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
     if cfg.get("expect_no_oscillation"):
         checks.add("no oscillation for a single energy branch",
                    "monochromatic states show no jitter",
@@ -326,7 +338,6 @@ def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
 
 def _cmd_compare_oracle(cfg: dict, outdir: Path, checks: _Checks):
     run, psi0, source = _run_from_config(cfg)
-    from .fields import extract_em
     em0 = extract_em(psi0)
     oracle_run = maxwell_evolve(em0, source, run.times,
                                 substeps=int(cfg.get("substeps", 64)), c=run.c)
@@ -424,8 +435,6 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="parallelism degree (reserved; runs are deterministic)")
     args = parser.parse_args(argv)
     return run_command(args.command, args.config, args.out)
 

@@ -15,14 +15,14 @@ decomposition into a dc part and a doubled-frequency carrier.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import transformed_dirac88
 from .errors import ConstraintViolation, DegenerateMode, FitError
-from .fields import (FourCurrent, GridSpec, SpinorField8,
-                     extract_em_amplitudes)
+from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
+                     SpinorField8, _alpha_density, extract_em_amplitudes)
 from .spin import ExpectationSeries
 
 __all__ = [
@@ -105,8 +105,9 @@ class ModeDecomposition:
 
     def projector_residual(self) -> float:
         """Max residual of H psi_hat(+-) = +- hbar w psi_hat(+-)."""
-        h_plus = _apply_h(self.grid, self.plus, self.mass, self.c, self.hbar)
-        h_minus = _apply_h(self.grid, self.minus, self.mass, self.c, self.hbar)
+        spectral = _spectral(self.grid, self.mass, self.c, self.hbar)
+        h_plus = spectral.apply_h(self.plus)
+        h_minus = spectral.apply_h(self.minus)
         w = self.hbar * self.omega[..., None]
         scale = max(float(np.max(np.abs(self.plus))), float(np.max(np.abs(self.minus))), 1.0)
         return float(max(np.max(np.abs(h_plus - w * self.plus)),
@@ -157,9 +158,8 @@ def omega_k(k: np.ndarray, mass: float, c: float = 1.0, hbar: float = 1.0) -> np
 
 def hamiltonian_k(k: np.ndarray, mass: float, c: float = 1.0, hbar: float = 1.0) -> np.ndarray:
     """Per-mode Hamiltonian c hbar alpha.k + beta' m c^2, Hermitian 8x8."""
-    alpha, beta = transformed_dirac88()
     k = np.asarray(k, dtype=float)
-    return c * hbar * np.einsum("i,iab->ab", k, alpha) + mass * c * c * beta
+    return c * hbar * np.einsum("i,iab->ab", k, _ALPHA) + mass * c * c * _BETA
 
 
 def energy_projectors(k: np.ndarray, mass: float, c: float = 1.0,
@@ -174,38 +174,52 @@ def energy_projectors(k: np.ndarray, mass: float, c: float = 1.0,
     return 0.5 * (eye + h), 0.5 * (eye - h)
 
 
-def _fft_axes(grid: GridSpec) -> tuple[int, ...]:
-    return tuple(range(grid.ndim))
+class _Spectral:
+    """Wave vectors, w(k), a zero-safe 1/w and H(k) of one (grid, mass, c, hbar).
+
+    H is the diagonal mass term plus a gather and a scale per grid axis
+    (see ``_ALPHA_COL``).  Instances are shared through ``_spectral``, so
+    their arrays are read-only.
+    """
+
+    def __init__(self, grid: GridSpec, mass: float, c: float, hbar: float):
+        self.hbar = hbar
+        self.k = grid.wave_vectors()
+        self.omega = omega_k(self.k, mass, c, hbar)
+        self.inv_omega = np.divide(1.0, self.omega, out=np.zeros_like(self.omega),
+                                   where=self.omega > 0.0)
+        self._mass_diag = mass * c * c * np.diag(_BETA).real
+        self._ck = [(i, c * hbar * self.k[..., i, None]) for i in grid.spatial_axes]
+        for array in (self.k, self.omega, self.inv_omega, *(ck for _, ck in self._ck)):
+            array.flags.writeable = False
+
+    def apply_h(self, hat: np.ndarray) -> np.ndarray:
+        """H(k) applied to spectral amplitudes of shape (*grid, 8)."""
+        out = self._mass_diag * hat
+        for i, ck in self._ck:
+            term = hat[..., _ALPHA_COL[i]]
+            term *= _ALPHA_COEF[i]
+            term *= ck
+            out += term
+        return out
+
+    def propagate(self, hat: np.ndarray, h_hat: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t / hbar) on spectral amplitudes given H hat; exact, zero mode inert."""
+        wt = self.omega * t
+        sin_fac = np.sin(wt) * self.inv_omega / self.hbar
+        return np.cos(wt)[..., None] * hat - 1j * sin_fac[..., None] * h_hat
 
 
-def _apply_h(grid: GridSpec, hat: np.ndarray, mass: float, c: float, hbar: float) -> np.ndarray:
-    """H(k) applied to spectral amplitudes, memory-light."""
-    alpha, beta = transformed_dirac88()
-    k = grid.wave_vectors()
-    out = mass * c * c * np.einsum("ab,...b->...a", beta, hat)
-    for i in range(3):
-        ki = k[..., i]
-        if np.any(ki):
-            out += c * hbar * ki[..., None] * np.einsum("ab,...b->...a", alpha[i], hat)
-    return out
-
-
-def _propagate_hat(grid: GridSpec, hat: np.ndarray, t: float, mass: float,
-                   c: float, hbar: float) -> np.ndarray:
-    """exp(-i H t / hbar) on spectral amplitudes; exact, zero mode inert."""
-    w = omega_k(grid.wave_vectors(), mass, c, hbar)
-    h_hat = _apply_h(grid, hat, mass, c, hbar)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sin_fac = np.where(w > 0.0, np.sin(w * t) / np.where(w > 0.0, w, 1.0), 0.0)
-    return np.cos(w * t)[..., None] * hat - 1j * (sin_fac / hbar)[..., None] * h_hat
+@functools.lru_cache(maxsize=4)
+def _spectral(grid: GridSpec, mass: float, c: float, hbar: float) -> _Spectral:
+    return _Spectral(grid, mass, c, hbar)
 
 
 def evolve_free(psi: SpinorField8, t: float, c: float = 1.0, hbar: float = 1.0) -> SpinorField8:
     """Free evolution by time t, exact up to round-off (no stepping error)."""
-    axes = _fft_axes(psi.grid)
-    hat = np.fft.fftn(psi.values, axes=axes)
-    hat = _propagate_hat(psi.grid, hat, t, psi.mass, c, hbar)
-    values = np.fft.ifftn(hat, axes=axes)
+    spectral = _spectral(psi.grid, psi.mass, c, hbar)
+    hat = psi.grid.fft(psi.values)
+    values = psi.grid.ifft(spectral.propagate(hat, spectral.apply_h(hat), t))
     return SpinorField8(psi.grid, values, kind=psi.kind, mass=psi.mass)
 
 
@@ -213,12 +227,14 @@ def run_free(psi0: SpinorField8, times: np.ndarray, c: float = 1.0,
              hbar: float = 1.0) -> EvolutionRun:
     """Sample free evolution on a time grid; each sample propagated from t = 0."""
     times = np.asarray(times, dtype=float)
-    axes = _fft_axes(psi0.grid)
-    hat0 = np.fft.fftn(psi0.values, axes=axes)
+    grid = psi0.grid
+    spectral = _spectral(grid, psi0.mass, c, hbar)
+    hat0 = grid.fft(psi0.values)
+    h_hat0 = spectral.apply_h(hat0)
     values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
     for i, t in enumerate(times):
-        values[i] = np.fft.ifftn(_propagate_hat(psi0.grid, hat0, float(t), psi0.mass, c, hbar), axes=axes)
-    return EvolutionRun(psi0.grid, times, values, psi0.kind, psi0.mass, c, hbar)
+        values[i] = grid.ifft(spectral.propagate(hat0, h_hat0, float(t)))
+    return EvolutionRun(grid, times, values, psi0.kind, psi0.mass, c, hbar)
 
 
 def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float):
@@ -227,9 +243,8 @@ def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float
     Time factors are scalar: rho(t) = rho_amp sin(wt)/w, J(t) = j_amp cos(wt),
     so s_hat(t) = rho_part * sin(wt)/w + j_part * cos(wt).
     """
-    axes = _fft_axes(grid)
-    rho_hat = np.fft.fftn(source.rho_amp.astype(complex), axes=axes)
-    j_hat = np.fft.fftn(source.j_amp.astype(complex), axes=axes)
+    rho_hat = grid.fft(source.rho_amp.astype(complex))
+    j_hat = grid.fft(source.j_amp.astype(complex))
     rho_part = np.zeros(grid.shape + (8,), dtype=complex)
     rho_part[..., 0] = 4 * np.pi * hbar * c * rho_hat
     j_part = np.zeros(grid.shape + (8,), dtype=complex)
@@ -261,17 +276,18 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
         raise ConstraintViolation(
             f"source continuity residual {cont:.3e} exceeds {continuity_tol:.1e}")
 
-    axes = _fft_axes(grid)
-    hat0 = np.fft.fftn(psi0.values, axes=axes)
+    spectral = _spectral(grid, psi0.mass, c, hbar)
+    hat0 = grid.fft(psi0.values)
     rho_part, j_part = _source_hat_parts(grid, source, c, hbar)
+    h_rho, h_j = spectral.apply_h(rho_part), spectral.apply_h(j_part)
     w_src = source.omega
 
-    def s_hat(t: float) -> np.ndarray:
-        return rho_part * (t * np.sinc(w_src * t / np.pi)) + j_part * np.cos(w_src * t)
-
     def integrand(t: float) -> np.ndarray:
-        # interaction picture: U(-t) s(t) / (i hbar)
-        return _propagate_hat(grid, s_hat(t), -t, psi0.mass, c, hbar) / (1j * hbar)
+        # interaction picture: U(-t) s(t) / (i hbar); H is linear, so H s(t)
+        # combines the hoisted H rho_part and H j_part with the same factors
+        f_rho, f_j = t * np.sinc(w_src * t / np.pi), np.cos(w_src * t)
+        return spectral.propagate(rho_part * f_rho + j_part * f_j,
+                                  h_rho * f_rho + h_j * f_j, -t) / (1j * hbar)
 
     values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
     accum = np.zeros_like(hat0)
@@ -286,8 +302,8 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
             for pair in range(substeps // 2):
                 accum += (h / 3.0) * (fs[2 * pair] + 4.0 * fs[2 * pair + 1] + fs[2 * pair + 2])
             t_prev = t
-        hat_t = _propagate_hat(grid, hat0 + accum, float(t), psi0.mass, c, hbar)
-        values[idx] = np.fft.ifftn(hat_t, axes=axes)
+        hat = hat0 + accum
+        values[idx] = grid.ifft(spectral.propagate(hat, spectral.apply_h(hat), float(t)))
         resid = float(max(np.max(np.abs(values[idx][..., 0])), np.max(np.abs(values[idx][..., 4]))))
         scale = max(float(np.max(np.abs(values[idx]))), 1.0)
         if resid > constraint_tol * scale:
@@ -300,21 +316,17 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
 def mode_decomposition(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> ModeDecomposition:
     """Split a state into positive/negative-frequency spectral amplitudes."""
     grid = psi.grid
-    axes = _fft_axes(grid)
-    hat = np.fft.fftn(psi.values, axes=axes)
-    w = omega_k(grid.wave_vectors(), psi.mass, c, hbar)
-    h_hat = _apply_h(grid, hat, psi.mass, c, hbar)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0) / hbar
-    ratio = inv[..., None] * h_hat
+    spectral = _spectral(grid, psi.mass, c, hbar)
+    hat = grid.fft(psi.values)
+    ratio = (spectral.inv_omega / hbar)[..., None] * spectral.apply_h(hat)
     plus = 0.5 * (hat + ratio)
     minus = 0.5 * (hat - ratio)
-    zero = w == 0.0
+    zero = spectral.omega == 0.0
     if np.any(zero):
         # static zero mode: keep the whole amplitude on the plus side
         plus[zero] = hat[zero]
         minus[zero] = 0.0
-    return ModeDecomposition(grid, plus, minus, w, psi.mass, c, hbar)
+    return ModeDecomposition(grid, plus, minus, spectral.omega, psi.mass, c, hbar)
 
 
 def positive_frequency_amplitudes(psi: SpinorField8, c: float = 1.0,
@@ -324,48 +336,36 @@ def positive_frequency_amplitudes(psi: SpinorField8, c: float = 1.0,
     For a real monofrequency field, E(r, t) = E(r) e^{-iwt} + c.c. with
     these amplitudes.
     """
-    dec = mode_decomposition(psi, c, hbar)
-    axes = _fft_axes(psi.grid)
-    plus_real = np.fft.ifftn(dec.plus, axes=axes)
-    return extract_em_amplitudes(plus_real)
-
-
-def _alpha_density(values: np.ndarray) -> np.ndarray:
-    """psi+ alpha psi per point, shape (*grid, 3), real."""
-    alpha, _ = transformed_dirac88()
-    return np.stack([np.einsum("...a,ab,...b->...", values.conj(), alpha[i], values).real
-                     for i in range(3)], axis=-1)
+    return extract_em_amplitudes(psi.grid.ifft(mode_decomposition(psi, c, hbar).plus))
 
 
 def alpha_expectation_series(run: EvolutionRun) -> ExpectationSeries:
     """<alpha>(t) = int psi+ alpha psi / int psi+ psi per sample (zero for
-    identically-zero samples)."""
+    identically-zero samples).  Each sample reduces to its 8x8 Gram matrix
+    G = Psi+ Psi over the grid points, and int psi+ M psi = sum_ab M_ab G_ab."""
     out = np.zeros((run.n_samples, 3))
     for it in range(run.n_samples):
-        values = run.values[it]
-        norm = float(np.sum(np.abs(values) ** 2))
+        flat = run.values[it].reshape(-1, 8)
+        gram = flat.conj().T @ flat
+        norm = float(np.trace(gram).real)
         if norm > 0.0:
-            out[it] = np.sum(_alpha_density(values), axis=tuple(range(run.grid.ndim))) / norm
+            out[it] = np.einsum("iab,ab->i", _ALPHA, gram).real / norm
     return ExpectationSeries(run.times, out, "velocity expectation")
 
 
 def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> ExpectationSeries:
     """The local velocity density psi+ alpha psi at one grid point, normalised
     by the (conserved) total norm; carries the pointwise jitter."""
-    out = np.zeros((run.n_samples, 3))
-    for it in range(run.n_samples):
-        values = run.values[it]
-        norm = float(np.sum(np.abs(values) ** 2))
-        if norm > 0.0:
-            out[it] = _alpha_density(values)[index] / norm
+    norms = np.array([np.sum(np.abs(values) ** 2) for values in run.values])[:, None]
+    density = _alpha_density(run.values[(slice(None),) + tuple(index)])
+    out = np.divide(density, norms, out=np.zeros_like(density), where=norms > 0.0)
     return ExpectationSeries(run.times, out, f"velocity density at {index}")
 
 
 def energy_expectation(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> float:
     """<H> per unit norm (zero for an identically-zero state)."""
-    axes = _fft_axes(psi.grid)
-    hat = np.fft.fftn(psi.values, axes=axes)
-    h_hat = _apply_h(psi.grid, hat, psi.mass, c, hbar)
+    hat = psi.grid.fft(psi.values)
+    h_hat = _spectral(psi.grid, psi.mass, c, hbar).apply_h(hat)
     num = float(np.sum(hat.conj() * h_hat).real)
     den = float(np.sum(np.abs(hat) ** 2))
     return num / den if den > 0.0 else 0.0
@@ -373,16 +373,11 @@ def energy_expectation(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> 
 
 def momentum_velocity_prediction(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> np.ndarray:
     """The drift part c <p H^-1> evaluated directly in mode space."""
-    grid = psi.grid
-    axes = _fft_axes(grid)
-    hat = np.fft.fftn(psi.values, axes=axes)
-    w = omega_k(grid.wave_vectors(), psi.mass, c, hbar)
-    h_hat = _apply_h(grid, hat, psi.mass, c, hbar)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_w2 = np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0) ** 2, 0.0)
-    k = grid.wave_vectors()
-    weight = np.einsum("...a,...a->...", hat.conj(), h_hat).real * inv_w2 / hbar
-    num = np.stack([np.sum(c * hbar * k[..., i] * weight) for i in range(3)])
+    spectral = _spectral(psi.grid, psi.mass, c, hbar)
+    hat = psi.grid.fft(psi.values)
+    weight = (np.einsum("...a,...a->...", hat.conj(), spectral.apply_h(hat)).real
+              * spectral.inv_omega ** 2 / hbar)
+    num = np.stack([np.sum(c * hbar * spectral.k[..., i] * weight) for i in range(3)])
     den = float(np.sum(np.abs(hat) ** 2))
     return num / den
 
@@ -402,7 +397,7 @@ def zitter_lines(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0,
     cross = pop_plus * pop_minus
     norm = float(np.sum(pop_plus ** 2 + pop_minus ** 2))
     cross /= norm
-    k = psi.grid.wave_vectors()
+    k = _spectral(psi.grid, psi.mass, c, hbar).k
     flat = np.argsort(cross.reshape(-1))[::-1][:max_lines]
     lines = []
     for fi in flat:

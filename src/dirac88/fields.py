@@ -46,6 +46,13 @@ PHOTON = "photon"
 ELECTRON = "electron"
 GENERIC = "generic"
 
+# Each alpha'_i has exactly one nonzero entry per row, a unit phase, so
+# alpha'_i applied to psi is a gather and a scale:
+# (alpha'_i psi)_a = _ALPHA_COEF[i, a] * psi[..., _ALPHA_COL[i, a]].
+_ALPHA, _BETA = transformed_dirac88()
+_ALPHA_COL = np.argmax(_ALPHA != 0, axis=-1)
+_ALPHA_COEF = np.take_along_axis(_ALPHA, _ALPHA_COL[..., None], axis=-1)[..., 0]
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -110,6 +117,14 @@ class GridSpec:
         for axis, cart in enumerate(self.spatial_axes):
             out[..., cart] = mesh[axis]
         return out
+
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        """Forward DFT over the grid axes, which lead every field array."""
+        return np.fft.fftn(values, axes=tuple(range(self.ndim)))
+
+    def ifft(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of ``fft``."""
+        return np.fft.ifftn(values, axes=tuple(range(self.ndim)))
 
     def to_dict(self) -> dict:
         return {"points": list(self.points), "lengths": list(self.lengths)}
@@ -289,36 +304,23 @@ def field_tensor(e: np.ndarray, b: np.ndarray) -> FieldTensor:
     return FieldTensor(f, g)
 
 
-def _fft_axes(grid: GridSpec) -> tuple[int, ...]:
-    return tuple(range(grid.ndim))
-
-
-def _spectral_apply(grid: GridSpec, values: np.ndarray, factor) -> np.ndarray:
-    """ifft(factor(k) * fft(values)) over the grid axes."""
-    axes = _fft_axes(grid)
-    hat = np.fft.fftn(values, axes=axes)
-    hat = factor(hat)
-    return np.fft.ifftn(hat, axes=axes)
+def _alpha_density(values: np.ndarray) -> np.ndarray:
+    """psi+ alpha psi per point, shape (..., 3), real."""
+    conj = values.conj()
+    return np.stack([((conj * values[..., _ALPHA_COL[i]]) @ _ALPHA_COEF[i]).real
+                     for i in range(3)], axis=-1)
 
 
 def divergence(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     """Spectral divergence of a 3-vector field; exact for band-limited input."""
-    v = np.asarray(v, dtype=complex)
-    k = grid.wave_vectors()
-    axes = _fft_axes(grid)
-    hat = np.fft.fftn(v, axes=axes)
-    out = np.fft.ifftn(1j * np.einsum("...i,...i->...", k, hat), axes=axes)
-    return out
+    hat = grid.fft(np.asarray(v, dtype=complex))
+    return grid.ifft(1j * np.einsum("...i,...i->...", grid.wave_vectors(), hat))
 
 
 def curl(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     """Spectral curl of a 3-vector field."""
-    v = np.asarray(v, dtype=complex)
-    k = grid.wave_vectors()
-    axes = _fft_axes(grid)
-    hat = np.fft.fftn(v, axes=axes)
-    curl_hat = 1j * np.cross(k, hat)
-    return np.fft.ifftn(curl_hat, axes=axes)
+    hat = grid.fft(np.asarray(v, dtype=complex))
+    return grid.ifft(1j * np.cross(grid.wave_vectors(), hat))
 
 
 def energy_and_poynting(em: EMField, c: float = 1.0) -> EnergyPoynting:
@@ -332,12 +334,7 @@ def energy_and_poynting(em: EMField, c: float = 1.0) -> EnergyPoynting:
     density = (np.einsum("...i,...i->...", e, e) + np.einsum("...i,...i->...", b, b)) / (8 * np.pi)
     energy = float(np.sum(density) * em.grid.cell_volume)
     poynting = (c / (4 * np.pi)) * np.cross(e, b)
-    alpha, _ = transformed_dirac88()
-    psi = embed_em(em).values
-    half = 0.5 * np.stack(
-        [np.einsum("...a,ab,...b->...", psi.conj(), alpha[i], psi).real for i in range(3)],
-        axis=-1)
-    return EnergyPoynting(energy, poynting, half)
+    return EnergyPoynting(energy, poynting, 0.5 * _alpha_density(embed_em(em).values))
 
 
 # --- columnar serialisation: CSV body plus a JSON sidecar with the grid ---

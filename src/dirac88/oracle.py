@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import GridMismatch
 from .fields import EMField, FourCurrent, GridSpec
-from .evolution import EvolutionRun
 
 __all__ = ["OracleRun", "CompareReport", "maxwell_evolve", "compare"]
 
@@ -137,9 +136,10 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     return OracleRun(grid, times, e_out, b_out)
 
 
-def compare(run: EvolutionRun, oracle: OracleRun) -> CompareReport:
+def compare(run, oracle: OracleRun) -> CompareReport:
     """Max over samples and points of the field deviations, absolute and
-    relative to the oracle field RMS."""
+    relative to the oracle field RMS.  ``run`` is an ``EvolutionRun``;
+    only its grid, times and photon-embedded values are read."""
     if run.grid != oracle.grid:
         raise GridMismatch("wave-function run and oracle run use different grids")
     if len(run.times) != len(oracle.times) or not np.allclose(run.times, oracle.times):

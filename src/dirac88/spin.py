@@ -147,14 +147,13 @@ def photon_spin_selection(psi: SpinorField8) -> SpinSelectionReport:
     return SpinSelectionReport(one_max, half_max, witness[0], witness[1], witness[2])
 
 
-def _momentum_apply(grid, values: np.ndarray, hbar: float) -> np.ndarray:
-    """(p_x, p_y, p_z) psi, shape (3, *grid, 8), spectral."""
-    axes = tuple(range(grid.ndim))
-    hat = np.fft.fftn(values, axes=axes)
-    k = grid.wave_vectors()
-    out = np.empty((3,) + values.shape, dtype=complex)
-    for i in range(3):
-        out[i] = np.fft.ifftn(hbar * k[..., i][..., None] * hat, axes=axes)
+def _momentum_density(grid, k: np.ndarray, values: np.ndarray, hbar: float) -> np.ndarray:
+    """m_j(r) = psi+ p_j psi per point, shape (*grid, 3), spectral momentum."""
+    hat = grid.fft(values)
+    out = np.zeros(grid.shape + (3,), dtype=complex)
+    for j in grid.spatial_axes:
+        p_psi = grid.ifft(hbar * k[..., j][..., None] * hat)
+        out[..., j] = np.einsum("...a,...a->...", values.conj(), p_psi)
     return out
 
 
@@ -198,21 +197,20 @@ def angular_momentum_series(run, operator: SpinOperator | None = None,
         operator = spin_one(hbar) if run.kind == PHOTON else spin_half(hbar)
     _warn_if_packet_too_wide(run)
     pos = grid.positions()
+    k = grid.wave_vectors()
     dv = grid.cell_volume
     times = np.asarray(run.times, dtype=float)
     orbital = np.zeros((len(times), 3))
     spin = np.zeros((len(times), 3))
     for it in range(len(times)):
         values = run.values[it]
-        norm = float(np.sum(np.abs(values) ** 2) * dv)
-        p_psi = _momentum_apply(grid, values, hbar)
-        # m_j(r) = psi+ p_j psi summed over components
-        m = np.stack([np.einsum("...a,...a->...", values.conj(), p_psi[j]) for j in range(3)], axis=-1)
-        l_density = np.cross(pos, m)
+        # 8x8 Gram matrix G = Psi+ Psi: int psi+ S_i psi = sum_ab (S_i)_ab G_ab
+        flat = values.reshape(-1, 8)
+        gram = flat.conj().T @ flat
+        norm = float(np.trace(gram).real) * dv
+        l_density = np.cross(pos, _momentum_density(grid, k, values, hbar))
         orbital[it] = (np.sum(l_density, axis=tuple(range(grid.ndim))) * dv).real / norm
-        for i in range(3):
-            s_psi = np.einsum("ab,...b->...a", operator.components[i], values)
-            spin[it, i] = float(np.sum(np.einsum("...a,...a->...", values.conj(), s_psi)).real * dv) / norm
+        spin[it] = np.einsum("iab,ab->i", operator.components, gram).real * dv / norm
     total = orbital + spin
     return (ExpectationSeries(times, orbital, "orbital"),
             ExpectationSeries(times, spin, "spin"),

@@ -141,7 +141,7 @@ def electron_gaussian_packet(grid: GridSpec, mass: float, sigma: float,
     psi = SpinorField8(grid, values, kind=ELECTRON, mass=mass)
     dec = mode_decomposition(psi, c, hbar)
     mixed = plus_weight * dec.plus + minus_weight * dec.minus
-    out = np.fft.ifftn(mixed, axes=tuple(range(grid.ndim)))
+    out = grid.ifft(mixed)
     out_norm = np.sqrt(np.sum(np.abs(out) ** 2) * grid.cell_volume)
     return SpinorField8(grid, out / out_norm, kind=ELECTRON, mass=mass)
 

@@ -227,6 +227,59 @@ def test_main_entrypoint(tmp_path):
 
 def test_unknown_flag_rejected(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {})
-    with pytest.raises(SystemExit):
-        main(["verify-algebra", "--config", cfg, "--out", str(tmp_path / "o"),
-              "--frobnicate"])
+    for extra in (["--frobnicate"], ["--parallel", "2"]):
+        with pytest.raises(SystemExit):
+            main(["verify-algebra", "--config", cfg, "--out", str(tmp_path / "o")] + extra)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_too_few_samples_exit2(tmp_path, capsys, samples):
+    cfg = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=samples))
+    assert run_command("evolve", cfg, str(tmp_path / "o")) == 2
+    assert "samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [24, -25])
+def test_snapshot_index_out_of_range_exit2(tmp_path, capsys, index):
+    cfg = evolve_cfg()
+    cfg["outputs"] = {"snapshots": [0, index]}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert run_command("evolve", path, str(tmp_path / "o")) == 2
+    assert "outputs.snapshots" in capsys.readouterr().err
+
+
+def test_snapshots_of_electron_run_exit2(tmp_path, capsys):
+    cfg = {
+        "grid": {"points": [16], "lengths": [TWO_PI]},
+        "mass": 1.0,
+        "duration": 1.0,
+        "samples": 8,
+        "state": {"type": "electron_rest_mix"},
+        "outputs": {"snapshots": [0]},
+    }
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert run_command("evolve", path, str(tmp_path / "o")) == 2
+    assert "outputs.snapshots" in capsys.readouterr().err
+
+
+def test_evolve_diagnostics_computed_once(tmp_path, monkeypatch):
+    import dirac88.cli as cli
+    calls = {"angular": 0, "energy": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "angular_momentum_series", counted("angular", cli.angular_momentum_series))
+    monkeypatch.setattr(cli, "energy_expectation", counted("energy", cli.energy_expectation))
+    cfg = evolve_cfg(samples=12)
+    cfg["state"] = {"type": "circular_analytic", "mode": 2, "helicity": 1}
+    cfg["checks"] = {"norm_drift": 1e-10, "energy_drift": 1e-10, "angular_momentum_drift": 1e-8}
+    cfg["series"] = "angular_momentum"
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert run_command("evolve", path, str(out)) == 0
+    assert calls == {"angular": 1, "energy": 12}
+    assert (out / "angular_momentum.csv").exists()

@@ -45,6 +45,20 @@ def test_hamiltonian_units():
     assert np.allclose(evals, [-0.5 * w] * 4 + [0.5 * w] * 4, atol=1e-12)
 
 
+def test_gather_hamiltonian_matches_dense_per_mode():
+    from dirac88.evolution import _spectral
+    grid = GridSpec((4, 4, 4), tuple(RNG.uniform(1.0, 3.0, 3)))
+    mass, c, hbar = 0.7, 1.9, 0.45
+    hat = RNG.standard_normal(grid.shape + (8,)) + 1j * RNG.standard_normal(grid.shape + (8,))
+    spectral = _spectral(grid, mass, c, hbar)
+    gathered = spectral.apply_h(hat)
+    k = grid.wave_vectors()
+    for idx in np.ndindex(grid.shape):
+        dense = hamiltonian_k(k[idx], mass, c, hbar) @ hat[idx]
+        assert np.linalg.norm(gathered[idx] - dense) <= 1e-15 * np.linalg.norm(dense)
+    assert np.array_equal(spectral.omega, omega_k(k, mass, c, hbar))
+
+
 def test_projectors():
     k = np.array([0.3, -0.7, 1.1])
     p_plus, p_minus = energy_projectors(k, 0.4)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -159,3 +162,19 @@ def test_longitudinal_content_is_the_scalar_sector():
     rep = compare(run, maxwell_evolve(em0, None, times))
     assert rep.max_abs > 1e-6
     assert run.sample(1).constraint_residual() > 1e-6
+
+
+def test_oracle_imports_no_8x8_machinery():
+    import dirac88.oracle
+    tree = ast.parse(Path(dirac88.oracle.__file__).read_text())
+    forbidden = {"algebra", "evolution", "spin", "lorentz"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            if node.module in (None, "dirac88"):
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "fields" in imported
+    assert not imported & forbidden
