@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -86,11 +87,30 @@ def _expect_keys(cfg: dict, allowed: set[str], required: set[str], where: str):
             raise ConfigError(f"missing key '{key}' in {where}")
 
 
+def _write_json(path: Path, obj):
+    """Strict JSON: a NaN or an infinity is an error, never a bare token."""
+    try:
+        text = json.dumps(obj, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise Dirac88Error(f"{path.name}: {exc}") from exc
+    path.write_text(text)
+
+
+def _finite_positive(value, key: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number) or number <= 0.0:
+        raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+    return number
+
+
 def _grid_from_config(cfg: dict) -> GridSpec:
     _expect_keys(cfg, {"points", "lengths"}, {"points", "lengths"}, "grid")
     try:
         return GridSpec(tuple(int(p) for p in cfg["points"]),
-                        tuple(float(x) for x in cfg["lengths"]))
+                        tuple(_finite_positive(x, "grid.lengths") for x in cfg["lengths"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
@@ -101,6 +121,9 @@ def _state_from_config(cfg: dict, grid: GridSpec, mass: float):
                  {"type"}, "state")
     kind = cfg["type"]
     mode = cfg.get("mode", 1)
+    if not (isinstance(mode, int)
+            or isinstance(mode, list) and all(isinstance(m, int) for m in mode)):
+        raise ConfigError(f"state.mode must be an integer or a list of integers, got {mode!r}")
     if kind == "zero_field":
         return embed_em(EMField.zero(grid))
     if kind == "travelling_wave":
@@ -154,6 +177,14 @@ def _check_snapshots(outputs: dict, samples: int, kind: str):
         raise ConfigError(f"outputs.snapshots {bad} are not sample indices in [{-samples}, {samples})")
 
 
+def _check_point_index(index, grid: GridSpec):
+    """One integer per grid axis, each in [-points, points)."""
+    if not (isinstance(index, list) and len(index) == grid.ndim
+            and all(isinstance(i, int) and -n <= i < n for i, n in zip(index, grid.points))):
+        raise ConfigError(f"point_index {index!r} is not {grid.ndim} integer(s) in "
+                          f"[-points, points) for grid points {list(grid.points)}")
+
+
 def _run_from_config(cfg: dict):
     _expect_keys(cfg, {"grid", "mass", "c", "hbar", "units", "duration", "samples",
                        "state", "source", "substeps", "checks", "series",
@@ -166,10 +197,12 @@ def _run_from_config(cfg: dict):
     samples = cfg["samples"]
     if not isinstance(samples, int) or samples < 2:
         raise ConfigError(f"samples must be an integer >= 2, got {samples!r}")
+    if "point_index" in cfg:
+        _check_point_index(cfg["point_index"], grid)
     econf = EvolutionConfig(grid=grid, mass=float(cfg.get("mass", 0.0)),
                             duration=float(cfg["duration"]), samples=samples,
-                            c=float(cfg.get("c", units.get("c", 1.0))),
-                            hbar=float(cfg.get("hbar", units.get("hbar", 1.0))))
+                            c=_finite_positive(cfg.get("c", units.get("c", 1.0)), "c"),
+                            hbar=_finite_positive(cfg.get("hbar", units.get("hbar", 1.0)), "hbar"))
     psi0 = _state_from_config(cfg["state"], grid, econf.mass)
     _check_snapshots(cfg.get("outputs", {}), samples, psi0.kind)
     source = _source_from_config(cfg.get("source"), grid)
@@ -229,8 +262,7 @@ def _cmd_verify_algebra(cfg: dict, outdir: Path, checks: _Checks):
     reports = verify_identities()
     for rep in reports:
         checks.add(rep.identity, rep.identity, rep.deviation, rep.tolerance)
-    (outdir / "algebra_reports.json").write_text(
-        json.dumps([r.to_dict() for r in reports], indent=1))
+    _write_json(outdir / "algebra_reports.json", [r.to_dict() for r in reports])
 
 
 def _cmd_spin_check(cfg: dict, outdir: Path, checks: _Checks):
@@ -254,12 +286,12 @@ def _cmd_spin_check(cfg: dict, outdir: Path, checks: _Checks):
                sel.spin_one_max, 0.0)
     checks.add("spin-1/2 leaks into the constrained components", "photon spin selection",
                0.0 if sel.spin_half_max > 0.0 else 1.0, 0.0)
-    (outdir / "spin_selection.json").write_text(json.dumps({
+    _write_json(outdir / "spin_selection.json", {
         "spin_one_leak": sel.spin_one_max,
         "spin_half_leak": sel.spin_half_max,
         "witness": {"component": sel.witness_component, "row": sel.witness_row,
                     "value": [sel.witness_value.real, sel.witness_value.imag]},
-    }, indent=1))
+    })
 
 
 def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
@@ -283,10 +315,9 @@ def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
     norms, energies, alpha = _sample_diagnostics(run)
     series = alpha
     if cfg.get("series") == "point":
-        index = tuple(int(i) for i in cfg.get("point_index", [0] * run.grid.ndim))
-        series = alpha_density_series(run, index)
+        series = alpha_density_series(run, tuple(cfg.get("point_index", [0] * run.grid.ndim)))
     report = zitter_decompose(run, series)
-    (outdir / "zitter.json").write_text(json.dumps(report.to_dict(), indent=1))
+    _write_json(outdir / "zitter.json", report.to_dict())
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
     if cfg.get("expect_no_oscillation"):
         checks.add("no oscillation for a single energy branch",
@@ -325,7 +356,7 @@ def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
                            "b": [[x.real, x.imag] for x in b_closed]},
         },
     }
-    (outdir / "boost.json").write_text(json.dumps(record, indent=1))
+    _write_json(outdir / "boost.json", record)
     dev = max(float(np.max(np.abs(e_spinor - e_closed))), float(np.max(np.abs(b_spinor - b_closed))),
               float(np.max(np.abs(e_tensor - e_closed))), float(np.max(np.abs(b_tensor - b_closed))))
     checks.add("spinor, tensor and closed-form boosts agree", "three-route field boost", dev, tol)
@@ -345,9 +376,9 @@ def _cmd_compare_oracle(cfg: dict, outdir: Path, checks: _Checks):
     tol = float(cfg.get("tolerance", 1e-10))
     checks.add("wave-equation fields match the classical solver",
                "exact embedding of the curl equations", rep.max_abs, tol)
-    (outdir / "compare.json").write_text(json.dumps({
+    _write_json(outdir / "compare.json", {
         "max_abs_e": rep.max_abs_e, "max_abs_b": rep.max_abs_b,
-        "rel_e": rep.rel_e, "rel_b": rep.rel_b}, indent=1))
+        "rel_e": rep.rel_e, "rel_b": rep.rel_b})
 
 
 _HANDLERS = {
@@ -409,10 +440,13 @@ def run_command(command: str, config_path: str, outdir: str) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     try:
-        (out / "summary.json").write_text(json.dumps(summary, indent=1))
+        _write_json(out / "summary.json", summary)
     except OSError as exc:
         print(f"error: cannot write summary: {exc}", file=sys.stderr)
         return 3
+    except Dirac88Error as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for row in checks.rows:
         status = "PASS" if row["pass"] else "FAIL"
         if row["deviation"] is None:

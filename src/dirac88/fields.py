@@ -12,7 +12,6 @@ appear in formulas (natural units c = hbar = 1 by default).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -339,18 +338,29 @@ def energy_and_poynting(em: EMField, c: float = 1.0) -> EnergyPoynting:
 
 # --- columnar serialisation: CSV body plus a JSON sidecar with the grid ---
 
+# Grid points formatted per write: one block's row strings are held at a
+# time, never a whole snapshot's.
+_CSV_BLOCK_POINTS = 2048
+
+
 def _write_csv(path: Path, grid: GridSpec, values: np.ndarray, ncomp: int, kindmeta: dict):
+    """Rows ``i,j,k,component,re,im`` in C order, CRLF ends, ``%.17g`` values."""
     path = Path(path)
     idx_shape = grid.shape + (1,) * (3 - grid.ndim)
+    flat = values.reshape(-1, ncomp)
+    # one point's rows; each %s takes that point's "i,j,k," prefix
+    point_rows = "".join(f"%s{comp},%.17g,%.17g\r\n" for comp in range(ncomp))
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "k", "component", "re", "im"])
-        flat = values.reshape(-1, ncomp)
-        for flat_index, row in enumerate(flat):
-            ijk = np.unravel_index(flat_index, idx_shape[:3])
-            for comp in range(ncomp):
-                writer.writerow([ijk[0], ijk[1], ijk[2], comp,
-                                 f"{row[comp].real:.17g}", f"{row[comp].imag:.17g}"])
+        fh.write("i,j,k,component,re,im\r\n")
+        for start in range(0, len(flat), _CSV_BLOCK_POINTS):
+            block = flat[start:start + _CSV_BLOCK_POINTS]
+            ijk = np.unravel_index(np.arange(start, start + len(block)), idx_shape)
+            prefixes = [f"{i},{j},{k}," for i, j, k in zip(*(a.tolist() for a in ijk))]
+            cells = np.empty(block.shape + (3,), dtype=object)
+            cells[..., 0] = np.array(prefixes, dtype=object)[:, None]
+            cells[..., 1] = block.real
+            cells[..., 2] = block.imag
+            fh.write(point_rows * len(block) % tuple(cells.ravel().tolist()))
     sidecar = {"grid": grid.to_dict(), "components": ncomp}
     sidecar.update(kindmeta)
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=1))
@@ -361,15 +371,16 @@ def _read_csv(path: Path) -> tuple[GridSpec, np.ndarray, dict]:
     meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     grid = GridSpec.from_dict(meta["grid"])
     ncomp = int(meta["components"])
+    idx_shape = grid.shape + (1,) * (3 - grid.ndim)
+    body = np.loadtxt(path, delimiter=",", skiprows=1)
+    ijkc = body[:, :4].astype(np.intp)
+    point = np.ravel_multi_index(tuple(ijkc[:, :3].T), idx_shape)
     values = np.zeros(grid.shape + (ncomp,), dtype=complex)
     flat = values.reshape(-1, ncomp)
-    idx_shape = grid.shape + (1,) * (3 - grid.ndim)
-    with path.open() as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for i, j, k, comp, re, im in reader:
-            flat_index = np.ravel_multi_index((int(i), int(j), int(k)), idx_shape[:3])
-            flat[flat_index, int(comp)] = float(re) + 1j * float(im)
+    # real and imaginary parts are set apart: re + 1j*im turns an infinite
+    # imaginary part into a NaN real one
+    flat.real[point, ijkc[:, 3]] = body[:, 4]
+    flat.imag[point, ijkc[:, 3]] = body[:, 5]
     return grid, values, meta
 
 

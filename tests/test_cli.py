@@ -283,3 +283,56 @@ def test_evolve_diagnostics_computed_once(tmp_path, monkeypatch):
     assert run_command("evolve", path, str(out)) == 0
     assert calls == {"angular": 1, "energy": 12}
     assert (out / "angular_momentum.csv").exists()
+
+
+def zitter_point_cfg(point_index):
+    return {
+        "grid": {"points": [64], "lengths": [TWO_PI]},
+        "mass": 0.0,
+        "duration": 2.0,
+        "samples": 16,
+        "state": {"type": "standing_wave", "mode": 2},
+        "series": "point",
+        "point_index": point_index,
+    }
+
+
+@pytest.mark.parametrize("point_index", [[99], [-65], [1, 2], [1.5], ["a"], 3],
+                         ids=["out-of-range", "negative-out-of-range", "wrong-length",
+                              "float", "string", "not-a-list"])
+def test_bad_point_index_exit2(tmp_path, capsys, point_index):
+    path = write_cfg(tmp_path, "cfg.json", zitter_point_cfg(point_index))
+    assert run_command("zitter", path, str(tmp_path / "o")) == 2
+    assert "point_index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("grid.lengths", lambda cfg: cfg["grid"].update(lengths=[-TWO_PI])),
+    ("grid.lengths", lambda cfg: cfg["grid"].update(lengths=[float("nan")])),
+    ("grid.lengths", lambda cfg: cfg["grid"].update(lengths=[float("inf")])),
+    ("c", lambda cfg: cfg.update(c=0)),
+    ("c", lambda cfg: cfg.update(units={"c": float("nan")})),
+    ("hbar", lambda cfg: cfg.update(hbar=-1.0)),
+    ("hbar", lambda cfg: cfg.update(units={"hbar": "one"})),
+    ("state.mode", lambda cfg: cfg["state"].update(mode="a")),
+    ("state.mode", lambda cfg: cfg["state"].update(mode=[1.5])),
+], ids=["negative-length", "nan-length", "inf-length", "c-zero", "units-c-nan",
+        "hbar-negative", "units-hbar-string", "mode-string", "mode-float"])
+def test_config_domain_exit2(tmp_path, capsys, key, edit):
+    cfg = evolve_cfg(samples=8)
+    edit(cfg)
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "o"
+    assert run_command("evolve", path, str(out)) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
+    import dirac88.cli as cli
+    monkeypatch.setattr(cli, "energy_expectation", lambda *args, **kwargs: float("nan"))
+    path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
+    out = tmp_path / "o"
+    assert run_command("evolve", path, str(out)) == 1
+    assert "summary.json" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()

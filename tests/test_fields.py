@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,214 @@ def test_csv_roundtrip_3d(tmp_path):
     back = load_spinor_csv(path)
     assert back.grid == g and back.mass == 2.0
     assert np.max(np.abs(back.values - values)) < 1e-15
+
+
+_EDGE_VALUES = [-0.0, 1e-300, 1e300, np.nan, np.inf, -np.inf, 1 / 3, -2.5, 0.0]
+
+
+def edge_field(kind, points):
+    """A spinor or EM field whose real parts cycle through the edge cases of
+    %.17g, and whose imaginary parts cycle through them shifted by three."""
+    grid = GridSpec(points, tuple(0.5 * 2.0 ** axis for axis in range(len(points))))
+    values = np.empty(grid.shape + (8 if kind == "spinor" else 6,), dtype=complex)
+    values.real = np.resize(_EDGE_VALUES, values.shape)
+    values.imag = np.resize(_EDGE_VALUES[3:] + _EDGE_VALUES[:3], values.shape)
+    if kind == "spinor":
+        return SpinorField8(grid, values, kind="electron", mass=0.5)
+    return EMField(grid, values[..., :3], values[..., 3:])
+
+
+# The snapshot format, byte for byte, as the row-by-row csv.writer version of
+# the writer produced it: (kind, points, CSV body, JSON sidecar).
+GOLDEN_SNAPSHOTS = [
+    ("spinor", (2,), (
+        "i,j,k,component,re,im\r\n"
+        "0,0,0,0,-0,nan\r\n"
+        "0,0,0,1,1e-300,inf\r\n"
+        "0,0,0,2,1.0000000000000001e+300,-inf\r\n"
+        "0,0,0,3,nan,0.33333333333333331\r\n"
+        "0,0,0,4,inf,-2.5\r\n"
+        "0,0,0,5,-inf,0\r\n"
+        "0,0,0,6,0.33333333333333331,-0\r\n"
+        "0,0,0,7,-2.5,1e-300\r\n"
+        "1,0,0,0,0,1.0000000000000001e+300\r\n"
+        "1,0,0,1,-0,nan\r\n"
+        "1,0,0,2,1e-300,inf\r\n"
+        "1,0,0,3,1.0000000000000001e+300,-inf\r\n"
+        "1,0,0,4,nan,0.33333333333333331\r\n"
+        "1,0,0,5,inf,-2.5\r\n"
+        "1,0,0,6,-inf,0\r\n"
+        "1,0,0,7,0.33333333333333331,-0\r\n"
+    ), (
+        '{\n'
+        ' "grid": {\n'
+        '  "points": [\n'
+        '   2\n'
+        '  ],\n'
+        '  "lengths": [\n'
+        '   0.5\n'
+        '  ]\n'
+        ' },\n'
+        ' "components": 8,\n'
+        ' "kind": "electron",\n'
+        ' "mass": 0.5\n'
+        '}'
+    )),
+    ("em", (2, 2), (
+        "i,j,k,component,re,im\r\n"
+        "0,0,0,0,-0,nan\r\n"
+        "0,0,0,1,1e-300,inf\r\n"
+        "0,0,0,2,1.0000000000000001e+300,-inf\r\n"
+        "0,0,0,3,nan,0.33333333333333331\r\n"
+        "0,0,0,4,inf,-2.5\r\n"
+        "0,0,0,5,-inf,0\r\n"
+        "0,1,0,0,0.33333333333333331,-0\r\n"
+        "0,1,0,1,-2.5,1e-300\r\n"
+        "0,1,0,2,0,1.0000000000000001e+300\r\n"
+        "0,1,0,3,-0,nan\r\n"
+        "0,1,0,4,1e-300,inf\r\n"
+        "0,1,0,5,1.0000000000000001e+300,-inf\r\n"
+        "1,0,0,0,nan,0.33333333333333331\r\n"
+        "1,0,0,1,inf,-2.5\r\n"
+        "1,0,0,2,-inf,0\r\n"
+        "1,0,0,3,0.33333333333333331,-0\r\n"
+        "1,0,0,4,-2.5,1e-300\r\n"
+        "1,0,0,5,0,1.0000000000000001e+300\r\n"
+        "1,1,0,0,-0,nan\r\n"
+        "1,1,0,1,1e-300,inf\r\n"
+        "1,1,0,2,1.0000000000000001e+300,-inf\r\n"
+        "1,1,0,3,nan,0.33333333333333331\r\n"
+        "1,1,0,4,inf,-2.5\r\n"
+        "1,1,0,5,-inf,0\r\n"
+    ), (
+        '{\n'
+        ' "grid": {\n'
+        '  "points": [\n'
+        '   2,\n'
+        '   2\n'
+        '  ],\n'
+        '  "lengths": [\n'
+        '   0.5,\n'
+        '   1.0\n'
+        '  ]\n'
+        ' },\n'
+        ' "components": 6,\n'
+        ' "kind": "em"\n'
+        '}'
+    )),
+    ("em", (2, 2, 2), (
+        "i,j,k,component,re,im\r\n"
+        "0,0,0,0,-0,nan\r\n"
+        "0,0,0,1,1e-300,inf\r\n"
+        "0,0,0,2,1.0000000000000001e+300,-inf\r\n"
+        "0,0,0,3,nan,0.33333333333333331\r\n"
+        "0,0,0,4,inf,-2.5\r\n"
+        "0,0,0,5,-inf,0\r\n"
+        "0,0,1,0,0.33333333333333331,-0\r\n"
+        "0,0,1,1,-2.5,1e-300\r\n"
+        "0,0,1,2,0,1.0000000000000001e+300\r\n"
+        "0,0,1,3,-0,nan\r\n"
+        "0,0,1,4,1e-300,inf\r\n"
+        "0,0,1,5,1.0000000000000001e+300,-inf\r\n"
+        "0,1,0,0,nan,0.33333333333333331\r\n"
+        "0,1,0,1,inf,-2.5\r\n"
+        "0,1,0,2,-inf,0\r\n"
+        "0,1,0,3,0.33333333333333331,-0\r\n"
+        "0,1,0,4,-2.5,1e-300\r\n"
+        "0,1,0,5,0,1.0000000000000001e+300\r\n"
+        "0,1,1,0,-0,nan\r\n"
+        "0,1,1,1,1e-300,inf\r\n"
+        "0,1,1,2,1.0000000000000001e+300,-inf\r\n"
+        "0,1,1,3,nan,0.33333333333333331\r\n"
+        "0,1,1,4,inf,-2.5\r\n"
+        "0,1,1,5,-inf,0\r\n"
+        "1,0,0,0,0.33333333333333331,-0\r\n"
+        "1,0,0,1,-2.5,1e-300\r\n"
+        "1,0,0,2,0,1.0000000000000001e+300\r\n"
+        "1,0,0,3,-0,nan\r\n"
+        "1,0,0,4,1e-300,inf\r\n"
+        "1,0,0,5,1.0000000000000001e+300,-inf\r\n"
+        "1,0,1,0,nan,0.33333333333333331\r\n"
+        "1,0,1,1,inf,-2.5\r\n"
+        "1,0,1,2,-inf,0\r\n"
+        "1,0,1,3,0.33333333333333331,-0\r\n"
+        "1,0,1,4,-2.5,1e-300\r\n"
+        "1,0,1,5,0,1.0000000000000001e+300\r\n"
+        "1,1,0,0,-0,nan\r\n"
+        "1,1,0,1,1e-300,inf\r\n"
+        "1,1,0,2,1.0000000000000001e+300,-inf\r\n"
+        "1,1,0,3,nan,0.33333333333333331\r\n"
+        "1,1,0,4,inf,-2.5\r\n"
+        "1,1,0,5,-inf,0\r\n"
+        "1,1,1,0,0.33333333333333331,-0\r\n"
+        "1,1,1,1,-2.5,1e-300\r\n"
+        "1,1,1,2,0,1.0000000000000001e+300\r\n"
+        "1,1,1,3,-0,nan\r\n"
+        "1,1,1,4,1e-300,inf\r\n"
+        "1,1,1,5,1.0000000000000001e+300,-inf\r\n"
+    ), (
+        '{\n'
+        ' "grid": {\n'
+        '  "points": [\n'
+        '   2,\n'
+        '   2,\n'
+        '   2\n'
+        '  ],\n'
+        '  "lengths": [\n'
+        '   0.5,\n'
+        '   1.0,\n'
+        '   2.0\n'
+        '  ]\n'
+        ' },\n'
+        ' "components": 6,\n'
+        ' "kind": "em"\n'
+        '}'
+    )),
+]
+
+
+@pytest.mark.parametrize("kind, points, csv_text, sidecar_text", GOLDEN_SNAPSHOTS,
+                         ids=["spinor-1d", "em-2d", "em-3d"])
+def test_snapshot_csv_golden_bytes(tmp_path, kind, points, csv_text, sidecar_text):
+    path = tmp_path / "snap.csv"
+    (save_spinor_csv if kind == "spinor" else save_em_csv)(path, edge_field(kind, points))
+    assert path.read_bytes() == csv_text.encode()
+    assert (tmp_path / "snap.csv.json").read_bytes() == sidecar_text.encode()
+
+
+def assert_bits_equal(got, want):
+    for a, b in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_csv_roundtrip_bit_exact_3d(tmp_path):
+    g = GridSpec((4, 8, 2), (1.0, 2.0, 0.5))
+    rng = np.random.default_rng(17)
+    values = np.empty(g.shape + (8,), dtype=complex)
+    values.real = rng.standard_normal(values.shape) * 10.0 ** rng.integers(-300, 300, values.shape)
+    values.imag = rng.standard_normal(values.shape)
+    values.real.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
+    values.imag.flat[-len(_EDGE_VALUES):] = _EDGE_VALUES
+    save_spinor_csv(tmp_path / "psi.csv", SpinorField8(g, values, kind="electron", mass=2.0))
+    assert_bits_equal(load_spinor_csv(tmp_path / "psi.csv").values, values)
+    save_em_csv(tmp_path / "em.csv", EMField(g, values[..., :3], values[..., 5:]))
+    back = load_em_csv(tmp_path / "em.csv")
+    assert_bits_equal(back.e, values[..., :3])
+    assert_bits_equal(back.b, values[..., 5:])
+
+
+def test_snapshot_write_memory_budget(tmp_path):
+    """Rows are formatted a block at a time, so one 32^3 snapshot (a 3 MiB
+    array of E and B) peaks near 5 MiB; formatting all rows at once would
+    take about 36 MiB."""
+    g = GridSpec((32, 32, 32), (TWO_PI,) * 3)
+    rng = np.random.default_rng(19)
+    em = EMField(g, rng.standard_normal(g.shape + (3,)), rng.standard_normal(g.shape + (3,)))
+    tracemalloc.start()
+    try:
+        save_em_csv(tmp_path / "em.csv", em)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
