@@ -23,16 +23,14 @@ import numpy as np
 from . import states
 from .algebra import verify_identities
 from .errors import ConfigError, ConstraintViolation, Dirac88Error, FitError
-from .evolution import (EvolutionConfig, alpha_density_series,
-                        alpha_expectation_series, energy_expectation,
-                        evolve_sourced, omega_k, run_free, zitter_decompose)
-from .fields import PHOTON, EMField, GridSpec, embed_em, extract_em, save_em_csv
+from .evolution import (EvolutionConfig, _alpha_series, _energies, _spectral,
+                        alpha_density_series, evolve_sourced, run_free, zitter_decompose)
+from .fields import PHOTON, EMField, GridSpec, _sample_moments, embed_em, extract_em, save_em_csv
 from .lorentz import (Boost, closed_form_field_boost, em_wavefunction_transform,
                       nonmomentum_boost_residual, tensor_boost_oracle)
 from .oracle import compare, maxwell_evolve
-from .spin import (angular_momentum_series, closure_deviation,
-                   photon_spin_selection, spin_half, spin_one,
-                   verify_spin_evolution, write_angular_momentum_csv)
+from .spin import (_angular_series, closure_deviation, photon_spin_selection, spin_half,
+                   spin_one, verify_spin_evolution, write_angular_momentum_csv)
 
 __all__ = ["main", "run_command"]
 
@@ -96,14 +94,28 @@ def _write_json(path: Path, obj):
     path.write_text(text)
 
 
-def _finite_positive(value, key: str) -> float:
+def _finite(value, key: str, minimum: float = -math.inf, strict: bool = False) -> float:
+    """A finite number >= ``minimum`` (> ``minimum`` if ``strict``), else a
+    ConfigError naming ``key``."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if not math.isfinite(number) or number <= 0.0:
-        raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+    if not math.isfinite(number) or number < minimum or strict and number == minimum:
+        bound = "" if minimum == -math.inf else f" {'>' if strict else '>='} {minimum:g}"
+        raise ConfigError(f"{key} must be a finite number{bound}, got {value!r}")
     return number
+
+
+def _finite_positive(value, key: str) -> float:
+    return _finite(value, key, 0.0, strict=True)
+
+
+def _finite_vector(value, key: str) -> np.ndarray:
+    """Three finite numbers, else a ConfigError naming ``key``."""
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ConfigError(f"{key} must be a list of three finite numbers, got {value!r}")
+    return np.array([_finite(x, key) for x in value])
 
 
 def _grid_from_config(cfg: dict) -> GridSpec:
@@ -120,6 +132,7 @@ def _state_from_config(cfg: dict, grid: GridSpec, mass: float):
                        "plus_weight", "minus_weight", "sigma", "k0_mode", "center"},
                  {"type"}, "state")
     kind = cfg["type"]
+    amplitude = _finite(cfg.get("amplitude", 1.0), "state.amplitude")
     mode = cfg.get("mode", 1)
     if not (isinstance(mode, int)
             or isinstance(mode, list) and all(isinstance(m, int) for m in mode)):
@@ -127,20 +140,17 @@ def _state_from_config(cfg: dict, grid: GridSpec, mass: float):
     if kind == "zero_field":
         return embed_em(EMField.zero(grid))
     if kind == "travelling_wave":
-        return states.travelling_wave(grid, mode, cfg.get("polarisation", "x"),
-                                      cfg.get("amplitude", 1.0))
+        return states.travelling_wave(grid, mode, cfg.get("polarisation", "x"), amplitude)
     if kind == "standing_wave":
-        return states.standing_wave(grid, mode, cfg.get("polarisation", "x"),
-                                    cfg.get("amplitude", 1.0))
+        return states.standing_wave(grid, mode, cfg.get("polarisation", "x"), amplitude)
     if kind == "circular_analytic":
-        return states.circular_wave_analytic(grid, mode, int(cfg.get("helicity", 1)),
-                                             cfg.get("amplitude", 1.0))
+        return states.circular_wave_analytic(grid, mode, int(cfg.get("helicity", 1)), amplitude)
     if kind == "electron_rest_mix":
         return states.electron_rest_mix(grid, mass, cfg.get("plus_weight", 1.0),
                                         cfg.get("minus_weight", 1.0))
     if kind == "electron_packet":
         return states.electron_gaussian_packet(
-            grid, mass, float(cfg.get("sigma", grid.lengths[0] / 14.0)),
+            grid, mass, _finite_positive(cfg.get("sigma", grid.lengths[0] / 14.0), "state.sigma"),
             k0_mode=cfg.get("k0_mode"), center=cfg.get("center"),
             plus_weight=cfg.get("plus_weight", 1.0),
             minus_weight=cfg.get("minus_weight", 0.0))
@@ -153,14 +163,14 @@ def _source_from_config(cfg: dict | None, grid: GridSpec):
     _expect_keys(cfg, {"type", "direction", "amplitude", "omega", "sigma",
                        "center", "violate_continuity"}, {"type"}, "source")
     kind = cfg["type"]
+    amplitude = _finite(cfg.get("amplitude", 1.0), "source.amplitude")
+    omega = _finite(cfg.get("omega", 1.0), "source.omega")
     if kind == "uniform_current":
-        return states.uniform_current(grid, cfg.get("direction", [0, 1, 0]),
-                                      float(cfg.get("amplitude", 1.0)),
-                                      float(cfg.get("omega", 1.0)))
+        return states.uniform_current(grid, cfg.get("direction", [0, 1, 0]), amplitude, omega)
     if kind == "gaussian_dipole":
         return states.gaussian_dipole_current(
-            grid, cfg.get("direction", [0, 1, 0]), float(cfg.get("amplitude", 1.0)),
-            float(cfg.get("sigma", grid.lengths[0] / 16.0)), float(cfg.get("omega", 1.0)),
+            grid, cfg.get("direction", [0, 1, 0]), amplitude,
+            _finite_positive(cfg.get("sigma", grid.lengths[0] / 16.0), "source.sigma"), omega,
             center=cfg.get("center"),
             violate_continuity=bool(cfg.get("violate_continuity", False)))
     raise ConfigError(f"unknown source.type '{kind}'")
@@ -199,8 +209,11 @@ def _run_from_config(cfg: dict):
         raise ConfigError(f"samples must be an integer >= 2, got {samples!r}")
     if "point_index" in cfg:
         _check_point_index(cfg["point_index"], grid)
-    econf = EvolutionConfig(grid=grid, mass=float(cfg.get("mass", 0.0)),
-                            duration=float(cfg["duration"]), samples=samples,
+    substeps = cfg.get("substeps", 64)
+    if not isinstance(substeps, int) or substeps < 2 or substeps % 2:
+        raise ConfigError(f"substeps must be an even integer >= 2, got {substeps!r}")
+    econf = EvolutionConfig(grid=grid, mass=_finite(cfg.get("mass", 0.0), "mass", 0.0),
+                            duration=_finite_positive(cfg["duration"], "duration"), samples=samples,
                             c=_finite_positive(cfg.get("c", units.get("c", 1.0)), "c"),
                             hbar=_finite_positive(cfg.get("hbar", units.get("hbar", 1.0)), "hbar"))
     psi0 = _state_from_config(cfg["state"], grid, econf.mass)
@@ -210,16 +223,19 @@ def _run_from_config(cfg: dict):
     if source is None:
         run = run_free(psi0, times, c=econf.c, hbar=econf.hbar)
     else:
-        run = evolve_sourced(psi0, source, times, substeps=int(cfg.get("substeps", 64)),
-                             c=econf.c, hbar=econf.hbar)
+        run = evolve_sourced(psi0, source, times, substeps=substeps, c=econf.c, hbar=econf.hbar)
     return run, psi0, source
 
 
-def _sample_diagnostics(run):
-    """Norm, <H> and <alpha> of every sample, shared by the checks and samples.csv."""
-    norms = [run.sample(i).norm() for i in range(run.n_samples)]
-    energies = [energy_expectation(run.sample(i), run.c, run.hbar) for i in range(run.n_samples)]
-    return norms, energies, alpha_expectation_series(run)
+def _sample_diagnostics(run, angular: bool):
+    """Norm, <H>, <alpha> and, if ``angular``, the angular-momentum series of
+    every sample from one pass over the samples; shared by the checks and
+    the CSVs."""
+    moments = _sample_moments(run.grid, run.values)
+    norms = moments.norms * run.grid.cell_volume
+    energies = _energies(moments, run.mass, run.c, run.hbar)
+    angular_series = _angular_series(run, moments, hbar=run.hbar) if angular else None
+    return norms, energies, _alpha_series(run.times, moments), angular_series
 
 
 def _evolve_checks(wanted: dict, run, norms, energies, angular, checks: _Checks):
@@ -231,13 +247,13 @@ def _evolve_checks(wanted: dict, run, norms, energies, angular, checks: _Checks)
         # real classical fields have <H> = 0 exactly (balanced branches);
         # scale by the populated mode frequencies instead
         weights = np.sum(np.abs(run.grid.fft(run.values[0])) ** 2, axis=-1)
-        w = omega_k(run.grid.wave_vectors(), run.mass, run.c, run.hbar)
+        w = _spectral(run.grid, run.mass, run.c, run.hbar).omega
         omega_scale = run.hbar * float(np.sum(weights * w) / max(np.sum(weights), 1e-300))
         scale = max(abs(energies[0]), omega_scale, 1e-300)
         checks.add("energy conservation", "Hamiltonian expectation constant",
                    (max(energies) - min(energies)) / scale, wanted["energy_drift"])
     if "constraint" in wanted:
-        resid = max(run.sample(i).constraint_residual() for i in range(run.n_samples))
+        resid = float(max(np.max(np.abs(run.values[..., 0])), np.max(np.abs(run.values[..., 4]))))
         checks.add("constrained components stay zero", "Gauss-law rows of the wave-function",
                    resid, wanted["constraint"])
     if "angular_momentum_drift" in wanted:
@@ -295,12 +311,13 @@ def _cmd_spin_check(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
-    run, psi0, source = _run_from_config(cfg)
     wanted = cfg.get("checks", {"norm_drift": 1e-8, "energy_drift": 1e-8})
-    norms, energies, alpha = _sample_diagnostics(run)
-    angular = (angular_momentum_series(run, hbar=run.hbar)
-               if "angular_momentum_drift" in wanted or cfg.get("series") == "angular_momentum"
-               else None)
+    if not isinstance(wanted, dict):
+        raise ConfigError(f"checks must be an object of tolerances, got {wanted!r}")
+    wanted = {name: _finite(tol, f"checks.{name}", 0.0) for name, tol in wanted.items()}
+    run, psi0, source = _run_from_config(cfg)
+    norms, energies, alpha, angular = _sample_diagnostics(
+        run, "angular_momentum_drift" in wanted or cfg.get("series") == "angular_momentum")
     _evolve_checks(wanted, run, norms, energies, angular, checks)
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
     for snap in cfg.get("outputs", {}).get("snapshots", []):
@@ -311,32 +328,35 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
+    no_oscillation = cfg.get("expect_no_oscillation")
+    tol = _finite(cfg.get("tolerance", 1e-12 if no_oscillation else 1e-6), "tolerance", 0.0)
     run, psi0, _ = _run_from_config(cfg)
-    norms, energies, alpha = _sample_diagnostics(run)
+    norms, energies, alpha, _ = _sample_diagnostics(run, angular=False)
     series = alpha
     if cfg.get("series") == "point":
         series = alpha_density_series(run, tuple(cfg.get("point_index", [0] * run.grid.ndim)))
     report = zitter_decompose(run, series)
     _write_json(outdir / "zitter.json", report.to_dict())
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
-    if cfg.get("expect_no_oscillation"):
+    if no_oscillation:
         checks.add("no oscillation for a single energy branch",
-                   "monochromatic states show no jitter",
-                   float(report.amplitude.max()), float(cfg.get("tolerance", 1e-12)))
+                   "monochromatic states show no jitter", float(report.amplitude.max()), tol)
     else:
         checks.add("fitted jitter frequency = doubled mode frequency",
-                   "doubled-frequency interference term",
-                   report.relative_frequency_error, float(cfg.get("tolerance", 1e-6)))
+                   "doubled-frequency interference term", report.relative_frequency_error, tol)
 
 
 def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
     _expect_keys(cfg, {"velocity", "e", "b", "tolerance", "seed"},
                  {"velocity", "e", "b"}, "config")
-    v = tuple(float(x) for x in cfg["velocity"])
-    e = np.asarray(cfg["e"], dtype=float).astype(complex)
-    b = np.asarray(cfg["b"], dtype=float).astype(complex)
-    tol = float(cfg.get("tolerance", 1e-10))
-    boost = Boost(v)
+    v = tuple(float(x) for x in _finite_vector(cfg["velocity"], "velocity"))
+    e = _finite_vector(cfg["e"], "e").astype(complex)
+    b = _finite_vector(cfg["b"], "b").astype(complex)
+    tol = _finite(cfg.get("tolerance", 1e-10), "tolerance", 0.0)
+    try:
+        boost = Boost(v)
+    except ValueError as exc:
+        raise ConfigError(f"velocity must be slower than light: {exc}") from exc
     psi = np.zeros(8, dtype=complex)
     psi[1:4] = e
     psi[5:8] = 1j * b
@@ -368,12 +388,11 @@ def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_compare_oracle(cfg: dict, outdir: Path, checks: _Checks):
+    tol = _finite(cfg.get("tolerance", 1e-10), "tolerance", 0.0)
     run, psi0, source = _run_from_config(cfg)
     em0 = extract_em(psi0)
-    oracle_run = maxwell_evolve(em0, source, run.times,
-                                substeps=int(cfg.get("substeps", 64)), c=run.c)
+    oracle_run = maxwell_evolve(em0, source, run.times, substeps=cfg.get("substeps", 64), c=run.c)
     rep = compare(run, oracle_run)
-    tol = float(cfg.get("tolerance", 1e-10))
     checks.add("wave-equation fields match the classical solver",
                "exact embedding of the curl equations", rep.max_abs, tol)
     _write_json(outdir / "compare.json", {

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConstraintViolation, DegenerateMode, FitError
 from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
-                     SpinorField8, _alpha_density, extract_em_amplitudes)
+                     SpinorField8, _alpha_density, _Moments, _sample_moments,
+                     extract_em_amplitudes)
 from .spin import ExpectationSeries
 
 __all__ = [
@@ -341,16 +342,16 @@ def positive_frequency_amplitudes(psi: SpinorField8, c: float = 1.0,
 
 def alpha_expectation_series(run: EvolutionRun) -> ExpectationSeries:
     """<alpha>(t) = int psi+ alpha psi / int psi+ psi per sample (zero for
-    identically-zero samples).  Each sample reduces to its 8x8 Gram matrix
-    G = Psi+ Psi over the grid points, and int psi+ M psi = sum_ab M_ab G_ab."""
-    out = np.zeros((run.n_samples, 3))
-    for it in range(run.n_samples):
-        flat = run.values[it].reshape(-1, 8)
-        gram = flat.conj().T @ flat
-        norm = float(np.trace(gram).real)
-        if norm > 0.0:
-            out[it] = np.einsum("iab,ab->i", _ALPHA, gram).real / norm
-    return ExpectationSeries(run.times, out, "velocity expectation")
+    identically-zero samples)."""
+    return _alpha_series(run.times, _sample_moments(run.grid, run.values, momenta=False))
+
+
+def _alpha_series(times: np.ndarray, moments: _Moments) -> ExpectationSeries:
+    """``alpha_expectation_series`` from the samples' Gram matrices."""
+    num = np.einsum("iab,sab->si", _ALPHA, moments.gram).real
+    norm = np.trace(moments.gram, axis1=1, axis2=2).real[:, None]
+    out = np.divide(num, norm, out=np.zeros_like(num), where=norm > 0.0)
+    return ExpectationSeries(times, out, "velocity expectation")
 
 
 def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> ExpectationSeries:
@@ -364,11 +365,15 @@ def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> Expectati
 
 def energy_expectation(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> float:
     """<H> per unit norm (zero for an identically-zero state)."""
-    hat = psi.grid.fft(psi.values)
-    h_hat = _spectral(psi.grid, psi.mass, c, hbar).apply_h(hat)
-    num = float(np.sum(hat.conj() * h_hat).real)
-    den = float(np.sum(np.abs(hat) ** 2))
-    return num / den if den > 0.0 else 0.0
+    return float(_energies(_sample_moments(psi.grid, psi.values[None]), psi.mass, c, hbar)[0])
+
+
+def _energies(moments: _Moments, mass: float, c: float, hbar: float) -> np.ndarray:
+    """<H> per unit norm of each sample: c hbar sum psi+ alpha'.k psi plus
+    m c^2 sum_a beta'_aa G_aa, over sum |psi|^2."""
+    mass_term = mass * c * c * np.einsum("a,saa->s", np.diag(_BETA).real, moments.gram).real
+    num = c * hbar * moments.kinetic + mass_term
+    return np.divide(num, moments.norms, out=np.zeros_like(num), where=moments.norms > 0.0)
 
 
 def momentum_velocity_prediction(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> np.ndarray:

@@ -107,12 +107,15 @@ class GridSpec:
             out[..., cart] = mesh[axis]
         return out
 
+    def _axis_wave_numbers(self) -> list[np.ndarray]:
+        """Discrete Fourier wave numbers per grid axis, in fft order."""
+        return [2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+                for n, spacing in zip(self.points, self.spacings)]
+
     def wave_vectors(self) -> np.ndarray:
         """Discrete Fourier wave vectors, shape (*grid, 3)."""
         out = np.zeros(self.shape + (3,))
-        axes_k = [2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-                  for n, spacing in zip(self.points, self.spacings)]
-        mesh = np.meshgrid(*axes_k, indexing="ij")
+        mesh = np.meshgrid(*self._axis_wave_numbers(), indexing="ij")
         for axis, cart in enumerate(self.spatial_axes):
             out[..., cart] = mesh[axis]
         return out
@@ -308,6 +311,64 @@ def _alpha_density(values: np.ndarray) -> np.ndarray:
     conj = values.conj()
     return np.stack([((conj * values[..., _ALPHA_COL[i]]) @ _ALPHA_COEF[i]).real
                      for i in range(3)], axis=-1)
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Grid sums over each sample of a stack of wave-functions (n, *grid, 8).
+
+    ``norms[s]`` is sum |psi|^2 (numpy's pairwise sum) and ``gram[s]`` the
+    8x8 Gram matrix G_ab = sum psi_a* psi_b, so that sum psi+ M psi =
+    sum_ab M_ab G_ab for any constant matrix M.  The momentum sums are None
+    unless asked for: ``kinetic[s]`` = sum psi+ (alpha'.k) psi and
+    ``rk[s, i, j]`` = sum r_i psi+ (k_j psi) for Cartesian i != j (zero
+    otherwise), with k the spectral wave-vector operator -i grad.
+    """
+
+    norms: np.ndarray
+    gram: np.ndarray
+    kinetic: np.ndarray | None
+    rk: np.ndarray | None
+
+
+def _sample_moments(grid: GridSpec, values: np.ndarray, momenta: bool = True) -> _Moments:
+    """Every volume diagnostic of a stack of samples in one pass over them.
+
+    The momentum sums take one 1-D DFT per grid axis b, A_b = fft(psi,
+    axis=b), and Parseval along b alone: k_b varies only along b, while
+    alpha'_b and the coordinate r_a of any other axis are constant along
+    it.  So sum psi+ alpha'_b k_b psi = sum_k k_b A_b+ alpha'_b A_b / N_b,
+    summed per k_b line through an 8x8 Gram matrix, and sum r_a psi+ k_b psi
+    = sum r_a k_b |A_b|^2 / N_b.
+    """
+    n = len(values)
+    norms = np.empty(n)
+    gram = np.empty((n, 8, 8), dtype=complex)
+    kinetic = np.zeros(n) if momenta else None
+    rk = np.zeros((n, 3, 3)) if momenta else None
+    coords = grid.axis_coords()
+    cart = grid.spatial_axes
+    k_axes = grid._axis_wave_numbers()
+    k_lines = [k.reshape([-1 if ax == b else 1 for ax in range(grid.ndim)])
+               for b, k in enumerate(k_axes)]
+    for s, v in enumerate(values):
+        norms[s] = np.sum(np.abs(v) ** 2)
+        flat = v.reshape(-1, 8)
+        gram[s] = flat.conj().T @ flat
+        if not momenta:
+            continue
+        for b, n_b in enumerate(grid.points):
+            a_b = np.fft.fft(v, axis=b)
+            lines = np.moveaxis(a_b, b, 0).reshape(n_b, -1, 8)
+            line_gram = lines.conj().transpose(0, 2, 1) @ lines
+            kinetic[s] += np.einsum("k,ab,kab->", k_axes[b], _ALPHA[cart[b]], line_gram).real / n_b
+            real = a_b.view(float)
+            weighted = np.einsum("...i,...i->...", real, real) * k_lines[b]
+            for a in range(grid.ndim):
+                if a != b:
+                    others = tuple(ax for ax in range(grid.ndim) if ax != a)
+                    rk[s, cart[a], cart[b]] = weighted.sum(axis=others) @ coords[a] / n_b
+    return _Moments(norms, gram, kinetic, rk)
 
 
 def divergence(grid: GridSpec, v: np.ndarray) -> np.ndarray:

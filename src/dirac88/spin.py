@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraReport, generators, levi_civita, transformed_dirac88
-from .fields import PHOTON, SpinorField8
+from .fields import PHOTON, SpinorField8, _Moments, _sample_moments
 
 __all__ = [
     "SpinOperator",
@@ -147,16 +147,6 @@ def photon_spin_selection(psi: SpinorField8) -> SpinSelectionReport:
     return SpinSelectionReport(one_max, half_max, witness[0], witness[1], witness[2])
 
 
-def _momentum_density(grid, k: np.ndarray, values: np.ndarray, hbar: float) -> np.ndarray:
-    """m_j(r) = psi+ p_j psi per point, shape (*grid, 3), spectral momentum."""
-    hat = grid.fft(values)
-    out = np.zeros(grid.shape + (3,), dtype=complex)
-    for j in grid.spatial_axes:
-        p_psi = grid.ifft(hbar * k[..., j][..., None] * hat)
-        out[..., j] = np.einsum("...a,...a->...", values.conj(), p_psi)
-    return out
-
-
 def _warn_if_packet_too_wide(run):
     """The box-centred coordinate wraps at the boundary; warn when the
     density RMS width exceeds L/8 on some axis (translation-invariant
@@ -178,7 +168,7 @@ def _warn_if_packet_too_wide(run):
             warnings.warn(
                 f"density RMS width {width:.3g} exceeds L/8 = {length / 8.0:.3g} on a "
                 "grid axis; orbital angular momentum picks up wrap-around error "
-                "from the box-centred coordinate", stacklevel=3)
+                "from the box-centred coordinate", stacklevel=4)
             return
 
 
@@ -192,25 +182,20 @@ def angular_momentum_series(run, operator: SpinOperator | None = None,
     Both are normalised by the wave-function norm.  Warns when a localised
     packet reaches the box boundary (wrap-around corrupts <L>).
     """
-    grid = run.grid
+    return _angular_series(run, _sample_moments(run.grid, run.values), operator, hbar)
+
+
+def _angular_series(run, moments: _Moments, operator: SpinOperator | None = None,
+                    hbar: float = 1.0) -> tuple[ExpectationSeries, ExpectationSeries, ExpectationSeries]:
+    """``angular_momentum_series`` from the grid moments of the run's samples."""
     if operator is None:
         operator = spin_one(hbar) if run.kind == PHOTON else spin_half(hbar)
     _warn_if_packet_too_wide(run)
-    pos = grid.positions()
-    k = grid.wave_vectors()
-    dv = grid.cell_volume
     times = np.asarray(run.times, dtype=float)
-    orbital = np.zeros((len(times), 3))
-    spin = np.zeros((len(times), 3))
-    for it in range(len(times)):
-        values = run.values[it]
-        # 8x8 Gram matrix G = Psi+ Psi: int psi+ S_i psi = sum_ab (S_i)_ab G_ab
-        flat = values.reshape(-1, 8)
-        gram = flat.conj().T @ flat
-        norm = float(np.trace(gram).real) * dv
-        l_density = np.cross(pos, _momentum_density(grid, k, values, hbar))
-        orbital[it] = (np.sum(l_density, axis=tuple(range(grid.ndim))) * dv).real / norm
-        spin[it] = np.einsum("iab,ab->i", operator.components, gram).real * dv / norm
+    # L_i = eps_ijk <r_j p_k> with p = hbar k; int psi+ S_i psi = sum_ab (S_i)_ab G_ab
+    norm = np.trace(moments.gram, axis1=1, axis2=2).real[:, None]
+    orbital = hbar * np.einsum("ijk,sjk->si", _EPS, moments.rk) / norm
+    spin = np.einsum("iab,sab->si", operator.components, moments.gram).real / norm
     total = orbital + spin
     return (ExpectationSeries(times, orbital, "orbital"),
             ExpectationSeries(times, spin, "spin"),

@@ -262,27 +262,78 @@ def test_snapshots_of_electron_run_exit2(tmp_path, capsys):
     assert "outputs.snapshots" in capsys.readouterr().err
 
 
-def test_evolve_diagnostics_computed_once(tmp_path, monkeypatch):
-    import dirac88.cli as cli
-    calls = {"angular": 0, "energy": 0}
+def count_calls(monkeypatch, targets):
+    """Count the calls to each function of ``targets`` (label -> function)
+    made through any dirac88 module-level name bound to it."""
+    import sys
+    calls = dict.fromkeys(targets, 0)
+    modules = [m for n, m in sys.modules.items() if n == "dirac88" or n.startswith("dirac88.")]
+    for label, fn in targets.items():
+        def wrapper(*args, _label=label, _fn=fn, **kwargs):
+            calls[_label] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
 
-    monkeypatch.setattr(cli, "angular_momentum_series", counted("angular", cli.angular_momentum_series))
-    monkeypatch.setattr(cli, "energy_expectation", counted("energy", cli.energy_expectation))
-    cfg = evolve_cfg(samples=12)
+def angular_evolve_cfg(samples):
+    cfg = evolve_cfg(samples=samples)
     cfg["state"] = {"type": "circular_analytic", "mode": 2, "helicity": 1}
     cfg["checks"] = {"norm_drift": 1e-10, "energy_drift": 1e-10, "angular_momentum_drift": 1e-8}
     cfg["series"] = "angular_momentum"
+    return cfg
+
+
+def test_evolve_diagnostics_computed_once(tmp_path, monkeypatch):
+    import dirac88.evolution as evolution
+    import dirac88.fields as fields
+    import dirac88.spin as spin
+    calls = count_calls(monkeypatch, {
+        "kernel": fields._sample_moments,
+        "energy": evolution.energy_expectation,
+        "alpha": evolution.alpha_expectation_series,
+        "angular": spin.angular_momentum_series,
+    })
+    path = write_cfg(tmp_path, "cfg.json", angular_evolve_cfg(samples=12))
+    out = tmp_path / "out"
+    assert run_command("evolve", path, str(out)) == 0
+    assert calls == {"kernel": 1, "energy": 0, "alpha": 0, "angular": 0}
+    assert (out / "angular_momentum.csv").exists()
+
+
+def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypatch):
+    import dirac88.cli as cli
+    counts = {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
+    diagnostics = cli._sample_diagnostics
+
+    def counted_diagnostics(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            for name in counts:
+                def wrapper(*a, _name=name, _fn=getattr(np.fft, name), **k):
+                    counts[_name] += 1
+                    return _fn(*a, **k)
+                mp.setattr(np.fft, name, wrapper)
+            return diagnostics(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_sample_diagnostics", counted_diagnostics)
+    samples = 5
+    cfg = {
+        "grid": {"points": [8, 8, 16], "lengths": [TWO_PI, 5.0, 9.0]},
+        "mass": 2.0,
+        "duration": 0.5,
+        "samples": samples,
+        "state": {"type": "electron_packet", "sigma": 0.45, "k0_mode": [1, 0, 1]},
+        "checks": {"norm_drift": 1e-10, "energy_drift": 1e-10},
+        "series": "angular_momentum",
+    }
     path = write_cfg(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
     assert run_command("evolve", path, str(out)) == 0
-    assert calls == {"angular": 1, "energy": 12}
-    assert (out / "angular_momentum.csv").exists()
+    assert counts == {"fft": 3 * samples, "ifft": 0, "fftn": 0, "ifftn": 0}
+    assert len((out / "angular_momentum.csv").read_text().splitlines()) == samples + 1
 
 
 def zitter_point_cfg(point_index):
@@ -329,10 +380,66 @@ def test_config_domain_exit2(tmp_path, capsys, key, edit):
 
 
 def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
+    import dataclasses
     import dirac88.cli as cli
-    monkeypatch.setattr(cli, "energy_expectation", lambda *args, **kwargs: float("nan"))
+    kernel = cli._sample_moments
+
+    def nan_energies(*args, **kwargs):
+        moments = kernel(*args, **kwargs)
+        return dataclasses.replace(moments, kinetic=np.full_like(moments.kinetic, np.nan))
+
+    monkeypatch.setattr(cli, "_sample_moments", nan_energies)
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
     out = tmp_path / "o"
     assert run_command("evolve", path, str(out)) == 1
     assert "summary.json" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def sourced_cfg():
+    cfg = evolve_cfg(samples=8)
+    cfg["state"] = {"type": "zero_field"}
+    cfg["source"] = {"type": "gaussian_dipole", "direction": [0, 1, 0],
+                     "amplitude": 1.0, "sigma": 0.4, "omega": 2.0}
+    cfg["substeps"] = 8
+    return cfg
+
+
+def zitter_cfg():
+    return {"grid": {"points": [16], "lengths": [TWO_PI]}, "mass": 1.0, "duration": 9.0,
+            "samples": 32, "state": {"type": "electron_rest_mix"}, "tolerance": 1e-6}
+
+
+def boost_cfg():
+    return {"velocity": [0, 0, 0.6], "e": [1, 0, 0], "b": [0, 1, 0], "tolerance": 1e-10}
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, make, key, edit", [
+    ("evolve", sourced_cfg, "substeps", lambda cfg: cfg.update(substeps=0)),
+    ("evolve", sourced_cfg, "substeps", lambda cfg: cfg.update(substeps=7)),
+    ("evolve", evolve_cfg, "duration", lambda cfg: cfg.update(duration=NAN)),
+    ("evolve", evolve_cfg, "mass", lambda cfg: cfg.update(mass=NAN)),
+    ("evolve", evolve_cfg, "state.amplitude", lambda cfg: cfg["state"].update(amplitude=NAN)),
+    ("evolve", evolve_cfg, "checks.energy_drift", lambda cfg: cfg["checks"].update(energy_drift=NAN)),
+    ("evolve", sourced_cfg, "source.amplitude", lambda cfg: cfg["source"].update(amplitude=NAN)),
+    ("evolve", sourced_cfg, "source.omega", lambda cfg: cfg["source"].update(omega=NAN)),
+    ("evolve", sourced_cfg, "source.sigma", lambda cfg: cfg["source"].update(sigma=NAN)),
+    ("zitter", zitter_cfg, "tolerance", lambda cfg: cfg.update(tolerance=NAN)),
+    ("boost-demo", boost_cfg, "velocity", lambda cfg: cfg.update(velocity=[1.0, 0, 0])),
+    ("boost-demo", boost_cfg, "velocity", lambda cfg: cfg.update(velocity=[0, NAN, 0])),
+    ("boost-demo", boost_cfg, "e", lambda cfg: cfg.update(e=[1, 0])),
+    ("boost-demo", boost_cfg, "tolerance", lambda cfg: cfg.update(tolerance=NAN)),
+], ids=["substeps-zero", "substeps-odd", "duration-nan", "mass-nan", "state-amplitude-nan",
+        "checks-tolerance-nan", "source-amplitude-nan", "source-omega-nan", "source-sigma-nan",
+        "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan"])
+def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
+    cfg = make()
+    edit(cfg)
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "o"
+    assert run_command(command, path, str(out)) == 2
+    assert f"{key} must be" in capsys.readouterr().err
     assert not (out / "summary.json").exists()

@@ -9,7 +9,7 @@ from dirac88.evolution import (alpha_density_series, alpha_expectation_series,
                                omega_k, positive_frequency_amplitudes,
                                poynting_split, run_free, zitter_decompose,
                                zitter_equals_poynting, zitter_lines)
-from dirac88.fields import EMField, GridSpec, embed_em, extract_em
+from dirac88.fields import EMField, GridSpec, SpinorField8, embed_em, extract_em
 from dirac88 import states
 
 TWO_PI = 2 * np.pi
@@ -57,6 +57,28 @@ def test_gather_hamiltonian_matches_dense_per_mode():
         dense = hamiltonian_k(k[idx], mass, c, hbar) @ hat[idx]
         assert np.linalg.norm(gathered[idx] - dense) <= 1e-15 * np.linalg.norm(dense)
     assert np.array_equal(spectral.omega, omega_k(k, mass, c, hbar))
+
+
+ANISOTROPIC_GRIDS = [GridSpec((16,), (3.0,)), GridSpec((8, 16), (2.0, 5.0)),
+                     GridSpec((8, 16, 4), (3.0, 7.0, 2.0))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("grid", ANISOTROPIC_GRIDS, ids=["1d", "2d", "3d"])
+def test_energy_expectation_matches_dense_per_mode(grid, seed):
+    # reference: the full transform and the dense H(k) of every mode; the
+    # bound is relative to the mean mode energy hbar <w>
+    rng = np.random.default_rng(seed)
+    mass, c, hbar = 1.3, 1.7, 0.6
+    values = rng.standard_normal(grid.shape + (8,)) + 1j * rng.standard_normal(grid.shape + (8,))
+    hat = grid.fft(values)
+    k = grid.wave_vectors()
+    num = sum(np.vdot(hat[idx], hamiltonian_k(k[idx], mass, c, hbar) @ hat[idx]).real
+              for idx in np.ndindex(grid.shape))
+    weights = np.sum(np.abs(hat) ** 2, axis=-1)
+    scale = hbar * np.sum(weights * omega_k(k, mass, c, hbar)) / np.sum(weights)
+    energy = energy_expectation(SpinorField8(grid, values, mass=mass), c, hbar)
+    assert abs(energy - num / np.sum(weights)) <= 1e-13 * scale
 
 
 def test_projectors():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dirac88.fields import GridSpec
-from dirac88.evolution import run_free
+from dirac88.evolution import EvolutionRun, run_free
 from dirac88.spin import (SpinOperator, angular_momentum_series,
                           closure_deviation, photon_spin_selection, spin_half,
                           spin_one, verify_spin_evolution,
@@ -159,3 +159,39 @@ def test_angular_momentum_csv(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "t,Lx,Ly,Lz,Sx,Sy,Sz,Jx,Jy,Jz"
     assert len(path.read_text().splitlines()) == 18
+
+
+@pytest.mark.filterwarnings("ignore:density RMS width")
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("grid", [GridSpec((16,), (3.0,)), GridSpec((8, 16), (2.0, 5.0)),
+                                  GridSpec((8, 16, 4), (3.0, 7.0, 2.0))], ids=["1d", "2d", "3d"])
+def test_angular_momentum_matches_full_transform_reference(grid, seed):
+    # reference: psi+ (r x p) psi with p psi from one forward and three
+    # inverse full transforms; the bound on <L> is relative to
+    # sqrt(<r^2> <p^2>), which bounds |<r x p>|
+    rng = np.random.default_rng(seed)
+    hbar = 0.6
+    values = (rng.standard_normal((3,) + grid.shape + (8,))
+              + 1j * rng.standard_normal((3,) + grid.shape + (8,)))
+    run = EvolutionRun(grid, np.arange(3.0), values, "electron", 1.3, 1.7, hbar)
+    orbital, spin, total = angular_momentum_series(run, hbar=hbar)
+    axes = tuple(range(grid.ndim))
+    pos, k, dv = grid.positions(), grid.wave_vectors(), grid.cell_volume
+    op = spin_half(hbar).components
+    for s, v in enumerate(values):
+        hat = np.fft.fftn(v, axes=axes)
+        momentum = np.zeros(grid.shape + (3,), dtype=complex)
+        for j in grid.spatial_axes:
+            p_psi = np.fft.ifftn(hbar * k[..., j, None] * hat, axes=axes)
+            momentum[..., j] = np.einsum("...a,...a->...", v.conj(), p_psi)
+        density = np.sum(np.abs(v) ** 2, axis=-1)
+        norm = np.sum(density) * dv
+        l_ref = (np.sum(np.cross(pos, momentum), axis=axes) * dv).real / norm
+        flat = v.reshape(-1, 8)
+        s_ref = np.einsum("xa,iab,xb->i", flat.conj(), op, flat).real * dv / norm
+        r2 = np.sum(np.sum(pos ** 2, axis=-1) * density) / np.sum(density)
+        weights = np.sum(np.abs(hat) ** 2, axis=-1)
+        p2 = hbar ** 2 * np.sum(np.sum(k ** 2, axis=-1) * weights) / np.sum(weights)
+        assert np.max(np.abs(orbital.values[s] - l_ref)) <= 1e-13 * np.sqrt(r2 * p2)
+        assert np.max(np.abs(spin.values[s] - s_ref)) <= 1e-13 * hbar
+        assert np.array_equal(total.values[s], orbital.values[s] + spin.values[s])
