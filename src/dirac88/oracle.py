@@ -2,10 +2,11 @@
 
 Works per Fourier mode on the six field components directly: the free
 curl equations rotate E +- iB about the wave vector by -+ c|k|t (Rodrigues
-form, exact), and the current source is integrated with the same
-fourth-order Simpson scheme as the wave-function evolution.  Nothing here
-touches the 8x8 machinery, so agreement with it is evidence rather than
-tautology.
+form, exact), and the current source is integrated with a fourth-order
+composite Simpson rule.  The wave-function evolution integrates its source
+in closed form, so in sourced runs ``compare`` measures this quadrature's
+error.  Nothing here touches the 8x8 machinery, so agreement with it is
+evidence rather than tautology.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def test_criterion_4_dirac_form_vs_oracle():
     src = states.gaussian_dipole_current(GRID_1D, [0, 1, 0], 1.0, TWO_PI / 16, 4.0)
     zero = embed_em(EMField.zero(GRID_1D))
     times_s = np.linspace(0.0, 3.0, 100)
-    sourced_run = evolve_sourced(zero, src, times_s, substeps=32)
+    sourced_run = evolve_sourced(zero, src, times_s)
     sourced_rep = compare(sourced_run, maxwell_evolve(EMField.zero(GRID_1D), src,
                                                       times_s, substeps=32))
     constraint = max(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ def test_compare_oracle_command(tmp_path):
     assert run_command("compare-oracle", path, str(out)) == 0
     rep = json.loads((out / "compare.json").read_text())
     assert rep["max_abs_e"] < 1e-11
+
+
+def test_compare_oracle_shipped_config_measures_oracle_quadrature(tmp_path):
+    # the wave-equation route is exact, so the deviation is the oracle's own
+    # Simpson error, not a difference of two identical quadratures
+    config = Path(__file__).resolve().parents[1] / "configs" / "compare_oracle.json"
+    out = tmp_path / "out"
+    assert run_command("compare-oracle", str(config), str(out)) == 0
+    row = read_summary(out)["checks"][0]
+    assert 1e-13 < row["deviation"] <= row["tolerance"]
 
 
 def test_evolve_angular_momentum_series(tmp_path):
@@ -396,6 +407,25 @@ def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
+def test_nan_sample_fails_drift_checks(tmp_path, capsys, monkeypatch):
+    import dataclasses
+    import dirac88.cli as cli
+    kernel = cli._sample_moments
+
+    def nan_last_norm(*args, **kwargs):
+        moments = kernel(*args, **kwargs)
+        norms = moments.norms.copy()
+        norms[-1] = np.nan
+        return dataclasses.replace(moments, norms=norms)
+
+    monkeypatch.setattr(cli, "_sample_moments", nan_last_norm)
+    path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
+    out = tmp_path / "o"
+    assert run_command("evolve", path, str(out)) == 1
+    assert "summary.json" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def sourced_cfg():
     cfg = evolve_cfg(samples=8)
     cfg["state"] = {"type": "zero_field"}
@@ -432,9 +462,22 @@ NAN = float("nan")
     ("boost-demo", boost_cfg, "velocity", lambda cfg: cfg.update(velocity=[0, NAN, 0])),
     ("boost-demo", boost_cfg, "e", lambda cfg: cfg.update(e=[1, 0])),
     ("boost-demo", boost_cfg, "tolerance", lambda cfg: cfg.update(tolerance=NAN)),
+    ("evolve", evolve_cfg, "state.helicity",
+     lambda cfg: cfg.update(state={"type": "circular_analytic", "mode": 2, "helicity": "a"})),
+    ("evolve", evolve_cfg, "state.polarisation", lambda cfg: cfg["state"].update(polarisation="q")),
+    ("zitter", zitter_cfg, "state.plus_weight",
+     lambda cfg: cfg["state"].update(plus_weight=0, minus_weight=0)),
+    ("zitter", zitter_cfg, "state.minus_weight", lambda cfg: cfg["state"].update(minus_weight=NAN)),
+    ("evolve", sourced_cfg, "source.center", lambda cfg: cfg["source"].update(center="x")),
+    ("evolve", evolve_cfg, "state.center",
+     lambda cfg: cfg.update(mass=1.0, state={"type": "electron_packet", "center": [NAN]})),
+    ("evolve", sourced_cfg, "source.direction",
+     lambda cfg: cfg.update(source={"type": "uniform_current", "direction": [0, NAN, 0]})),
 ], ids=["substeps-zero", "substeps-odd", "duration-nan", "mass-nan", "state-amplitude-nan",
         "checks-tolerance-nan", "source-amplitude-nan", "source-omega-nan", "source-sigma-nan",
-        "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan"])
+        "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan",
+        "helicity-string", "polarisation-unknown", "weights-zero", "weight-nan",
+        "source-center-string", "state-center-nan", "direction-nan"])
 def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)

@@ -1,15 +1,17 @@
+import mpmath
 import numpy as np
 import pytest
 
 from dirac88.errors import ConstraintViolation, DegenerateMode, FitError
-from dirac88.evolution import (alpha_density_series, alpha_expectation_series,
-                               energy_expectation, energy_projectors,
+from dirac88.evolution import (_duhamel_kernels, _spectral, alpha_density_series,
+                               alpha_expectation_series, energy_expectation, energy_projectors,
                                evolve_free, evolve_sourced, hamiltonian_k,
                                mode_decomposition, momentum_velocity_prediction,
                                omega_k, positive_frequency_amplitudes,
                                poynting_split, run_free, zitter_decompose,
                                zitter_equals_poynting, zitter_lines)
-from dirac88.fields import EMField, GridSpec, SpinorField8, embed_em, extract_em
+from dirac88.fields import EMField, GridSpec, SpinorField8, divergence, embed_em, extract_em
+from dirac88.oracle import compare, maxwell_evolve
 from dirac88 import states
 
 TWO_PI = 2 * np.pi
@@ -203,39 +205,79 @@ def test_sourced_zero_source_matches_free():
     src = states.uniform_current(g, [0, 1, 0], 0.0, 1.0)
     times = np.linspace(0.0, 1.5, 16)
     free = run_free(psi, times)
-    sourced = evolve_sourced(psi, src, times, substeps=4)
+    sourced = evolve_sourced(psi, src, times)
     assert np.max(np.abs(free.values - sourced.values)) < 1e-12
 
 
 def test_sourced_uniform_mode_closed_form():
+    # E_y(t) = -4 pi A sin(Omega t) / Omega at every sample, also as Omega -> 0
     g = grid1d(64)
-    omega = 3.0
     amp = 0.25
-    src = states.uniform_current(g, [0, 1, 0], amp, omega)
     psi0 = embed_em(EMField.zero(g))
     times = np.linspace(0.0, 2.0, 21)
-    run = evolve_sourced(psi0, src, times, substeps=64)
-    em = extract_em(run.sample(-1))
-    expect = -4 * np.pi * amp * np.sin(omega * 2.0) / omega
-    assert np.max(np.abs(em.e[..., 1].real - expect)) < 1e-10
-    assert np.max(np.abs(em.b)) < 1e-12
+    for omega in (3.0, 0.0, 1e-6):
+        run = evolve_sourced(psi0, states.uniform_current(g, [0, 1, 0], amp, omega), times)
+        for i, t in enumerate(times):
+            em = extract_em(run.sample(i))
+            expect = -4 * np.pi * amp * t * np.sinc(omega * t / np.pi)
+            assert np.max(np.abs(em.e[..., 1].real - expect)) < 1e-13
+            assert np.max(np.abs(em.b)) < 1e-12
 
 
 def test_sourced_quadrature_order():
-    # halving the step shrinks the quadrature error ~16x (fourth order)
+    # the oracle's Simpson rule against the exact route: halving its step
+    # shrinks the error ~16x (fourth order)
     g = grid1d(32)
-    omega = 5.0
-    src = states.uniform_current(g, [0, 1, 0], 1.0, omega)
+    src = states.uniform_current(g, [0, 1, 0], 1.0, 5.0)
     psi0 = embed_em(EMField.zero(g))
     times = np.array([0.0, 1.0])
-    errs = []
-    for sub in (4, 8, 16):
-        run = evolve_sourced(psi0, src, times, substeps=sub)
-        em = extract_em(run.sample(-1), tol=1e-6)
-        expect = -4 * np.pi * np.sin(omega) / omega
-        errs.append(np.max(np.abs(em.e[..., 1].real - expect)))
+    exact = evolve_sourced(psi0, src, times)
+    errs = [compare(exact, maxwell_evolve(EMField.zero(g), src, times, substeps=sub)).max_abs
+            for sub in (4, 8, 16)]
     assert errs[0] / errs[1] > 10.0
     assert errs[1] / errs[2] > 10.0
+
+
+def _kernel_reference(w, omega, t):
+    """(C_c, S_c, C_r, S_r / w) by 30-digit Gauss-Legendre quadrature."""
+    w, omega, t = mpmath.mpf(w), mpmath.mpf(omega), mpmath.mpf(t)
+    pieces = mpmath.linspace(0, t, int((abs(w) + abs(omega)) * t) // 16 + 2)
+    sin_ratio = (lambda s: mpmath.sin(omega * s) / omega) if omega else (lambda s: s)
+    cos_part = mpmath.quad(lambda s: mpmath.expj(w * (t - s)) * mpmath.cos(omega * s),
+                           pieces, method="gauss-legendre")
+    sin_part = mpmath.quad(lambda s: mpmath.expj(w * (t - s)) * sin_ratio(s),
+                           pieces, method="gauss-legendre")
+    return cos_part.real, cos_part.imag, sin_part.real, sin_part.imag / w if w else 0
+
+
+def test_duhamel_kernels_match_quadrature():
+    g = grid1d(256)
+    w_grid = np.unique(_spectral(g, 0.0, 1.0, 1.0).omega)
+    w_res = float(w_grid[1])                      # the smallest nonzero w(k)
+    assert w_grid[0] == 0.0 and w_grid[-1] == 128.0
+    w = np.array([0.0, w_res, 37.5, 128.0])
+    for t in (0.37, 1.0, 3.0):
+        for omega in (0.0, 1e-6, -1e-6, 3.0, w_res, w_res + 1e-9, w_res - 1e-9):
+            cc, cr, r = _duhamel_kernels(w, omega, t)
+            for i, wi in enumerate(w):
+                with mpmath.workdps(30):
+                    ref = [float(x) for x in _kernel_reference(wi, omega, t)]
+                assert abs(cc[i] - ref[0]) <= 1e-13 * t
+                assert abs(wi * cr[i] - ref[1]) <= 1e-13 * t
+                assert abs(cr[i] - ref[2]) <= 1e-13 * t ** 2
+                assert abs(r[i] - ref[3]) <= 1e-13 * t ** 3
+
+
+def test_sourced_charged_dipole_slow_omega():
+    # a z dipole on a z line carries charge; at Omega = 1e-6 splitting
+    # sin(Omega s) / Omega into exponentials fails the constraint check
+    g = grid1d()
+    src = states.gaussian_dipole_current(g, [0, 0, 1], 1.0, TWO_PI / 16, 1e-6)
+    times = np.linspace(0.0, 3.0, 31)
+    run = evolve_sourced(embed_em(EMField.zero(g)), src, times, constraint_tol=1e-10)
+    for i, t in enumerate(times):
+        gauss = divergence(g, run.values[i][..., 1:4]) - 4 * np.pi * src.charge(t)
+        assert np.max(np.abs(gauss)) < 1e-10
 
 
 def test_sourced_continuity_rejected():
@@ -244,7 +286,7 @@ def test_sourced_continuity_rejected():
                                          violate_continuity=True)
     psi0 = embed_em(EMField.zero(g))
     with pytest.raises(ConstraintViolation):
-        evolve_sourced(psi0, bad, np.linspace(0, 1.0, 8), substeps=4)
+        evolve_sourced(psi0, bad, np.linspace(0, 1.0, 8))
 
 
 def test_sourced_gauss_initial_data_rejected():
@@ -256,7 +298,7 @@ def test_sourced_gauss_initial_data_rejected():
     psi0 = embed_em(EMField(g, e, np.zeros_like(e)))
     src = states.uniform_current(g, [0, 1, 0], 0.0, 1.0)
     with pytest.raises(ConstraintViolation):
-        evolve_sourced(psi0, src, np.linspace(0, 1.0, 8), substeps=4)
+        evolve_sourced(psi0, src, np.linspace(0, 1.0, 8))
 
 
 # --- velocity expectation and jitter ------------------------------------

@@ -83,7 +83,7 @@ def test_compare_sourced_agreement():
     src = states.gaussian_dipole_current(g, [0, 1, 0], 1.0, TWO_PI / 16, 4.0)
     psi0 = embed_em(EMField.zero(g))
     times = np.linspace(0.0, 3.0, 100)
-    run = evolve_sourced(psi0, src, times, substeps=32)
+    run = evolve_sourced(psi0, src, times)
     oracle_run = maxwell_evolve(EMField.zero(g), src, times, substeps=32)
     rep = compare(run, oracle_run)
     assert rep.max_abs < 1e-8
