@@ -3,29 +3,31 @@
 Every command writes a ``summary.json`` listing each enabled check with
 its measured deviation, tolerance and pass flag, and exits 0 only when
 all checks pass.  Exit codes: 0 success, 1 check failure, 2 config error,
-3 I/O error.  Identical configs produce identical summaries apart from
-the timestamp and wall-time fields.
+3 I/O error, 4 internal error (a fault of the program, reported in one
+line; no ``summary.json``).  Identical configs produce identical summaries
+apart from the timestamp and wall-time fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
-import math
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import states
 from .algebra import verify_identities
 from .errors import ConfigError, ConstraintViolation, Dirac88Error, FitError
-from .evolution import (EvolutionConfig, _alpha_series, _energies, _spectral,
-                        alpha_density_series, evolve_sourced, run_free, zitter_decompose)
-from .fields import PHOTON, EMField, GridSpec, _sample_moments, embed_em, extract_em, save_em_csv
+from .evolution import (_alpha_series, _energies, _spectral, alpha_density_series,
+                        evolve_sourced, run_free, zitter_decompose)
+from .fields import GridSpec, _sample_moments, extract_em, save_em_csv
 from .lorentz import (Boost, closed_form_field_boost, em_wavefunction_transform,
                       nonmomentum_boost_residual, tensor_boost_oracle)
 from .oracle import compare, maxwell_evolve
@@ -33,8 +35,6 @@ from .spin import (_angular_series, closure_deviation, photon_spin_selection, sp
                    spin_one, verify_spin_evolution, write_angular_momentum_csv)
 
 __all__ = ["main", "run_command"]
-
-_COMMANDS = ("verify-algebra", "spin-check", "evolve", "zitter", "boost-demo", "compare-oracle")
 
 
 class _Checks:
@@ -76,15 +76,6 @@ class _Checks:
         return all(row["pass"] for row in self.rows)
 
 
-def _expect_keys(cfg: dict, allowed: set[str], required: set[str], where: str):
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in {where}")
-    for key in required:
-        if key not in cfg:
-            raise ConfigError(f"missing key '{key}' in {where}")
-
-
 def _write_json(path: Path, obj):
     """Strict JSON: a NaN or an infinity is an error, never a bare token."""
     try:
@@ -94,159 +85,156 @@ def _write_json(path: Path, obj):
     path.write_text(text)
 
 
-def _finite(value, key: str, minimum: float = -math.inf, strict: bool = False) -> float:
-    """A finite number >= ``minimum`` (> ``minimum`` if ``strict``), else a
-    ConfigError naming ``key``."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number) or number < minimum or strict and number == minimum:
-        bound = "" if minimum == -math.inf else f" {'>' if strict else '>='} {minimum:g}"
-        raise ConfigError(f"{key} must be a finite number{bound}, got {value!r}")
-    return number
+class _Type(NamedTuple):
+    """A key's type and domain: ``text`` describes, ``test`` accepts, ``cast`` converts a value."""
+
+    text: str
+    test: Callable[[object], bool]
+    cast: Callable = lambda v: v
 
 
-def _finite_positive(value, key: str) -> float:
-    return _finite(value, key, 0.0, strict=True)
+def _choice(*options) -> _Type:  # matched in type too, so true is not 1
+    return _Type("one of " + ", ".join(map(json.dumps, options)),
+                 lambda v: any(type(v) is type(o) and v == o for o in options))
 
 
-def _finite_vector(value, key: str, length: int = 3) -> np.ndarray:
-    """``length`` finite numbers, else a ConfigError naming ``key``."""
-    if not (isinstance(value, list) and len(value) == length):
-        raise ConfigError(f"{key} must be a list of {length} finite numbers, got {value!r}")
-    return np.array([_finite(x, key) for x in value])
+def _list(item: _Type, text: str, test=lambda v: True) -> _Type:
+    return _Type(text, lambda v: isinstance(v, list) and all(map(item.test, v)) and test(v),
+                 lambda v: [item.cast(x) for x in v])
 
 
-def _center(cfg: dict, grid: GridSpec, where: str):
-    """An optional centre: one finite number per grid axis."""
-    if "center" not in cfg:
-        return None
-    return _finite_vector(cfg["center"], f"{where}.center", grid.ndim)
+_REQUIRED = "required"        # the default of a key that must be given
+_OBJECT = _Type("an object", lambda v: isinstance(v, dict))
+_BOOLEAN = _Type("true or false", lambda v: type(v) is bool)
+_NUMBER = _Type("a finite number", lambda v: type(v) in (int, float)  # type(True) is bool
+                and abs(v) <= sys.float_info.max, float)
+_NONNEGATIVE = _Type("a finite number >= 0", lambda v: _NUMBER.test(v) and v >= 0, float)
+_POSITIVE = _Type("a finite number > 0", lambda v: _NUMBER.test(v) and v > 0, float)
+_INTEGER = _Type("an integer", lambda v: type(v) is int)
+_VECTOR = _list(_NUMBER, "a list of 3 finite numbers", lambda v: len(v) == 3)
+# the length of a list "per grid axis" is checked after the walk
+_AXIS_NUMBERS = _list(_NUMBER, "a list of finite numbers, one per grid axis")
+_AXIS_INTEGERS = _list(_INTEGER, "a list of integers, one per grid axis")
+_MODE = _Type("an integer, or a list of integers, one per grid axis",
+              lambda v: _INTEGER.test(v) or _AXIS_INTEGERS.test(v))
+# state.type and source.type -> the function in ``states`` that makes it; the config
+# keys that name its arguments, from the block or else the top level, are passed to it
+_STATES = {"zero_field": "zero_field", "travelling_wave": "travelling_wave",
+           "standing_wave": "standing_wave", "circular_analytic": "circular_wave_analytic",
+           "electron_rest_mix": "electron_rest_mix", "electron_packet": "electron_gaussian_packet"}
+_SOURCES = {"uniform_current": "uniform_current", "gaussian_dipole": "gaussian_dipole_current"}
+_WAVES = ("travelling_wave", "standing_wave", "circular_analytic")
+_PHOTON_STATES = ("zero_field",) + _WAVES
+
+# dotted key -> (type and domain, default).  A default is a value (an object's is walked
+# like a given block), a function f of the keys before it by dotted key, None or _REQUIRED.
+_SEED = {"seed": (_INTEGER, None)}      # read by no command; existing configs carry it
+_RUN = {
+    "grid": (_OBJECT, _REQUIRED),
+    "grid.points": (_list(_Type("", lambda n: type(n) is int and n >= 2 and not n & (n - 1)),
+                          "a list of 1 to 3 integers, each a power of two >= 2",
+                          lambda v: 1 <= len(v) <= 3), _REQUIRED),
+    "grid.lengths": (_list(_POSITIVE, "a list of finite numbers > 0, one per grid axis"),
+                     _REQUIRED),
+    "mass": (_NONNEGATIVE, 0.0),
+    "units": (_OBJECT, {}),
+    "units.c": (_POSITIVE, 1.0),
+    "units.hbar": (_POSITIVE, 1.0),
+    "c": (_POSITIVE, lambda f: f["units.c"]),
+    "hbar": (_POSITIVE, lambda f: f["units.hbar"]),
+    "duration": (_POSITIVE, _REQUIRED),
+    "samples": (_Type("an integer >= 2", lambda v: type(v) is int and v >= 2), _REQUIRED),
+    "state": (_OBJECT, _REQUIRED),
+    "state.type": (_choice(*_STATES), _REQUIRED),
+    "state.amplitude": (_NUMBER, 1.0),
+    "state.mode": (_MODE, 1),
+    "state.polarisation": (_choice("x", "y", "z"), "x"),
+    "state.helicity": (_choice(1, -1), 1),
+    "state.plus_weight": (_NONNEGATIVE, 1.0),
+    "state.minus_weight": (_NONNEGATIVE, lambda f: float(f["state.type"] == "electron_rest_mix")),
+    "state.sigma": (_POSITIVE, lambda f: f["grid.lengths"][0] / 14.0),
+    "state.k0_mode": (_MODE, None),
+    "state.center": (_AXIS_NUMBERS, None),
+    "source": (_OBJECT, None),
+    "source.type": (_choice(*_SOURCES), _REQUIRED),
+    "source.direction": (_VECTOR, [0.0, 1.0, 0.0]),
+    "source.amplitude": (_NUMBER, 1.0),
+    "source.omega": (_NUMBER, 1.0),
+    "source.sigma": (_POSITIVE, lambda f: f["grid.lengths"][0] / 16.0),
+    "source.center": (_AXIS_NUMBERS, None),
+    "source.violate_continuity": (_BOOLEAN, False),
+    # sets only the oracle's quadrature (compare-oracle); evolve and zitter accept it
+    "substeps": (_Type("an even integer >= 2", lambda v: type(v) is int and v >= 2 and not v % 2),
+                 64),
+    **_SEED,
+}
 
 
-def _branch_weights(cfg: dict, minus_default: float) -> tuple[float, float]:
-    """Finite weights >= 0 of the two energy branches, not both 0."""
-    plus = _finite(cfg.get("plus_weight", 1.0), "state.plus_weight", 0.0)
-    minus = _finite(cfg.get("minus_weight", minus_default), "state.minus_weight", 0.0)
-    if plus == 0.0 and minus == 0.0:
+def _walk(table: dict, raw, flat: dict, prefix: str = "") -> dict:
+    """Check one block of ``raw`` against ``table`` and fill in its defaults;
+    ``flat`` holds the values walked so far by dotted key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix[:-1] or 'config'} must be an object, got {raw!r}")
+    names = [key[len(prefix):] for key in table if key.rpartition(".")[0] == prefix[:-1]]
+    for name in raw:
+        if name not in names:
+            raise ConfigError(f"unknown key '{prefix}{name}'")
+    out = {}
+    for name in names:
+        key = prefix + name
+        kind, value = table[key]
+        if name in raw:
+            value = raw[name]
+            if not kind.test(value):
+                raise ConfigError(f"{key} must be {kind.text}, got {value!r}")
+        elif value is _REQUIRED:
+            raise ConfigError(f"missing key '{key}'")
+        elif callable(value):
+            value = value(flat)
+        if value is not None:
+            value = _walk(table, value, flat, key + ".") if kind is _OBJECT else kind.cast(value)
+        out[name] = flat[key] = value
+    return out
+
+
+def _checked_config(table: dict, raw: dict) -> dict:
+    """The walked config, after the cross-key rules; a ConfigError names the bad key."""
+    cfg = _walk(table, raw, flat := {})
+    if "grid" not in cfg:
+        return cfg
+    points, kind = flat["grid.points"], flat["state.type"]
+    axial = ["grid.lengths", "state.k0_mode", "state.center", "source.center", "point_index"]
+    for key in axial + (["state.mode"] if kind in _WAVES else []):
+        if flat.get(key) is not None and np.size(flat[key]) != len(points):
+            raise ConfigError(f"{key} must be {table[key][0].text}, got {flat[key]!r}")
+    index = flat.get("point_index", ())
+    if not all(-n <= i < n for i, n in zip(index, points)):
+        raise ConfigError(f"point_index must be in [-points, points) on grid {points}, got {index}")
+    snaps, samples = flat.get("outputs.snapshots", []), flat["samples"]
+    if snaps and kind not in _PHOTON_STATES or not all(-samples <= s < samples for s in snaps):
+        raise ConfigError(f"outputs.snapshots must be sample indices in [{-samples}, {samples}) "
+                          f"of a photon state, got {snaps} of a {kind!r} state")
+    if cfg["source"] and kind not in _PHOTON_STATES:
+        raise ConfigError(f"source must be absent: a source needs a photon state, not {kind!r}")
+    if flat["state.plus_weight"] == 0.0 and flat["state.minus_weight"] == 0.0:
         raise ConfigError("state.plus_weight must be > 0 when state.minus_weight is 0")
-    return plus, minus
+    return cfg
 
 
-def _grid_from_config(cfg: dict) -> GridSpec:
-    _expect_keys(cfg, {"points", "lengths"}, {"points", "lengths"}, "grid")
-    try:
-        return GridSpec(tuple(int(p) for p in cfg["points"]),
-                        tuple(_finite_positive(x, "grid.lengths") for x in cfg["lengths"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
-
-
-def _state_from_config(cfg: dict, grid: GridSpec, mass: float):
-    _expect_keys(cfg, {"type", "mode", "polarisation", "amplitude", "helicity",
-                       "plus_weight", "minus_weight", "sigma", "k0_mode", "center"},
-                 {"type"}, "state")
-    kind = cfg["type"]
-    amplitude = _finite(cfg.get("amplitude", 1.0), "state.amplitude")
-    mode = cfg.get("mode", 1)
-    if not (isinstance(mode, int)
-            or isinstance(mode, list) and all(isinstance(m, int) for m in mode)):
-        raise ConfigError(f"state.mode must be an integer or a list of integers, got {mode!r}")
-    polarisation = cfg.get("polarisation", "x")
-    if polarisation not in ("x", "y", "z"):
-        raise ConfigError(f"state.polarisation must be one of x, y, z, got {polarisation!r}")
-    helicity = cfg.get("helicity", 1)
-    if not isinstance(helicity, int) or helicity not in (1, -1):
-        raise ConfigError(f"state.helicity must be the integer 1 or -1, got {helicity!r}")
-    if kind == "zero_field":
-        return embed_em(EMField.zero(grid))
-    if kind == "travelling_wave":
-        return states.travelling_wave(grid, mode, polarisation, amplitude)
-    if kind == "standing_wave":
-        return states.standing_wave(grid, mode, polarisation, amplitude)
-    if kind == "circular_analytic":
-        return states.circular_wave_analytic(grid, mode, helicity, amplitude)
-    if kind == "electron_rest_mix":
-        return states.electron_rest_mix(grid, mass, *_branch_weights(cfg, 1.0))
-    if kind == "electron_packet":
-        plus, minus = _branch_weights(cfg, 0.0)
-        return states.electron_gaussian_packet(
-            grid, mass, _finite_positive(cfg.get("sigma", grid.lengths[0] / 14.0), "state.sigma"),
-            k0_mode=cfg.get("k0_mode"), center=_center(cfg, grid, "state"),
-            plus_weight=plus, minus_weight=minus)
-    raise ConfigError(f"unknown state.type '{kind}'")
-
-
-def _source_from_config(cfg: dict | None, grid: GridSpec):
-    if cfg is None:
-        return None
-    _expect_keys(cfg, {"type", "direction", "amplitude", "omega", "sigma",
-                       "center", "violate_continuity"}, {"type"}, "source")
-    kind = cfg["type"]
-    amplitude = _finite(cfg.get("amplitude", 1.0), "source.amplitude")
-    omega = _finite(cfg.get("omega", 1.0), "source.omega")
-    direction = _finite_vector(cfg.get("direction", [0, 1, 0]), "source.direction")
-    if kind == "uniform_current":
-        return states.uniform_current(grid, direction, amplitude, omega)
-    if kind == "gaussian_dipole":
-        return states.gaussian_dipole_current(
-            grid, direction, amplitude,
-            _finite_positive(cfg.get("sigma", grid.lengths[0] / 16.0), "source.sigma"), omega,
-            center=_center(cfg, grid, "source"),
-            violate_continuity=bool(cfg.get("violate_continuity", False)))
-    raise ConfigError(f"unknown source.type '{kind}'")
-
-
-def _check_snapshots(outputs: dict, samples: int, kind: str):
-    """Field snapshots need a photon run and sample indices in [-samples, samples)."""
-    _expect_keys(outputs, {"snapshots"}, set(), "outputs")
-    snapshots = outputs.get("snapshots", [])
-    if snapshots and kind != PHOTON:
-        raise ConfigError(f"outputs.snapshots needs a photon state, not {kind!r}")
-    bad = [s for s in snapshots if not isinstance(s, int) or not -samples <= s < samples]
-    if bad:
-        raise ConfigError(f"outputs.snapshots {bad} are not sample indices in [{-samples}, {samples})")
-
-
-def _check_point_index(index, grid: GridSpec):
-    """One integer per grid axis, each in [-points, points)."""
-    if not (isinstance(index, list) and len(index) == grid.ndim
-            and all(isinstance(i, int) and -n <= i < n for i, n in zip(index, grid.points))):
-        raise ConfigError(f"point_index {index!r} is not {grid.ndim} integer(s) in "
-                          f"[-points, points) for grid points {list(grid.points)}")
+def _make(function: str, block: dict, cfg: dict, grid: GridSpec):
+    make, args = getattr(states, function), {**cfg, **block, "grid": grid}
+    return make(**{key: args[key] for key in inspect.signature(make).parameters if key in args})
 
 
 def _run_from_config(cfg: dict):
-    _expect_keys(cfg, {"grid", "mass", "c", "hbar", "units", "duration", "samples",
-                       "state", "source", "substeps", "checks", "series",
-                       "point_index", "tolerance", "expect_no_oscillation",
-                       "seed", "outputs"},
-                 {"grid", "duration", "samples", "state"}, "config")
-    units = cfg.get("units", {})
-    _expect_keys(units, {"c", "hbar"}, set(), "units")
-    grid = _grid_from_config(cfg["grid"])
-    samples = cfg["samples"]
-    if not isinstance(samples, int) or samples < 2:
-        raise ConfigError(f"samples must be an integer >= 2, got {samples!r}")
-    if "point_index" in cfg:
-        _check_point_index(cfg["point_index"], grid)
-    # sets only the oracle's quadrature (compare-oracle); every run command checks it
-    substeps = cfg.get("substeps", 64)
-    if not isinstance(substeps, int) or substeps < 2 or substeps % 2:
-        raise ConfigError(f"substeps must be an even integer >= 2, got {substeps!r}")
-    econf = EvolutionConfig(grid=grid, mass=_finite(cfg.get("mass", 0.0), "mass", 0.0),
-                            duration=_finite_positive(cfg["duration"], "duration"), samples=samples,
-                            c=_finite_positive(cfg.get("c", units.get("c", 1.0)), "c"),
-                            hbar=_finite_positive(cfg.get("hbar", units.get("hbar", 1.0)), "hbar"))
-    psi0 = _state_from_config(cfg["state"], grid, econf.mass)
-    _check_snapshots(cfg.get("outputs", {}), samples, psi0.kind)
-    source = _source_from_config(cfg.get("source"), grid)
-    times = econf.times()
+    grid = GridSpec(tuple(cfg["grid"]["points"]), tuple(cfg["grid"]["lengths"]))
+    psi0 = _make(_STATES[cfg["state"]["type"]], cfg["state"], cfg, grid)
+    source = cfg["source"] and _make(_SOURCES[cfg["source"]["type"]], cfg["source"], cfg, grid)
+    times = np.linspace(0.0, cfg["duration"], cfg["samples"])
     if source is None:
-        run = run_free(psi0, times, c=econf.c, hbar=econf.hbar)
+        run = run_free(psi0, times, c=cfg["c"], hbar=cfg["hbar"])
     else:
-        run = evolve_sourced(psi0, source, times, c=econf.c, hbar=econf.hbar)
+        run = evolve_sourced(psi0, source, times, c=cfg["c"], hbar=cfg["hbar"])
     return run, psi0, source
 
 
@@ -298,7 +286,6 @@ def _write_samples_csv(path: Path, times, norms, energies, series):
 
 
 def _cmd_verify_algebra(cfg: dict, outdir: Path, checks: _Checks):
-    _expect_keys(cfg, {"seed"}, set(), "config")
     reports = verify_identities()
     for rep in reports:
         checks.add(rep.identity, rep.identity, rep.deviation, rep.tolerance)
@@ -306,7 +293,6 @@ def _cmd_verify_algebra(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_spin_check(cfg: dict, outdir: Path, checks: _Checks):
-    _expect_keys(cfg, {"seed"}, set(), "config")
     half, one = spin_half(), spin_one()
     for op in (half, one):
         rep = verify_spin_evolution(op)
@@ -335,34 +321,30 @@ def _cmd_spin_check(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
-    wanted = cfg.get("checks", {"norm_drift": 1e-8, "energy_drift": 1e-8})
-    if not isinstance(wanted, dict):
-        raise ConfigError(f"checks must be an object of tolerances, got {wanted!r}")
-    wanted = {name: _finite(tol, f"checks.{name}", 0.0) for name, tol in wanted.items()}
+    wanted = {name: tol for name, tol in cfg["checks"].items() if tol is not None}
     run, psi0, source = _run_from_config(cfg)
     norms, energies, alpha, angular = _sample_diagnostics(
-        run, "angular_momentum_drift" in wanted or cfg.get("series") == "angular_momentum")
+        run, "angular_momentum_drift" in wanted or cfg["series"] == "angular_momentum")
     _evolve_checks(wanted, run, norms, energies, angular, checks)
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
-    for snap in cfg.get("outputs", {}).get("snapshots", []):
+    for snap in cfg["outputs"]["snapshots"]:
         em = extract_em(run.sample(snap), tol=1e-6)
         save_em_csv(outdir / f"fields-{snap % run.n_samples}.csv", em)
-    if cfg.get("series") == "angular_momentum":
+    if cfg["series"] == "angular_momentum":
         write_angular_momentum_csv(outdir / "angular_momentum.csv", *angular)
 
 
 def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
-    no_oscillation = cfg.get("expect_no_oscillation")
-    tol = _finite(cfg.get("tolerance", 1e-12 if no_oscillation else 1e-6), "tolerance", 0.0)
     run, psi0, _ = _run_from_config(cfg)
     norms, energies, alpha, _ = _sample_diagnostics(run, angular=False)
     series = alpha
-    if cfg.get("series") == "point":
-        series = alpha_density_series(run, tuple(cfg.get("point_index", [0] * run.grid.ndim)))
+    if cfg["series"] == "point":
+        series = alpha_density_series(run, tuple(cfg["point_index"]))
     report = zitter_decompose(run, series)
     _write_json(outdir / "zitter.json", report.to_dict())
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
-    if no_oscillation:
+    tol = cfg["tolerance"]
+    if cfg["expect_no_oscillation"]:
         checks.add("no oscillation for a single energy branch",
                    "monochromatic states show no jitter", float(report.amplitude.max()), tol)
     else:
@@ -371,16 +353,11 @@ def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
-    _expect_keys(cfg, {"velocity", "e", "b", "tolerance", "seed"},
-                 {"velocity", "e", "b"}, "config")
-    v = tuple(float(x) for x in _finite_vector(cfg["velocity"], "velocity"))
-    e = _finite_vector(cfg["e"], "e").astype(complex)
-    b = _finite_vector(cfg["b"], "b").astype(complex)
-    tol = _finite(cfg.get("tolerance", 1e-10), "tolerance", 0.0)
-    try:
-        boost = Boost(v)
-    except ValueError as exc:
-        raise ConfigError(f"velocity must be slower than light: {exc}") from exc
+    v = tuple(cfg["velocity"])
+    e = np.array(cfg["e"]).astype(complex)
+    b = np.array(cfg["b"]).astype(complex)
+    tol = cfg["tolerance"]
+    boost = Boost(v)
     psi = np.zeros(8, dtype=complex)
     psi[1:4] = e
     psi[5:8] = 1j * b
@@ -412,25 +389,45 @@ def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_compare_oracle(cfg: dict, outdir: Path, checks: _Checks):
-    tol = _finite(cfg.get("tolerance", 1e-10), "tolerance", 0.0)
     run, psi0, source = _run_from_config(cfg)
     em0 = extract_em(psi0)
-    oracle_run = maxwell_evolve(em0, source, run.times, substeps=cfg.get("substeps", 64), c=run.c)
+    oracle_run = maxwell_evolve(em0, source, run.times, substeps=cfg["substeps"], c=run.c)
     rep = compare(run, oracle_run)
     checks.add("wave-equation fields match the classical solver",
-               "exact embedding of the curl equations", rep.max_abs, tol)
+               "exact embedding of the curl equations", rep.max_abs, cfg["tolerance"])
     _write_json(outdir / "compare.json", {
         "max_abs_e": rep.max_abs_e, "max_abs_b": rep.max_abs_b,
         "rel_e": rep.rel_e, "rel_b": rep.rel_b})
 
 
-_HANDLERS = {
-    "verify-algebra": _cmd_verify_algebra,
-    "spin-check": _cmd_spin_check,
-    "evolve": _cmd_evolve,
-    "zitter": _cmd_zitter,
-    "boost-demo": _cmd_boost_demo,
-    "compare-oracle": _cmd_compare_oracle,
+# command -> (handler, key table)
+COMMANDS = {
+    "verify-algebra": (_cmd_verify_algebra, _SEED),
+    "spin-check": (_cmd_spin_check, _SEED),
+    "evolve": (_cmd_evolve, {
+        **_RUN,
+        "checks": (_OBJECT, {"norm_drift": 1e-8, "energy_drift": 1e-8}),
+        **{f"checks.{name}": (_NONNEGATIVE, None)
+           for name in ("norm_drift", "energy_drift", "constraint", "angular_momentum_drift")},
+        "series": (_choice("angular_momentum"), None),
+        "outputs": (_OBJECT, {}),
+        "outputs.snapshots": (_list(_INTEGER, "a list of integers"), []),
+    }),
+    "zitter": (_cmd_zitter, {
+        **_RUN,
+        "series": (_choice("point"), None),
+        "point_index": (_AXIS_INTEGERS, lambda f: [0] * len(f["grid.points"])),
+        "expect_no_oscillation": (_BOOLEAN, False),
+        "tolerance": (_NONNEGATIVE, lambda f: 1e-12 if f["expect_no_oscillation"] else 1e-6),
+    }),
+    "boost-demo": (_cmd_boost_demo, {
+        "velocity": (_list(_NUMBER, "a list of 3 finite numbers, |v| < 1",
+                           lambda v: len(v) == 3 and np.linalg.norm(v) < 1.0), _REQUIRED),
+        **dict.fromkeys(("e", "b"), (_VECTOR, _REQUIRED)),
+        "tolerance": (_NONNEGATIVE, 1e-10),
+        **_SEED,
+    }),
+    "compare-oracle": (_cmd_compare_oracle, {**_RUN, "tolerance": (_NONNEGATIVE, 1e-10)}),
 }
 
 
@@ -447,9 +444,6 @@ def run_command(command: str, config_path: str, outdir: str) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(cfg, dict):
-        print("error: config must be a JSON object", file=sys.stderr)
-        return 2
 
     out = Path(outdir)
     try:
@@ -462,7 +456,8 @@ def run_command(command: str, config_path: str, outdir: str) -> int:
     config_hash = hashlib.sha256(
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     try:
-        _HANDLERS[command](cfg, out, checks)
+        handler, table = COMMANDS[command]
+        handler(_checked_config(table, cfg), out, checks)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -474,6 +469,9 @@ def run_command(command: str, config_path: str, outdir: str) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of the program, not of the config or the run
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     summary = {
         "command": command,
@@ -508,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Verification and simulation commands for the unified "
                     "8x8 electromagnetic/electron wave equation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output directory")

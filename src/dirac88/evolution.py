@@ -28,7 +28,6 @@ from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSp
 from .spin import ExpectationSeries
 
 __all__ = [
-    "EvolutionConfig",
     "EvolutionRun",
     "ModeDecomposition",
     "ZitterReport",
@@ -50,21 +49,6 @@ __all__ = [
     "poynting_split",
     "zitter_equals_poynting",
 ]
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Run parameters: grid, mass, time window, sampling, constants."""
-
-    grid: GridSpec
-    mass: float
-    duration: float
-    samples: int
-    c: float = 1.0
-    hbar: float = 1.0
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.duration, self.samples)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from .fields import ELECTRON, EMField, FourCurrent, GridSpec, SpinorField8, embe
 
 __all__ = [
     "mode_wave_vector",
+    "zero_field",
     "travelling_wave",
     "standing_wave",
     "circular_wave_analytic",
@@ -37,16 +38,21 @@ def _phase(grid: GridSpec, k: np.ndarray) -> np.ndarray:
     return np.einsum("...i,i->...", grid.positions(), k)
 
 
+def zero_field(grid: GridSpec) -> SpinorField8:
+    """The photon vacuum: E = B = 0."""
+    return embed_em(EMField.zero(grid))
+
+
 def travelling_wave(grid: GridSpec, mode, polarisation: str = "x",
                     amplitude: float = 1.0) -> SpinorField8:
     """Real travelling wave E = A p cos(k.r), B = A (khat x p) cos(k.r)."""
     k = mode_wave_vector(grid, mode)
     kn = np.linalg.norm(k)
     if kn == 0.0:
-        raise ConfigError("travelling wave needs a nonzero mode")
+        raise ConfigError("state.mode must be nonzero for a travelling wave")
     pol = _UNIT[polarisation]
     if abs(pol @ k) > 1e-12:
-        raise ConfigError("polarisation must be transverse to the mode")
+        raise ConfigError("state.polarisation must be transverse to state.mode")
     phase = np.cos(_phase(grid, k))
     e = amplitude * phase[..., None] * pol
     b = amplitude * phase[..., None] * np.cross(k / kn, pol)
@@ -58,10 +64,10 @@ def standing_wave(grid: GridSpec, mode, polarisation: str = "x",
     """Equal mixture of counter-propagating waves: E = A p cos(k.r), B = 0."""
     k = mode_wave_vector(grid, mode)
     if np.linalg.norm(k) == 0.0:
-        raise ConfigError("standing wave needs a nonzero mode")
+        raise ConfigError("state.mode must be nonzero for a standing wave")
     pol = _UNIT[polarisation]
     if abs(pol @ k) > 1e-12:
-        raise ConfigError("polarisation must be transverse to the mode")
+        raise ConfigError("state.polarisation must be transverse to state.mode")
     e = amplitude * np.cos(_phase(grid, k))[..., None] * pol
     b = np.zeros_like(e)
     return embed_em(EMField(grid, e.astype(complex), b.astype(complex)))
@@ -79,7 +85,7 @@ def circular_wave_analytic(grid: GridSpec, mode, helicity: int = +1,
     k = mode_wave_vector(grid, mode)
     kn = np.linalg.norm(k)
     if kn == 0.0:
-        raise ConfigError("circular wave needs a nonzero mode")
+        raise ConfigError("state.mode must be nonzero for a circular wave")
     khat = k / kn
     p1 = _UNIT["x"] if abs(khat @ _UNIT["x"]) < 0.9 else _UNIT["y"]
     p1 = p1 - (p1 @ khat) * khat
@@ -100,7 +106,7 @@ def electron_rest_mix(grid: GridSpec, mass: float, plus_weight: float = 1.0,
     """Uniform (k = 0) electron state mixing one positive- and one
     negative-frequency rest spinor with a nonzero velocity cross term."""
     if mass <= 0.0:
-        raise ConfigError("rest-frame mixture needs a positive mass")
+        raise ConfigError("mass must be > 0 for an electron rest mixture")
     values = np.zeros(grid.shape + (8,), dtype=complex)
     # beta' = diag(-1,1,1,1, 1,-1,-1,-1): component 3 is positive frequency,
     # component 0 negative, and alpha_z couples them.

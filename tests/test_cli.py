@@ -359,9 +359,9 @@ def zitter_point_cfg(point_index):
     }
 
 
-@pytest.mark.parametrize("point_index", [[99], [-65], [1, 2], [1.5], ["a"], 3],
+@pytest.mark.parametrize("point_index", [[99], [-65], [1, 2], [1.5], ["a"], 3, [True]],
                          ids=["out-of-range", "negative-out-of-range", "wrong-length",
-                              "float", "string", "not-a-list"])
+                              "float", "string", "not-a-list", "bool"])
 def test_bad_point_index_exit2(tmp_path, capsys, point_index):
     path = write_cfg(tmp_path, "cfg.json", zitter_point_cfg(point_index))
     assert run_command("zitter", path, str(tmp_path / "o")) == 2
@@ -378,8 +378,18 @@ def test_bad_point_index_exit2(tmp_path, capsys, point_index):
     ("hbar", lambda cfg: cfg.update(units={"hbar": "one"})),
     ("state.mode", lambda cfg: cfg["state"].update(mode="a")),
     ("state.mode", lambda cfg: cfg["state"].update(mode=[1.5])),
+    ("grid.points", lambda cfg: cfg["grid"].update(points=[16.7])),
+    ("grid.points", lambda cfg: cfg["grid"].update(points=["16"])),
+    ("state.mode", lambda cfg: cfg["state"].update(mode=[1, 2])),
+    ("state.mode", lambda cfg: cfg["state"].update(mode=True)),
+    ("grid", lambda cfg: cfg.update(grid=3)),
+    ("state", lambda cfg: cfg.update(state=3)),
+    ("units", lambda cfg: cfg.update(units=3)),
+    ("outputs", lambda cfg: cfg.update(outputs=3)),
 ], ids=["negative-length", "nan-length", "inf-length", "c-zero", "units-c-nan",
-        "hbar-negative", "units-hbar-string", "mode-string", "mode-float"])
+        "hbar-negative", "units-hbar-string", "mode-string", "mode-float", "points-float",
+        "points-string", "mode-wrong-length", "mode-bool", "grid-not-object",
+        "state-not-object", "units-not-object", "outputs-not-object"])
 def test_config_domain_exit2(tmp_path, capsys, key, edit):
     cfg = evolve_cfg(samples=8)
     edit(cfg)
@@ -473,11 +483,25 @@ NAN = float("nan")
      lambda cfg: cfg.update(mass=1.0, state={"type": "electron_packet", "center": [NAN]})),
     ("evolve", sourced_cfg, "source.direction",
      lambda cfg: cfg.update(source={"type": "uniform_current", "direction": [0, NAN, 0]})),
+    ("evolve", evolve_cfg, "state.k0_mode",
+     lambda cfg: cfg.update(mass=1.0, state={"type": "electron_packet", "k0_mode": "a"})),
+    ("evolve", evolve_cfg, "state.k0_mode",
+     lambda cfg: cfg.update(mass=1.0, state={"type": "electron_packet", "k0_mode": [1.5]})),
+    ("evolve", evolve_cfg, "state.helicity",
+     lambda cfg: cfg.update(state={"type": "circular_analytic", "mode": 2, "helicity": True})),
+    ("evolve", evolve_cfg, "checks.norm_drift", lambda cfg: cfg["checks"].update(norm_drift=True)),
+    ("evolve", sourced_cfg, "source.violate_continuity",
+     lambda cfg: cfg["source"].update(violate_continuity="no")),
+    ("zitter", zitter_cfg, "expect_no_oscillation", lambda cfg: cfg.update(expect_no_oscillation="no")),
+    ("evolve", evolve_cfg, "series", lambda cfg: cfg.update(series="angular_momentun")),
+    ("zitter", zitter_cfg, "series", lambda cfg: cfg.update(series="pointt")),
 ], ids=["substeps-zero", "substeps-odd", "duration-nan", "mass-nan", "state-amplitude-nan",
         "checks-tolerance-nan", "source-amplitude-nan", "source-omega-nan", "source-sigma-nan",
         "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan",
         "helicity-string", "polarisation-unknown", "weights-zero", "weight-nan",
-        "source-center-string", "state-center-nan", "direction-nan"])
+        "source-center-string", "state-center-nan", "direction-nan", "k0-mode-string",
+        "k0-mode-float", "helicity-bool", "check-tolerance-bool", "violate-continuity-string",
+        "no-oscillation-string", "evolve-series-unknown", "zitter-series-unknown"])
 def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)
@@ -486,3 +510,91 @@ def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     assert run_command(command, path, str(out)) == 2
     assert f"{key} must be" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def compare_cfg():
+    cfg = sourced_cfg()
+    del cfg["checks"]
+    cfg["tolerance"] = 1e-8
+    return cfg
+
+
+@pytest.mark.parametrize("command, make, key, edit", [
+    ("evolve", evolve_cfg, "checks.norm_drfit", lambda cfg: cfg.update(checks={"norm_drfit": 1e-8})),
+    ("zitter", zitter_cfg, "checks", lambda cfg: cfg.update(checks={"norm_drift": 1e-30})),
+    ("compare-oracle", compare_cfg, "checks", lambda cfg: cfg.update(checks={"norm_drift": 1e-30})),
+    ("zitter", zitter_cfg, "outputs", lambda cfg: cfg.update(outputs={"snapshots": [0]})),
+    ("evolve", evolve_cfg, "tolerance", lambda cfg: cfg.update(tolerance=1e-8)),
+    ("evolve", sourced_cfg, "source.bogus", lambda cfg: cfg["source"].update(bogus=1)),
+], ids=["check-name-typo", "checks-on-zitter", "checks-on-compare-oracle", "outputs-on-zitter",
+        "tolerance-on-evolve", "unknown-source-key"])
+def test_key_a_command_does_not_read_exit2(tmp_path, capsys, command, make, key, edit):
+    cfg = make()
+    edit(cfg)
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "o"
+    assert run_command(command, path, str(out)) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("units", [{"c": 2.0, "hbar": 1.5}, {"hbar": 0.5}],
+                         ids=["c2-hbar1.5", "hbar0.5"])
+def test_electron_packet_split_with_config_units(tmp_path, units):
+    # the packet is projected on the positive branch of the run's own H, so a
+    # single-branch packet shows no jitter whatever c and hbar are
+    cfg = {"grid": {"points": [32], "lengths": [TWO_PI]}, "mass": 1.0, "units": units,
+           "duration": 6.0, "samples": 32, "expect_no_oscillation": True,
+           "state": {"type": "electron_packet", "plus_weight": 1.0, "minus_weight": 0.0,
+                     "k0_mode": 1}}
+    out = tmp_path / "o"
+    assert run_command("zitter", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 0
+    assert max(json.loads((out / "zitter.json").read_text())["oscillation_amplitude"]) < 1e-12
+
+
+def test_internal_fault_exit4(tmp_path, capsys, monkeypatch):
+    import dirac88.cli as cli
+
+    def broken(cfg, outdir, checks):
+        raise RuntimeError("deliberate fault")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify-algebra", (broken, cli.COMMANDS["verify-algebra"][1]))
+    out = tmp_path / "o"
+    assert run_command("verify-algebra", write_cfg(tmp_path, "cfg.json", {}), str(out)) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: deliberate fault\n"
+    assert not (out / "summary.json").exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_shipped_config_runs(tmp_path, config):
+    # the file name starts with the command it is for
+    command = {"verify": "verify-algebra", "zitter": "zitter", "evolve": "evolve",
+               "compare": "compare-oracle", "boost": "boost-demo"}[config.stem.split("_")[0]]
+    assert run_command(command, str(config), str(tmp_path / "o")) == 0
+
+
+def readme_key_tables():
+    """command -> the keys of the README tables whose heading names it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tables, commands = {}, []
+    for line in readme.splitlines():
+        if line.startswith("#### "):
+            commands = line.split("`")[1::2]
+        elif line.startswith("| `") and commands:
+            key = line.split("`")[1]
+            for command in commands:
+                tables.setdefault(command, []).append(key)
+        elif line.startswith("#"):
+            commands = []
+    return tables
+
+
+def test_readme_tables_list_the_schema_keys():
+    from dirac88.cli import COMMANDS
+    tables = readme_key_tables()
+    assert set(tables) == set(COMMANDS)
+    for command, (_, table) in COMMANDS.items():
+        assert sorted(tables[command]) == sorted(table), command

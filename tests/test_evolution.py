@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac88.errors import ConstraintViolation, DegenerateMode, FitError
 from dirac88.evolution import (_duhamel_kernels, _spectral, alpha_density_series,
@@ -504,3 +506,23 @@ def test_zitter_equals_poynting_two_directions():
     rep = zitter_equals_poynting(run, omega=2.0)
     assert rep.volume_deviation < 1e-10
     assert rep.pointwise_deviation < 1e-10
+
+
+
+def not_one(lo, hi):
+    return st.floats(lo, hi).filter(lambda x: x != 1.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(points=st.lists(st.sampled_from([2, 4, 8, 16]), min_size=1, max_size=3),
+       mass=not_one(0.3, 3.0), c=not_one(0.3, 3.0), hbar=not_one(0.3, 3.0),
+       t1=st.floats(-1.0, 1.0), t2=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_propagator_unitary_and_composes_on_random_grids(points, mass, c, hbar, t1, t2, seed):
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(tuple(points), tuple(rng.uniform(2.0, 8.0, len(points))))
+    values = rng.standard_normal(grid.shape + (8,)) + 1j * rng.standard_normal(grid.shape + (8,))
+    psi = SpinorField8(grid, values, kind="electron", mass=mass)
+    one = evolve_free(evolve_free(psi, t1, c=c, hbar=hbar), t2, c=c, hbar=hbar)
+    both = evolve_free(psi, t1 + t2, c=c, hbar=hbar)
+    assert abs(np.linalg.norm(both.values) / np.linalg.norm(values) - 1.0) < 1e-13
+    assert np.max(np.abs(one.values - both.values)) < 1e-13 * np.max(np.abs(values))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac88.algebra import gamma88, pauli_matrices, transformed_dirac88
 from dirac88.errors import ConstraintViolation
@@ -244,3 +246,23 @@ def test_intertwiner_relations():
         chiral = np.block([[-np.kron(np.eye(2), s), z4], [z4, np.kron(np.eye(2), s)]])
         assert np.max(np.abs(v @ alpha[i] - chiral @ v)) == 0.0
     assert np.max(np.abs(v @ beta - gam[0] @ v)) == 0.0
+
+
+
+COMPONENT = st.floats(-3.0, 3.0)
+VECTOR = st.tuples(COMPONENT, COMPONENT, COMPONENT)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(direction=VECTOR.filter(lambda d: np.linalg.norm(d) > 1e-3), fraction=st.floats(0.0, 0.95),
+       c=st.floats(0.5, 3.0), e=VECTOR, b=VECTOR)
+def test_three_boost_routes_agree_for_random_velocity_and_fields(direction, fraction, c, e, b):
+    boost = Boost(tuple(np.array(direction) / np.linalg.norm(direction) * fraction * c), c)
+    e, b = np.array(e, dtype=complex), np.array(b, dtype=complex)
+    e1, b1 = fields_of(em_wavefunction_transform(embed_point(e, b), boost))
+    e2, b2 = tensor_boost_oracle(e, b, boost)
+    e3, b3 = closed_form_field_boost(e, b, boost)
+    scale = 1.0 + boost.gamma * max(np.max(np.abs(e)), np.max(np.abs(b)))
+    for route_e, route_b in ((e1, b1), (e2, b2)):
+        assert np.max(np.abs(route_e - e3)) < 1e-13 * scale
+        assert np.max(np.abs(route_b - b3)) < 1e-13 * scale
