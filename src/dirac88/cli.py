@@ -218,6 +218,15 @@ def _checked_config(table: dict, raw: dict) -> dict:
         raise ConfigError(f"source must be absent: a source needs a photon state, not {kind!r}")
     if flat["state.plus_weight"] == 0.0 and flat["state.minus_weight"] == 0.0:
         raise ConfigError("state.plus_weight must be > 0 when state.minus_weight is 0")
+    # zitter (the one table with expect_no_oscillation) fits the jitter of the
+    # state's velocity; without a source, a state of norm 0 has none
+    if "expect_no_oscillation" in flat and not cfg["source"]:
+        if kind == "zero_field":
+            raise ConfigError("state.type must be a state of nonzero norm for zitter "
+                              "without a source, got 'zero_field'")
+        if kind in _WAVES and flat["state.amplitude"] == 0.0:
+            raise ConfigError("state.amplitude must be nonzero for zitter without a source, "
+                              "got 0")
     return cfg
 
 

@@ -360,14 +360,15 @@ def _energies(moments: _Moments, mass: float, c: float, hbar: float) -> np.ndarr
 
 
 def momentum_velocity_prediction(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> np.ndarray:
-    """The drift part c <p H^-1> evaluated directly in mode space."""
+    """The drift part c <p H^-1> evaluated directly in mode space (zero for an
+    identically-zero state)."""
     spectral = _spectral(psi.grid, psi.mass, c, hbar)
     hat = psi.grid.fft(psi.values)
     weight = (np.einsum("...a,...a->...", hat.conj(), spectral.apply_h(hat)).real
               * spectral.inv_omega ** 2 / hbar)
     num = np.stack([np.sum(c * hbar * spectral.k[..., i] * weight) for i in range(3)])
-    den = float(np.sum(np.abs(hat) ** 2))
-    return num / den
+    den = np.sum(np.abs(hat) ** 2)
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
 def zitter_lines(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0,
@@ -377,14 +378,14 @@ def zitter_lines(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0,
     Strength is the product of the positive- and negative-branch
     populations at each mode (normalised by the total), the weight with
     which that mode can contribute a doubled-frequency cross term; lines
-    below ``floor`` are dropped as round-off.
+    below ``floor`` are dropped as round-off, so an identically-zero state
+    has none.
     """
     dec = mode_decomposition(psi, c, hbar)
     pop_plus = np.sqrt(np.einsum("...a,...a->...", dec.plus.conj(), dec.plus).real)
     pop_minus = np.sqrt(np.einsum("...a,...a->...", dec.minus.conj(), dec.minus).real)
-    cross = pop_plus * pop_minus
-    norm = float(np.sum(pop_plus ** 2 + pop_minus ** 2))
-    cross /= norm
+    norm = np.sum(pop_plus ** 2 + pop_minus ** 2)
+    cross = np.divide(pop_plus * pop_minus, norm, out=np.zeros_like(pop_plus), where=norm != 0.0)
     k = _spectral(psi.grid, psi.mass, c, hbar).k
     flat = np.argsort(cross.reshape(-1))[::-1][:max_lines]
     lines = []

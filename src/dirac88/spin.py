@@ -179,8 +179,9 @@ def angular_momentum_series(run, operator: SpinOperator | None = None,
     <L> integrates psi+ (r x p) psi with box-centred coordinates and the
     spectral momentum; <S> uses the kind-appropriate operator (spin-1 for
     photon runs, spin-1/2 otherwise) unless one is passed explicitly.
-    Both are normalised by the wave-function norm.  Warns when a localised
-    packet reaches the box boundary (wrap-around corrupts <L>).
+    Both are normalised by the wave-function norm (zero for identically-zero
+    samples).  Warns when a localised packet reaches the box boundary
+    (wrap-around corrupts <L>).
     """
     return _angular_series(run, _sample_moments(run.grid, run.values), operator, hbar)
 
@@ -194,8 +195,10 @@ def _angular_series(run, moments: _Moments, operator: SpinOperator | None = None
     times = np.asarray(run.times, dtype=float)
     # L_i = eps_ijk <r_j p_k> with p = hbar k; int psi+ S_i psi = sum_ab (S_i)_ab G_ab
     norm = np.trace(moments.gram, axis1=1, axis2=2).real[:, None]
-    orbital = hbar * np.einsum("ijk,sjk->si", _EPS, moments.rk) / norm
-    spin = np.einsum("iab,sab->si", operator.components, moments.gram).real / norm
+    orbital = hbar * np.einsum("ijk,sjk->si", _EPS, moments.rk)
+    orbital = np.divide(orbital, norm, out=np.zeros_like(orbital), where=norm != 0.0)
+    spin = np.einsum("iab,sab->si", operator.components, moments.gram).real
+    spin = np.divide(spin, norm, out=np.zeros_like(spin), where=norm != 0.0)
     total = orbital + spin
     return (ExpectationSeries(times, orbital, "orbital"),
             ExpectationSeries(times, spin, "spin"),

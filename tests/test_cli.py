@@ -495,13 +495,17 @@ NAN = float("nan")
     ("zitter", zitter_cfg, "expect_no_oscillation", lambda cfg: cfg.update(expect_no_oscillation="no")),
     ("evolve", evolve_cfg, "series", lambda cfg: cfg.update(series="angular_momentun")),
     ("zitter", zitter_cfg, "series", lambda cfg: cfg.update(series="pointt")),
+    ("zitter", zitter_cfg, "state.type", lambda cfg: cfg.update(state={"type": "zero_field"})),
+    ("zitter", zitter_cfg, "state.amplitude",
+     lambda cfg: cfg.update(state={"type": "travelling_wave", "mode": 1, "amplitude": 0})),
 ], ids=["substeps-zero", "substeps-odd", "duration-nan", "mass-nan", "state-amplitude-nan",
         "checks-tolerance-nan", "source-amplitude-nan", "source-omega-nan", "source-sigma-nan",
         "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan",
         "helicity-string", "polarisation-unknown", "weights-zero", "weight-nan",
         "source-center-string", "state-center-nan", "direction-nan", "k0-mode-string",
         "k0-mode-float", "helicity-bool", "check-tolerance-bool", "violate-continuity-string",
-        "no-oscillation-string", "evolve-series-unknown", "zitter-series-unknown"])
+        "no-oscillation-string", "evolve-series-unknown", "zitter-series-unknown",
+        "zitter-zero-field", "zitter-zero-amplitude"])
 def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)
@@ -510,6 +514,25 @@ def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     assert run_command(command, path, str(out)) == 2
     assert f"{key} must be" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_norm_samples_have_zero_expectations(tmp_path):
+    cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 1.0, "samples": 5,
+           "state": {"type": "zero_field"}, "series": "angular_momentum",
+           "checks": {"norm_drift": 1e-8, "angular_momentum_drift": 1e-12}}
+    out = tmp_path / "evolve"
+    assert run_command("evolve", write_cfg(tmp_path, "evolve.json", cfg), str(out)) == 0
+    rows = (out / "angular_momentum.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(float(x) == 0.0 for row in rows for x in row.split(",")[1:])
+    assert all(row["pass"] for row in read_summary(out)["checks"])
+    # a source lets zitter run from the zero state: sample 0 has no lines to fit
+    cfg = {**zitter_cfg(), "mass": 0.0, "state": {"type": "zero_field"},
+           "source": {"type": "gaussian_dipole", "direction": [0, 1, 0], "sigma": 0.4}}
+    out = tmp_path / "zitter"
+    assert run_command("zitter", write_cfg(tmp_path, "zitter.json", cfg), str(out)) == 0
+    zit = json.loads((out / "zitter.json").read_text())
+    assert zit["lines"] == [] and zit["dc_prediction"] == [0.0, 0.0, 0.0]
 
 
 def compare_cfg():

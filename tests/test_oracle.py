@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from dirac88.errors import GridMismatch
 from dirac88.fields import EMField, GridSpec, divergence, embed_em, extract_em
 from dirac88.evolution import evolve_sourced, run_free
 from dirac88.oracle import compare, maxwell_evolve
-from dirac88 import states
+from dirac88 import oracle, states
 
 TWO_PI = 2 * np.pi
 
@@ -178,3 +179,104 @@ def test_oracle_imports_no_8x8_machinery():
             imported.update(alias.name.split(".")[-1] for alias in node.names)
     assert "fields" in imported
     assert not imported & forbidden
+
+
+def _reference_maxwell_evolve(em0, source, times, substeps, c):
+    """The oracle as a node-by-node Simpson loop: rotate the source vector
+    back to t = 0 at every node and sum the rotated vectors pair by pair."""
+    grid = em0.grid
+    axes = tuple(range(grid.ndim))
+    k = grid.wave_vectors()
+    kn = np.linalg.norm(k, axis=-1)
+
+    def rotate(v, t, sign):
+        khat = k / np.where(kn > 0.0, kn, 1.0)[..., None]
+        angle = sign * c * kn * t
+        par = np.einsum("...i,...i->...", khat, v)[..., None] * khat
+        out = (par + np.cos(angle)[..., None] * (v - par)
+               + np.sin(angle)[..., None] * np.cross(khat, v))
+        return np.where((kn > 0.0)[..., None], out, v)
+
+    def integrand(t, sign):
+        j_hat = np.fft.fftn(source.j_amp.astype(complex), axes=axes)
+        return rotate(-4 * np.pi * j_hat * np.cos(source.omega * t), -t, sign)
+
+    f_plus0 = np.fft.fftn(em0.e + 1j * em0.b, axes=axes)
+    f_minus0 = np.fft.fftn(em0.e - 1j * em0.b, axes=axes)
+    accum_p = np.zeros_like(f_plus0)
+    accum_m = np.zeros_like(f_minus0)
+    e_out = np.empty((len(times),) + em0.e.shape, dtype=complex)
+    b_out = np.empty_like(e_out)
+    for idx, t in enumerate(times):
+        if idx > 0 and source is not None:
+            h = (t - times[idx - 1]) / substeps
+            nodes = times[idx - 1] + h * np.arange(substeps + 1)
+            fp = [integrand(float(tn), +1.0) for tn in nodes]
+            fm = [integrand(float(tn), -1.0) for tn in nodes]
+            for pair in range(substeps // 2):
+                accum_p += (h / 3.0) * (fp[2 * pair] + 4.0 * fp[2 * pair + 1] + fp[2 * pair + 2])
+                accum_m += (h / 3.0) * (fm[2 * pair] + 4.0 * fm[2 * pair + 1] + fm[2 * pair + 2])
+        f_p = rotate(f_plus0 + accum_p, float(t), +1.0)
+        f_m = rotate(f_minus0 + accum_m, float(t), -1.0)
+        e_out[idx] = np.fft.ifftn(0.5 * (f_p + f_m), axes=axes)
+        b_out[idx] = np.fft.ifftn((f_p - f_m) / 2j, axes=axes)
+    return e_out, b_out
+
+
+_REFERENCE_CASES = {
+    "1d-dipole": (GridSpec((64,), (TWO_PI,)), [0, 1, 0], np.linspace(0.0, 2.0, 9), 16, 1.0),
+    "3d-dipole-c1.7": (GridSpec((8, 8, 8), (TWO_PI, 5.0, 7.0)), [0.3, 1.0, -0.2],
+                       np.linspace(0.0, 1.5, 6), 8, 1.7),
+    "unequal-steps": (GridSpec((16, 8), (TWO_PI, 4.0)), [1, 0.5, 0],
+                      np.array([0.0, 0.1, 0.35, 0.4, 1.2, 2.0]), 6, 0.6),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_CASES))
+def test_simpson_sums_match_node_by_node_reference(name, monkeypatch):
+    g, direction, times, substeps, c = _REFERENCE_CASES[name]
+    src = states.gaussian_dipole_current(g, direction, 1.0, 0.8, 3.0)
+    em0 = _band_limited_divfree(g, 7) if g.ndim == 3 else EMField.zero(g)
+    e_ref, b_ref = _reference_maxwell_evolve(em0, src, times, substeps, c)
+    scale = max(np.max(np.abs(e_ref)), np.max(np.abs(b_ref)))
+    assert scale > 0.1
+    # all intervals in one block, then one interval and one mode per block
+    for block_bytes in (oracle._BLOCK_BYTES, 1):
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_bytes)
+        run = maxwell_evolve(em0, src, times, substeps=substeps, c=c)
+        assert np.max(np.abs(run.e - e_ref)) <= 1e-14 * scale
+        assert np.max(np.abs(run.b - b_ref)) <= 1e-14 * scale
+
+    rng = np.random.default_rng(3)
+    em_free = EMField(g, *(rng.standard_normal((2,) + g.shape + (3,)) + 0j))
+    e_ref, b_ref = _reference_maxwell_evolve(em_free, None, times, substeps, c)
+    free = maxwell_evolve(em_free, None, times, substeps=substeps, c=c)
+    assert np.array_equal(free.e, e_ref) and np.array_equal(free.b, b_ref)
+
+
+def test_sourced_oracle_memory_bounded():
+    g = GridSpec((16, 16, 16), (TWO_PI,) * 3)
+    src = states.gaussian_dipole_current(g, [0, 0, 1], 1.0, 0.8, 4.0)
+    em0 = EMField.zero(g)
+    times = np.linspace(0.0, 2.0, 9)
+    tracemalloc.start()
+    try:
+        run = maxwell_evolve(em0, src, times, substeps=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= run.e.nbytes + run.b.nbytes + 8 * 2 ** 20
+
+
+def test_simpson_sums_blocks_bounded_when_one_interval_is_larger():
+    # one interval of 129 nodes by 4096 distinct c|k| is 8 MiB of cos and sin
+    # alone, so the blocks must split the modes too
+    times, ck = np.linspace(0.0, 2.0, 5), np.linspace(0.0, 40.0, 4096)
+    tracemalloc.start()
+    try:
+        a, bd = oracle._simpson_sums(times, 128, 3.0, ck)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the previous block's phase and cos/sin may still be held as the next is made
+    assert peak <= a.nbytes + bd.nbytes + 3 * oracle._BLOCK_BYTES
