@@ -16,6 +16,7 @@ import inspect
 import json
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -237,13 +238,11 @@ def _make(function: str, block: dict, cfg: dict, grid: GridSpec):
 
 def _run_from_config(cfg: dict):
     grid = GridSpec(tuple(cfg["grid"]["points"]), tuple(cfg["grid"]["lengths"]))
-    psi0 = _make(_STATES[cfg["state"]["type"]], cfg["state"], cfg, grid)
+    psi0 = replace(_make(_STATES[cfg["state"]["type"]], cfg["state"], cfg, grid),
+                   c=cfg["c"], hbar=cfg["hbar"])
     source = cfg["source"] and _make(_SOURCES[cfg["source"]["type"]], cfg["source"], cfg, grid)
     times = np.linspace(0.0, cfg["duration"], cfg["samples"])
-    if source is None:
-        run = run_free(psi0, times, c=cfg["c"], hbar=cfg["hbar"])
-    else:
-        run = evolve_sourced(psi0, source, times, c=cfg["c"], hbar=cfg["hbar"])
+    run = run_free(psi0, times) if source is None else evolve_sourced(psi0, source, times)
     return run, psi0, source
 
 
@@ -254,7 +253,7 @@ def _sample_diagnostics(run, angular: bool):
     moments = _sample_moments(run.grid, run.values)
     norms = moments.norms * run.grid.cell_volume
     energies = _energies(moments, run.mass, run.c, run.hbar)
-    angular_series = _angular_series(run, moments, hbar=run.hbar) if angular else None
+    angular_series = _angular_series(run, moments) if angular else None
     return norms, energies, _alpha_series(run.times, moments), angular_series
 
 

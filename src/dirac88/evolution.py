@@ -4,7 +4,9 @@ Free propagation is exact per Fourier mode: with H(k)^2 = (hbar w)^2 the
 propagator is cos(w t) - i sin(w t) H / (hbar w), so every tolerance in
 free runs is round-off dominated.  Sourced runs are exact too: the source
 is separable in space and time, so the Duhamel integral of the source
-term has a closed form per mode.
+term has a closed form per mode.  The constants m, c and hbar of H come
+from the state (``SpinorField8``) and travel with it into every run,
+sample and mode decomposition.
 
 The velocity expectation <alpha>(t) over the whole box is the quantity
 whose oscillatory component is the Zitterbewegung.  For photon states the
@@ -17,7 +19,7 @@ decomposition into a dc part and a doubled-frequency carrier.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,7 +66,8 @@ class EvolutionRun:
     hbar: float = 1.0
 
     def sample(self, index: int) -> SpinorField8:
-        return SpinorField8(self.grid, self.values[index].copy(), kind=self.kind, mass=self.mass)
+        return SpinorField8(self.grid, self.values[index].copy(), self.kind, self.mass,
+                            self.c, self.hbar)
 
     @property
     def n_samples(self) -> int:
@@ -201,26 +204,24 @@ def _spectral(grid: GridSpec, mass: float, c: float, hbar: float) -> _Spectral:
     return _Spectral(grid, mass, c, hbar)
 
 
-def evolve_free(psi: SpinorField8, t: float, c: float = 1.0, hbar: float = 1.0) -> SpinorField8:
+def evolve_free(psi: SpinorField8, t: float) -> SpinorField8:
     """Free evolution by time t, exact up to round-off (no stepping error)."""
-    spectral = _spectral(psi.grid, psi.mass, c, hbar)
+    spectral = _spectral(psi.grid, psi.mass, psi.c, psi.hbar)
     hat = psi.grid.fft(psi.values)
-    values = psi.grid.ifft(spectral.propagate(hat, spectral.apply_h(hat), t))
-    return SpinorField8(psi.grid, values, kind=psi.kind, mass=psi.mass)
+    return replace(psi, values=psi.grid.ifft(spectral.propagate(hat, spectral.apply_h(hat), t)))
 
 
-def run_free(psi0: SpinorField8, times: np.ndarray, c: float = 1.0,
-             hbar: float = 1.0) -> EvolutionRun:
+def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
     """Sample free evolution on a time grid; each sample propagated from t = 0."""
     times = np.asarray(times, dtype=float)
     grid = psi0.grid
-    spectral = _spectral(grid, psi0.mass, c, hbar)
+    spectral = _spectral(grid, psi0.mass, psi0.c, psi0.hbar)
     hat0 = grid.fft(psi0.values)
     h_hat0 = spectral.apply_h(hat0)
     values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
     for i, t in enumerate(times):
         values[i] = grid.ifft(spectral.propagate(hat0, h_hat0, float(t)))
-    return EvolutionRun(grid, times, values, psi0.kind, psi0.mass, c, hbar)
+    return EvolutionRun(grid, times, values, psi0.kind, psi0.mass, psi0.c, psi0.hbar)
 
 
 def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float):
@@ -258,8 +259,7 @@ def _duhamel_kernels(w: np.ndarray, omega: float, t: float):
 
 
 def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
-                   c: float = 1.0, hbar: float = 1.0, constraint_tol: float = 1e-10,
-                   continuity_tol: float = 1e-8) -> EvolutionRun:
+                   constraint_tol: float = 1e-10, continuity_tol: float = 1e-8) -> EvolutionRun:
     """Evolve with a prescribed four-current source, exact up to round-off.
 
     Each sample is U(t) psi_hat_0 plus the Duhamel term
@@ -278,10 +278,11 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
         raise ConstraintViolation(
             f"source continuity residual {cont:.3e} exceeds {continuity_tol:.1e}")
 
-    spectral = _spectral(grid, psi0.mass, c, hbar)
+    hbar = psi0.hbar
+    spectral = _spectral(grid, psi0.mass, psi0.c, hbar)
     hat0 = grid.fft(psi0.values)
     h_hat0 = spectral.apply_h(hat0)
-    rho_part, j_part = _source_hat_parts(grid, source, c, hbar)
+    rho_part, j_part = _source_hat_parts(grid, source, psi0.c, hbar)
     h_rho, h_j = spectral.apply_h(rho_part), spectral.apply_h(j_part)
     values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
     for idx, t in enumerate(times):
@@ -294,15 +295,15 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
             raise ConstraintViolation(
                 f"constrained components reached {resid:.3e} at t = {t:.6g}; "
                 "check source continuity and the Gauss law of the initial data")
-    return EvolutionRun(grid, times, values, psi0.kind, psi0.mass, c, hbar)
+    return EvolutionRun(grid, times, values, psi0.kind, psi0.mass, psi0.c, psi0.hbar)
 
 
-def mode_decomposition(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> ModeDecomposition:
+def mode_decomposition(psi: SpinorField8) -> ModeDecomposition:
     """Split a state into positive/negative-frequency spectral amplitudes."""
     grid = psi.grid
-    spectral = _spectral(grid, psi.mass, c, hbar)
+    spectral = _spectral(grid, psi.mass, psi.c, psi.hbar)
     hat = grid.fft(psi.values)
-    ratio = (spectral.inv_omega / hbar)[..., None] * spectral.apply_h(hat)
+    ratio = (spectral.inv_omega / psi.hbar)[..., None] * spectral.apply_h(hat)
     plus = 0.5 * (hat + ratio)
     minus = 0.5 * (hat - ratio)
     zero = spectral.omega == 0.0
@@ -310,17 +311,16 @@ def mode_decomposition(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> 
         # static zero mode: keep the whole amplitude on the plus side
         plus[zero] = hat[zero]
         minus[zero] = 0.0
-    return ModeDecomposition(grid, plus, minus, spectral.omega, psi.mass, c, hbar)
+    return ModeDecomposition(grid, plus, minus, spectral.omega, psi.mass, psi.c, psi.hbar)
 
 
-def positive_frequency_amplitudes(psi: SpinorField8, c: float = 1.0,
-                                  hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def positive_frequency_amplitudes(psi: SpinorField8) -> tuple[np.ndarray, np.ndarray]:
     """Complex field amplitudes E(r), B(r) of the positive-frequency part.
 
     For a real monofrequency field, E(r, t) = E(r) e^{-iwt} + c.c. with
     these amplitudes.
     """
-    return extract_em_amplitudes(psi.grid.ifft(mode_decomposition(psi, c, hbar).plus))
+    return extract_em_amplitudes(psi.grid.ifft(mode_decomposition(psi).plus))
 
 
 def alpha_expectation_series(run: EvolutionRun) -> ExpectationSeries:
@@ -346,9 +346,10 @@ def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> Expectati
     return ExpectationSeries(run.times, out, f"velocity density at {index}")
 
 
-def energy_expectation(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> float:
+def energy_expectation(psi: SpinorField8) -> float:
     """<H> per unit norm (zero for an identically-zero state)."""
-    return float(_energies(_sample_moments(psi.grid, psi.values[None]), psi.mass, c, hbar)[0])
+    moments = _sample_moments(psi.grid, psi.values[None])
+    return float(_energies(moments, psi.mass, psi.c, psi.hbar)[0])
 
 
 def _energies(moments: _Moments, mass: float, c: float, hbar: float) -> np.ndarray:
@@ -359,9 +360,10 @@ def _energies(moments: _Moments, mass: float, c: float, hbar: float) -> np.ndarr
     return np.divide(num, moments.norms, out=np.zeros_like(num), where=moments.norms != 0.0)
 
 
-def momentum_velocity_prediction(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0) -> np.ndarray:
+def momentum_velocity_prediction(psi: SpinorField8) -> np.ndarray:
     """The drift part c <p H^-1> evaluated directly in mode space (zero for an
     identically-zero state)."""
+    c, hbar = psi.c, psi.hbar
     spectral = _spectral(psi.grid, psi.mass, c, hbar)
     hat = psi.grid.fft(psi.values)
     weight = (np.einsum("...a,...a->...", hat.conj(), spectral.apply_h(hat)).real
@@ -371,8 +373,8 @@ def momentum_velocity_prediction(psi: SpinorField8, c: float = 1.0, hbar: float 
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
-def zitter_lines(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0,
-                 max_lines: int = 8, floor: float = 1e-10) -> list[tuple[np.ndarray, float, float]]:
+def zitter_lines(psi: SpinorField8, max_lines: int = 8,
+                 floor: float = 1e-10) -> list[tuple[np.ndarray, float, float]]:
     """Strongest (k, 2 w(k), strength) interference lines of a state.
 
     Strength is the product of the positive- and negative-branch
@@ -381,12 +383,12 @@ def zitter_lines(psi: SpinorField8, c: float = 1.0, hbar: float = 1.0,
     below ``floor`` are dropped as round-off, so an identically-zero state
     has none.
     """
-    dec = mode_decomposition(psi, c, hbar)
+    dec = mode_decomposition(psi)
     pop_plus = np.sqrt(np.einsum("...a,...a->...", dec.plus.conj(), dec.plus).real)
     pop_minus = np.sqrt(np.einsum("...a,...a->...", dec.minus.conj(), dec.minus).real)
     norm = np.sum(pop_plus ** 2 + pop_minus ** 2)
     cross = np.divide(pop_plus * pop_minus, norm, out=np.zeros_like(pop_plus), where=norm != 0.0)
-    k = _spectral(psi.grid, psi.mass, c, hbar).k
+    k = _spectral(psi.grid, psi.mass, psi.c, psi.hbar).k
     flat = np.argsort(cross.reshape(-1))[::-1][:max_lines]
     lines = []
     for fi in flat:
@@ -452,9 +454,9 @@ def zitter_decompose(run: EvolutionRun, series: ExpectationSeries | None = None,
     dc = series.values.mean(axis=0)
     osc = series.values - dc
     amplitude = np.sqrt(2.0 * np.mean(osc ** 2, axis=0))
-    prediction = momentum_velocity_prediction(psi0, run.c, run.hbar)
+    prediction = momentum_velocity_prediction(psi0)
 
-    lines = zitter_lines(psi0, run.c, run.hbar)
+    lines = zitter_lines(psi0)
     if not lines:
         # single energy branch everywhere: nothing oscillates, nothing to fit
         return ZitterReport(dc, prediction, amplitude, 0.0, 0.0, 0.0, [])
@@ -506,7 +508,7 @@ def zitter_equals_poynting(run: EvolutionRun, omega: float,
     the reconstruction dc + osc e^{-2iwt} + c.c. from psi+ alpha psi / 2.
     """
     if e_amp is None or b_amp is None:
-        e_amp, b_amp = positive_frequency_amplitudes(run.sample(0), run.c, run.hbar)
+        e_amp, b_amp = positive_frequency_amplitudes(run.sample(0))
     dc, osc = poynting_split(e_amp, b_amp)
     dv = run.grid.cell_volume
     grid_axes = tuple(range(run.grid.ndim))

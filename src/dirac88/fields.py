@@ -6,8 +6,8 @@ Vector fields have shape (*grid, 3), wave-functions (*grid, 8); storage
 is complex throughout, with reality enforced only where classical fields
 are read out.
 
-Units are Gaussian; c and hbar enter as explicit constants where they
-appear in formulas (natural units c = hbar = 1 by default).
+Units are Gaussian; a wave-function carries the m, c and hbar of its
+Hamiltonian (natural units c = hbar = 1 by default).
 """
 
 from __future__ import annotations
@@ -157,20 +157,20 @@ class EMField:
         z = np.zeros(grid.shape + (3,), dtype=complex)
         return cls(grid, z, z.copy())
 
-    def reality_residual(self) -> float:
-        return float(max(np.max(np.abs(self.e.imag), initial=0.0),
-                         np.max(np.abs(self.b.imag), initial=0.0)))
-
 
 @dataclass
 class SpinorField8:
     """Eight complex components per grid point plus kind ('photon' states
-    keep components 0 and 4 at zero) and a rest mass."""
+    keep components 0 and 4 at zero) and the units of its Hamiltonian: rest
+    mass, c and hbar.  ``dataclasses.replace(psi, c=2.0)`` sets other units
+    on the same values."""
 
     grid: GridSpec
     values: np.ndarray
     kind: str = GENERIC
     mass: float = 0.0
+    c: float = 1.0
+    hbar: float = 1.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)

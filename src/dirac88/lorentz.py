@@ -21,7 +21,7 @@ Three independent routes transform field amplitudes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,7 +160,7 @@ def em_transform_matrix(boost: Boost) -> np.ndarray:
 def _apply_matrix(psi, matrix: np.ndarray):
     if isinstance(psi, SpinorField8):
         out = np.einsum("ab,...b->...a", matrix, psi.values)
-        return SpinorField8(psi.grid, out, kind=psi.kind, mass=psi.mass)
+        return replace(psi, values=out)
     return np.einsum("ab,...b->...a", matrix, np.asarray(psi, dtype=complex))
 
 

@@ -34,9 +34,6 @@ class OracleRun:
     e: np.ndarray      # (n_times, *grid, 3)
     b: np.ndarray
 
-    def sample(self, index: int) -> EMField:
-        return EMField(self.grid, self.e[index].copy(), self.b[index].copy())
-
     def energy(self, index: int) -> float:
         e = self.e[index].real
         b = self.b[index].real

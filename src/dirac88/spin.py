@@ -43,9 +43,6 @@ class SpinOperator:
     label: str
     hbar: float = 1.0
 
-    def __iter__(self):
-        return iter(self.components)
-
 
 @dataclass
 class ExpectationSeries:
@@ -172,23 +169,24 @@ def _warn_if_packet_too_wide(run):
             return
 
 
-def angular_momentum_series(run, operator: SpinOperator | None = None,
-                            hbar: float = 1.0) -> tuple[ExpectationSeries, ExpectationSeries, ExpectationSeries]:
+def angular_momentum_series(run, operator: SpinOperator | None = None
+                            ) -> tuple[ExpectationSeries, ExpectationSeries, ExpectationSeries]:
     """Orbital, spin, and total angular-momentum expectations over a run.
 
     <L> integrates psi+ (r x p) psi with box-centred coordinates and the
-    spectral momentum; <S> uses the kind-appropriate operator (spin-1 for
-    photon runs, spin-1/2 otherwise) unless one is passed explicitly.
-    Both are normalised by the wave-function norm (zero for identically-zero
-    samples).  Warns when a localised packet reaches the box boundary
-    (wrap-around corrupts <L>).
+    spectral momentum p = hbar k; <S> uses the kind-appropriate operator
+    (spin-1 for photon runs, spin-1/2 otherwise) unless one is passed
+    explicitly.  Both take hbar from the run and are normalised by the
+    wave-function norm (zero for identically-zero samples).  Warns when a
+    localised packet reaches the box boundary (wrap-around corrupts <L>).
     """
-    return _angular_series(run, _sample_moments(run.grid, run.values), operator, hbar)
+    return _angular_series(run, _sample_moments(run.grid, run.values), operator)
 
 
-def _angular_series(run, moments: _Moments, operator: SpinOperator | None = None,
-                    hbar: float = 1.0) -> tuple[ExpectationSeries, ExpectationSeries, ExpectationSeries]:
+def _angular_series(run, moments: _Moments, operator: SpinOperator | None = None
+                    ) -> tuple[ExpectationSeries, ExpectationSeries, ExpectationSeries]:
     """``angular_momentum_series`` from the grid moments of the run's samples."""
+    hbar = run.hbar
     if operator is None:
         operator = spin_one(hbar) if run.kind == PHOTON else spin_half(hbar)
     _warn_if_packet_too_wide(run)

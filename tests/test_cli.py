@@ -498,6 +498,11 @@ NAN = float("nan")
     ("zitter", zitter_cfg, "state.type", lambda cfg: cfg.update(state={"type": "zero_field"})),
     ("zitter", zitter_cfg, "state.amplitude",
      lambda cfg: cfg.update(state={"type": "travelling_wave", "mode": 1, "amplitude": 0})),
+    *(("evolve", evolve_cfg, "state.mode", lambda cfg, wave=wave: cfg.update(
+        state={"type": wave, "mode": 0})) for wave in ("travelling_wave", "standing_wave",
+                                                        "circular_analytic")),
+    ("evolve", evolve_cfg, "state.polarisation", lambda cfg: cfg["state"].update(polarisation="z")),
+    ("zitter", zitter_cfg, "mass", lambda cfg: cfg.update(mass=0)),
 ], ids=["substeps-zero", "substeps-odd", "duration-nan", "mass-nan", "state-amplitude-nan",
         "checks-tolerance-nan", "source-amplitude-nan", "source-omega-nan", "source-sigma-nan",
         "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan",
@@ -505,7 +510,9 @@ NAN = float("nan")
         "source-center-string", "state-center-nan", "direction-nan", "k0-mode-string",
         "k0-mode-float", "helicity-bool", "check-tolerance-bool", "violate-continuity-string",
         "no-oscillation-string", "evolve-series-unknown", "zitter-series-unknown",
-        "zitter-zero-field", "zitter-zero-amplitude"])
+        "zitter-zero-field", "zitter-zero-amplitude", "travelling-mode-zero",
+        "standing-mode-zero", "circular-mode-zero", "polarisation-along-mode",
+        "rest-mix-massless"])
 def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)
@@ -533,6 +540,33 @@ def test_zero_norm_samples_have_zero_expectations(tmp_path):
     assert run_command("zitter", write_cfg(tmp_path, "zitter.json", cfg), str(out)) == 0
     zit = json.loads((out / "zitter.json").read_text())
     assert zit["lines"] == [] and zit["dc_prediction"] == [0.0, 0.0, 0.0]
+
+
+def test_zitter_too_short_run_records_fit_error(tmp_path):
+    # the dominant line 2ck = 2 needs a run of 2 pi; FitError is a failed row
+    cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 0.5, "samples": 16,
+           "state": {"type": "standing_wave", "mode": 1}}
+    out = tmp_path / "o"
+    assert run_command("zitter", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
+    rows = read_summary(out)["checks"]
+    assert [(row["name"], row["pass"]) for row in rows] == [("FitError", False)]
+
+
+@pytest.mark.filterwarnings("ignore:density RMS width")
+@pytest.mark.parametrize("tiny", [1e-300, 1e-200])
+def test_electron_packet_tiny_weight_is_the_unit_weight(tmp_path, tiny):
+    # only the ratio of the branch weights matters, however small they are; the
+    # one-branch projection spreads over the 4x2x2 box, so <L> warns by design
+    def artifacts(weight):
+        cfg = {"grid": {"points": [4, 2, 2], "lengths": [4.0, 4.0, 4.0]}, "mass": 1.0,
+               "duration": 1.0, "samples": 4, "series": "angular_momentum",
+               "state": {"type": "electron_packet", "sigma": 0.3, "plus_weight": 0,
+                         "minus_weight": weight}}
+        out = tmp_path / str(weight)
+        assert run_command("evolve", write_cfg(tmp_path, f"{weight}.json", cfg), str(out)) == 0
+        return [(out / name).read_bytes() for name in ("samples.csv", "angular_momentum.csv")]
+
+    assert artifacts(tiny) == artifacts(1)
 
 
 def compare_cfg():
@@ -613,6 +647,12 @@ def readme_key_tables():
         elif line.startswith("#"):
             commands = []
     return tables
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
 
 
 def test_readme_tables_list_the_schema_keys():

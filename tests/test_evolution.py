@@ -1,3 +1,6 @@
+import inspect
+from dataclasses import fields, replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from dirac88.evolution import (_duhamel_kernels, _spectral, alpha_density_series
                                poynting_split, run_free, zitter_decompose,
                                zitter_equals_poynting, zitter_lines)
 from dirac88.fields import EMField, GridSpec, SpinorField8, divergence, embed_em, extract_em
+from dirac88.lorentz import Boost, em_wavefunction_transform
 from dirac88.oracle import compare, maxwell_evolve
+from dirac88.spin import _angular_series, angular_momentum_series
 from dirac88 import states
 
 TWO_PI = 2 * np.pi
@@ -81,7 +86,7 @@ def test_energy_expectation_matches_dense_per_mode(grid, seed):
               for idx in np.ndindex(grid.shape))
     weights = np.sum(np.abs(hat) ** 2, axis=-1)
     scale = hbar * np.sum(weights * omega_k(k, mass, c, hbar)) / np.sum(weights)
-    energy = energy_expectation(SpinorField8(grid, values, mass=mass), c, hbar)
+    energy = energy_expectation(SpinorField8(grid, values, mass=mass, c=c, hbar=hbar))
     assert abs(energy - num / np.sum(weights)) <= 1e-13 * scale
 
 
@@ -303,6 +308,13 @@ def test_sourced_gauss_initial_data_rejected():
         evolve_sourced(psi0, src, np.linspace(0, 1.0, 8))
 
 
+def test_sourced_electron_state_rejected():
+    g = grid1d(16)
+    src = states.uniform_current(g, [0, 1, 0], 1.0, 1.0)
+    with pytest.raises(ValueError, match="photon-embedded"):
+        evolve_sourced(states.electron_rest_mix(g, mass=1.0), src, np.linspace(0, 1.0, 8))
+
+
 # --- velocity expectation and jitter ------------------------------------
 
 def test_alpha_constant_for_photon_volume():
@@ -383,13 +395,48 @@ def test_dc_equals_drift_prediction_over_full_periods():
 def test_electron_jitter_units():
     g = grid1d(16)
     c, hbar, m = 2.0, 1.5, 0.8
-    psi = states.electron_rest_mix(g, mass=m)
+    psi = replace(states.electron_rest_mix(g, mass=m), c=c, hbar=hbar)
     expected = 2.0 * m * c * c / hbar
     duration = 3.0 * TWO_PI / expected
-    run = run_free(psi, np.linspace(0.0, duration, 64), c=c, hbar=hbar)
+    run = run_free(psi, np.linspace(0.0, duration, 64))
     rep = zitter_decompose(run)
     assert rep.expected_frequency == pytest.approx(expected)
     assert rep.relative_frequency_error < 1e-6
+
+
+def test_sample_carries_the_run_units():
+    # <H> of a positive-frequency rest electron is m c^2 in the state's own units
+    psi = states.electron_rest_mix(grid1d(16), mass=0.8, plus_weight=1.0, minus_weight=0.0)
+    run = run_free(replace(psi, c=2.0, hbar=1.5), np.linspace(0.0, 1.0, 4))
+    assert abs(energy_expectation(run.sample(0)) - 0.8 * 2.0 ** 2) <= 1e-12
+
+
+def test_units_travel_with_the_state():
+    g = grid1d(16)
+    units = {"c": 2.0, "hbar": 1.5}
+    photon = replace(states.travelling_wave(g, 1, "x"), **units)
+    electron = replace(states.electron_rest_mix(g, mass=0.8), **units)
+    src = states.uniform_current(g, [0, 1, 0], 1.0, 1.0)
+    times = np.linspace(0.0, 1.0, 4)
+    carriers = [evolve_free(electron, 0.5), run_free(electron, times),
+                run_free(electron, times).sample(2), evolve_sourced(photon, src, times),
+                mode_decomposition(electron), em_wavefunction_transform(photon, Boost((0, 0, 0.6)))]
+    for carrier in carriers:
+        assert (carrier.c, carrier.hbar) == (2.0, 1.5), type(carrier).__name__
+
+
+def test_spinor_field_fields():
+    names = [field.name for field in fields(SpinorField8)]
+    assert names == ["grid", "values", "kind", "mass", "c", "hbar"]
+
+
+@pytest.mark.parametrize("function", [
+    evolve_free, run_free, evolve_sourced, mode_decomposition, positive_frequency_amplitudes,
+    energy_expectation, momentum_velocity_prediction, zitter_lines, angular_momentum_series,
+    _angular_series], ids=lambda function: function.__name__)
+def test_functions_of_a_state_take_no_units(function):
+    # c and hbar come from the state or run, so they cannot disagree with it
+    assert not {"c", "hbar"} & set(inspect.signature(function).parameters)
 
 
 def test_positive_packet_drift_matches_prediction():
@@ -521,8 +568,8 @@ def test_propagator_unitary_and_composes_on_random_grids(points, mass, c, hbar, 
     rng = np.random.default_rng(seed)
     grid = GridSpec(tuple(points), tuple(rng.uniform(2.0, 8.0, len(points))))
     values = rng.standard_normal(grid.shape + (8,)) + 1j * rng.standard_normal(grid.shape + (8,))
-    psi = SpinorField8(grid, values, kind="electron", mass=mass)
-    one = evolve_free(evolve_free(psi, t1, c=c, hbar=hbar), t2, c=c, hbar=hbar)
-    both = evolve_free(psi, t1 + t2, c=c, hbar=hbar)
+    psi = SpinorField8(grid, values, kind="electron", mass=mass, c=c, hbar=hbar)
+    one = evolve_free(evolve_free(psi, t1), t2)
+    both = evolve_free(psi, t1 + t2)
     assert abs(np.linalg.norm(both.values) / np.linalg.norm(values) - 1.0) < 1e-13
     assert np.max(np.abs(one.values - both.values)) < 1e-13 * np.max(np.abs(values))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,14 @@ def test_circular_wave_helicity_and_conservation():
         assert np.max(np.abs(orbital.values)) < 1e-12
 
 
+def test_spin_in_the_run_hbar():
+    # a helicity +1 wave carries S_z = hbar in the units of its state
+    psi = states.circular_wave_analytic(GridSpec((16,), (TWO_PI,)), 2, 1)
+    run = run_free(replace(psi, hbar=1.5), np.linspace(0.0, 1.0, 5))
+    _, spin, _ = angular_momentum_series(run)
+    assert np.max(np.abs(spin.values[:, 2] - 1.5)) <= 1e-12
+
+
 @pytest.mark.filterwarnings("ignore:density RMS width")
 def test_linear_wave_no_spin():
     # a full-box wave triggers the width warning by design; its spin
@@ -174,7 +184,7 @@ def test_angular_momentum_matches_full_transform_reference(grid, seed):
     values = (rng.standard_normal((3,) + grid.shape + (8,))
               + 1j * rng.standard_normal((3,) + grid.shape + (8,)))
     run = EvolutionRun(grid, np.arange(3.0), values, "electron", 1.3, 1.7, hbar)
-    orbital, spin, total = angular_momentum_series(run, hbar=hbar)
+    orbital, spin, total = angular_momentum_series(run)
     axes = tuple(range(grid.ndim))
     pos, k, dv = grid.positions(), grid.wave_vectors(), grid.cell_volume
     op = spin_half(hbar).components
