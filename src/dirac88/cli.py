@@ -26,14 +26,15 @@ import numpy as np
 from . import states
 from .algebra import verify_identities
 from .errors import ConfigError, ConstraintViolation, Dirac88Error, FitError
-from .evolution import (_alpha_series, _energies, _spectral, alpha_density_series,
-                        evolve_sourced, run_free, zitter_decompose)
-from .fields import GridSpec, _sample_moments, extract_em, save_em_csv
+from .evolution import (alpha_density_series, alpha_expectation_series,
+                        energy_expectation_series, evolve_sourced, omega_k, run_free,
+                        zitter_decompose)
+from .fields import GridSpec, constraint_residual, extract_em, save_em_csv
 from .lorentz import (Boost, closed_form_field_boost, em_wavefunction_transform,
                       nonmomentum_boost_residual, tensor_boost_oracle)
 from .oracle import compare, maxwell_evolve
-from .spin import (_angular_series, closure_deviation, photon_spin_selection, spin_half,
-                   spin_one, verify_spin_evolution, write_angular_momentum_csv)
+from .spin import (angular_momentum_series, closure_deviation, photon_spin_selection,
+                   spin_half, spin_one, verify_spin_evolution, write_angular_momentum_csv)
 
 __all__ = ["main", "run_command"]
 
@@ -246,17 +247,6 @@ def _run_from_config(cfg: dict):
     return run, psi0, source
 
 
-def _sample_diagnostics(run, angular: bool):
-    """Norm, <H>, <alpha> and, if ``angular``, the angular-momentum series of
-    every sample from one pass over the samples; shared by the checks and
-    the CSVs."""
-    moments = _sample_moments(run.grid, run.values)
-    norms = moments.norms * run.grid.cell_volume
-    energies = _energies(moments, run.mass, run.c, run.hbar)
-    angular_series = _angular_series(run, moments) if angular else None
-    return norms, energies, _alpha_series(run.times, moments), angular_series
-
-
 def _evolve_checks(wanted: dict, run, norms, energies, angular, checks: _Checks):
     if "norm_drift" in wanted:
         # meaningful for free runs; sourced runs inject norm and fail it
@@ -267,15 +257,14 @@ def _evolve_checks(wanted: dict, run, norms, energies, angular, checks: _Checks)
         # real classical fields have <H> = 0 exactly (balanced branches);
         # scale by the populated mode frequencies instead
         weights = np.sum(np.abs(run.grid.fft(run.values[0])) ** 2, axis=-1)
-        w = _spectral(run.grid, run.mass, run.c, run.hbar).omega
+        w = omega_k(run.grid.wave_vectors(), run.mass, run.c, run.hbar)
         omega_scale = run.hbar * float(np.sum(weights * w) / max(np.sum(weights), 1e-300))
         scale = max(abs(energies[0]), omega_scale, 1e-300)
         checks.add("energy conservation", "Hamiltonian expectation constant",
                    (np.max(energies) - np.min(energies)) / scale, wanted["energy_drift"])
     if "constraint" in wanted:
-        resid = float(max(np.max(np.abs(run.values[..., 0])), np.max(np.abs(run.values[..., 4]))))
         checks.add("constrained components stay zero", "Gauss-law rows of the wave-function",
-                   resid, wanted["constraint"])
+                   constraint_residual(run.values), wanted["constraint"])
     if "angular_momentum_drift" in wanted:
         total = angular[2].values
         scale = max(float(np.max(np.abs(total))), 1.0)
@@ -331,10 +320,13 @@ def _cmd_spin_check(cfg: dict, outdir: Path, checks: _Checks):
 def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     wanted = {name: tol for name, tol in cfg["checks"].items() if tol is not None}
     run, psi0, source = _run_from_config(cfg)
-    norms, energies, alpha, angular = _sample_diagnostics(
-        run, "angular_momentum_drift" in wanted or cfg["series"] == "angular_momentum")
+    # every series below reads run.moments, one pass over the samples
+    norms, energies = run.moments.norms * run.grid.cell_volume, energy_expectation_series(run)
+    angular = (angular_momentum_series(run) if "angular_momentum_drift" in wanted
+               or cfg["series"] == "angular_momentum" else None)
     _evolve_checks(wanted, run, norms, energies, angular, checks)
-    _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
+    _write_samples_csv(outdir / "samples.csv", run.times, norms, energies,
+                       alpha_expectation_series(run))
     for snap in cfg["outputs"]["snapshots"]:
         em = extract_em(run.sample(snap), tol=1e-6)
         save_em_csv(outdir / f"fields-{snap % run.n_samples}.csv", em)
@@ -344,8 +336,8 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
 
 def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
     run, psi0, _ = _run_from_config(cfg)
-    norms, energies, alpha, _ = _sample_diagnostics(run, angular=False)
-    series = alpha
+    norms, energies = run.moments.norms * run.grid.cell_volume, energy_expectation_series(run)
+    series = alpha = alpha_expectation_series(run)
     if cfg["series"] == "point":
         series = alpha_density_series(run, tuple(cfg["point_index"]))
     report = zitter_decompose(run, series)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConstraintViolation, DegenerateMode, FitError
 from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
                      SpinorField8, _alpha_density, _Moments, _sample_moments,
-                     extract_em_amplitudes)
+                     constraint_residual, extract_em_amplitudes)
 from .spin import ExpectationSeries
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "alpha_density_series",
     "momentum_velocity_prediction",
     "energy_expectation",
+    "energy_expectation_series",
     "zitter_lines",
     "zitter_decompose",
     "poynting_split",
@@ -55,7 +56,8 @@ __all__ = [
 
 @dataclass
 class EvolutionRun:
-    """Immutable sample snapshots of a wave-function over a time grid."""
+    """Immutable sample snapshots of a wave-function over a time grid; ``values``
+    is a read-only view, so the one ``moments`` pass every diagnostic reads stays valid."""
 
     grid: GridSpec
     times: np.ndarray
@@ -64,6 +66,15 @@ class EvolutionRun:
     mass: float
     c: float = 1.0
     hbar: float = 1.0
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values).view()
+        self.values.flags.writeable = False
+
+    @functools.cached_property
+    def moments(self) -> _Moments:
+        """Grid sums of every sample: norms, Gram matrices and momentum sums."""
+        return _sample_moments(self.grid, self.values)
 
     def sample(self, index: int) -> SpinorField8:
         return SpinorField8(self.grid, self.values[index].copy(), self.kind, self.mass,
@@ -289,7 +300,7 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
         cc, cr, r = (k[..., None] for k in _duhamel_kernels(spectral.omega, source.omega, float(t)))
         duhamel = cr * rho_part + cc * j_part - 1j * (r * h_rho + cr * h_j) / hbar
         values[idx] = grid.ifft(spectral.propagate(hat0, h_hat0, float(t)) + duhamel / (1j * hbar))
-        resid = float(max(np.max(np.abs(values[idx][..., 0])), np.max(np.abs(values[idx][..., 4]))))
+        resid = constraint_residual(values[idx])
         scale = max(float(np.max(np.abs(values[idx]))), 1.0)
         if resid > constraint_tol * scale:
             raise ConstraintViolation(
@@ -326,21 +337,17 @@ def positive_frequency_amplitudes(psi: SpinorField8) -> tuple[np.ndarray, np.nda
 def alpha_expectation_series(run: EvolutionRun) -> ExpectationSeries:
     """<alpha>(t) = int psi+ alpha psi / int psi+ psi per sample (zero for
     identically-zero samples)."""
-    return _alpha_series(run.times, _sample_moments(run.grid, run.values, momenta=False))
-
-
-def _alpha_series(times: np.ndarray, moments: _Moments) -> ExpectationSeries:
-    """``alpha_expectation_series`` from the samples' Gram matrices."""
-    num = np.einsum("iab,sab->si", _ALPHA, moments.gram).real
-    norm = np.trace(moments.gram, axis1=1, axis2=2).real[:, None]
+    gram = run.moments.gram
+    num = np.einsum("iab,sab->si", _ALPHA, gram).real
+    norm = np.trace(gram, axis1=1, axis2=2).real[:, None]
     out = np.divide(num, norm, out=np.zeros_like(num), where=norm > 0.0)
-    return ExpectationSeries(times, out, "velocity expectation")
+    return ExpectationSeries(run.times, out, "velocity expectation")
 
 
 def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> ExpectationSeries:
     """The local velocity density psi+ alpha psi at one grid point, normalised
     by the (conserved) total norm; carries the pointwise jitter."""
-    norms = np.array([np.sum(np.abs(values) ** 2) for values in run.values])[:, None]
+    norms = run.moments.norms[:, None]
     density = _alpha_density(run.values[(slice(None),) + tuple(index)])
     out = np.divide(density, norms, out=np.zeros_like(density), where=norms > 0.0)
     return ExpectationSeries(run.times, out, f"velocity density at {index}")
@@ -348,15 +355,16 @@ def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> Expectati
 
 def energy_expectation(psi: SpinorField8) -> float:
     """<H> per unit norm (zero for an identically-zero state)."""
-    moments = _sample_moments(psi.grid, psi.values[None])
-    return float(_energies(moments, psi.mass, psi.c, psi.hbar)[0])
+    return float(energy_expectation_series(EvolutionRun(
+        psi.grid, np.zeros(1), psi.values[None], psi.kind, psi.mass, psi.c, psi.hbar))[0])
 
 
-def _energies(moments: _Moments, mass: float, c: float, hbar: float) -> np.ndarray:
+def energy_expectation_series(run: EvolutionRun) -> np.ndarray:
     """<H> per unit norm of each sample: c hbar sum psi+ alpha'.k psi plus
-    m c^2 sum_a beta'_aa G_aa, over sum |psi|^2."""
-    mass_term = mass * c * c * np.einsum("a,saa->s", np.diag(_BETA).real, moments.gram).real
-    num = c * hbar * moments.kinetic + mass_term
+    m c^2 sum_a beta'_aa G_aa, over sum |psi|^2 (zero for identically-zero samples)."""
+    moments, c = run.moments, run.c
+    mass_term = run.mass * c * c * np.einsum("a,saa->s", np.diag(_BETA).real, moments.gram).real
+    num = c * run.hbar * moments.kinetic + mass_term
     return np.divide(num, moments.norms, out=np.zeros_like(num), where=moments.norms != 0.0)
 
 

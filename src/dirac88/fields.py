@@ -35,6 +35,7 @@ __all__ = [
     "divergence",
     "curl",
     "energy_and_poynting",
+    "constraint_residual",
     "save_spinor_csv",
     "load_spinor_csv",
     "save_em_csv",
@@ -185,8 +186,13 @@ class SpinorField8:
 
     def constraint_residual(self) -> float:
         """Largest magnitude on the two constrained components."""
-        return float(max(np.max(np.abs(self.values[..., 0])),
-                         np.max(np.abs(self.values[..., 4]))))
+        return constraint_residual(self.values)
+
+
+def constraint_residual(values: np.ndarray) -> float:
+    """Largest magnitude on the constrained components 0 and 4 of ``values`` (..., 8)."""
+    return float(max(np.max(np.abs(values[..., 0]), initial=0.0),
+                     np.max(np.abs(values[..., 4]), initial=0.0)))
 
 
 @dataclass
@@ -319,19 +325,19 @@ class _Moments:
 
     ``norms[s]`` is sum |psi|^2 (numpy's pairwise sum) and ``gram[s]`` the
     8x8 Gram matrix G_ab = sum psi_a* psi_b, so that sum psi+ M psi =
-    sum_ab M_ab G_ab for any constant matrix M.  The momentum sums are None
-    unless asked for: ``kinetic[s]`` = sum psi+ (alpha'.k) psi and
-    ``rk[s, i, j]`` = sum r_i psi+ (k_j psi) for Cartesian i != j (zero
-    otherwise), with k the spectral wave-vector operator -i grad.
+    sum_ab M_ab G_ab for any constant matrix M.  The momentum sums are
+    ``kinetic[s]`` = sum psi+ (alpha'.k) psi and ``rk[s, i, j]`` =
+    sum r_i psi+ (k_j psi) for Cartesian i != j (zero otherwise), with k the
+    spectral wave-vector operator -i grad.
     """
 
     norms: np.ndarray
     gram: np.ndarray
-    kinetic: np.ndarray | None
-    rk: np.ndarray | None
+    kinetic: np.ndarray
+    rk: np.ndarray
 
 
-def _sample_moments(grid: GridSpec, values: np.ndarray, momenta: bool = True) -> _Moments:
+def _sample_moments(grid: GridSpec, values: np.ndarray) -> _Moments:
     """Every volume diagnostic of a stack of samples in one pass over them.
 
     The momentum sums take one 1-D DFT per grid axis b, A_b = fft(psi,
@@ -344,8 +350,8 @@ def _sample_moments(grid: GridSpec, values: np.ndarray, momenta: bool = True) ->
     n = len(values)
     norms = np.empty(n)
     gram = np.empty((n, 8, 8), dtype=complex)
-    kinetic = np.zeros(n) if momenta else None
-    rk = np.zeros((n, 3, 3)) if momenta else None
+    kinetic = np.zeros(n)
+    rk = np.zeros((n, 3, 3))
     coords = grid.axis_coords()
     cart = grid.spatial_axes
     k_axes = grid._axis_wave_numbers()
@@ -355,8 +361,6 @@ def _sample_moments(grid: GridSpec, values: np.ndarray, momenta: bool = True) ->
         norms[s] = np.sum(np.abs(v) ** 2)
         flat = v.reshape(-1, 8)
         gram[s] = flat.conj().T @ flat
-        if not momenta:
-            continue
         for b, n_b in enumerate(grid.points):
             a_b = np.fft.fft(v, axis=b)
             lines = np.moveaxis(a_b, b, 0).reshape(n_b, -1, 8)
@@ -446,13 +450,16 @@ def _read_csv(path: Path) -> tuple[GridSpec, np.ndarray, dict]:
 
 
 def save_spinor_csv(path, psi: SpinorField8):
-    _write_csv(Path(path), psi.grid, psi.values, 8, {"kind": psi.kind, "mass": psi.mass})
+    _write_csv(Path(path), psi.grid, psi.values, 8,
+               {"kind": psi.kind, "mass": psi.mass, "c": psi.c, "hbar": psi.hbar})
 
 
 def load_spinor_csv(path) -> SpinorField8:
+    """The state ``save_spinor_csv`` wrote; a sidecar without units loads c = hbar = 1."""
     grid, values, meta = _read_csv(Path(path))
     return SpinorField8(grid, values, kind=meta.get("kind", GENERIC),
-                        mass=float(meta.get("mass", 0.0)))
+                        mass=float(meta.get("mass", 0.0)), c=float(meta.get("c", 1.0)),
+                        hbar=float(meta.get("hbar", 1.0)))
 
 
 def save_em_csv(path, em: EMField):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import generators, levi_civita, pauli_matrices
 from .errors import ConstraintViolation
-from .fields import PHOTON, SpinorField8, field_tensor
+from .fields import PHOTON, SpinorField8, constraint_residual, field_tensor
 
 __all__ = [
     "Boost",
@@ -175,8 +175,7 @@ def em_wavefunction_transform(psi, boost: Boost, tol: float = 1e-10):
         raise ValueError("electromagnetic boost law applies to photon-embedded states")
     out = _apply_matrix(psi, em_transform_matrix(boost))
     values = out.values if isinstance(out, SpinorField8) else out
-    resid = float(max(np.max(np.abs(values[..., 0]), initial=0.0),
-                      np.max(np.abs(values[..., 4]), initial=0.0)))
+    resid = constraint_residual(values)
     scale = float(np.max(np.abs(values)))
     if resid > tol * max(scale, 1.0):
         raise ConstraintViolation(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraReport, generators, levi_civita, transformed_dirac88
-from .fields import PHOTON, SpinorField8, _Moments, _sample_moments
+from .fields import PHOTON, SpinorField8, constraint_residual
 
 __all__ = [
     "SpinOperator",
@@ -134,7 +134,7 @@ def photon_spin_selection(psi: SpinorField8) -> SpinSelectionReport:
     for i in range(3):
         out1 = np.einsum("ab,...b->...a", spin_one().components[i], values)
         outh = np.einsum("ab,...b->...a", spin_half().components[i], values)
-        one_max = max(one_max, float(np.max(np.abs(out1[..., 0]))), float(np.max(np.abs(out1[..., 4]))))
+        one_max = max(one_max, constraint_residual(out1))
         for row in (0, 4):
             m = float(np.max(np.abs(outh[..., row])))
             if m > half_max:
@@ -165,7 +165,7 @@ def _warn_if_packet_too_wide(run):
             warnings.warn(
                 f"density RMS width {width:.3g} exceeds L/8 = {length / 8.0:.3g} on a "
                 "grid axis; orbital angular momentum picks up wrap-around error "
-                "from the box-centred coordinate", stacklevel=4)
+                "from the box-centred coordinate", stacklevel=3)
             return
 
 
@@ -180,17 +180,10 @@ def angular_momentum_series(run, operator: SpinOperator | None = None
     wave-function norm (zero for identically-zero samples).  Warns when a
     localised packet reaches the box boundary (wrap-around corrupts <L>).
     """
-    return _angular_series(run, _sample_moments(run.grid, run.values), operator)
-
-
-def _angular_series(run, moments: _Moments, operator: SpinOperator | None = None
-                    ) -> tuple[ExpectationSeries, ExpectationSeries, ExpectationSeries]:
-    """``angular_momentum_series`` from the grid moments of the run's samples."""
-    hbar = run.hbar
+    hbar, moments = run.hbar, run.moments
     if operator is None:
         operator = spin_one(hbar) if run.kind == PHOTON else spin_half(hbar)
     _warn_if_packet_too_wide(run)
-    times = np.asarray(run.times, dtype=float)
     # L_i = eps_ijk <r_j p_k> with p = hbar k; int psi+ S_i psi = sum_ab (S_i)_ab G_ab
     norm = np.trace(moments.gram, axis1=1, axis2=2).real[:, None]
     orbital = hbar * np.einsum("ijk,sjk->si", _EPS, moments.rk)
@@ -198,9 +191,9 @@ def _angular_series(run, moments: _Moments, operator: SpinOperator | None = None
     spin = np.einsum("iab,sab->si", operator.components, moments.gram).real
     spin = np.divide(spin, norm, out=np.zeros_like(spin), where=norm != 0.0)
     total = orbital + spin
-    return (ExpectationSeries(times, orbital, "orbital"),
-            ExpectationSeries(times, spin, "spin"),
-            ExpectationSeries(times, total, "total"))
+    return (ExpectationSeries(run.times, orbital, "orbital"),
+            ExpectationSeries(run.times, spin, "spin"),
+            ExpectationSeries(run.times, total, "total"))
 
 
 def write_angular_momentum_csv(path, orbital: ExpectationSeries, spin: ExpectationSeries,

@@ -38,6 +38,17 @@ def _phase(grid: GridSpec, k: np.ndarray) -> np.ndarray:
     return np.einsum("...i,i->...", grid.positions(), k)
 
 
+def _center(grid: GridSpec, center) -> np.ndarray:
+    """(x, y, z) of a centre given as None (the origin), one number or one per grid axis."""
+    out = np.zeros(3)
+    if center is not None:
+        center = np.asarray(center, dtype=float)
+        if center.ndim > 1 or center.ndim == 1 and len(center) != grid.ndim:
+            raise ValueError(f"center must be one number or one per grid axis, got {center}")
+        out[list(grid.spatial_axes)] = center
+    return out
+
+
 def zero_field(grid: GridSpec) -> SpinorField8:
     """The photon vacuum: E = B = 0."""
     return embed_em(EMField.zero(grid))
@@ -133,13 +144,7 @@ def electron_gaussian_packet(grid: GridSpec, mass: float, sigma: float,
         spinor[3] = 1.0
         spinor[2] = 0.5
     spinor = np.asarray(spinor, dtype=complex)
-    pos = grid.positions()
-    if center is None:
-        center = np.zeros(3)
-    center_full = np.zeros(3)
-    center_full[list(grid.spatial_axes)] = np.asarray(center, dtype=float)[: grid.ndim] \
-        if np.ndim(center) else center
-    delta = pos - center_full
+    delta = grid.positions() - _center(grid, center)
     env = np.exp(-np.einsum("...i,...i->...", delta, delta) / (4.0 * sigma ** 2))
     if k0_mode is not None:
         k0 = mode_wave_vector(grid, k0_mode)
@@ -167,13 +172,7 @@ def gaussian_dipole_current(grid: GridSpec, direction, amplitude: float,
                             violate_continuity: bool = False) -> FourCurrent:
     """Band-limited dipole: J = A d exp(-|r - r0|^2 / (2 sigma^2)) cos(w t)
     with the matching charge density (or, for negative controls, none)."""
-    pos = grid.positions()
-    if center is None:
-        center_full = np.zeros(3)
-    else:
-        center_full = np.zeros(3)
-        center_full[list(grid.spatial_axes)] = np.asarray(center, dtype=float)[: grid.ndim]
-    delta = pos - center_full
+    delta = grid.positions() - _center(grid, center)
     env = amplitude * np.exp(-np.einsum("...i,...i->...", delta, delta) / (2.0 * sigma ** 2))
     j = env[..., None] * np.asarray(direction, dtype=float)
     if violate_continuity:

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -304,32 +305,42 @@ def test_evolve_diagnostics_computed_once(tmp_path, monkeypatch):
     import dirac88.spin as spin
     calls = count_calls(monkeypatch, {
         "kernel": fields._sample_moments,
-        "energy": evolution.energy_expectation,
+        "energy": evolution.energy_expectation_series,
         "alpha": evolution.alpha_expectation_series,
         "angular": spin.angular_momentum_series,
     })
     path = write_cfg(tmp_path, "cfg.json", angular_evolve_cfg(samples=12))
     out = tmp_path / "out"
     assert run_command("evolve", path, str(out)) == 0
-    assert calls == {"kernel": 1, "energy": 0, "alpha": 0, "angular": 0}
+    assert calls == {"kernel": 1, "energy": 1, "alpha": 1, "angular": 1}
     assert (out / "angular_momentum.csv").exists()
 
 
-def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypatch):
-    import dirac88.cli as cli
-    counts = {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
-    diagnostics = cli._sample_diagnostics
+def test_cli_imports_no_private_names():
+    # the commands read a run only through the library's public views
+    import dirac88.cli
+    tree = ast.parse(Path(dirac88.cli.__file__).read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
-    def counted_diagnostics(*args, **kwargs):
+
+def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypatch):
+    import dirac88.evolution as evolution
+    counts = {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
+    kernel = evolution._sample_moments
+
+    def counted_kernel(*args, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
             for name in counts:
                 def wrapper(*a, _name=name, _fn=getattr(np.fft, name), **k):
                     counts[_name] += 1
                     return _fn(*a, **k)
                 mp.setattr(np.fft, name, wrapper)
-            return diagnostics(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_sample_diagnostics", counted_diagnostics)
+    monkeypatch.setattr(evolution, "_sample_moments", counted_kernel)
     samples = 5
     cfg = {
         "grid": {"points": [8, 8, 16], "lengths": [TWO_PI, 5.0, 9.0]},
@@ -402,14 +413,14 @@ def test_config_domain_exit2(tmp_path, capsys, key, edit):
 
 def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
     import dataclasses
-    import dirac88.cli as cli
-    kernel = cli._sample_moments
+    import dirac88.evolution as evolution
+    kernel = evolution._sample_moments
 
     def nan_energies(*args, **kwargs):
         moments = kernel(*args, **kwargs)
         return dataclasses.replace(moments, kinetic=np.full_like(moments.kinetic, np.nan))
 
-    monkeypatch.setattr(cli, "_sample_moments", nan_energies)
+    monkeypatch.setattr(evolution, "_sample_moments", nan_energies)
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
     out = tmp_path / "o"
     assert run_command("evolve", path, str(out)) == 1
@@ -419,8 +430,8 @@ def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
 
 def test_nan_sample_fails_drift_checks(tmp_path, capsys, monkeypatch):
     import dataclasses
-    import dirac88.cli as cli
-    kernel = cli._sample_moments
+    import dirac88.evolution as evolution
+    kernel = evolution._sample_moments
 
     def nan_last_norm(*args, **kwargs):
         moments = kernel(*args, **kwargs)
@@ -428,7 +439,7 @@ def test_nan_sample_fails_drift_checks(tmp_path, capsys, monkeypatch):
         norms[-1] = np.nan
         return dataclasses.replace(moments, norms=norms)
 
-    monkeypatch.setattr(cli, "_sample_moments", nan_last_norm)
+    monkeypatch.setattr(evolution, "_sample_moments", nan_last_norm)
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
     out = tmp_path / "o"
     assert run_command("evolve", path, str(out)) == 1

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dirac88.errors import ConstraintViolation, DegenerateMode, FitError
 from dirac88.evolution import (_duhamel_kernels, _spectral, alpha_density_series,
-                               alpha_expectation_series, energy_expectation, energy_projectors,
+                               alpha_expectation_series, energy_expectation,
+                               energy_expectation_series, energy_projectors,
                                evolve_free, evolve_sourced, hamiltonian_k,
                                mode_decomposition, momentum_velocity_prediction,
                                omega_k, positive_frequency_amplitudes,
@@ -18,7 +19,7 @@ from dirac88.evolution import (_duhamel_kernels, _spectral, alpha_density_series
 from dirac88.fields import EMField, GridSpec, SpinorField8, divergence, embed_em, extract_em
 from dirac88.lorentz import Boost, em_wavefunction_transform
 from dirac88.oracle import compare, maxwell_evolve
-from dirac88.spin import _angular_series, angular_momentum_series
+from dirac88.spin import angular_momentum_series
 from dirac88 import states
 
 TWO_PI = 2 * np.pi
@@ -433,10 +434,57 @@ def test_spinor_field_fields():
 @pytest.mark.parametrize("function", [
     evolve_free, run_free, evolve_sourced, mode_decomposition, positive_frequency_amplitudes,
     energy_expectation, momentum_velocity_prediction, zitter_lines, angular_momentum_series,
-    _angular_series], ids=lambda function: function.__name__)
+    energy_expectation_series], ids=lambda function: function.__name__)
 def test_functions_of_a_state_take_no_units(function):
     # c and hbar come from the state or run, so they cannot disagree with it
     assert not {"c", "hbar"} & set(inspect.signature(function).parameters)
+
+
+def test_run_diagnostics_share_one_moments_pass(monkeypatch):
+    import dirac88.evolution as evolution
+    calls = []
+    kernel = evolution._sample_moments
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_sample_moments", counted)
+    g = GridSpec((8, 8), (TWO_PI, 5.0))
+    psi = states.electron_gaussian_packet(g, mass=1.5, sigma=0.5, k0_mode=(1, 1),
+                                          minus_weight=0.5)
+    run = run_free(psi, np.linspace(0.0, 1.0, 5))
+    energies = energy_expectation_series(run)
+    alpha = alpha_expectation_series(run)
+    angular_momentum_series(run)
+    alpha_density_series(run, (2, 3))
+    assert len(calls) == 1
+    assert energies[2] == energy_expectation(run.sample(2))
+    assert np.array_equal(alpha.values[0], alpha_expectation_series(run_free(psi, [0.0])).values[0])
+    assert not run.values.flags.writeable
+    with pytest.raises(ValueError):
+        run.values[0, 0, 0, 0] = 1.0
+    sample = run.sample(0)
+    sample.values[0, 0, 0] = 1.0
+    assert run.values[0, 0, 0, 0] != 1.0
+
+
+@pytest.mark.parametrize("center", [0.5, [0.5, 9.0], [[0.5]], "a"],
+                         ids=["one-number", "too-many", "nested", "string"])
+def test_state_builders_share_one_centre_rule(center):
+    g1, g2 = grid1d(16), GridSpec((8, 8), (TWO_PI, TWO_PI))
+    if center == 0.5:
+        packet = states.electron_gaussian_packet(g2, mass=1.0, sigma=0.6, center=center)
+        assert np.array_equal(packet.values, states.electron_gaussian_packet(
+            g2, mass=1.0, sigma=0.6, center=[0.5, 0.5]).values)
+        dipole = states.gaussian_dipole_current(g2, [1, 0, 0], 1.0, 0.6, 1.0, center=center)
+        assert np.array_equal(dipole.j_amp, states.gaussian_dipole_current(
+            g2, [1, 0, 0], 1.0, 0.6, 1.0, center=[0.5, 0.5]).j_amp)
+        return
+    with pytest.raises(ValueError):
+        states.electron_gaussian_packet(g1, mass=1.0, sigma=0.6, center=center)
+    with pytest.raises(ValueError):
+        states.gaussian_dipole_current(g1, [1, 0, 0], 1.0, 0.6, 1.0, center=center)
 
 
 def test_positive_packet_drift_matches_prediction():

@@ -1,14 +1,15 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dirac88.errors import ConstraintViolation
+from dirac88.evolution import evolve_free
 from dirac88.fields import (EMField, FourCurrent, GridSpec, SpinorField8,
-                            curl, divergence, embed_electron, embed_em,
-                            energy_and_poynting, extract_em, field_tensor,
-                            load_em_csv, load_spinor_csv, save_em_csv,
-                            save_spinor_csv)
+                            constraint_residual, curl, divergence, embed_electron,
+                            embed_em, energy_and_poynting, extract_em, field_tensor,
+                            load_em_csv, load_spinor_csv, save_em_csv, save_spinor_csv)
 
 TWO_PI = 2 * np.pi
 
@@ -254,7 +255,9 @@ GOLDEN_SNAPSHOTS = [
         ' },\n'
         ' "components": 8,\n'
         ' "kind": "electron",\n'
-        ' "mass": 0.5\n'
+        ' "mass": 0.5,\n'
+        ' "c": 1.0,\n'
+        ' "hbar": 1.0\n'
         '}'
     )),
     ("em", (2, 2), (
@@ -399,6 +402,38 @@ def test_csv_roundtrip_bit_exact_3d(tmp_path):
     back = load_em_csv(tmp_path / "em.csv")
     assert_bits_equal(back.e, values[..., :3])
     assert_bits_equal(back.b, values[..., 5:])
+
+
+def test_constraint_residual_of_points_stacks_and_empty_arrays():
+    point = np.zeros(8, dtype=complex)
+    point[4] = -3.0 + 4.0j
+    assert constraint_residual(point) == 5.0
+    stack = np.zeros((2, 4, 8), dtype=complex)
+    stack[1, 2, 0] = 0.25j
+    assert constraint_residual(stack) == 0.25
+    assert constraint_residual(np.zeros((0, 8))) == 0.0
+
+
+def test_spinor_csv_keeps_the_units(tmp_path):
+    g = GridSpec((8,), (2.0 * np.pi,))
+    rest = np.zeros(g.shape + (8,), dtype=complex)
+    rest[..., 3] = 1.0
+    psi = SpinorField8(g, rest, kind="electron", mass=1.0, c=2.0, hbar=1.5)
+    save_spinor_csv(tmp_path / "psi.csv", psi)
+    back = load_spinor_csv(tmp_path / "psi.csv")
+    assert (back.kind, back.mass, back.c, back.hbar) == ("electron", 1.0, 2.0, 1.5)
+    assert np.array_equal(evolve_free(back, 1.0).values, evolve_free(psi, 1.0).values)
+
+
+def test_spinor_csv_without_units_loads_natural_units(tmp_path):
+    g = GridSpec((2,), (1.0,))
+    save_spinor_csv(tmp_path / "psi.csv", SpinorField8(g, np.ones((2, 8)), mass=0.5))
+    sidecar = tmp_path / "psi.csv.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["c"], meta["hbar"]
+    sidecar.write_text(json.dumps(meta))
+    back = load_spinor_csv(tmp_path / "psi.csv")
+    assert (back.mass, back.c, back.hbar) == (0.5, 1.0, 1.0)
 
 
 def test_snapshot_write_memory_budget(tmp_path):

@@ -142,8 +142,9 @@ def test_wide_packet_warns():
     psi = states.electron_gaussian_packet(g, mass=5.0, sigma=TWO_PI / 3,
                                           plus_weight=1.0, spinor=spinor)
     run = run_free(psi, np.linspace(0.0, 0.5, 17))
-    with pytest.warns(UserWarning, match="wrap-around"):
+    with pytest.warns(UserWarning, match="wrap-around") as record:
         angular_momentum_series(run)
+    assert record[0].filename == __file__
 
 
 def test_narrow_packet_does_not_warn():
