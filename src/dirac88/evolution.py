@@ -14,6 +14,9 @@ volume-integrated flux is a conserved quantity (total field momentum), so
 the jitter lives in the local flux density; ``alpha_density_series``
 exposes it pointwise and ``poynting_split`` gives its single-frequency
 decomposition into a dc part and a doubled-frequency carrier.
+``zitter_decompose`` measures the jitter frequency in closed form: uniform
+samples of dc + A cos(W t + phi) obey a three-term recurrence whose one
+coefficient, 4 sin^2(W dt / 2), comes from a single linear least squares.
 """
 
 from __future__ import annotations
@@ -52,6 +55,12 @@ __all__ = [
     "poynting_split",
     "zitter_equals_poynting",
 ]
+
+_CONSTRAINT_TOL = 1e-10     # sourced runs, relative to the field scale
+_CONTINUITY_TOL = 1e-8
+_MIN_SAMPLES = 16           # jitter analysis
+_MAX_LINES = 8
+_LINE_FLOOR = 1e-10
 
 
 @dataclass
@@ -269,14 +278,13 @@ def _duhamel_kernels(w: np.ndarray, omega: float, t: float):
     return cc, cr, np.divide(num, den, out=np.zeros_like(num), where=w > 0.0)
 
 
-def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
-                   constraint_tol: float = 1e-10, continuity_tol: float = 1e-8) -> EvolutionRun:
+def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -> EvolutionRun:
     """Evolve with a prescribed four-current source, exact up to round-off.
 
     Each sample is U(t) psi_hat_0 plus the Duhamel term
     int_0^t U(t-s) s_hat(s) ds / (i hbar), in closed form per mode
     (``_duhamel_kernels``).  The constrained components are checked every
-    sample: they stay below ``constraint_tol`` (times the field scale) when the
+    sample: they stay below ``_CONSTRAINT_TOL`` (times the field scale) when the
     initial data satisfy the Gauss law and the source satisfies continuity,
     whose residual (rho_amp + div j_amp) cos(Omega t) peaks at t = 0.
     """
@@ -285,9 +293,9 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
     times = np.asarray(times, dtype=float)
     grid = psi0.grid
     cont = source.continuity_residual(0.0)
-    if cont > continuity_tol:
+    if cont > _CONTINUITY_TOL:
         raise ConstraintViolation(
-            f"source continuity residual {cont:.3e} exceeds {continuity_tol:.1e}")
+            f"source continuity residual {cont:.3e} exceeds {_CONTINUITY_TOL:.1e}")
 
     hbar = psi0.hbar
     spectral = _spectral(grid, psi0.mass, psi0.c, hbar)
@@ -302,7 +310,7 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray,
         values[idx] = grid.ifft(spectral.propagate(hat0, h_hat0, float(t)) + duhamel / (1j * hbar))
         resid = constraint_residual(values[idx])
         scale = max(float(np.max(np.abs(values[idx]))), 1.0)
-        if resid > constraint_tol * scale:
+        if resid > _CONSTRAINT_TOL * scale:
             raise ConstraintViolation(
                 f"constrained components reached {resid:.3e} at t = {t:.6g}; "
                 "check source continuity and the Gauss law of the initial data")
@@ -381,14 +389,13 @@ def momentum_velocity_prediction(psi: SpinorField8) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
-def zitter_lines(psi: SpinorField8, max_lines: int = 8,
-                 floor: float = 1e-10) -> list[tuple[np.ndarray, float, float]]:
-    """Strongest (k, 2 w(k), strength) interference lines of a state.
+def zitter_lines(psi: SpinorField8) -> list[tuple[np.ndarray, float, float]]:
+    """Strongest ``_MAX_LINES`` (k, 2 w(k), strength) interference lines of a state.
 
     Strength is the product of the positive- and negative-branch
     populations at each mode (normalised by the total), the weight with
     which that mode can contribute a doubled-frequency cross term; lines
-    below ``floor`` are dropped as round-off, so an identically-zero state
+    below ``_LINE_FLOOR`` are dropped as round-off, so an identically-zero state
     has none.
     """
     dec = mode_decomposition(psi)
@@ -397,65 +404,31 @@ def zitter_lines(psi: SpinorField8, max_lines: int = 8,
     norm = np.sum(pop_plus ** 2 + pop_minus ** 2)
     cross = np.divide(pop_plus * pop_minus, norm, out=np.zeros_like(pop_plus), where=norm != 0.0)
     k = _spectral(psi.grid, psi.mass, psi.c, psi.hbar).k
-    flat = np.argsort(cross.reshape(-1))[::-1][:max_lines]
+    flat = np.argsort(cross.reshape(-1))[::-1][:_MAX_LINES]
     lines = []
     for fi in flat:
         s = float(cross.reshape(-1)[fi])
-        if s <= floor:
+        if s <= _LINE_FLOOR:
             break
         idx = np.unravel_index(fi, cross.shape)
         lines.append((k[idx], 2.0 * float(dec.omega[idx]), s))
     return lines
 
 
-def _fit_frequency(times: np.ndarray, series: np.ndarray, guess: float) -> float:
-    """Least-squares sinusoid frequency via golden search around a guess."""
-    times = np.asarray(times, dtype=float)
-    series = np.asarray(series, dtype=float)
+def zitter_decompose(run: EvolutionRun,
+                     series: ExpectationSeries | None = None) -> ZitterReport:
+    """Split a velocity series into dc and oscillation and measure the frequency.
 
-    def sse(w: float) -> float:
-        design = np.stack([np.cos(w * times), np.sin(w * times), np.ones_like(times)], axis=1)
-        _, res, rank, _ = np.linalg.lstsq(design, series, rcond=None)
-        if res.size:
-            return float(res[0])
-        fit = design @ np.linalg.lstsq(design, series, rcond=None)[0]
-        return float(np.sum((series - fit) ** 2))
-
-    span = times[-1] - times[0]
-    half_window = max(2.0 * np.pi / span, 0.05 * guess)
-    lo, hi = max(guess - half_window, 1e-12), guess + half_window
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c_pt = b - invphi * (b - a)
-    d_pt = a + invphi * (b - a)
-    fc, fd = sse(c_pt), sse(d_pt)
-    for _ in range(200):
-        if fc < fd:
-            b, d_pt, fd = d_pt, c_pt, fc
-            c_pt = b - invphi * (b - a)
-            fc = sse(c_pt)
-        else:
-            a, c_pt, fc = c_pt, d_pt, fd
-            d_pt = a + invphi * (b - a)
-            fd = sse(d_pt)
-        if b - a < 1e-14 * guess:
-            break
-    return 0.5 * (a + b)
-
-
-def zitter_decompose(run: EvolutionRun, series: ExpectationSeries | None = None,
-                     min_samples: int = 16) -> ZitterReport:
-    """Split a velocity series into dc and oscillation and fit the frequency.
-
-    The dc part is the time mean and is compared against the mode-space
-    drift prediction c <p H^-1>; the oscillation frequency is fitted by a
-    discrete Fourier peak refined with a least-squares search and compared
-    with 2 w(k) of the strongest interference line.  Raises FitError when
-    several distinct lines are comparably strong (multi-mode packets:
-    consult ``zitter_lines`` instead).
+    The dc part is the time mean, compared against the mode-space drift
+    prediction c <p H^-1>.  The frequency W of the largest-amplitude
+    component comes from one linear least squares on its second
+    differences, -4 sin^2(W dt / 2) times the samples plus a constant, and
+    is compared with 2 w(k) of the strongest interference line.  Raises
+    FitError below ``_MIN_SAMPLES`` samples or two periods, or when several
+    distinct lines are comparably strong (consult ``zitter_lines`` then).
     """
-    if run.n_samples < min_samples:
-        raise FitError(f"need at least {min_samples} samples, got {run.n_samples}")
+    if run.n_samples < _MIN_SAMPLES:
+        raise FitError(f"need at least {_MIN_SAMPLES} samples, got {run.n_samples}")
     if series is None:
         series = alpha_expectation_series(run)
     psi0 = run.sample(0)
@@ -480,13 +453,13 @@ def zitter_decompose(run: EvolutionRun, series: ExpectationSeries | None = None,
     if expected * span < 4.0 * np.pi:
         raise FitError("run shorter than two oscillation periods of the dominant line")
 
-    sig = osc[:, component]
-    # DFT peak as the initial guess
-    dt = series.times[1] - series.times[0]
-    spectrum = np.abs(np.fft.rfft(sig))
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(len(sig), d=dt)
-    guess = float(freqs[int(np.argmax(spectrum[1:])) + 1])
-    fitted = _fit_frequency(series.times, sig, guess)
+    # samples of dc + A cos(W t + phi) obey x[n+1] - 2 x[n] + x[n-1] = -q x[n] + const
+    # with q = 4 sin^2(W dt / 2); clipping q to [0, 4] maps any series into [0, pi / dt]
+    x = osc[:, component]
+    design = np.stack([x[1:-1], np.ones(len(x) - 2)], axis=1)
+    slope = np.linalg.lstsq(design, x[2:] - 2.0 * x[1:-1] + x[:-2], rcond=None)[0][0]
+    q = min(max(-slope, 0.0), 4.0)
+    fitted = 2.0 / (series.times[1] - series.times[0]) * float(np.arcsin(np.sqrt(q) / 2.0))
     rel = abs(fitted - expected) / expected
     return ZitterReport(dc, prediction, amplitude, fitted, expected, rel, lines)
 

@@ -214,6 +214,22 @@ def chiral_intertwiner() -> np.ndarray:
     return np.block([[-tq, tq], [-t, -t]])
 
 
+def _chiral_law(boost: Boost, photon: bool) -> np.ndarray:
+    """The chiral-basis block law diag(X (x) L, Y (x) L^-1), with (X, Y) =
+    (L^-1, L) for the electromagnetic law and (I2, I2) for the electron's."""
+    el = boost_matrix_L(boost)
+    eli = np.linalg.inv(el)
+    x, y = (eli, el) if photon else (np.eye(2), np.eye(2))
+    z4 = np.zeros((4, 4), dtype=complex)
+    return np.block([[np.kron(x, el), z4], [z4, np.kron(y, eli)]])
+
+
+def _embedded_law(boost: Boost, photon: bool) -> np.ndarray:
+    """``_chiral_law`` mapped to the embedded basis by the chiral intertwiner."""
+    v = chiral_intertwiner()
+    return v.conj().T @ _chiral_law(boost, photon) @ v / 4.0
+
+
 def em_block_law(boost: Boost) -> np.ndarray:
     """The literal chiral-basis block law diag(L^-1 (x) L, L (x) L^-1),
     mapped to the embedded basis with the chiral intertwiner.
@@ -223,24 +239,13 @@ def em_block_law(boost: Boost) -> np.ndarray:
     (it is no group homomorphism) and the theta-rotation form is the one
     meeting the tensor and closed-form routes.
     """
-    el = boost_matrix_L(boost)
-    eli = np.linalg.inv(el)
-    z4 = np.zeros((4, 4), dtype=complex)
-    s = np.block([[np.kron(eli, el), z4], [z4, np.kron(el, eli)]])
-    v = chiral_intertwiner()
-    return v.conj().T @ s @ v / 4.0
+    return _embedded_law(boost, photon=True)
 
 
 def electron_transform_matrix(boost: Boost) -> np.ndarray:
     """The 8x8 electron boost diag(I2 (x) L, I2 (x) L^-1) in the chiral
     basis, expressed on the embedded basis."""
-    el = boost_matrix_L(boost)
-    eli = np.linalg.inv(el)
-    i2 = np.eye(2)
-    z4 = np.zeros((4, 4), dtype=complex)
-    s = np.block([[np.kron(i2, el), z4], [z4, np.kron(i2, eli)]])
-    v = chiral_intertwiner()
-    return v.conj().T @ s @ v / 4.0
+    return _embedded_law(boost, photon=False)
 
 
 def nonmomentum_em(rho: float, current: np.ndarray, c: float = 1.0,
@@ -265,11 +270,7 @@ def nonmomentum_boost_residual(rho: float, current: np.ndarray, boost: Boost,
     """
     fc = four_vector_boost(np.concatenate([[c * rho], np.asarray(current, float)]), boost)
     y_boosted = nonmomentum_em(fc[0] / c, fc[1:], c=c, hbar=hbar)
-    el = boost_matrix_L(boost)
-    eli = np.linalg.inv(el)
-    z4 = np.zeros((4, 4), dtype=complex)
-    law = np.block([[np.kron(eli, el), z4], [z4, np.kron(el, eli)]])
-    y_law = law @ nonmomentum_em(rho, current, c=c, hbar=hbar)
+    y_law = _chiral_law(boost, photon=True) @ nonmomentum_em(rho, current, c=c, hbar=hbar)
     return float(np.max(np.abs(y_boosted - y_law)))
 
 

@@ -131,9 +131,10 @@ def photon_spin_selection(psi: SpinorField8) -> SpinSelectionReport:
     one_max = 0.0
     half_max = 0.0
     witness = (0, 0, 0.0 + 0.0j)
+    one, half = spin_one(), spin_half()
     for i in range(3):
-        out1 = np.einsum("ab,...b->...a", spin_one().components[i], values)
-        outh = np.einsum("ab,...b->...a", spin_half().components[i], values)
+        out1 = np.einsum("ab,...b->...a", one.components[i], values)
+        outh = np.einsum("ab,...b->...a", half.components[i], values)
         one_max = max(one_max, constraint_residual(out1))
         for row in (0, 4):
             m = float(np.max(np.abs(outh[..., row])))
@@ -169,20 +170,18 @@ def _warn_if_packet_too_wide(run):
             return
 
 
-def angular_momentum_series(run, operator: SpinOperator | None = None
-                            ) -> tuple[ExpectationSeries, ExpectationSeries, ExpectationSeries]:
+def angular_momentum_series(run) -> tuple[ExpectationSeries, ExpectationSeries, ExpectationSeries]:
     """Orbital, spin, and total angular-momentum expectations over a run.
 
     <L> integrates psi+ (r x p) psi with box-centred coordinates and the
     spectral momentum p = hbar k; <S> uses the kind-appropriate operator
-    (spin-1 for photon runs, spin-1/2 otherwise) unless one is passed
-    explicitly.  Both take hbar from the run and are normalised by the
-    wave-function norm (zero for identically-zero samples).  Warns when a
-    localised packet reaches the box boundary (wrap-around corrupts <L>).
+    (spin-1 for photon runs, spin-1/2 otherwise).  Both take hbar from the
+    run and are normalised by the wave-function norm (zero for
+    identically-zero samples).  Warns when a localised packet reaches the
+    box boundary (wrap-around corrupts <L>).
     """
     hbar, moments = run.hbar, run.moments
-    if operator is None:
-        operator = spin_one(hbar) if run.kind == PHOTON else spin_half(hbar)
+    operator = spin_one(hbar) if run.kind == PHOTON else spin_half(hbar)
     _warn_if_packet_too_wide(run)
     # L_i = eps_ijk <r_j p_k> with p = hbar k; int psi+ S_i psi = sum_ab (S_i)_ab G_ab
     norm = np.trace(moments.gram, axis1=1, axis2=2).real[:, None]

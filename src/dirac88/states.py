@@ -105,11 +105,7 @@ def circular_wave_analytic(grid: GridSpec, mode, helicity: int = +1,
     pol = (p1 + 1j * helicity * p2) / np.sqrt(2.0)
     carrier = np.exp(1j * _phase(grid, k))
     e = amplitude * carrier[..., None] * pol
-    b = np.cross(khat, e)
-    values = np.zeros(grid.shape + (8,), dtype=complex)
-    values[..., 1:4] = e
-    values[..., 5:8] = 1j * b
-    return SpinorField8(grid, values, kind="photon", mass=0.0)
+    return embed_em(EMField(grid, e, np.cross(khat, e)))
 
 
 def electron_rest_mix(grid: GridSpec, mass: float, plus_weight: float = 1.0,

@@ -19,7 +19,7 @@ from dirac88.evolution import (_duhamel_kernels, _spectral, alpha_density_series
 from dirac88.fields import EMField, GridSpec, SpinorField8, divergence, embed_em, extract_em
 from dirac88.lorentz import Boost, em_wavefunction_transform
 from dirac88.oracle import compare, maxwell_evolve
-from dirac88.spin import angular_momentum_series
+from dirac88.spin import ExpectationSeries, angular_momentum_series
 from dirac88 import states
 
 TWO_PI = 2 * np.pi
@@ -282,7 +282,7 @@ def test_sourced_charged_dipole_slow_omega():
     g = grid1d()
     src = states.gaussian_dipole_current(g, [0, 0, 1], 1.0, TWO_PI / 16, 1e-6)
     times = np.linspace(0.0, 3.0, 31)
-    run = evolve_sourced(embed_em(EMField.zero(g)), src, times, constraint_tol=1e-10)
+    run = evolve_sourced(embed_em(EMField.zero(g)), src, times)
     for i, t in enumerate(times):
         gauss = divergence(g, run.values[i][..., 1:4]) - 4 * np.pi * src.charge(t)
         assert np.max(np.abs(gauss)) < 1e-10
@@ -403,6 +403,49 @@ def test_electron_jitter_units():
     rep = zitter_decompose(run)
     assert rep.expected_frequency == pytest.approx(expected)
     assert rep.relative_frequency_error < 1e-6
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(phase=st.floats(-np.pi, np.pi), dc=st.floats(-100.0, 100.0), amplitude=st.floats(0.1, 10.0),
+       samples=st.integers(16, 300), stretch=st.floats(0.0, 1.0), axis=st.integers(0, 2))
+def test_jitter_frequency_of_a_sampled_sinusoid(phase, dc, amplitude, samples, stretch, axis):
+    # a rest mix jitters at 2 m c^2 / hbar = 2; durations run from two periods
+    # (just above the FitError bound) up to a step of W dt = 3
+    omega = 2.0
+    shortest, longest = 2.01 * TWO_PI / omega, 3.0 * (samples - 1) / omega
+    times = np.linspace(0.0, shortest + stretch * (longest - shortest), samples)
+    run = run_free(states.electron_rest_mix(grid1d(4), mass=1.0), times)
+    values = np.full((samples, 3), dc)
+    values[:, axis] += amplitude * np.cos(omega * times + phase)
+    rep = zitter_decompose(run, ExpectationSeries(times, values))
+    assert rep.expected_frequency == omega
+    assert rep.relative_frequency_error <= 1e-12
+
+
+def test_jitter_frequency_under_a_large_dc_offset():
+    # each sample of dc + A cos carries a rounding error of about eps |dc|, and
+    # second differences amplify it by about 1 / (W dt)^2: at |dc| = 5e4 A and
+    # W dt = 0.042 the error reaches 1e-11, where a full sinusoid fit gets 1e-13
+    omega, samples = 2.0, 300
+    times = np.linspace(0.0, 2.01 * TWO_PI / omega, samples)
+    run = run_free(states.electron_rest_mix(grid1d(4), mass=1.0), times)
+    errors = []
+    for phase in np.linspace(-np.pi, np.pi, 8, endpoint=False):
+        values = np.full((samples, 3), 5e4 * 0.5)
+        values[:, 0] += 0.5 * np.cos(omega * times + phase)
+        errors.append(zitter_decompose(run, ExpectationSeries(times, values)).relative_frequency_error)
+    assert max(errors) <= 1e-10
+
+
+def test_flat_series_gives_a_finite_frequency():
+    # nothing oscillates (a node of a standing wave, say): the fit still
+    # writes a frequency in [0, pi / dt], with no NaN and no warning
+    times = np.linspace(0.0, 9.0, 64)
+    run = run_free(states.electron_rest_mix(grid1d(4), mass=1.0), times)
+    rep = zitter_decompose(run, ExpectationSeries(times, np.zeros((64, 3))))
+    assert np.isfinite(rep.fitted_frequency)
+    assert 0.0 <= rep.fitted_frequency <= np.pi / (times[1] - times[0])
+    assert rep.amplitude.max() == 0.0
 
 
 def test_sample_carries_the_run_units():
