@@ -363,24 +363,17 @@ def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
     psi[1:4] = e
     psi[5:8] = 1j * b
     out = em_wavefunction_transform(psi, boost)
-    e_spinor, b_spinor = extract_em_amplitudes(out)
-    e_tensor, b_tensor = tensor_boost_oracle(e, b, boost)
-    e_closed, b_closed = closed_form_field_boost(e, b, boost)
-    record = {
+    routes = {"spinor": extract_em_amplitudes(out), "tensor": tensor_boost_oracle(e, b, boost),
+              "closedform": closed_form_field_boost(e, b, boost)}
+    _write_json(outdir / "boost.json", {
         "input": {"e": list(e.real), "b": list(b.real)},
         "velocity": list(v),
-        "methods": {
-            "spinor": {"e": [[x.real, x.imag] for x in e_spinor],
-                       "b": [[x.real, x.imag] for x in b_spinor]},
-            "tensor": {"e": [[x.real, x.imag] for x in e_tensor],
-                       "b": [[x.real, x.imag] for x in b_tensor]},
-            "closedform": {"e": [[x.real, x.imag] for x in e_closed],
-                           "b": [[x.real, x.imag] for x in b_closed]},
-        },
-    }
-    _write_json(outdir / "boost.json", record)
-    dev = max(float(np.max(np.abs(e_spinor - e_closed))), float(np.max(np.abs(b_spinor - b_closed))),
-              float(np.max(np.abs(e_tensor - e_closed))), float(np.max(np.abs(b_tensor - b_closed))))
+        "methods": {name: {"e": [[x.real, x.imag] for x in e_out],
+                           "b": [[x.real, x.imag] for x in b_out]}
+                    for name, (e_out, b_out) in routes.items()},
+    })
+    dev = max(float(np.max(np.abs(got - want))) for name in ("spinor", "tensor")
+              for got, want in zip(routes[name], routes["closedform"]))
     checks.add("spinor, tensor and closed-form boosts agree", "three-route field boost", dev, tol)
     checks.add("boost preserves the constrained components", "transversality under boosts",
                constraint_residual(out), tol)

@@ -22,7 +22,7 @@ coefficient, 4 sin^2(W dt / 2), comes from a single linear least squares.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class ModeDecomposition:
 
     def projector_residual(self) -> float:
         """Max residual of H psi_hat(+-) = +- hbar w psi_hat(+-)."""
-        spectral = _spectral(self.grid, self.mass, self.c, self.hbar)
+        spectral = _Spectral(self.grid, self.mass, self.c, self.hbar)
         h_plus = spectral.apply_h(self.plus)
         h_minus = spectral.apply_h(self.minus)
         w = self.hbar * self.omega[..., None]
@@ -187,8 +187,7 @@ class _Spectral:
     """Wave vectors, w(k), a zero-safe 1/w and H(k) of one (grid, mass, c, hbar).
 
     H is the diagonal mass term plus a gather and a scale per grid axis
-    (see ``_ALPHA_COL``).  Instances are shared through ``_spectral``, so
-    their arrays are read-only.
+    (see ``_ALPHA_COL``).
     """
 
     def __init__(self, grid: GridSpec, mass: float, c: float, hbar: float):
@@ -199,8 +198,6 @@ class _Spectral:
                                    where=self.omega > 0.0)
         self._mass_diag = mass * c * c * np.diag(_BETA).real
         self._ck = [(i, c * hbar * self.k[..., i, None]) for i in grid.spatial_axes]
-        for array in (self.k, self.omega, self.inv_omega, *(ck for _, ck in self._ck)):
-            array.flags.writeable = False
 
     def apply_h(self, hat: np.ndarray) -> np.ndarray:
         """H(k) applied to spectral amplitudes of shape (*grid, 8)."""
@@ -219,23 +216,16 @@ class _Spectral:
         return np.cos(wt)[..., None] * hat - 1j * sin_fac[..., None] * h_hat
 
 
-@functools.lru_cache(maxsize=4)
-def _spectral(grid: GridSpec, mass: float, c: float, hbar: float) -> _Spectral:
-    return _Spectral(grid, mass, c, hbar)
-
-
 def evolve_free(psi: SpinorField8, t: float) -> SpinorField8:
     """Free evolution by time t, exact up to round-off (no stepping error)."""
-    spectral = _spectral(psi.grid, psi.mass, psi.c, psi.hbar)
-    hat = psi.grid.fft(psi.values)
-    return replace(psi, values=psi.grid.ifft(spectral.propagate(hat, spectral.apply_h(hat), t)))
+    return run_free(psi, [t]).sample(0)
 
 
 def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
     """Sample free evolution on a time grid; each sample propagated from t = 0."""
     times = np.asarray(times, dtype=float)
     grid = psi0.grid
-    spectral = _spectral(grid, psi0.mass, psi0.c, psi0.hbar)
+    spectral = _Spectral(grid, psi0.mass, psi0.c, psi0.hbar)
     hat0 = grid.fft(psi0.values)
     h_hat0 = spectral.apply_h(hat0)
     values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
@@ -298,7 +288,7 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
             f"source continuity residual {cont:.3e} exceeds {_CONTINUITY_TOL:.1e}")
 
     hbar = psi0.hbar
-    spectral = _spectral(grid, psi0.mass, psi0.c, hbar)
+    spectral = _Spectral(grid, psi0.mass, psi0.c, hbar)
     hat0 = grid.fft(psi0.values)
     h_hat0 = spectral.apply_h(hat0)
     rho_part, j_part = _source_hat_parts(grid, source, psi0.c, hbar)
@@ -320,7 +310,7 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
 def mode_decomposition(psi: SpinorField8) -> ModeDecomposition:
     """Split a state into positive/negative-frequency spectral amplitudes."""
     grid = psi.grid
-    spectral = _spectral(grid, psi.mass, psi.c, psi.hbar)
+    spectral = _Spectral(grid, psi.mass, psi.c, psi.hbar)
     hat = grid.fft(psi.values)
     ratio = (spectral.inv_omega / psi.hbar)[..., None] * spectral.apply_h(hat)
     plus = 0.5 * (hat + ratio)
@@ -344,21 +334,17 @@ def positive_frequency_amplitudes(psi: SpinorField8) -> tuple[np.ndarray, np.nda
 
 def alpha_expectation_series(run: EvolutionRun) -> ExpectationSeries:
     """<alpha>(t) = int psi+ alpha psi / int psi+ psi per sample (zero for
-    identically-zero samples)."""
-    gram = run.moments.gram
-    num = np.einsum("iab,sab->si", _ALPHA, gram).real
-    norm = np.trace(gram, axis1=1, axis2=2).real[:, None]
-    out = np.divide(num, norm, out=np.zeros_like(num), where=norm > 0.0)
-    return ExpectationSeries(run.times, out, "velocity expectation")
+    identically-zero samples, NaN for NaN ones)."""
+    moments = run.moments
+    return ExpectationSeries(run.times, moments.per_norm(
+        np.einsum("iab,sab->si", _ALPHA, moments.gram).real))
 
 
 def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> ExpectationSeries:
     """The local velocity density psi+ alpha psi at one grid point, normalised
-    by the (conserved) total norm; carries the pointwise jitter."""
-    norms = run.moments.norms[:, None]
+    by the sample's total norm as <alpha> is; carries the pointwise jitter."""
     density = _alpha_density(run.values[(slice(None),) + tuple(index)])
-    out = np.divide(density, norms, out=np.zeros_like(density), where=norms > 0.0)
-    return ExpectationSeries(run.times, out, f"velocity density at {index}")
+    return ExpectationSeries(run.times, run.moments.per_norm(density))
 
 
 def energy_expectation(psi: SpinorField8) -> float:
@@ -369,18 +355,18 @@ def energy_expectation(psi: SpinorField8) -> float:
 
 def energy_expectation_series(run: EvolutionRun) -> np.ndarray:
     """<H> per unit norm of each sample: c hbar sum psi+ alpha'.k psi plus
-    m c^2 sum_a beta'_aa G_aa, over sum |psi|^2 (zero for identically-zero samples)."""
+    m c^2 sum_a beta'_aa G_aa, over sum |psi|^2 (zero for identically-zero
+    samples, NaN for NaN ones)."""
     moments, c = run.moments, run.c
     mass_term = run.mass * c * c * np.einsum("a,saa->s", np.diag(_BETA).real, moments.gram).real
-    num = c * run.hbar * moments.kinetic + mass_term
-    return np.divide(num, moments.norms, out=np.zeros_like(num), where=moments.norms != 0.0)
+    return moments.per_norm(c * run.hbar * moments.kinetic + mass_term)
 
 
 def momentum_velocity_prediction(psi: SpinorField8) -> np.ndarray:
     """The drift part c <p H^-1> evaluated directly in mode space (zero for an
     identically-zero state)."""
     c, hbar = psi.c, psi.hbar
-    spectral = _spectral(psi.grid, psi.mass, c, hbar)
+    spectral = _Spectral(psi.grid, psi.mass, c, hbar)
     hat = psi.grid.fft(psi.values)
     weight = (np.einsum("...a,...a->...", hat.conj(), spectral.apply_h(hat)).real
               * spectral.inv_omega ** 2 / hbar)
@@ -403,7 +389,7 @@ def zitter_lines(psi: SpinorField8) -> list[tuple[np.ndarray, float, float]]:
     pop_minus = np.sqrt(np.einsum("...a,...a->...", dec.minus.conj(), dec.minus).real)
     norm = np.sum(pop_plus ** 2 + pop_minus ** 2)
     cross = np.divide(pop_plus * pop_minus, norm, out=np.zeros_like(pop_plus), where=norm != 0.0)
-    k = _spectral(psi.grid, psi.mass, psi.c, psi.hbar).k
+    k = psi.grid.wave_vectors()
     flat = np.argsort(cross.reshape(-1))[::-1][:_MAX_LINES]
     lines = []
     for fi in flat:

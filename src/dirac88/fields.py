@@ -336,6 +336,12 @@ class _Moments:
     kinetic: np.ndarray
     rk: np.ndarray
 
+    def per_norm(self, sums: np.ndarray) -> np.ndarray:
+        """Each sample's sums (leading axis) over that sample's norm: 0 for an
+        identically-zero sample, NaN for a NaN one."""
+        norms = self.norms.reshape((-1,) + (1,) * (np.ndim(sums) - 1))
+        return np.divide(sums, norms, out=np.zeros_like(sums), where=norms != 0.0)
+
 
 def _sample_moments(grid: GridSpec, values: np.ndarray) -> _Moments:
     """Every volume diagnostic of a stack of samples in one pass over them.

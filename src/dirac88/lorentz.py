@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _EPS = levi_civita()
+_CONSTRAINT_TOL = 1e-10     # boost leakage, relative to the field scale
 
 
 @dataclass(frozen=True)
@@ -164,12 +165,12 @@ def _apply_matrix(psi, matrix: np.ndarray):
     return np.einsum("ab,...b->...a", matrix, np.asarray(psi, dtype=complex))
 
 
-def em_wavefunction_transform(psi, boost: Boost, tol: float = 1e-10):
+def em_wavefunction_transform(psi, boost: Boost):
     """Boost a photon-embedded wave-function (amplitudes per point/mode).
 
     Raises ConstraintViolation if the output grows components 0/4 past
-    ``tol`` relative to the field scale (a convention or implementation
-    error; the law preserves them identically).
+    ``_CONSTRAINT_TOL`` relative to the field scale (a convention or
+    implementation error; the law preserves them identically).
     """
     if isinstance(psi, SpinorField8) and psi.kind != PHOTON:
         raise ValueError("electromagnetic boost law applies to photon-embedded states")
@@ -177,7 +178,7 @@ def em_wavefunction_transform(psi, boost: Boost, tol: float = 1e-10):
     values = out.values if isinstance(out, SpinorField8) else out
     resid = constraint_residual(values)
     scale = float(np.max(np.abs(values)))
-    if resid > tol * max(scale, 1.0):
+    if resid > _CONSTRAINT_TOL * max(scale, 1.0):
         raise ConstraintViolation(
             f"boost leaked {resid:.3e} into the constrained components")
     return out

@@ -50,7 +50,6 @@ class ExpectationSeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -177,22 +176,18 @@ def angular_momentum_series(run) -> tuple[ExpectationSeries, ExpectationSeries, 
     spectral momentum p = hbar k; <S> uses the kind-appropriate operator
     (spin-1 for photon runs, spin-1/2 otherwise).  Both take hbar from the
     run and are normalised by the wave-function norm (zero for
-    identically-zero samples).  Warns when a localised packet reaches the
-    box boundary (wrap-around corrupts <L>).
+    identically-zero samples, NaN for NaN ones).  Warns when a localised
+    packet reaches the box boundary (wrap-around corrupts <L>).
     """
     hbar, moments = run.hbar, run.moments
     operator = spin_one(hbar) if run.kind == PHOTON else spin_half(hbar)
     _warn_if_packet_too_wide(run)
     # L_i = eps_ijk <r_j p_k> with p = hbar k; int psi+ S_i psi = sum_ab (S_i)_ab G_ab
-    norm = np.trace(moments.gram, axis1=1, axis2=2).real[:, None]
-    orbital = hbar * np.einsum("ijk,sjk->si", _EPS, moments.rk)
-    orbital = np.divide(orbital, norm, out=np.zeros_like(orbital), where=norm != 0.0)
-    spin = np.einsum("iab,sab->si", operator.components, moments.gram).real
-    spin = np.divide(spin, norm, out=np.zeros_like(spin), where=norm != 0.0)
-    total = orbital + spin
-    return (ExpectationSeries(run.times, orbital, "orbital"),
-            ExpectationSeries(run.times, spin, "spin"),
-            ExpectationSeries(run.times, total, "total"))
+    orbital = moments.per_norm(hbar * np.einsum("ijk,sjk->si", _EPS, moments.rk))
+    spin = moments.per_norm(np.einsum("iab,sab->si", operator.components, moments.gram).real)
+    return (ExpectationSeries(run.times, orbital),
+            ExpectationSeries(run.times, spin),
+            ExpectationSeries(run.times, orbital + spin))
 
 
 def write_angular_momentum_csv(path, orbital: ExpectationSeries, spin: ExpectationSeries,

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 from dataclasses import fields, replace
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac88.errors import ConstraintViolation, DegenerateMode, FitError
-from dirac88.evolution import (_duhamel_kernels, _spectral, alpha_density_series,
+from dirac88.evolution import (EvolutionRun, _duhamel_kernels, _Spectral, alpha_density_series,
                                alpha_expectation_series, energy_expectation,
                                energy_expectation_series, energy_projectors,
                                evolve_free, evolve_sourced, hamiltonian_k,
@@ -56,11 +57,11 @@ def test_hamiltonian_units():
 
 
 def test_gather_hamiltonian_matches_dense_per_mode():
-    from dirac88.evolution import _spectral
+    from dirac88.evolution import _Spectral
     grid = GridSpec((4, 4, 4), tuple(RNG.uniform(1.0, 3.0, 3)))
     mass, c, hbar = 0.7, 1.9, 0.45
     hat = RNG.standard_normal(grid.shape + (8,)) + 1j * RNG.standard_normal(grid.shape + (8,))
-    spectral = _spectral(grid, mass, c, hbar)
+    spectral = _Spectral(grid, mass, c, hbar)
     gathered = spectral.apply_h(hat)
     k = grid.wave_vectors()
     for idx in np.ndindex(grid.shape):
@@ -260,7 +261,7 @@ def _kernel_reference(w, omega, t):
 
 def test_duhamel_kernels_match_quadrature():
     g = grid1d(256)
-    w_grid = np.unique(_spectral(g, 0.0, 1.0, 1.0).omega)
+    w_grid = np.unique(_Spectral(g, 0.0, 1.0, 1.0).omega)
     w_res = float(w_grid[1])                      # the smallest nonzero w(k)
     assert w_grid[0] == 0.0 and w_grid[-1] == 128.0
     w = np.array([0.0, w_res, 37.5, 128.0])
@@ -510,6 +511,34 @@ def test_run_diagnostics_share_one_moments_pass(monkeypatch):
     sample = run.sample(0)
     sample.values[0, 0, 0] = 1.0
     assert run.values[0, 0, 0, 0] != 1.0
+
+
+def test_views_read_zero_for_an_empty_sample_and_nan_for_a_nan_one():
+    # every expectation value divides by its own sample's norm in one way
+    g = grid1d(16)
+    free = run_free(states.electron_rest_mix(g, mass=1.0), np.linspace(0.0, 1.0, 4))
+    values = free.values.copy()
+    values[1] = 0.0
+    values[2, 5, 3] = np.nan
+    run = EvolutionRun(g, free.times, values, free.kind, free.mass, free.c, free.hbar)
+    views = {"alpha": alpha_expectation_series(run).values,
+             "density at the NaN point": alpha_density_series(run, (5,)).values,
+             "density at a finite point": alpha_density_series(run, (9,)).values,
+             "energy": energy_expectation_series(run)}
+    views.update(zip(("orbital", "spin", "total"),
+                     (series.values for series in angular_momentum_series(run))))
+    for name, view in views.items():
+        assert np.all(view[1] == 0.0), name
+        assert np.all(np.isnan(view[2])), name
+        assert np.all(np.isfinite(view[[0, 3]])), name
+
+
+def test_hypothesis_can_report_a_falsifying_example():
+    # the report imports libcst, whose import warns under the DeprecationWarning
+    # filter; pytest.importorskip would import it with warnings silenced
+    if importlib.util.find_spec("libcst") is None:
+        pytest.skip("libcst is not installed")
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.mark.parametrize("center", [0.5, [0.5, 9.0], [[0.5]], "a"],
