@@ -1,12 +1,12 @@
 """Exact spectral time evolution and Zitterbewegung analysis.
 
-Free propagation is exact per Fourier mode: with H(k)^2 = (hbar w)^2 the
-propagator is cos(w t) - i sin(w t) H / (hbar w), so every tolerance in
-free runs is round-off dominated.  Sourced runs are exact too: the source
-is separable in space and time, so the Duhamel integral of the source
-term has a closed form per mode.  The constants m, c and hbar of H come
-from the state (``SpinorField8``) and travel with it into every run,
-sample and mode decomposition.
+Free propagation is exact per Fourier mode: each energy branch of the state,
+H psi(+-) = +- hbar w psi(+-) (``mode_decomposition``), turns by its own
+phase e^{-+i w t}, so every tolerance in free runs is round-off dominated.
+Sourced runs are exact too: the source is separable in space and time, so
+the Duhamel integral of the source term has a closed form per mode.  The
+constants m, c and hbar of H come from the state (``SpinorField8``) and
+travel with it into every run, sample and mode decomposition.
 
 The velocity expectation <alpha>(t) over the whole box is the quantity
 whose oscillatory component is the Zitterbewegung.  For photon states the
@@ -122,6 +122,11 @@ class ModeDecomposition:
         return float(max(np.max(np.abs(h_plus - w * self.plus)),
                          np.max(np.abs(h_minus + w * self.minus)))) / scale
 
+    def at(self, t: float) -> np.ndarray:
+        """Spectral amplitudes at time t, e^{-i w t} plus + e^{+i w t} minus."""
+        phase = np.exp(-1j * self.omega * t)[..., None]
+        return phase * self.plus + phase.conj() * self.minus
+
 
 @dataclass(frozen=True)
 class ZitterReport:
@@ -184,20 +189,19 @@ def energy_projectors(k: np.ndarray, mass: float, c: float = 1.0,
 
 
 class _Spectral:
-    """Wave vectors, w(k), a zero-safe 1/w and H(k) of one (grid, mass, c, hbar).
-
-    H is the diagonal mass term plus a gather and a scale per grid axis
-    (see ``_ALPHA_COL``).
+    """w(k), a zero-safe 1/w and H(k) of one (grid, mass, c, hbar), from which
+    ``mode_decomposition`` splits a state into the energy branches that free
+    evolution turns each by its own phase (``ModeDecomposition.at``).  H is the
+    diagonal mass term plus a gather and a scale per grid axis (see ``_ALPHA_COL``).
     """
 
     def __init__(self, grid: GridSpec, mass: float, c: float, hbar: float):
-        self.hbar = hbar
-        self.k = grid.wave_vectors()
-        self.omega = omega_k(self.k, mass, c, hbar)
+        k = grid.wave_vectors()
+        self.omega = omega_k(k, mass, c, hbar)
         self.inv_omega = np.divide(1.0, self.omega, out=np.zeros_like(self.omega),
                                    where=self.omega > 0.0)
         self._mass_diag = mass * c * c * np.diag(_BETA).real
-        self._ck = [(i, c * hbar * self.k[..., i, None]) for i in grid.spatial_axes]
+        self._ck = [(i, c * hbar * k[..., i, None]) for i in grid.spatial_axes]
 
     def apply_h(self, hat: np.ndarray) -> np.ndarray:
         """H(k) applied to spectral amplitudes of shape (*grid, 8)."""
@@ -209,12 +213,6 @@ class _Spectral:
             out += term
         return out
 
-    def propagate(self, hat: np.ndarray, h_hat: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t / hbar) on spectral amplitudes given H hat; exact, zero mode inert."""
-        wt = self.omega * t
-        sin_fac = np.sin(wt) * self.inv_omega / self.hbar
-        return np.cos(wt)[..., None] * hat - 1j * sin_fac[..., None] * h_hat
-
 
 def evolve_free(psi: SpinorField8, t: float) -> SpinorField8:
     """Free evolution by time t, exact up to round-off (no stepping error)."""
@@ -225,12 +223,10 @@ def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
     """Sample free evolution on a time grid; each sample propagated from t = 0."""
     times = np.asarray(times, dtype=float)
     grid = psi0.grid
-    spectral = _Spectral(grid, psi0.mass, psi0.c, psi0.hbar)
-    hat0 = grid.fft(psi0.values)
-    h_hat0 = spectral.apply_h(hat0)
+    dec = mode_decomposition(psi0)
     values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
     for i, t in enumerate(times):
-        values[i] = grid.ifft(spectral.propagate(hat0, h_hat0, float(t)))
+        values[i] = grid.ifft(dec.at(float(t)))
     return EvolutionRun(grid, times, values, psi0.kind, psi0.mass, psi0.c, psi0.hbar)
 
 
@@ -288,16 +284,15 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
             f"source continuity residual {cont:.3e} exceeds {_CONTINUITY_TOL:.1e}")
 
     hbar = psi0.hbar
+    dec = mode_decomposition(psi0)
     spectral = _Spectral(grid, psi0.mass, psi0.c, hbar)
-    hat0 = grid.fft(psi0.values)
-    h_hat0 = spectral.apply_h(hat0)
     rho_part, j_part = _source_hat_parts(grid, source, psi0.c, hbar)
     h_rho, h_j = spectral.apply_h(rho_part), spectral.apply_h(j_part)
     values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
     for idx, t in enumerate(times):
         cc, cr, r = (k[..., None] for k in _duhamel_kernels(spectral.omega, source.omega, float(t)))
         duhamel = cr * rho_part + cc * j_part - 1j * (r * h_rho + cr * h_j) / hbar
-        values[idx] = grid.ifft(spectral.propagate(hat0, h_hat0, float(t)) + duhamel / (1j * hbar))
+        values[idx] = grid.ifft(dec.at(float(t)) + duhamel / (1j * hbar))
         resid = constraint_residual(values[idx])
         scale = max(float(np.max(np.abs(values[idx]))), 1.0)
         if resid > _CONSTRAINT_TOL * scale:
@@ -363,15 +358,15 @@ def energy_expectation_series(run: EvolutionRun) -> np.ndarray:
 
 
 def momentum_velocity_prediction(psi: SpinorField8) -> np.ndarray:
-    """The drift part c <p H^-1> evaluated directly in mode space (zero for an
-    identically-zero state)."""
-    c, hbar = psi.c, psi.hbar
-    spectral = _Spectral(psi.grid, psi.mass, c, hbar)
-    hat = psi.grid.fft(psi.values)
-    weight = (np.einsum("...a,...a->...", hat.conj(), spectral.apply_h(hat)).real
-              * spectral.inv_omega ** 2 / hbar)
-    num = np.stack([np.sum(c * hbar * spectral.k[..., i] * weight) for i in range(3)])
-    den = np.sum(np.abs(hat) ** 2)
+    """The drift part c <p H^-1> of <alpha>: each energy branch drifts at +- c k / w,
+    its group velocity over c (zero for an identically-zero state)."""
+    dec = mode_decomposition(psi)
+    pop_plus = np.einsum("...a,...a->...", dec.plus.conj(), dec.plus).real
+    pop_minus = np.einsum("...a,...a->...", dec.minus.conj(), dec.minus).real
+    weight = np.divide(psi.c * (pop_plus - pop_minus), dec.omega,
+                       out=np.zeros_like(dec.omega), where=dec.omega > 0.0)
+    num = weight.reshape(-1) @ psi.grid.wave_vectors().reshape(-1, 3)
+    den = np.sum(pop_plus + pop_minus)
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 

@@ -284,9 +284,9 @@ def extract_em(psi: SpinorField8, tol: float = 1e-10) -> EMField:
     return EMField(psi.grid, e.real.astype(complex), b.real.astype(complex))
 
 
-def extract_em_amplitudes(psi: SpinorField8 | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex (E, B) amplitudes from the embedding slots, no reality check."""
-    values = psi.values if isinstance(psi, SpinorField8) else np.asarray(psi, complex)
+def extract_em_amplitudes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex (E, B) amplitudes from the embedding slots of spinor values, no reality check."""
+    values = np.asarray(values, complex)
     return values[..., 1:4].copy(), -1j * values[..., 5:8]
 
 

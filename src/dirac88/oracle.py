@@ -125,7 +125,11 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     if substeps < 2 or substeps % 2:
         raise ValueError("substeps must be an even integer >= 2")
     axes = tuple(range(grid.ndim))
-    k = grid.wave_vectors()
+    # k from points and lengths, not GridSpec's wave vectors, so a fault there shows
+    axis_k = [2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+              for n, length in zip(grid.points, grid.lengths)]
+    k = np.zeros(grid.shape + (3,))
+    k[..., 3 - grid.ndim:] = np.stack(np.meshgrid(*axis_k, indexing="ij"), axis=-1)
     kn = np.linalg.norm(k, axis=-1)
     nonzero = kn > 0.0
     khat = k / np.where(nonzero, kn, 1.0)[..., None]

@@ -92,6 +92,26 @@ def test_energy_expectation_matches_dense_per_mode(grid, seed):
     assert abs(energy - num / np.sum(weights)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("mass, c, hbar", [(0.0, 1.0, 1.0), (0.7, 1.9, 0.45), (2.5, 0.6, 1.7)])
+@pytest.mark.parametrize("grid", ANISOTROPIC_GRIDS, ids=["1d", "2d", "3d"])
+def test_propagator_matches_dense_per_mode(grid, mass, c, hbar):
+    # reference: exp(-i H(k) t / hbar) of every mode from the eigenpairs of
+    # the dense H(k)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(grid.shape + (8,)) + 1j * rng.standard_normal(grid.shape + (8,))
+    times = rng.uniform(-2.0, 2.0, 3)
+    run = run_free(SpinorField8(grid, values, kind="electron", mass=mass, c=c, hbar=hbar), times)
+    k = grid.wave_vectors()
+    energies, vectors = np.linalg.eigh(np.stack([hamiltonian_k(k[idx], mass, c, hbar)
+                                                 for idx in np.ndindex(grid.shape)]))
+    hat0 = grid.fft(values).reshape(-1, 8)
+    for t, sample in zip(times, run.values):
+        phases = np.exp(-1j * energies * t / hbar)
+        expected = np.einsum("mab,mb,mcb,mc->ma", vectors, phases, vectors.conj(), hat0)
+        hat = grid.fft(sample).reshape(-1, 8)
+        assert np.max(np.abs(hat - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_projectors():
     k = np.array([0.3, -0.7, 1.1])
     p_plus, p_minus = energy_projectors(k, 0.4)
@@ -559,11 +579,12 @@ def test_state_builders_share_one_centre_rule(center):
         states.gaussian_dipole_current(g1, [1, 0, 0], 1.0, 0.6, 1.0, center=center)
 
 
-def test_positive_packet_drift_matches_prediction():
+@pytest.mark.parametrize("hbar", [1.0, 2.0])
+def test_positive_packet_drift_matches_prediction(hbar):
     g = grid1d(128)
     psi = states.electron_gaussian_packet(g, mass=1.0, sigma=TWO_PI / 14,
                                           k0_mode=(3,), plus_weight=1.0,
-                                          minus_weight=0.0)
+                                          minus_weight=0.0, hbar=hbar)
     run = run_free(psi, np.linspace(0.0, 2.0, 24))
     series = alpha_expectation_series(run)
     assert np.ptp(series.values, axis=0).max() < 1e-12

@@ -139,6 +139,36 @@ def _band_limited_divfree(g, seed):
     return EMField(g, e.astype(complex), b.astype(complex))
 
 
+def test_oracle_sees_a_fault_in_the_grid_wave_numbers(monkeypatch):
+    # a 1 % scale of GridSpec's wave numbers moves the wave-function route
+    # alone, so the comparison must read it (the field is built first: curl
+    # uses GridSpec)
+    g = grid1d()
+    em0 = _band_limited_divfree(g, 99)
+    times = np.linspace(0.0, 5.0, 100)
+    axis_wave_numbers = GridSpec._axis_wave_numbers
+    monkeypatch.setattr(GridSpec, "_axis_wave_numbers",
+                        lambda self: [1.01 * k for k in axis_wave_numbers(self)])
+    rep = compare(run_free(embed_em(em0), times), maxwell_evolve(em0, None, times))
+    assert rep.max_abs > 1e-10
+
+
+@pytest.mark.parametrize("g", [grid1d(64), GridSpec((8, 8, 8), (TWO_PI, 5.0, 7.0))],
+                         ids=["1d", "3d"])
+def test_oracle_uses_no_grid_spectral_helper(g, monkeypatch):
+    src = states.gaussian_dipole_current(g, [0.3, 1.0, -0.2], 1.0, 0.8, 3.0)
+    times = np.linspace(0.0, 1.5, 6)
+    expected = maxwell_evolve(EMField.zero(g), src, times, substeps=8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a spectral helper of GridSpec")
+
+    for name in ("wave_vectors", "_axis_wave_numbers", "fft", "ifft"):
+        monkeypatch.setattr(GridSpec, name, refuse)
+    run = maxwell_evolve(EMField.zero(g), src, times, substeps=8)
+    assert np.array_equal(run.e, expected.e) and np.array_equal(run.b, expected.b)
+
+
 def test_oracle_3d():
     g = GridSpec((16, 16, 16), (TWO_PI,) * 3)
     em0 = _band_limited_divfree(g, 4)
