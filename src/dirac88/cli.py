@@ -248,7 +248,15 @@ def _run_from_config(cfg: dict):
     return run, psi0, source
 
 
-def _evolve_checks(wanted: dict, run, norms, energies, angular, checks: _Checks):
+def _omega_scale(psi) -> float:
+    """hbar times the mean mode frequency of a sample, weighted by its spectral density."""
+    weights = np.sum(np.abs(psi.grid.fft(psi.values)) ** 2, axis=-1)
+    w = omega_k(psi.grid.wave_vectors(), psi.mass, psi.c, psi.hbar)
+    return psi.hbar * float(np.sum(weights * w) / max(np.sum(weights), 1e-300))
+
+
+def _evolve_checks(wanted: dict, norms, energies, omega_scale, constraint, angular,
+                   checks: _Checks):
     if "norm_drift" in wanted:
         # meaningful for free runs; sourced runs inject norm and fail it
         # numpy's max and min propagate NaN, so a NaN sample cannot pass
@@ -256,16 +264,13 @@ def _evolve_checks(wanted: dict, run, norms, energies, angular, checks: _Checks)
         checks.add("norm conservation", "unitary per-mode phases", drift, wanted["norm_drift"])
     if "energy_drift" in wanted:
         # real classical fields have <H> = 0 exactly (balanced branches);
-        # scale by the populated mode frequencies instead
-        weights = np.sum(np.abs(run.grid.fft(run.values[0])) ** 2, axis=-1)
-        w = omega_k(run.grid.wave_vectors(), run.mass, run.c, run.hbar)
-        omega_scale = run.hbar * float(np.sum(weights * w) / max(np.sum(weights), 1e-300))
+        # scale by the populated mode frequencies of the t = 0 sample instead
         scale = max(abs(energies[0]), omega_scale, 1e-300)
         checks.add("energy conservation", "Hamiltonian expectation constant",
                    (np.max(energies) - np.min(energies)) / scale, wanted["energy_drift"])
     if "constraint" in wanted:
         checks.add("constrained components stay zero", "Gauss-law rows of the wave-function",
-                   constraint_residual(run.values), wanted["constraint"])
+                   constraint, wanted["constraint"])
     if "angular_momentum_drift" in wanted:
         total = angular[2].values
         scale = max(float(np.max(np.abs(total))), 1.0)
@@ -321,27 +326,39 @@ def _cmd_spin_check(cfg: dict, outdir: Path, checks: _Checks):
 def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     wanted = {name: tol for name, tol in cfg["checks"].items() if tol is not None}
     run, psi0, source = _run_from_config(cfg)
-    # every series below reads run.moments, one pass over the samples
+    snapshots = {snap % run.n_samples for snap in cfg["outputs"]["snapshots"]}
+    omega_scale, constraint, snapshot_error = 0.0, 0.0, None
+    # the one pass over the samples: it fills run.moments, which every series below reads
+    for i, psi in enumerate(run.samples()):
+        if i == 0 and "energy_drift" in wanted:
+            omega_scale = _omega_scale(psi)
+        if "constraint" in wanted:
+            constraint = np.maximum(constraint, constraint_residual(psi.values))  # keeps NaN
+        if i in snapshots and snapshot_error is None:
+            try:
+                save_em_csv(outdir / f"fields-{i}.csv", extract_em(psi, tol=1e-6))
+            except ConstraintViolation as exc:  # fails the run once the checks are in
+                snapshot_error = exc
     norms, energies = run.moments.norms * run.grid.cell_volume, energy_expectation_series(run)
     angular = (angular_momentum_series(run) if "angular_momentum_drift" in wanted
                or cfg["series"] == "angular_momentum" else None)
-    _evolve_checks(wanted, run, norms, energies, angular, checks)
+    _evolve_checks(wanted, norms, energies, omega_scale, constraint, angular, checks)
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies,
                        alpha_expectation_series(run))
-    for snap in cfg["outputs"]["snapshots"]:
-        em = extract_em(run.sample(snap), tol=1e-6)
-        save_em_csv(outdir / f"fields-{snap % run.n_samples}.csv", em)
+    if snapshot_error is not None:
+        raise snapshot_error
     if cfg["series"] == "angular_momentum":
         write_angular_momentum_csv(outdir / "angular_momentum.csv", *angular)
 
 
 def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
     run, psi0, _ = _run_from_config(cfg)
+    # first, so that its pass over the samples is the one that fills run.moments
+    point = (alpha_density_series(run, tuple(cfg["point_index"])) if cfg["series"] == "point"
+             else None)
     norms, energies = run.moments.norms * run.grid.cell_volume, energy_expectation_series(run)
-    series = alpha = alpha_expectation_series(run)
-    if cfg["series"] == "point":
-        series = alpha_density_series(run, tuple(cfg["point_index"]))
-    report = zitter_decompose(run, series)
+    alpha = alpha_expectation_series(run)
+    report = zitter_decompose(run, alpha if point is None else point)
     _write_json(outdir / "zitter.json", report.to_dict())
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
     tol = cfg["tolerance"]

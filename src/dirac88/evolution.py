@@ -6,7 +6,9 @@ phase e^{-+i w t}, so every tolerance in free runs is round-off dominated.
 Sourced runs are exact too: the source is separable in space and time, so
 the Duhamel integral of the source term has a closed form per mode.  The
 constants m, c and hbar of H come from the state (``SpinorField8``) and
-travel with it into every run, sample and mode decomposition.
+travel with it into every run, sample and mode decomposition.  A free run
+stores no samples: ``EvolutionRun.samples`` forms them one at a time, in
+reused arrays, and measures each as it passes.
 
 The velocity expectation <alpha>(t) over the whole box is the quantity
 whose oscillatory component is the Zitterbewegung.  For photon states the
@@ -21,14 +23,13 @@ coefficient, 4 sin^2(W dt / 2), comes from a single linear least squares.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintViolation, DegenerateMode, FitError
 from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
-                     SpinorField8, _alpha_density, _Moments, _sample_moments,
+                     SpinorField8, _alpha_density, _Moments, _MomentsPass,
                      constraint_residual, extract_em_amplitudes)
 from .spin import ExpectationSeries
 
@@ -63,35 +64,83 @@ _MAX_LINES = 8
 _LINE_FLOOR = 1e-10
 
 
-@dataclass
 class EvolutionRun:
-    """Immutable sample snapshots of a wave-function over a time grid; ``values``
-    is a read-only view, so the one ``moments`` pass every diagnostic reads stays valid."""
+    """Samples of a wave-function over a time grid, and the one diagnostics
+    pass that every series of the run reads.
 
-    grid: GridSpec
-    times: np.ndarray
-    values: np.ndarray          # (n_times, *grid, 8)
-    kind: str
-    mass: float
-    c: float = 1.0
-    hbar: float = 1.0
+    ``values`` given to the constructor is either the stack of samples
+    (n_times, *grid, 8), or the ``ModeDecomposition`` of the t = 0 state:
+    a free run (``run_free``) stores no samples and forms each one when it
+    is read.  ``samples()`` is the pass: it yields the samples in time order,
+    each a read-only ``SpinorField8`` over a buffer the next sample reuses,
+    so a yielded sample stays valid only until the next one (copy what must
+    outlive it).  When the pass completes it fills ``moments``; a pass left
+    early fills nothing.  ``moments`` on a run nobody iterated runs the same
+    pass.  ``sample(i)`` forms one sample as a fresh, writable copy, and
+    ``values`` stacks every sample on first access, as a read-only array,
+    for library users.
+    """
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values).view()
-        self.values.flags.writeable = False
-
-    @functools.cached_property
-    def moments(self) -> _Moments:
-        """Grid sums of every sample: norms, Gram matrices and momentum sums."""
-        return _sample_moments(self.grid, self.values)
-
-    def sample(self, index: int) -> SpinorField8:
-        return SpinorField8(self.grid, self.values[index].copy(), self.kind, self.mass,
-                            self.c, self.hbar)
+    def __init__(self, grid: GridSpec, times: np.ndarray, values, kind: str, mass: float,
+                 c: float = 1.0, hbar: float = 1.0):
+        self.grid, self.times, self.kind, self.mass, self.c, self.hbar = (
+            grid, times, kind, mass, c, hbar)
+        self._branches = values if isinstance(values, ModeDecomposition) else None
+        self._stack = None if self._branches is not None else _read_only(np.asarray(values))
+        self._moments: _Moments | None = None
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
+
+    def _arrays(self):
+        """Each sample's values in time order: rows of the stack, or free samples
+        formed into one reused buffer."""
+        if self._stack is not None:
+            return self._stack
+        return _free_samples(self._branches, self.times)
+
+    def samples(self):
+        """The pass over the samples; see the class docstring."""
+        measure = _MomentsPass(self.grid, self.n_samples) if self._moments is None else None
+        for s, values in enumerate(self._arrays()):
+            if measure is not None:
+                measure.add(s, values)
+            yield SpinorField8(self.grid, _read_only(values), self.kind, self.mass,
+                               self.c, self.hbar)
+        if measure is not None:
+            self._moments = measure.result()
+
+    @property
+    def moments(self) -> _Moments:
+        """Grid sums of every sample: norms, Gram matrices and momentum sums."""
+        if self._moments is None:
+            for _ in self.samples():
+                pass
+        return self._moments
+
+    def sample(self, index: int) -> SpinorField8:
+        if self._stack is not None:
+            values = self._stack[index].copy()
+        else:
+            values = next(_free_samples(self._branches, [self.times[index]]))
+        return SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every sample, (n_times, *grid, 8), read-only; a free run stacks them here."""
+        if self._stack is None:
+            stack = np.empty((self.n_samples,) + self.grid.shape + (8,), dtype=complex)
+            for s, values in enumerate(self._arrays()):
+                stack[s] = values
+            self._stack = _read_only(stack)
+        return self._stack
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -122,10 +171,15 @@ class ModeDecomposition:
         return float(max(np.max(np.abs(h_plus - w * self.plus)),
                          np.max(np.abs(h_minus + w * self.minus)))) / scale
 
-    def at(self, t: float) -> np.ndarray:
-        """Spectral amplitudes at time t, e^{-i w t} plus + e^{+i w t} minus."""
+    def at(self, t: float, out: np.ndarray | None = None,
+           scratch: np.ndarray | None = None) -> np.ndarray:
+        """Spectral amplitudes at time t, e^{-i w t} plus + e^{+i w t} minus.
+        Arrays of the shape of ``plus`` given as ``out`` (the result) and
+        ``scratch`` (overwritten) spare the two full-size temporaries."""
         phase = np.exp(-1j * self.omega * t)[..., None]
-        return phase * self.plus + phase.conj() * self.minus
+        out = np.multiply(phase, self.plus, out=out)
+        out += np.multiply(phase.conj(), self.minus, out=scratch)
+        return out
 
 
 @dataclass(frozen=True)
@@ -220,14 +274,26 @@ def evolve_free(psi: SpinorField8, t: float) -> SpinorField8:
 
 
 def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
-    """Sample free evolution on a time grid; each sample propagated from t = 0."""
+    """Free evolution sampled on a time grid, each sample propagated from t = 0.
+
+    The run holds the energy branches of psi0 and stores no samples: each is
+    formed when read (``EvolutionRun.samples``, ``sample``, ``values``)."""
     times = np.asarray(times, dtype=float)
-    grid = psi0.grid
-    dec = mode_decomposition(psi0)
-    values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
-    for i, t in enumerate(times):
-        values[i] = grid.ifft(dec.at(float(t)))
-    return EvolutionRun(grid, times, values, psi0.kind, psi0.mass, psi0.c, psi0.hbar)
+    return EvolutionRun(psi0.grid, times, mode_decomposition(psi0), psi0.kind, psi0.mass,
+                        psi0.c, psi0.hbar)
+
+
+def _free_samples(dec: ModeDecomposition, times, source_term=None):
+    """Yield the sample at each time t: the inverse transform of the spectral
+    amplitudes dec.at(t), plus ``source_term(t)`` when given.  The amplitudes
+    and the sample live in two arrays that every time reuses, so a yielded
+    sample is valid until the next."""
+    hat, values = np.empty_like(dec.plus), np.empty_like(dec.plus)
+    for t in times:
+        dec.at(float(t), out=hat, scratch=values)
+        if source_term is not None:
+            hat += source_term(float(t))
+        yield dec.grid.ifft(hat, out=values)
 
 
 def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float):
@@ -284,17 +350,21 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
             f"source continuity residual {cont:.3e} exceeds {_CONTINUITY_TOL:.1e}")
 
     hbar = psi0.hbar
-    dec = mode_decomposition(psi0)
     spectral = _Spectral(grid, psi0.mass, psi0.c, hbar)
+    dec = _split(psi0, spectral)
     rho_part, j_part = _source_hat_parts(grid, source, psi0.c, hbar)
     h_rho, h_j = spectral.apply_h(rho_part), spectral.apply_h(j_part)
+
+    def duhamel(t: float) -> np.ndarray:
+        cc, cr, r = (k[..., None] for k in _duhamel_kernels(spectral.omega, source.omega, t))
+        return (cr * rho_part + cc * j_part - 1j * (r * h_rho + cr * h_j) / hbar) / (1j * hbar)
+
+    # stored, so that a violation raises here and not in a later reader
     values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
-    for idx, t in enumerate(times):
-        cc, cr, r = (k[..., None] for k in _duhamel_kernels(spectral.omega, source.omega, float(t)))
-        duhamel = cr * rho_part + cc * j_part - 1j * (r * h_rho + cr * h_j) / hbar
-        values[idx] = grid.ifft(dec.at(float(t)) + duhamel / (1j * hbar))
-        resid = constraint_residual(values[idx])
-        scale = max(float(np.max(np.abs(values[idx]))), 1.0)
+    for idx, (t, sample) in enumerate(zip(times, _free_samples(dec, times, duhamel))):
+        values[idx] = sample
+        resid = constraint_residual(sample)
+        scale = max(float(np.max(np.abs(sample))), 1.0)
         if resid > _CONSTRAINT_TOL * scale:
             raise ConstraintViolation(
                 f"constrained components reached {resid:.3e} at t = {t:.6g}; "
@@ -304,8 +374,12 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
 
 def mode_decomposition(psi: SpinorField8) -> ModeDecomposition:
     """Split a state into positive/negative-frequency spectral amplitudes."""
+    return _split(psi, _Spectral(psi.grid, psi.mass, psi.c, psi.hbar))
+
+
+def _split(psi: SpinorField8, spectral: _Spectral) -> ModeDecomposition:
+    """``mode_decomposition`` with the spectral core of psi's grid and units."""
     grid = psi.grid
-    spectral = _Spectral(grid, psi.mass, psi.c, psi.hbar)
     hat = grid.fft(psi.values)
     ratio = (spectral.inv_omega / psi.hbar)[..., None] * spectral.apply_h(hat)
     plus = 0.5 * (hat + ratio)
@@ -338,8 +412,10 @@ def alpha_expectation_series(run: EvolutionRun) -> ExpectationSeries:
 def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> ExpectationSeries:
     """The local velocity density psi+ alpha psi at one grid point, normalised
     by the sample's total norm as <alpha> is; carries the pointwise jitter."""
-    density = _alpha_density(run.values[(slice(None),) + tuple(index)])
-    return ExpectationSeries(run.times, run.moments.per_norm(density))
+    index = tuple(index)
+    # copied: each yielded sample's buffer is reused by the next
+    point = np.array([psi.values[index].copy() for psi in run.samples()])
+    return ExpectationSeries(run.times, run.moments.per_norm(_alpha_density(point)))
 
 
 def energy_expectation(psi: SpinorField8) -> float:
@@ -360,12 +436,15 @@ def energy_expectation_series(run: EvolutionRun) -> np.ndarray:
 def momentum_velocity_prediction(psi: SpinorField8) -> np.ndarray:
     """The drift part c <p H^-1> of <alpha>: each energy branch drifts at +- c k / w,
     its group velocity over c (zero for an identically-zero state)."""
-    dec = mode_decomposition(psi)
+    return _drift_prediction(mode_decomposition(psi))
+
+
+def _drift_prediction(dec: ModeDecomposition) -> np.ndarray:
     pop_plus = np.einsum("...a,...a->...", dec.plus.conj(), dec.plus).real
     pop_minus = np.einsum("...a,...a->...", dec.minus.conj(), dec.minus).real
-    weight = np.divide(psi.c * (pop_plus - pop_minus), dec.omega,
+    weight = np.divide(dec.c * (pop_plus - pop_minus), dec.omega,
                        out=np.zeros_like(dec.omega), where=dec.omega > 0.0)
-    num = weight.reshape(-1) @ psi.grid.wave_vectors().reshape(-1, 3)
+    num = weight.reshape(-1) @ dec.grid.wave_vectors().reshape(-1, 3)
     den = np.sum(pop_plus + pop_minus)
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
@@ -379,12 +458,15 @@ def zitter_lines(psi: SpinorField8) -> list[tuple[np.ndarray, float, float]]:
     below ``_LINE_FLOOR`` are dropped as round-off, so an identically-zero state
     has none.
     """
-    dec = mode_decomposition(psi)
+    return _lines(mode_decomposition(psi))
+
+
+def _lines(dec: ModeDecomposition) -> list[tuple[np.ndarray, float, float]]:
     pop_plus = np.sqrt(np.einsum("...a,...a->...", dec.plus.conj(), dec.plus).real)
     pop_minus = np.sqrt(np.einsum("...a,...a->...", dec.minus.conj(), dec.minus).real)
     norm = np.sum(pop_plus ** 2 + pop_minus ** 2)
     cross = np.divide(pop_plus * pop_minus, norm, out=np.zeros_like(pop_plus), where=norm != 0.0)
-    k = psi.grid.wave_vectors()
+    k = dec.grid.wave_vectors()
     flat = np.argsort(cross.reshape(-1))[::-1][:_MAX_LINES]
     lines = []
     for fi in flat:
@@ -412,13 +494,13 @@ def zitter_decompose(run: EvolutionRun,
         raise FitError(f"need at least {_MIN_SAMPLES} samples, got {run.n_samples}")
     if series is None:
         series = alpha_expectation_series(run)
-    psi0 = run.sample(0)
+    dec = mode_decomposition(run.sample(0))
     dc = series.values.mean(axis=0)
     osc = series.values - dc
     amplitude = np.sqrt(2.0 * np.mean(osc ** 2, axis=0))
-    prediction = momentum_velocity_prediction(psi0)
+    prediction = _drift_prediction(dec)
 
-    lines = zitter_lines(psi0)
+    lines = _lines(dec)
     if not lines:
         # single energy branch everywhere: nothing oscillates, nothing to fit
         return ZitterReport(dc, prediction, amplitude, 0.0, 0.0, 0.0, [])
@@ -479,9 +561,9 @@ def zitter_equals_poynting(run: EvolutionRun, omega: float,
     n = run.n_samples
     side_a = np.zeros((n, 3))
     pointwise_dev = 0.0
-    for it, t in enumerate(run.times):
-        values = run.values[it]
-        density = 0.5 * _alpha_density(values)
+    for it, psi in enumerate(run.samples()):
+        t = run.times[it]
+        density = 0.5 * _alpha_density(psi.values)
         side_a[it] = np.sum(density, axis=grid_axes) * dv
         carrier = np.exp(-2j * omega * t)
         recon = dc + (osc * carrier).real * 2.0

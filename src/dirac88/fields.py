@@ -125,9 +125,9 @@ class GridSpec:
         """Forward DFT over the grid axes, which lead every field array."""
         return np.fft.fftn(values, axes=tuple(range(self.ndim)))
 
-    def ifft(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of ``fft``."""
-        return np.fft.ifftn(values, axes=tuple(range(self.ndim)))
+    def ifft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of ``fft``; ``out``, of the shape of ``values``, receives the result."""
+        return np.fft.ifftn(values, axes=tuple(range(self.ndim)), out=out)
 
     def to_dict(self) -> dict:
         return {"points": list(self.points), "lengths": list(self.lengths)}
@@ -321,7 +321,7 @@ def _alpha_density(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Moments:
-    """Grid sums over each sample of a stack of wave-functions (n, *grid, 8).
+    """Grid sums over each sample of a run, as ``_MomentsPass`` takes them.
 
     ``norms[s]`` is sum |psi|^2 (numpy's pairwise sum) and ``gram[s]`` the
     8x8 Gram matrix G_ab = sum psi_a* psi_b, so that sum psi+ M psi =
@@ -343,42 +343,63 @@ class _Moments:
         return np.divide(sums, norms, out=np.zeros_like(sums), where=norms != 0.0)
 
 
-def _sample_moments(grid: GridSpec, values: np.ndarray) -> _Moments:
-    """Every volume diagnostic of a stack of samples in one pass over them.
+class _MomentsPass:
+    """Every volume diagnostic of a run's samples, taken one sample at a time.
 
-    The momentum sums take one 1-D DFT per grid axis b, A_b = fft(psi,
-    axis=b), and Parseval along b alone: k_b varies only along b, while
-    alpha'_b and the coordinate r_a of any other axis are constant along
-    it.  So sum psi+ alpha'_b k_b psi = sum_k k_b A_b+ alpha'_b A_b / N_b,
-    summed per k_b line through an 8x8 Gram matrix, and sum r_a psi+ k_b psi
-    = sum r_a k_b |A_b|^2 / N_b.
+    The set-up (coordinates, axis wave numbers, k lines) and the scratch
+    arrays are made once per pass; ``add`` measures one sample into them,
+    allocating nothing of the sample's size, and ``result`` hands back the
+    ``_Moments``.  The momentum sums take one 1-D DFT per grid axis b,
+    A_b = fft(psi, axis=b), and Parseval along b alone: k_b varies only
+    along b, while alpha'_b and the coordinate r_a of any other axis are
+    constant along it.  So sum psi+ alpha'_b k_b psi = sum_k k_b A_b+
+    alpha'_b A_b / N_b, summed per k_b line through an 8x8 Gram matrix, and
+    sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b.
     """
-    n = len(values)
-    norms = np.empty(n)
-    gram = np.empty((n, 8, 8), dtype=complex)
-    kinetic = np.zeros(n)
-    rk = np.zeros((n, 3, 3))
-    coords = grid.axis_coords()
-    cart = grid.spatial_axes
-    k_axes = grid._axis_wave_numbers()
-    k_lines = [k.reshape([-1 if ax == b else 1 for ax in range(grid.ndim)])
-               for b, k in enumerate(k_axes)]
-    for s, v in enumerate(values):
-        norms[s] = np.sum(np.abs(v) ** 2)
+
+    def __init__(self, grid: GridSpec, n: int):
+        self.grid = grid
+        self.norms = np.empty(n)
+        self.gram = np.empty((n, 8, 8), dtype=complex)
+        self.kinetic = np.zeros(n)
+        self.rk = np.zeros((n, 3, 3))
+        self._coords = grid.axis_coords()
+        self._k_axes = grid._axis_wave_numbers()
+        self._k_lines = [k.reshape([-1 if ax == b else 1 for ax in range(grid.ndim)])
+                         for b, k in enumerate(self._k_axes)]
+        shape = grid.shape + (8,)
+        self._power = np.empty(shape)
+        self._axis, self._moved, self._conj = (np.empty(shape, dtype=complex) for _ in range(3))
+
+    def add(self, s: int, v: np.ndarray):
+        """Measure sample ``s``, of shape (*grid, 8)."""
+        grid, cart = self.grid, self.grid.spatial_axes
+        power = np.square(np.abs(v, out=self._power), out=self._power)
+        self.norms[s] = np.sum(power)
         flat = v.reshape(-1, 8)
-        gram[s] = flat.conj().T @ flat
+        self.gram[s] = np.conjugate(flat, out=self._conj.reshape(-1, 8)).T @ flat
         for b, n_b in enumerate(grid.points):
-            a_b = np.fft.fft(v, axis=b)
-            lines = np.moveaxis(a_b, b, 0).reshape(n_b, -1, 8)
-            line_gram = lines.conj().transpose(0, 2, 1) @ lines
-            kinetic[s] += np.einsum("k,ab,kab->", k_axes[b], _ALPHA[cart[b]], line_gram).real / n_b
+            a_b = np.fft.fft(v, axis=b, out=self._axis)
+            moved = np.moveaxis(a_b, b, 0)
+            if b:   # lay the k_b lines out contiguously, in a reused array
+                buffer = self._moved.reshape(moved.shape)
+                buffer[...] = moved
+                moved = buffer
+            lines = moved.reshape(n_b, -1, 8)
+            conj = np.conjugate(lines, out=self._conj.reshape(lines.shape))
+            line_gram = conj.transpose(0, 2, 1) @ lines
+            self.kinetic[s] += np.einsum("k,ab,kab->", self._k_axes[b], _ALPHA[cart[b]],
+                                         line_gram).real / n_b
             real = a_b.view(float)
-            weighted = np.einsum("...i,...i->...", real, real) * k_lines[b]
+            weighted = np.einsum("...i,...i->...", real, real) * self._k_lines[b]
             for a in range(grid.ndim):
                 if a != b:
                     others = tuple(ax for ax in range(grid.ndim) if ax != a)
-                    rk[s, cart[a], cart[b]] = weighted.sum(axis=others) @ coords[a] / n_b
-    return _Moments(norms, gram, kinetic, rk)
+                    self.rk[s, cart[a], cart[b]] = (weighted.sum(axis=others) @ self._coords[a]
+                                                    / n_b)
+
+    def result(self) -> _Moments:
+        return _Moments(self.norms, self.gram, self.kinetic, self.rk)
 
 
 def divergence(grid: GridSpec, v: np.ndarray) -> np.ndarray:

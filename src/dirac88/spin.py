@@ -148,7 +148,7 @@ def _warn_if_packet_too_wide(run):
     """The box-centred coordinate wraps at the boundary; warn when the
     density RMS width exceeds L/8 on some axis (translation-invariant
     states are exempt, their width is a matter of convention)."""
-    density = np.sum(np.abs(run.values[0]) ** 2, axis=-1)
+    density = np.sum(np.abs(run.sample(0).values) ** 2, axis=-1)
     total = float(np.sum(density))
     peak = float(np.max(density))
     if total == 0.0 or (peak - float(np.min(density))) < 1e-6 * peak:

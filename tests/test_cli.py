@@ -304,7 +304,7 @@ def test_evolve_diagnostics_computed_once(tmp_path, monkeypatch):
     import dirac88.fields as fields
     import dirac88.spin as spin
     calls = count_calls(monkeypatch, {
-        "kernel": fields._sample_moments,
+        "kernel": fields._MomentsPass,
         "energy": evolution.energy_expectation_series,
         "alpha": evolution.alpha_expectation_series,
         "angular": spin.angular_momentum_series,
@@ -326,10 +326,121 @@ def test_cli_imports_no_private_names():
     assert private == []
 
 
+def packet_cfg(points, samples):
+    # the free3d-conservation packet on a smaller grid
+    return {
+        "grid": {"points": points, "lengths": [TWO_PI] * len(points)},
+        "mass": 25.0, "duration": 10 * TWO_PI / 50.0, "samples": samples,
+        "state": {"type": "electron_packet", "sigma": TWO_PI / 16, "k0_mode": [1, 0, 2],
+                  "minus_weight": 0.7},
+        "checks": {"norm_drift": 1e-8, "energy_drift": 1e-8},
+        "series": "angular_momentum",
+    }
+
+
+def test_evolve_keeps_no_stack_of_a_free_run(tmp_path):
+    import tracemalloc
+    samples, points = 41, [16, 16, 16]
+    stack_bytes = samples * 16 ** 3 * 8 * 16
+    path = write_cfg(tmp_path, "cfg.json", packet_cfg(points, samples))
+    tracemalloc.start()
+    try:
+        assert run_command("evolve", path, str(tmp_path / "out")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 3, (peak, stack_bytes)
+
+
+@pytest.mark.parametrize("command", ["evolve", "zitter"])
+def test_a_command_forms_each_free_sample_once(tmp_path, monkeypatch, command):
+    import dirac88.evolution as evolution
+    formed = []
+    free_samples = evolution._free_samples
+
+    def counted(*args, **kwargs):
+        for sample in free_samples(*args, **kwargs):
+            formed.append(1)
+            yield sample
+
+    monkeypatch.setattr(evolution, "_free_samples", counted)
+    cfg = {"evolve": packet_cfg([8, 8, 16], 7),
+           "zitter": {**zitter_point_cfg([5]), "duration": 4.0, "samples": 32}}[command]
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert run_command(command, path, str(tmp_path / "out")) == 0
+    # one pass forms each sample; <L>'s width warning, or the jitter analysis,
+    # reads sample 0 once more
+    assert len(formed) == cfg["samples"] + 1
+
+
+def snapshot_cfg():
+    cfg = evolve_cfg(samples=6)
+    cfg["grid"] = {"points": [8, 8, 16], "lengths": [TWO_PI, 5.0, 9.0]}
+    cfg["state"] = {"type": "travelling_wave", "mode": [1, 0, 2], "polarisation": "y"}
+    cfg["outputs"] = {"snapshots": [0, 3, -1, 5]}
+    return cfg
+
+
+def test_evolve_writes_snapshots_without_stacking_the_run(tmp_path, monkeypatch):
+    import dirac88.evolution as evolution
+
+    def refuse(run):
+        raise AssertionError("evolve stacked the run")
+
+    monkeypatch.setattr(evolution.EvolutionRun, "values", property(refuse))
+    path = write_cfg(tmp_path, "cfg.json", snapshot_cfg())
+    out = tmp_path / "out"
+    assert run_command("evolve", path, str(out)) == 0
+    rows = read_summary(out)["checks"]
+    assert [row["name"] for row in rows][-1] == "constrained components stay zero"
+    assert sorted(p.name for p in out.glob("fields-*.csv")) == ["fields-0.csv", "fields-3.csv",
+                                                                 "fields-5.csv"]
+
+
+def test_snapshots_of_the_pass_equal_snapshots_of_one_sample(tmp_path):
+    from dirac88 import cli
+    from dirac88.fields import extract_em, save_em_csv
+    cfg = snapshot_cfg()
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert run_command("evolve", path, str(out)) == 0
+    run, _, _ = cli._run_from_config(cli._checked_config(cli.COMMANDS["evolve"][1], cfg))
+    for i in (0, 3, 5):
+        save_em_csv(tmp_path / f"ref-{i}.csv", extract_em(run.sample(i), tol=1e-6))
+        for suffix in ("", ".json"):
+            assert ((out / f"fields-{i}.csv{suffix}").read_bytes()
+                    == (tmp_path / f"ref-{i}.csv{suffix}").read_bytes())
+
+
+def test_zitter_decompose_splits_the_state_once(monkeypatch):
+    import dirac88.evolution as evolution
+    from dirac88 import states
+    from dirac88.fields import GridSpec
+    run = evolution.run_free(states.electron_rest_mix(GridSpec((16,), (TWO_PI,)), mass=1.0),
+                             np.linspace(0.0, 9.0, 32))
+    calls = count_calls(monkeypatch, {"split": evolution.mode_decomposition,
+                                      "core": evolution._Spectral})
+    report = evolution.zitter_decompose(run)
+    assert calls == {"split": 1, "core": 1}
+    assert report.relative_frequency_error < 1e-6
+
+
+def test_evolve_sourced_builds_one_spectral_core(monkeypatch):
+    import dirac88.evolution as evolution
+    from dirac88 import states
+    from dirac88.fields import GridSpec
+    g = GridSpec((32,), (TWO_PI,))
+    src = states.gaussian_dipole_current(g, [0, 1, 0], 1.0, 0.4, 2.0)
+    calls = count_calls(monkeypatch, {"core": evolution._Spectral})
+    run = evolution.evolve_sourced(states.zero_field(g), src, np.linspace(0.0, 1.0, 5))
+    assert calls == {"core": 1}
+    assert run.n_samples == 5
+
+
 def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypatch):
     import dirac88.evolution as evolution
     counts = {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
-    kernel = evolution._sample_moments
+    kernel = evolution._MomentsPass.add
 
     def counted_kernel(*args, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
@@ -340,7 +451,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
                 mp.setattr(np.fft, name, wrapper)
             return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_sample_moments", counted_kernel)
+    monkeypatch.setattr(evolution._MomentsPass, "add", counted_kernel)
     samples = 5
     cfg = {
         "grid": {"points": [8, 8, 16], "lengths": [TWO_PI, 5.0, 9.0]},
@@ -414,13 +525,13 @@ def test_config_domain_exit2(tmp_path, capsys, key, edit):
 def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
     import dataclasses
     import dirac88.evolution as evolution
-    kernel = evolution._sample_moments
+    kernel = evolution._MomentsPass.result
 
     def nan_energies(*args, **kwargs):
         moments = kernel(*args, **kwargs)
         return dataclasses.replace(moments, kinetic=np.full_like(moments.kinetic, np.nan))
 
-    monkeypatch.setattr(evolution, "_sample_moments", nan_energies)
+    monkeypatch.setattr(evolution._MomentsPass, "result", nan_energies)
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
     out = tmp_path / "o"
     assert run_command("evolve", path, str(out)) == 1
@@ -431,7 +542,7 @@ def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
 def test_nan_sample_fails_drift_checks(tmp_path, capsys, monkeypatch):
     import dataclasses
     import dirac88.evolution as evolution
-    kernel = evolution._sample_moments
+    kernel = evolution._MomentsPass.result
 
     def nan_last_norm(*args, **kwargs):
         moments = kernel(*args, **kwargs)
@@ -439,7 +550,7 @@ def test_nan_sample_fails_drift_checks(tmp_path, capsys, monkeypatch):
         norms[-1] = np.nan
         return dataclasses.replace(moments, norms=norms)
 
-    monkeypatch.setattr(evolution, "_sample_moments", nan_last_norm)
+    monkeypatch.setattr(evolution._MomentsPass, "result", nan_last_norm)
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
     out = tmp_path / "o"
     assert run_command("evolve", path, str(out)) == 1

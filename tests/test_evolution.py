@@ -507,13 +507,13 @@ def test_functions_of_a_state_take_no_units(function):
 def test_run_diagnostics_share_one_moments_pass(monkeypatch):
     import dirac88.evolution as evolution
     calls = []
-    kernel = evolution._sample_moments
+    kernel = evolution._MomentsPass
 
     def counted(*args, **kwargs):
         calls.append(1)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_sample_moments", counted)
+    monkeypatch.setattr(evolution, "_MomentsPass", counted)
     g = GridSpec((8, 8), (TWO_PI, 5.0))
     psi = states.electron_gaussian_packet(g, mass=1.5, sigma=0.5, k0_mode=(1, 1),
                                           minus_weight=0.5)
@@ -714,3 +714,119 @@ def test_propagator_unitary_and_composes_on_random_grids(points, mass, c, hbar, 
     both = evolve_free(psi, t1 + t2)
     assert abs(np.linalg.norm(both.values) / np.linalg.norm(values) - 1.0) < 1e-13
     assert np.max(np.abs(one.values - both.values)) < 1e-13 * np.max(np.abs(values))
+
+
+# --- the streamed pass over a run's samples --------------------------------
+
+def _stacked_moments(grid, values):
+    """The moments of a stack of samples, each formed with fresh arrays: the
+    reference for the pass, which measures one sample at a time in reused ones."""
+    from dirac88.fields import _ALPHA
+    n = len(values)
+    norms, gram = np.empty(n), np.empty((n, 8, 8), dtype=complex)
+    kinetic, rk = np.zeros(n), np.zeros((n, 3, 3))
+    coords, cart, k_axes = grid.axis_coords(), grid.spatial_axes, grid._axis_wave_numbers()
+    k_lines = [k.reshape([-1 if ax == b else 1 for ax in range(grid.ndim)])
+               for b, k in enumerate(k_axes)]
+    for s, v in enumerate(values):
+        norms[s] = np.sum(np.abs(v) ** 2)
+        flat = v.reshape(-1, 8)
+        gram[s] = flat.conj().T @ flat
+        for b, n_b in enumerate(grid.points):
+            a_b = np.fft.fft(v, axis=b)
+            lines = np.moveaxis(a_b, b, 0).reshape(n_b, -1, 8)
+            line_gram = lines.conj().transpose(0, 2, 1) @ lines
+            kinetic[s] += np.einsum("k,ab,kab->", k_axes[b], _ALPHA[cart[b]], line_gram).real / n_b
+            real = a_b.view(float)
+            weighted = np.einsum("...i,...i->...", real, real) * k_lines[b]
+            for a in range(grid.ndim):
+                if a != b:
+                    others = tuple(ax for ax in range(grid.ndim) if ax != a)
+                    rk[s, cart[a], cart[b]] = weighted.sum(axis=others) @ coords[a] / n_b
+    return norms, gram, kinetic, rk
+
+
+def _packet(points, lengths, k0_mode):
+    g = GridSpec(points, lengths)
+    return states.electron_gaussian_packet(g, mass=1.5, sigma=0.6, k0_mode=k0_mode,
+                                           minus_weight=0.7)
+
+
+STREAM_CASES = {
+    "free-1d": lambda: _packet((64,), (TWO_PI,), (3,)),
+    "free-2d": lambda: _packet((8, 16), (TWO_PI, 5.0), (1, 2)),
+    "free-3d": lambda: _packet((8, 8, 16), (TWO_PI, 5.0, 9.0), (1, 0, 2)),
+    "sourced-1d": lambda: states.travelling_wave(grid1d(64), 2, "y", 0.5),
+}
+
+
+def _stream_run(case):
+    psi0, times = STREAM_CASES[case](), np.linspace(0.0, 1.7, 9)
+    if case.startswith("sourced"):
+        src = states.gaussian_dipole_current(psi0.grid, [0, 1, 0], 1.0, TWO_PI / 16, 2.0)
+        return psi0, evolve_sourced(psi0, src, times)
+    return psi0, run_free(psi0, times)
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_samples_stream_the_free_evolution_in_order(case):
+    psi0, run = _stream_run(case)
+    free = not case.startswith("sourced")
+    dec = mode_decomposition(psi0)
+    seen = []
+    for i, psi in enumerate(run.samples()):
+        assert not psi.values.flags.writeable
+        assert (psi.kind, psi.mass, psi.c, psi.hbar) == (run.kind, run.mass, run.c, run.hbar)
+        if free:
+            assert np.array_equal(psi.values, psi0.grid.ifft(dec.at(float(run.times[i]))))
+        seen.append(psi.values.copy())
+    assert len(seen) == run.n_samples
+    assert np.array_equal(np.array(seen), run.values)
+    assert all(np.array_equal(run.sample(i).values, seen[i]) for i in (0, -1))
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_pass_moments_equal_the_stacked_moments(case):
+    _, run = _stream_run(case)
+    moments = run.moments            # the pass, before anything stacks the run
+    norms, gram, kinetic, rk = _stacked_moments(run.grid, run.values)
+    assert np.array_equal(moments.norms, norms)
+    assert np.array_equal(moments.gram, gram)
+    scale = float(np.max(np.abs(run.grid.wave_vectors()))) * float(np.max(norms))
+    assert np.max(np.abs(moments.kinetic - kinetic)) <= 1e-15 * scale
+    assert np.max(np.abs(moments.rk - rk)) <= 1e-15 * scale * max(run.grid.lengths)
+
+
+def test_a_pass_left_early_fills_no_moments(monkeypatch):
+    psi0, run = _stream_run("free-2d")
+    for _ in run.samples():
+        break
+    assert run._moments is None
+    formed = []
+    ifft = GridSpec.ifft
+
+    def counted(self, *args, **kwargs):
+        formed.append(1)
+        return ifft(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridSpec, "ifft", counted)
+    norms = run.moments.norms
+    assert len(formed) == run.n_samples
+    assert np.array_equal(norms, _stacked_moments(run.grid, run.values)[0])
+    # the complete pass is cached: iterating again measures nothing and keeps it
+    for _ in run.samples():
+        pass
+    assert run.moments.norms is norms
+
+
+def test_a_yielded_sample_is_valid_until_the_next():
+    _, run = _stream_run("free-1d")
+    first = None
+    for psi in run.samples():
+        if first is None:
+            first, kept = psi.values, psi.values.copy()
+        else:
+            break
+    # the buffer is reused: the first sample's values now hold the second's
+    assert np.array_equal(first, run.values[1])
+    assert np.array_equal(kept, run.values[0])
