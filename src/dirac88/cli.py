@@ -325,7 +325,7 @@ def _cmd_spin_check(cfg: dict, outdir: Path, checks: _Checks):
 
 def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     wanted = {name: tol for name, tol in cfg["checks"].items() if tol is not None}
-    run, psi0, source = _run_from_config(cfg)
+    run = _run_from_config(cfg)[0]   # the t = 0 state is not kept alive through the pass
     snapshots = {snap % run.n_samples for snap in cfg["outputs"]["snapshots"]}
     omega_scale, constraint, snapshot_error = 0.0, 0.0, None
     # the one pass over the samples: it fills run.moments, which every series below reads
@@ -352,7 +352,7 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
-    run, psi0, _ = _run_from_config(cfg)
+    run = _run_from_config(cfg)[0]
     # first, so that its pass over the samples is the one that fills run.moments
     point = (alpha_density_series(run, tuple(cfg["point_index"])) if cfg["series"] == "point"
              else None)

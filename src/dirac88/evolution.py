@@ -74,11 +74,13 @@ class EvolutionRun:
     is read.  ``samples()`` is the pass: it yields the samples in time order,
     each a read-only ``SpinorField8`` over a buffer the next sample reuses,
     so a yielded sample stays valid only until the next one (copy what must
-    outlive it).  When the pass completes it fills ``moments``; a pass left
-    early fills nothing.  ``moments`` on a run nobody iterated runs the same
-    pass.  ``sample(i)`` forms one sample as a fresh, writable copy, and
-    ``values`` stacks every sample on first access, as a read-only array,
-    for library users.
+    outlive it).  It measures each sample as it passes; a free sample hands
+    the measurement the axis-0 stage of its inverse transform, so it is
+    transformed along axis 0 once, not twice.  When the pass completes it
+    fills ``moments``; a pass left early fills nothing.  ``moments`` on a
+    run nobody iterated runs the same pass.  ``sample(i)`` forms one sample
+    as a fresh, writable copy, and ``values`` stacks every sample on first
+    access, as a read-only array, for library users.
     """
 
     def __init__(self, grid: GridSpec, times: np.ndarray, values, kind: str, mass: float,
@@ -94,18 +96,19 @@ class EvolutionRun:
         return len(self.times)
 
     def _arrays(self):
-        """Each sample's values in time order: rows of the stack, or free samples
-        formed into one reused buffer."""
+        """Each sample's values in time order, with fft(values, axis=0) when the
+        run has it for free: rows of the stack (without it), or free samples
+        formed into reused buffers (with their inverse transform's axis-0 stage)."""
         if self._stack is not None:
-            return self._stack
+            return ((values, None) for values in self._stack)
         return _free_samples(self._branches, self.times)
 
     def samples(self):
         """The pass over the samples; see the class docstring."""
         measure = _MomentsPass(self.grid, self.n_samples) if self._moments is None else None
-        for s, values in enumerate(self._arrays()):
+        for s, (values, axis0) in enumerate(self._arrays()):
             if measure is not None:
-                measure.add(s, values)
+                measure.add(s, values, axis0)
             yield SpinorField8(self.grid, _read_only(values), self.kind, self.mass,
                                self.c, self.hbar)
         if measure is not None:
@@ -123,7 +126,7 @@ class EvolutionRun:
         if self._stack is not None:
             values = self._stack[index].copy()
         else:
-            values = next(_free_samples(self._branches, [self.times[index]]))
+            values = next(_free_samples(self._branches, [self.times[index]]))[0]
         return SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
 
     @property
@@ -131,7 +134,7 @@ class EvolutionRun:
         """Every sample, (n_times, *grid, 8), read-only; a free run stacks them here."""
         if self._stack is None:
             stack = np.empty((self.n_samples,) + self.grid.shape + (8,), dtype=complex)
-            for s, values in enumerate(self._arrays()):
+            for s, (values, _) in enumerate(self._arrays()):
                 stack[s] = values
             self._stack = _read_only(stack)
         return self._stack
@@ -284,16 +287,19 @@ def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
 
 
 def _free_samples(dec: ModeDecomposition, times, source_term=None):
-    """Yield the sample at each time t: the inverse transform of the spectral
-    amplitudes dec.at(t), plus ``source_term(t)`` when given.  The amplitudes
-    and the sample live in two arrays that every time reuses, so a yielded
-    sample is valid until the next."""
+    """Yield (sample, axis-0 stage) at each time t.  The sample is the inverse
+    transform of the spectral amplitudes dec.at(t), plus ``source_term(t)``
+    when given, taken one axis at a time (``GridSpec.ifft_staged``); the stage
+    is that transform over grid axes 1.. alone, fft(sample, axis=0) up to
+    round-off, which the moments pass reads instead of transforming the
+    sample again.  Both live in two arrays that every time reuses, so a
+    yielded pair is valid until the next."""
     hat, values = np.empty_like(dec.plus), np.empty_like(dec.plus)
     for t in times:
         dec.at(float(t), out=hat, scratch=values)
         if source_term is not None:
             hat += source_term(float(t))
-        yield dec.grid.ifft(hat, out=values)
+        yield dec.grid.ifft_staged(hat, out=values), hat
 
 
 def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float):
@@ -361,7 +367,7 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
 
     # stored, so that a violation raises here and not in a later reader
     values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
-    for idx, (t, sample) in enumerate(zip(times, _free_samples(dec, times, duhamel))):
+    for idx, (t, (sample, _)) in enumerate(zip(times, _free_samples(dec, times, duhamel))):
         values[idx] = sample
         resid = constraint_residual(sample)
         scale = max(float(np.max(np.abs(sample))), 1.0)

@@ -125,9 +125,19 @@ class GridSpec:
         """Forward DFT over the grid axes, which lead every field array."""
         return np.fft.fftn(values, axes=tuple(range(self.ndim)))
 
-    def ifft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Inverse of ``fft``; ``out``, of the shape of ``values``, receives the result."""
-        return np.fft.ifftn(values, axes=tuple(range(self.ndim)), out=out)
+    def ifft(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of ``fft``."""
+        return np.fft.ifftn(values, axes=tuple(range(self.ndim)))
+
+    def ifft_staged(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``ifft(values)`` into ``out``, as one-axis transforms in ifftn's own
+        order, last grid axis first, so ``out`` receives the same bits.  Every
+        stage but the last runs in place in ``values``, which is left holding
+        the transform over grid axes 1.. alone: fft(out, axis=0) up to
+        round-off (the spectral amplitudes themselves on a 1-D grid)."""
+        for axis in range(self.ndim - 1, 0, -1):
+            np.fft.ifft(values, axis=axis, out=values)
+        return np.fft.ifft(values, axis=0, out=out)
 
     def to_dict(self) -> dict:
         return {"points": list(self.points), "lengths": list(self.lengths)}
@@ -346,15 +356,21 @@ class _Moments:
 class _MomentsPass:
     """Every volume diagnostic of a run's samples, taken one sample at a time.
 
-    The set-up (coordinates, axis wave numbers, k lines) and the scratch
-    arrays are made once per pass; ``add`` measures one sample into them,
-    allocating nothing of the sample's size, and ``result`` hands back the
-    ``_Moments``.  The momentum sums take one 1-D DFT per grid axis b,
-    A_b = fft(psi, axis=b), and Parseval along b alone: k_b varies only
-    along b, while alpha'_b and the coordinate r_a of any other axis are
-    constant along it.  So sum psi+ alpha'_b k_b psi = sum_k k_b A_b+
-    alpha'_b A_b / N_b, summed per k_b line through an 8x8 Gram matrix, and
-    sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b.
+    The set-up (coordinates, axis wave numbers, the line-Gram weights) and the
+    scratch arrays are made once per pass; ``add`` measures one sample into
+    them, allocating nothing of the sample's size, and ``result`` hands back
+    the ``_Moments``.  The norm and the Gram matrix are sums over the sample
+    itself.  The momentum sums take, per grid axis b, the 1-D DFT
+    A_b = fft(psi, axis=b), laid out with k_b leading, and Parseval along b
+    alone: k_b varies only along b, while alpha'_b and the coordinate r_a of
+    any other axis are constant along it.  So sum psi+ alpha'_b k_b psi =
+    sum_k k_b A_b+ alpha'_b A_b / N_b, summed per k_b line through an 8x8
+    Gram matrix, and sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b.  A line
+    Gram is a real product of the float view x of the line, with the real
+    and imaginary parts of component a in columns 2a and 2a + 1: from
+    R = x^T x, G = (rr + ii) + i (ri - ir).  A free sample brings A_0 along,
+    the stage before the last of its inverse transform
+    (``GridSpec.ifft_staged``), so it costs one forward transform fewer.
     """
 
     def __init__(self, grid: GridSpec, n: int):
@@ -365,37 +381,41 @@ class _MomentsPass:
         self.rk = np.zeros((n, 3, 3))
         self._coords = grid.axis_coords()
         self._k_axes = grid._axis_wave_numbers()
-        self._k_lines = [k.reshape([-1 if ax == b else 1 for ax in range(grid.ndim)])
-                         for b, k in enumerate(self._k_axes)]
-        shape = grid.shape + (8,)
-        self._power = np.empty(shape)
-        self._axis, self._moved, self._conj = (np.empty(shape, dtype=complex) for _ in range(3))
+        # Re sum_ab alpha'_ab G_ab as a weight on the real line Gram R
+        self._line_weights = []
+        for cart in grid.spatial_axes:
+            alpha = _ALPHA[cart]
+            w = np.empty((8, 2, 8, 2))
+            w[:, 0, :, 0] = w[:, 1, :, 1] = alpha.real
+            w[:, 0, :, 1], w[:, 1, :, 0] = -alpha.imag, alpha.imag
+            self._line_weights.append(w.reshape(-1))
+        self._power = np.empty(grid.shape + (8,))
+        self._scratch = np.empty(grid.shape + (8,), dtype=complex)
 
-    def add(self, s: int, v: np.ndarray):
-        """Measure sample ``s``, of shape (*grid, 8)."""
+    def add(self, s: int, v: np.ndarray, axis0: np.ndarray | None = None):
+        """Measure sample ``s``, of shape (*grid, 8); ``axis0``, when given, is
+        fft(v, axis=0) up to round-off and is read in place of that transform."""
         grid, cart = self.grid, self.grid.spatial_axes
         power = np.square(np.abs(v, out=self._power), out=self._power)
         self.norms[s] = np.sum(power)
         flat = v.reshape(-1, 8)
-        self.gram[s] = np.conjugate(flat, out=self._conj.reshape(-1, 8)).T @ flat
+        self.gram[s] = np.conjugate(flat, out=self._scratch.reshape(-1, 8)).T @ flat
         for b, n_b in enumerate(grid.points):
-            a_b = np.fft.fft(v, axis=b, out=self._axis)
-            moved = np.moveaxis(a_b, b, 0)
-            if b:   # lay the k_b lines out contiguously, in a reused array
-                buffer = self._moved.reshape(moved.shape)
-                buffer[...] = moved
-                moved = buffer
-            lines = moved.reshape(n_b, -1, 8)
-            conj = np.conjugate(lines, out=self._conj.reshape(lines.shape))
-            line_gram = conj.transpose(0, 2, 1) @ lines
-            self.kinetic[s] += np.einsum("k,ab,kab->", self._k_axes[b], _ALPHA[cart[b]],
-                                         line_gram).real / n_b
-            real = a_b.view(float)
-            weighted = np.einsum("...i,...i->...", real, real) * self._k_lines[b]
+            others = grid.points[:b] + grid.points[b + 1:]
+            if b == 0 and axis0 is not None:
+                lead = axis0
+            else:   # A_b straight into the reused array, k_b leading
+                lead = self._scratch.reshape((n_b,) + others + (8,))
+                np.fft.fft(v, axis=b, out=np.moveaxis(lead, 0, b))
+            x = lead.reshape(n_b, -1, 8).view(float)
+            k_gram = self._k_axes[b] @ (x.transpose(0, 2, 1) @ x).reshape(n_b, -1)
+            self.kinetic[s] += k_gram @ self._line_weights[b] / n_b
+            weighted = (self._k_axes[b] @ np.einsum("kmi,kmi->km", x, x)).reshape(others)
             for a in range(grid.ndim):
                 if a != b:
-                    others = tuple(ax for ax in range(grid.ndim) if ax != a)
-                    self.rk[s, cart[a], cart[b]] = (weighted.sum(axis=others) @ self._coords[a]
+                    along = a - (a > b)   # axis a among the others
+                    rest = tuple(ax for ax in range(len(others)) if ax != along)
+                    self.rk[s, cart[a], cart[b]] = (weighted.sum(axis=rest) @ self._coords[a]
                                                     / n_b)
 
     def result(self) -> _Moments:

@@ -438,20 +438,37 @@ def test_evolve_sourced_builds_one_spectral_core(monkeypatch):
 
 
 def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypatch):
+    import contextlib
     import dirac88.evolution as evolution
     counts = {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
-    kernel = evolution._MomentsPass.add
+    kernel, free_samples = evolution._MomentsPass.add, evolution._free_samples
 
-    def counted_kernel(*args, **kwargs):
+    @contextlib.contextmanager
+    def counting():
         with pytest.MonkeyPatch.context() as mp:
             for name in counts:
                 def wrapper(*a, _name=name, _fn=getattr(np.fft, name), **k):
                     counts[_name] += 1
                     return _fn(*a, **k)
                 mp.setattr(np.fft, name, wrapper)
+            yield
+
+    def counted_kernel(*args, **kwargs):
+        with counting():
             return kernel(*args, **kwargs)
 
+    def counted_samples(*args, **kwargs):
+        # the transforms that form each sample count too
+        samples = free_samples(*args, **kwargs)
+        while True:
+            with counting():
+                item = next(samples, None)
+            if item is None:
+                return
+            yield item
+
     monkeypatch.setattr(evolution._MomentsPass, "add", counted_kernel)
+    monkeypatch.setattr(evolution, "_free_samples", counted_samples)
     samples = 5
     cfg = {
         "grid": {"points": [8, 8, 16], "lengths": [TWO_PI, 5.0, 9.0]},
@@ -465,7 +482,10 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
     path = write_cfg(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
     assert run_command("evolve", path, str(out)) == 0
-    assert counts == {"fft": 3 * samples, "ifft": 0, "fftn": 0, "ifftn": 0}
+    # forming and measuring a sample takes 2 ndim - 1 = 5 one-axis transforms: the
+    # pass reads the axis-0 stage of the inverse transform; <L>'s width warning
+    # forms sample 0 once more
+    assert counts == {"fft": 2 * samples, "ifft": 3 * (samples + 1), "fftn": 0, "ifftn": 0}
     assert len((out / "angular_momentum.csv").read_text().splitlines()) == samples + 1
 
 
