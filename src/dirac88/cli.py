@@ -27,7 +27,7 @@ from . import states
 from .algebra import verify_identities
 from .errors import ConfigError, ConstraintViolation, Dirac88Error, FitError
 from .evolution import (alpha_density_series, alpha_expectation_series,
-                        energy_expectation_series, evolve_sourced, omega_k, run_free,
+                        energy_expectation_series, evolve_sourced, run_free,
                         zitter_decompose)
 from .fields import (GridSpec, constraint_residual, extract_em, extract_em_amplitudes,
                      save_em_csv)
@@ -248,23 +248,18 @@ def _run_from_config(cfg: dict):
     return run, psi0, source
 
 
-def _omega_scale(psi) -> float:
-    """hbar times the mean mode frequency of a sample, weighted by its spectral density."""
-    weights = np.sum(np.abs(psi.grid.fft(psi.values)) ** 2, axis=-1)
-    w = omega_k(psi.grid.wave_vectors(), psi.mass, psi.c, psi.hbar)
-    return psi.hbar * float(np.sum(weights * w) / max(np.sum(weights), 1e-300))
-
-
-def _evolve_checks(wanted: dict, norms, energies, omega_scale, constraint, angular,
-                   checks: _Checks):
+def _evolve_checks(wanted: dict, run, norms, energies, constraint, angular, checks: _Checks):
     if "norm_drift" in wanted:
         # meaningful for free runs; sourced runs inject norm and fail it
         # numpy's max and min propagate NaN, so a NaN sample cannot pass
         drift = (np.max(norms) - np.min(norms)) / max(norms[0], 1e-300)
         checks.add("norm conservation", "unitary per-mode phases", drift, wanted["norm_drift"])
     if "energy_drift" in wanted:
-        # real classical fields have <H> = 0 exactly (balanced branches);
-        # scale by the populated mode frequencies of the t = 0 sample instead
+        # real classical fields have <H> = 0 exactly (balanced branches); scale by
+        # hbar times the mean frequency of the t = 0 state's populated modes instead
+        dec = run.branches
+        weights = sum(dec.populations)
+        omega_scale = dec.hbar * float(np.sum(weights * dec.omega) / max(np.sum(weights), 1e-300))
         scale = max(abs(energies[0]), omega_scale, 1e-300)
         checks.add("energy conservation", "Hamiltonian expectation constant",
                    (np.max(energies) - np.min(energies)) / scale, wanted["energy_drift"])
@@ -327,11 +322,9 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     wanted = {name: tol for name, tol in cfg["checks"].items() if tol is not None}
     run = _run_from_config(cfg)[0]   # the t = 0 state is not kept alive through the pass
     snapshots = {snap % run.n_samples for snap in cfg["outputs"]["snapshots"]}
-    omega_scale, constraint, snapshot_error = 0.0, 0.0, None
+    constraint, snapshot_error = 0.0, None
     # the one pass over the samples: it fills run.moments, which every series below reads
     for i, psi in enumerate(run.samples()):
-        if i == 0 and "energy_drift" in wanted:
-            omega_scale = _omega_scale(psi)
         if "constraint" in wanted:
             constraint = np.maximum(constraint, constraint_residual(psi.values))  # keeps NaN
         if i in snapshots and snapshot_error is None:
@@ -342,7 +335,7 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     norms, energies = run.moments.norms * run.grid.cell_volume, energy_expectation_series(run)
     angular = (angular_momentum_series(run) if "angular_momentum_drift" in wanted
                or cfg["series"] == "angular_momentum" else None)
-    _evolve_checks(wanted, norms, energies, omega_scale, constraint, angular, checks)
+    _evolve_checks(wanted, run, norms, energies, constraint, angular, checks)
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies,
                        alpha_expectation_series(run))
     if snapshot_error is not None:

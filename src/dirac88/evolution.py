@@ -24,6 +24,7 @@ coefficient, 4 sin^2(W dt / 2), comes from a single linear least squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,19 +69,20 @@ class EvolutionRun:
     """Samples of a wave-function over a time grid, and the one diagnostics
     pass that every series of the run reads.
 
-    ``values`` given to the constructor is either the stack of samples
-    (n_times, *grid, 8), or the ``ModeDecomposition`` of the t = 0 state:
-    a free run (``run_free``) stores no samples and forms each one when it
-    is read.  ``samples()`` is the pass: it yields the samples in time order,
-    each a read-only ``SpinorField8`` over a buffer the next sample reuses,
-    so a yielded sample stays valid only until the next one (copy what must
-    outlive it).  It measures each sample as it passes; a free sample hands
-    the measurement the axis-0 stage of its inverse transform, so it is
-    transformed along axis 0 once, not twice.  When the pass completes it
-    fills ``moments``; a pass left early fills nothing.  ``moments`` on a
-    run nobody iterated runs the same pass.  ``sample(i)`` forms one sample
-    as a fresh, writable copy, and ``values`` stacks every sample on first
-    access, as a read-only array, for library users.
+    ``values`` given to the constructor is either the stack of samples (n_times,
+    *grid, 8), or the ``ModeDecomposition`` of the t = 0 state: a free run
+    (``run_free``) stores no samples and forms each one when it is read.
+    ``branches`` is that t = 0 decomposition; a stored run takes its first
+    sample as t = 0 and splits it once, on first use.  ``samples()`` is the
+    pass: it yields the samples in time order, each a read-only ``SpinorField8``
+    over a buffer the next sample reuses, so a yielded sample stays valid only
+    until the next one (copy what must outlive it).  It measures each sample as
+    it passes; a free sample hands the measurement the axis-0 stage of its
+    inverse transform, so it is transformed along axis 0 once, not twice.  When
+    the pass completes it fills ``moments``; a pass left early fills nothing.
+    ``moments`` on a run nobody iterated runs the same pass.  ``sample(i)``
+    forms one sample as a fresh, writable copy, and ``values`` stacks every
+    sample on first access, as a read-only array, for library users.
     """
 
     def __init__(self, grid: GridSpec, times: np.ndarray, values, kind: str, mass: float,
@@ -90,6 +92,13 @@ class EvolutionRun:
         self._branches = values if isinstance(values, ModeDecomposition) else None
         self._stack = None if self._branches is not None else _read_only(np.asarray(values))
         self._moments: _Moments | None = None
+
+    @property
+    def branches(self) -> ModeDecomposition:
+        """Energy branches of the t = 0 state; see the class docstring."""
+        if self._branches is None:
+            self._branches = mode_decomposition(self.sample(0))
+        return self._branches
 
     @property
     def n_samples(self) -> int:
@@ -153,7 +162,8 @@ class ModeDecomposition:
     ``plus`` and ``minus`` hold the spectral amplitudes (fft convention,
     shape (*grid, 8)); ``omega`` the positive branch frequency.  A zero
     mode with zero mass has no frequency split and is stored entirely in
-    ``plus`` with omega = 0 (it does not evolve).
+    ``plus`` with omega = 0 (it does not evolve).  ``populations`` are constant in
+    time.  A run's ``branches`` split its t = 0 state (a stored run's first sample).
     """
 
     grid: GridSpec
@@ -163,6 +173,11 @@ class ModeDecomposition:
     mass: float
     c: float = 1.0
     hbar: float = 1.0
+
+    @cached_property
+    def populations(self) -> tuple[np.ndarray, np.ndarray]:
+        """|plus|^2 and |minus|^2 of each mode, summed over the eight components."""
+        return tuple(np.einsum("...a,...a->...", x.conj(), x).real for x in (self.plus, self.minus))
 
     def projector_residual(self) -> float:
         """Max residual of H psi_hat(+-) = +- hbar w psi_hat(+-)."""
@@ -446,8 +461,7 @@ def momentum_velocity_prediction(psi: SpinorField8) -> np.ndarray:
 
 
 def _drift_prediction(dec: ModeDecomposition) -> np.ndarray:
-    pop_plus = np.einsum("...a,...a->...", dec.plus.conj(), dec.plus).real
-    pop_minus = np.einsum("...a,...a->...", dec.minus.conj(), dec.minus).real
+    pop_plus, pop_minus = dec.populations
     weight = np.divide(dec.c * (pop_plus - pop_minus), dec.omega,
                        out=np.zeros_like(dec.omega), where=dec.omega > 0.0)
     num = weight.reshape(-1) @ dec.grid.wave_vectors().reshape(-1, 3)
@@ -468,8 +482,7 @@ def zitter_lines(psi: SpinorField8) -> list[tuple[np.ndarray, float, float]]:
 
 
 def _lines(dec: ModeDecomposition) -> list[tuple[np.ndarray, float, float]]:
-    pop_plus = np.sqrt(np.einsum("...a,...a->...", dec.plus.conj(), dec.plus).real)
-    pop_minus = np.sqrt(np.einsum("...a,...a->...", dec.minus.conj(), dec.minus).real)
+    pop_plus, pop_minus = (np.sqrt(p) for p in dec.populations)
     norm = np.sum(pop_plus ** 2 + pop_minus ** 2)
     cross = np.divide(pop_plus * pop_minus, norm, out=np.zeros_like(pop_plus), where=norm != 0.0)
     k = dec.grid.wave_vectors()
@@ -492,15 +505,17 @@ def zitter_decompose(run: EvolutionRun,
     prediction c <p H^-1>.  The frequency W of the largest-amplitude
     component comes from one linear least squares on its second
     differences, -4 sin^2(W dt / 2) times the samples plus a constant, and
-    is compared with 2 w(k) of the strongest interference line.  Raises
-    FitError below ``_MIN_SAMPLES`` samples or two periods, or when several
-    distinct lines are comparably strong (consult ``zitter_lines`` then).
+    is compared with 2 w(k) of the strongest interference line; both predictions
+    read the run's t = 0 ``branches`` (for a stored run, its first sample is
+    taken as t = 0).  Raises FitError below ``_MIN_SAMPLES`` samples or two
+    periods, or when several distinct lines are comparably strong (consult
+    ``zitter_lines`` then).
     """
     if run.n_samples < _MIN_SAMPLES:
         raise FitError(f"need at least {_MIN_SAMPLES} samples, got {run.n_samples}")
     if series is None:
         series = alpha_expectation_series(run)
-    dec = mode_decomposition(run.sample(0))
+    dec = run.branches
     dc = series.values.mean(axis=0)
     osc = series.values - dc
     amplitude = np.sqrt(2.0 * np.mean(osc ** 2, axis=0))
@@ -556,9 +571,11 @@ def zitter_equals_poynting(run: EvolutionRun, omega: float,
     Side B: the volume integral of the carrier terms of ``poynting_split``
     evaluated per sample.  Also reports the largest pointwise deviation of
     the reconstruction dc + osc e^{-2iwt} + c.c. from psi+ alpha psi / 2.
+    The default amplitudes are the plus branch of the run's t = 0 ``branches``
+    (for a stored run, its first sample is taken as t = 0).
     """
     if e_amp is None or b_amp is None:
-        e_amp, b_amp = positive_frequency_amplitudes(run.sample(0))
+        e_amp, b_amp = extract_em_amplitudes(run.grid.ifft(run.branches.plus))
     dc, osc = poynting_split(e_amp, b_amp)
     dv = run.grid.cell_volume
     grid_axes = tuple(range(run.grid.ndim))

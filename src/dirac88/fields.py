@@ -242,8 +242,8 @@ class FourCurrent:
         return self.rho_amp * np.cos(self.omega * t)
 
     def continuity_residual(self, t: float) -> float:
-        """max |d rho/dt + div J| at time t (spectral divergence)."""
-        r = self.charge_rate(t) + divergence(self.grid, self.current(t).astype(complex)).real
+        """max |d rho/dt + div J| at time t (complex spectral divergence, as evolved)."""
+        r = self.charge_rate(t) + divergence(self.grid, self.current(t).astype(complex))
         return float(np.max(np.abs(r)))
 
 

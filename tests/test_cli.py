@@ -326,6 +326,18 @@ def test_cli_imports_no_private_names():
     assert private == []
 
 
+def test_cli_does_no_spectral_work():
+    # the t = 0 spectrum comes from run.branches; transforms live in the library
+    import dirac88.cli
+    tree = ast.parse(Path(dirac88.cli.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    spectral = {"fft", "ifft", "fftn", "ifftn", "omega_k", "wave_vectors", "_omega_scale"}
+    assert names & spectral == set()
+
+
 def packet_cfg(points, samples):
     # the free3d-conservation packet on a smaller grid
     return {
@@ -368,9 +380,9 @@ def test_a_command_forms_each_free_sample_once(tmp_path, monkeypatch, command):
            "zitter": {**zitter_point_cfg([5]), "duration": 4.0, "samples": 32}}[command]
     path = write_cfg(tmp_path, "cfg.json", cfg)
     assert run_command(command, path, str(tmp_path / "out")) == 0
-    # one pass forms each sample; <L>'s width warning, or the jitter analysis,
-    # reads sample 0 once more
-    assert len(formed) == cfg["samples"] + 1
+    # one pass forms each sample; <L>'s width warning reads sample 0 once more,
+    # while the jitter analysis reads the run's t = 0 branches
+    assert len(formed) == cfg["samples"] + (command == "evolve")
 
 
 def snapshot_cfg():
@@ -418,11 +430,19 @@ def test_zitter_decompose_splits_the_state_once(monkeypatch):
     from dirac88.fields import GridSpec
     run = evolution.run_free(states.electron_rest_mix(GridSpec((16,), (TWO_PI,)), mass=1.0),
                              np.linspace(0.0, 9.0, 32))
+    stored = evolution.EvolutionRun(run.grid, run.times, run.values, run.kind, run.mass)
     calls = count_calls(monkeypatch, {"split": evolution.mode_decomposition,
                                       "core": evolution._Spectral})
+    # a free run already holds its t = 0 branches
     report = evolution.zitter_decompose(run)
-    assert calls == {"split": 1, "core": 1}
+    assert calls == {"split": 0, "core": 0}
     assert report.relative_frequency_error < 1e-6
+    # a stored run splits its first sample once, and keeps the split
+    for _ in range(2):
+        again = evolution.zitter_decompose(stored)
+        assert again.expected_frequency == pytest.approx(report.expected_frequency, rel=1e-12)
+        assert stored.branches is stored.branches
+    assert calls == {"split": 1, "core": 1}
 
 
 def test_evolve_sourced_builds_one_spectral_core(monkeypatch):

@@ -318,6 +318,15 @@ def test_sourced_continuity_rejected():
         evolve_sourced(psi0, bad, np.linspace(0, 1.0, 8))
 
 
+def test_sourced_nyquist_continuity_rejected():
+    # an under-resolved 3-D dipole: the divergence of its current is imaginary at the
+    # Nyquist modes, which the real charge density cannot balance
+    g = GridSpec((16, 8, 16), (TWO_PI, 2.5, 4.5))
+    src = states.gaussian_dipole_current(g, [0, 1, 0], 1.0, TWO_PI / 16, 4.0)
+    with pytest.raises(ConstraintViolation, match="source continuity residual"):
+        evolve_sourced(states.zero_field(g), src, np.linspace(0.0, 1.0, 5))
+
+
 def test_sourced_gauss_initial_data_rejected():
     # divergence-ful initial E with no charge: constraint components grow
     g = grid1d(64)
@@ -667,6 +676,20 @@ def test_zitter_equals_poynting_single_mode():
     rep = zitter_equals_poynting(run, omega=float(mode))
     assert rep.volume_deviation < 1e-12
     assert rep.pointwise_deviation < 1e-12
+
+
+def test_zitter_equals_poynting_on_a_shifted_time_grid():
+    # the carrier turns by the run's own times, from the t = 0 amplitudes
+    run = run_free(states.standing_wave(grid1d(256), 2, "x"), 0.3 + np.linspace(0.0, 3.5, 64))
+    rep = zitter_equals_poynting(run, omega=2.0)
+    assert rep.volume_deviation < 1e-12
+    assert rep.pointwise_deviation <= 1e-12
+
+
+def test_zitter_decompose_on_a_shifted_time_grid():
+    psi = states.electron_rest_mix(GridSpec((16,), (TWO_PI,)), mass=1.0)
+    rep = zitter_decompose(run_free(psi, 0.7 + np.linspace(0.0, 9.0, 160)))
+    assert rep.relative_frequency_error <= 1e-12
 
 
 def test_zitter_equals_poynting_circular():
