@@ -13,10 +13,6 @@ class GridMismatch(Dirac88Error):
     """Two objects defined on incompatible grids were combined."""
 
 
-class DegenerateMode(Dirac88Error):
-    """Operation undefined at the zero-frequency mode (k = 0 with zero mass)."""
-
-
 class FitError(Dirac88Error):
     """Frequency fit could not isolate a single dominant oscillation line."""
 

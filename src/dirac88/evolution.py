@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstraintViolation, DegenerateMode, FitError
+from .errors import ConstraintViolation, FitError
 from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
                      SpinorField8, _alpha_density, _Moments, _MomentsPass,
                      constraint_residual, extract_em_amplitudes)
@@ -41,18 +41,14 @@ __all__ = [
     "PoyntingSplitReport",
     "omega_k",
     "hamiltonian_k",
-    "energy_projectors",
     "evolve_free",
     "run_free",
     "evolve_sourced",
     "mode_decomposition",
-    "positive_frequency_amplitudes",
     "alpha_expectation_series",
     "alpha_density_series",
-    "momentum_velocity_prediction",
     "energy_expectation",
     "energy_expectation_series",
-    "zitter_lines",
     "zitter_decompose",
     "poynting_split",
     "zitter_equals_poynting",
@@ -72,11 +68,11 @@ class EvolutionRun:
     ``values`` given to the constructor is either the stack of samples (n_times,
     *grid, 8), or the ``ModeDecomposition`` of the t = 0 state: a free run
     (``run_free``) stores no samples and forms each one when it is read.
-    ``branches`` is that t = 0 decomposition; a stored run takes its first
-    sample as t = 0 and splits it once, on first use.  ``samples()`` is the
-    pass: it yields the samples in time order, each a read-only ``SpinorField8``
-    over a buffer the next sample reuses, so a yielded sample stays valid only
-    until the next one (copy what must outlive it).  It measures each sample as
+    ``branches`` is that t = 0 decomposition; a stored run splits its first
+    sample once, on first use, and raises ValueError unless it is at t = 0.
+    ``samples()`` is the pass: it yields the samples in time order, each a
+    read-only ``SpinorField8`` over a buffer the next sample reuses, so a yielded
+    sample stays valid only until the next one (copy what must outlive it).  It measures each sample as
     it passes; a free sample hands the measurement the axis-0 stage of its
     inverse transform, so it is transformed along axis 0 once, not twice.  When
     the pass completes it fills ``moments``; a pass left early fills nothing.
@@ -97,6 +93,9 @@ class EvolutionRun:
     def branches(self) -> ModeDecomposition:
         """Energy branches of the t = 0 state; see the class docstring."""
         if self._branches is None:
+            if self.times[0] != 0.0:
+                raise ValueError(f"the first sample is at t = {self.times[0]:.6g}, not the "
+                                 "t = 0 state whose energy branches were asked for")
             self._branches = mode_decomposition(self.sample(0))
         return self._branches
 
@@ -163,7 +162,7 @@ class ModeDecomposition:
     shape (*grid, 8)); ``omega`` the positive branch frequency.  A zero
     mode with zero mass has no frequency split and is stored entirely in
     ``plus`` with omega = 0 (it does not evolve).  ``populations`` are constant in
-    time.  A run's ``branches`` split its t = 0 state (a stored run's first sample).
+    time.  A run's ``branches`` split its t = 0 state.
     """
 
     grid: GridSpec
@@ -178,16 +177,6 @@ class ModeDecomposition:
     def populations(self) -> tuple[np.ndarray, np.ndarray]:
         """|plus|^2 and |minus|^2 of each mode, summed over the eight components."""
         return tuple(np.einsum("...a,...a->...", x.conj(), x).real for x in (self.plus, self.minus))
-
-    def projector_residual(self) -> float:
-        """Max residual of H psi_hat(+-) = +- hbar w psi_hat(+-)."""
-        spectral = _Spectral(self.grid, self.mass, self.c, self.hbar)
-        h_plus = spectral.apply_h(self.plus)
-        h_minus = spectral.apply_h(self.minus)
-        w = self.hbar * self.omega[..., None]
-        scale = max(float(np.max(np.abs(self.plus))), float(np.max(np.abs(self.minus))), 1.0)
-        return float(max(np.max(np.abs(h_plus - w * self.plus)),
-                         np.max(np.abs(h_minus + w * self.minus)))) / scale
 
     def at(self, t: float, out: np.ndarray | None = None,
            scratch: np.ndarray | None = None) -> np.ndarray:
@@ -246,18 +235,6 @@ def hamiltonian_k(k: np.ndarray, mass: float, c: float = 1.0, hbar: float = 1.0)
     """Per-mode Hamiltonian c hbar alpha.k + beta' m c^2, Hermitian 8x8."""
     k = np.asarray(k, dtype=float)
     return c * hbar * np.einsum("i,iab->ab", k, _ALPHA) + mass * c * c * _BETA
-
-
-def energy_projectors(k: np.ndarray, mass: float, c: float = 1.0,
-                      hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral projectors P(+-) = (I +- H/(hbar w))/2 of one mode."""
-    w = float(omega_k(np.asarray(k, dtype=float), mass, c, hbar))
-    if w == 0.0:
-        raise DegenerateMode("k = 0 with zero mass has no energy splitting; "
-                             "the constant mode does not evolve")
-    h = hamiltonian_k(k, mass, c, hbar) / (hbar * w)
-    eye = np.eye(8, dtype=complex)
-    return 0.5 * (eye + h), 0.5 * (eye - h)
 
 
 class _Spectral:
@@ -413,15 +390,6 @@ def _split(psi: SpinorField8, spectral: _Spectral) -> ModeDecomposition:
     return ModeDecomposition(grid, plus, minus, spectral.omega, psi.mass, psi.c, psi.hbar)
 
 
-def positive_frequency_amplitudes(psi: SpinorField8) -> tuple[np.ndarray, np.ndarray]:
-    """Complex field amplitudes E(r), B(r) of the positive-frequency part.
-
-    For a real monofrequency field, E(r, t) = E(r) e^{-iwt} + c.c. with
-    these amplitudes.
-    """
-    return extract_em_amplitudes(psi.grid.ifft(mode_decomposition(psi).plus))
-
-
 def alpha_expectation_series(run: EvolutionRun) -> ExpectationSeries:
     """<alpha>(t) = int psi+ alpha psi / int psi+ psi per sample (zero for
     identically-zero samples, NaN for NaN ones)."""
@@ -454,13 +422,9 @@ def energy_expectation_series(run: EvolutionRun) -> np.ndarray:
     return moments.per_norm(c * run.hbar * moments.kinetic + mass_term)
 
 
-def momentum_velocity_prediction(psi: SpinorField8) -> np.ndarray:
+def _drift_prediction(dec: ModeDecomposition) -> np.ndarray:
     """The drift part c <p H^-1> of <alpha>: each energy branch drifts at +- c k / w,
     its group velocity over c (zero for an identically-zero state)."""
-    return _drift_prediction(mode_decomposition(psi))
-
-
-def _drift_prediction(dec: ModeDecomposition) -> np.ndarray:
     pop_plus, pop_minus = dec.populations
     weight = np.divide(dec.c * (pop_plus - pop_minus), dec.omega,
                        out=np.zeros_like(dec.omega), where=dec.omega > 0.0)
@@ -469,7 +433,7 @@ def _drift_prediction(dec: ModeDecomposition) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
-def zitter_lines(psi: SpinorField8) -> list[tuple[np.ndarray, float, float]]:
+def _lines(dec: ModeDecomposition) -> list[tuple[np.ndarray, float, float]]:
     """Strongest ``_MAX_LINES`` (k, 2 w(k), strength) interference lines of a state.
 
     Strength is the product of the positive- and negative-branch
@@ -478,10 +442,6 @@ def zitter_lines(psi: SpinorField8) -> list[tuple[np.ndarray, float, float]]:
     below ``_LINE_FLOOR`` are dropped as round-off, so an identically-zero state
     has none.
     """
-    return _lines(mode_decomposition(psi))
-
-
-def _lines(dec: ModeDecomposition) -> list[tuple[np.ndarray, float, float]]:
     pop_plus, pop_minus = (np.sqrt(p) for p in dec.populations)
     norm = np.sum(pop_plus ** 2 + pop_minus ** 2)
     cross = np.divide(pop_plus * pop_minus, norm, out=np.zeros_like(pop_plus), where=norm != 0.0)
@@ -506,10 +466,9 @@ def zitter_decompose(run: EvolutionRun,
     component comes from one linear least squares on its second
     differences, -4 sin^2(W dt / 2) times the samples plus a constant, and
     is compared with 2 w(k) of the strongest interference line; both predictions
-    read the run's t = 0 ``branches`` (for a stored run, its first sample is
-    taken as t = 0).  Raises FitError below ``_MIN_SAMPLES`` samples or two
-    periods, or when several distinct lines are comparably strong (consult
-    ``zitter_lines`` then).
+    read the run's t = 0 ``branches``.  Raises FitError below ``_MIN_SAMPLES``
+    samples or two periods, or when several distinct lines are comparably strong
+    (the message names their frequencies).
     """
     if run.n_samples < _MIN_SAMPLES:
         raise FitError(f"need at least {_MIN_SAMPLES} samples, got {run.n_samples}")
@@ -526,10 +485,10 @@ def zitter_decompose(run: EvolutionRun,
         # single energy branch everywhere: nothing oscillates, nothing to fit
         return ZitterReport(dc, prediction, amplitude, 0.0, 0.0, 0.0, [])
     strongest = lines[0][2]
-    distinct = {round(w, 9) for _, w, s in lines if s > 0.01 * strongest}
+    distinct = sorted({round(w, 9) for _, w, s in lines if s > 0.01 * strongest})
     if len(distinct) > 1:
-        raise FitError(
-            f"{len(distinct)} comparable interference lines; no single dominant mode")
+        raise FitError(f"{len(distinct)} comparable interference lines, at frequencies "
+                       f"{', '.join(f'{w:.6g}' for w in distinct)}; no single dominant mode")
     expected = lines[0][1]
 
     component = int(np.argmax(amplitude))
@@ -571,8 +530,7 @@ def zitter_equals_poynting(run: EvolutionRun, omega: float,
     Side B: the volume integral of the carrier terms of ``poynting_split``
     evaluated per sample.  Also reports the largest pointwise deviation of
     the reconstruction dc + osc e^{-2iwt} + c.c. from psi+ alpha psi / 2.
-    The default amplitudes are the plus branch of the run's t = 0 ``branches``
-    (for a stored run, its first sample is taken as t = 0).
+    The default amplitudes are the plus branch of the run's t = 0 ``branches``.
     """
     if e_amp is None or b_amp is None:
         e_amp, b_amp = extract_em_amplitudes(run.grid.ifft(run.branches.plus))

@@ -27,14 +27,11 @@ __all__ = [
     "SpinorField8",
     "FourCurrent",
     "FieldTensor",
-    "EnergyPoynting",
     "embed_em",
     "extract_em",
-    "embed_electron",
     "field_tensor",
     "divergence",
     "curl",
-    "energy_and_poynting",
     "constraint_residual",
     "save_spinor_csv",
     "load_spinor_csv",
@@ -255,16 +252,6 @@ class FieldTensor:
     g: np.ndarray
 
 
-@dataclass(frozen=True)
-class EnergyPoynting:
-    """Total field energy, Poynting field, and the same flux read from the
-    embedded wave-function (psi+ alpha psi / 2)."""
-
-    energy: float
-    poynting: np.ndarray
-    poynting_from_spinor: np.ndarray
-
-
 def embed_em(em: EMField) -> SpinorField8:
     """Pack (E, B) into the eight-component wave-function [0, E, 0, iB]."""
     values = np.zeros(em.grid.shape + (8,), dtype=complex)
@@ -300,17 +287,6 @@ def extract_em_amplitudes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[..., 1:4].copy(), -1j * values[..., 5:8]
 
 
-def embed_electron(g: np.ndarray, phi: np.ndarray, f: np.ndarray, chi: np.ndarray,
-                   grid: GridSpec, mass: float) -> SpinorField8:
-    """Pack the electron variables as [i g, phi, f, i chi]."""
-    values = np.zeros(grid.shape + (8,), dtype=complex)
-    values[..., 0] = 1j * np.asarray(g)
-    values[..., 1:4] = np.asarray(phi)
-    values[..., 4] = np.asarray(f)
-    values[..., 5:8] = 1j * np.asarray(chi)
-    return SpinorField8(grid, values, kind=ELECTRON, mass=mass)
-
-
 def field_tensor(e: np.ndarray, b: np.ndarray) -> FieldTensor:
     """Expand pointwise (E, B) on the generator basis:
     F = -i kappa.E - i theta.B and the dual G = -i kappa.B + i theta.E."""
@@ -338,13 +314,15 @@ class _Moments:
     sum_ab M_ab G_ab for any constant matrix M.  The momentum sums are
     ``kinetic[s]`` = sum psi+ (alpha'.k) psi and ``rk[s, i, j]`` =
     sum r_i psi+ (k_j psi) for Cartesian i != j (zero otherwise), with k the
-    spectral wave-vector operator -i grad.
+    spectral wave-vector operator -i grad.  ``density0`` is sum_a |psi_a|^2 per
+    point of the first sample.
     """
 
     norms: np.ndarray
     gram: np.ndarray
     kinetic: np.ndarray
     rk: np.ndarray
+    density0: np.ndarray
 
     def per_norm(self, sums: np.ndarray) -> np.ndarray:
         """Each sample's sums (leading axis) over that sample's norm: 0 for an
@@ -379,6 +357,7 @@ class _MomentsPass:
         self.gram = np.empty((n, 8, 8), dtype=complex)
         self.kinetic = np.zeros(n)
         self.rk = np.zeros((n, 3, 3))
+        self.density0 = None    # the first sample's, set when it is measured
         self._coords = grid.axis_coords()
         self._k_axes = grid._axis_wave_numbers()
         # Re sum_ab alpha'_ab G_ab as a weight on the real line Gram R
@@ -398,6 +377,8 @@ class _MomentsPass:
         grid, cart = self.grid, self.grid.spatial_axes
         power = np.square(np.abs(v, out=self._power), out=self._power)
         self.norms[s] = np.sum(power)
+        if s == 0:
+            self.density0 = power.sum(axis=-1)
         flat = v.reshape(-1, 8)
         self.gram[s] = np.conjugate(flat, out=self._scratch.reshape(-1, 8)).T @ flat
         for b, n_b in enumerate(grid.points):
@@ -419,7 +400,7 @@ class _MomentsPass:
                                                     / n_b)
 
     def result(self) -> _Moments:
-        return _Moments(self.norms, self.gram, self.kinetic, self.rk)
+        return _Moments(self.norms, self.gram, self.kinetic, self.rk, self.density0)
 
 
 def divergence(grid: GridSpec, v: np.ndarray) -> np.ndarray:
@@ -432,20 +413,6 @@ def curl(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     """Spectral curl of a 3-vector field."""
     hat = grid.fft(np.asarray(v, dtype=complex))
     return grid.ifft(1j * np.cross(grid.wave_vectors(), hat))
-
-
-def energy_and_poynting(em: EMField, c: float = 1.0) -> EnergyPoynting:
-    """Total energy int (E^2 + B^2)/8pi dV and S = (c/4pi) E x B per point.
-
-    Also evaluates psi+ alpha psi / 2 through the embedding; for real
-    fields it must equal E x B pointwise (the classical flux integrand).
-    """
-    e = em.e.real
-    b = em.b.real
-    density = (np.einsum("...i,...i->...", e, e) + np.einsum("...i,...i->...", b, b)) / (8 * np.pi)
-    energy = float(np.sum(density) * em.grid.cell_volume)
-    poynting = (c / (4 * np.pi)) * np.cross(e, b)
-    return EnergyPoynting(energy, poynting, 0.5 * _alpha_density(embed_em(em).values))
 
 
 # --- columnar serialisation: CSV body plus a JSON sidecar with the grid ---

@@ -13,7 +13,8 @@ Three independent routes transform field amplitudes:
   from the rotation generators; the two constrained components are left
   exactly invariant.  Through the chiral intertwiner this realises the
   block law diag(L^-1 (x) L, L (x) L^-1) (it coincides with that literal
-  Kronecker form for boosts along x and z; see ``em_block_law``).
+  Kronecker form for boosts along x and z, which
+  ``tests/test_lorentz.py::test_block_law_coincides_on_x_and_z`` pins).
 * ``tensor_boost_oracle``: conjugates the 4x4 field tensor by the
   complex-orthogonal boost exp(phi n.kappa) in (ict, x, y, z) coordinates.
 * ``closed_form_field_boost``: the textbook E/B formulas, the arbiter.
@@ -31,14 +32,11 @@ from .fields import PHOTON, SpinorField8, constraint_residual, field_tensor
 
 __all__ = [
     "Boost",
-    "FourVector",
     "boost_matrix_L",
     "four_vector_boost",
     "em_wavefunction_transform",
-    "electron_wavefunction_transform",
     "em_transform_matrix",
     "electron_transform_matrix",
-    "em_block_law",
     "chiral_intertwiner",
     "current_coupling_matrix",
     "nonmomentum_em",
@@ -92,22 +90,6 @@ class Boost:
         return Boost(tuple(-x for x in self.velocity), self.c)
 
 
-@dataclass(frozen=True)
-class FourVector:
-    """Time component and spatial 3-vector, signature (+,-,-,-)."""
-
-    time: float
-    space: tuple[float, float, float]
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.concatenate([[self.time], np.asarray(self.space, dtype=float)])
-
-    def minkowski_norm2(self) -> float:
-        s = np.asarray(self.space)
-        return float(self.time ** 2 - s @ s)
-
-
 def boost_matrix_L(boost: Boost) -> np.ndarray:
     """Hermitian positive 2x2 spinor boost, sqrt((g+1)/2) + sigma.(g v)/(c sqrt(2(1+g)))."""
     g = boost.gamma
@@ -116,22 +98,17 @@ def boost_matrix_L(boost: Boost) -> np.ndarray:
             + np.einsum("k,kij->ij", boost.v, sig) * (g / (boost.c * np.sqrt(2 * (1 + g)))))
 
 
-def four_vector_boost(x: FourVector | np.ndarray, boost: Boost) -> FourVector | np.ndarray:
+def four_vector_boost(x: np.ndarray, boost: Boost) -> np.ndarray:
     """Standard passive boost of (x0, x); preserves the Minkowski norm."""
-    as_obj = isinstance(x, FourVector)
-    arr = x.array if as_obj else np.asarray(x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     beta = boost.beta
     b2 = float(beta @ beta)
     if b2 == 0.0:
-        out = arr.copy()
-    else:
-        g = boost.gamma
-        t = g * (arr[0] - beta @ arr[1:])
-        s = arr[1:] + ((g - 1) * (arr[1:] @ beta) / b2 - g * arr[0]) * beta
-        out = np.concatenate([[t], s])
-    if as_obj:
-        return FourVector(float(out[0]), tuple(out[1:]))
-    return out
+        return arr.copy()
+    g = boost.gamma
+    t = g * (arr[0] - beta @ arr[1:])
+    s = arr[1:] + ((g - 1) * (arr[1:] @ beta) / b2 - g * arr[0]) * beta
+    return np.concatenate([[t], s])
 
 
 def _rotation_exp(n: np.ndarray, phi: float) -> np.ndarray:
@@ -158,13 +135,6 @@ def em_transform_matrix(boost: Boost) -> np.ndarray:
     return 0.5 * np.block([[a + b, b - a], [b - a, a + b]])
 
 
-def _apply_matrix(psi, matrix: np.ndarray):
-    if isinstance(psi, SpinorField8):
-        out = np.einsum("ab,...b->...a", matrix, psi.values)
-        return replace(psi, values=out)
-    return np.einsum("ab,...b->...a", matrix, np.asarray(psi, dtype=complex))
-
-
 def em_wavefunction_transform(psi, boost: Boost):
     """Boost a photon-embedded wave-function (amplitudes per point/mode).
 
@@ -172,23 +142,17 @@ def em_wavefunction_transform(psi, boost: Boost):
     ``_CONSTRAINT_TOL`` relative to the field scale (a convention or
     implementation error; the law preserves them identically).
     """
-    if isinstance(psi, SpinorField8) and psi.kind != PHOTON:
+    field = isinstance(psi, SpinorField8)
+    if field and psi.kind != PHOTON:
         raise ValueError("electromagnetic boost law applies to photon-embedded states")
-    out = _apply_matrix(psi, em_transform_matrix(boost))
-    values = out.values if isinstance(out, SpinorField8) else out
+    values = np.einsum("ab,...b->...a", em_transform_matrix(boost),
+                       psi.values if field else np.asarray(psi, dtype=complex))
     resid = constraint_residual(values)
     scale = float(np.max(np.abs(values)))
     if resid > _CONSTRAINT_TOL * max(scale, 1.0):
         raise ConstraintViolation(
             f"boost leaked {resid:.3e} into the constrained components")
-    return out
-
-
-def electron_wavefunction_transform(psi, boost: Boost):
-    """Boost an electron (or generic) wave-function by the spinor law."""
-    if isinstance(psi, SpinorField8) and psi.kind == PHOTON:
-        raise ValueError("photon-embedded states transform by the electromagnetic law")
-    return _apply_matrix(psi, electron_transform_matrix(boost))
+    return replace(psi, values=values) if field else values
 
 
 def current_coupling_matrix() -> np.ndarray:
@@ -226,21 +190,14 @@ def _chiral_law(boost: Boost, photon: bool) -> np.ndarray:
 
 
 def _embedded_law(boost: Boost, photon: bool) -> np.ndarray:
-    """``_chiral_law`` mapped to the embedded basis by the chiral intertwiner."""
+    """``_chiral_law`` mapped to the embedded basis by the chiral intertwiner.
+
+    The electromagnetic one coincides with ``em_transform_matrix`` for boosts
+    along x or z only: for other directions the mixed Kronecker pairing is no
+    group homomorphism, and the theta-rotation form is the one meeting the
+    tensor and closed-form routes."""
     v = chiral_intertwiner()
     return v.conj().T @ _chiral_law(boost, photon) @ v / 4.0
-
-
-def em_block_law(boost: Boost) -> np.ndarray:
-    """The literal chiral-basis block law diag(L^-1 (x) L, L (x) L^-1),
-    mapped to the embedded basis with the chiral intertwiner.
-
-    Coincides with ``em_transform_matrix`` for boosts along x or z; for
-    other directions the mixed Kronecker pairing is not self-consistent
-    (it is no group homomorphism) and the theta-rotation form is the one
-    meeting the tensor and closed-form routes.
-    """
-    return _embedded_law(boost, photon=True)
 
 
 def electron_transform_matrix(boost: Boost) -> np.ndarray:

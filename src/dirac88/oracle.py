@@ -34,12 +34,6 @@ class OracleRun:
     e: np.ndarray      # (n_times, *grid, 3)
     b: np.ndarray
 
-    def energy(self, index: int) -> float:
-        e = self.e[index].real
-        b = self.b[index].real
-        dens = (np.einsum("...i,...i->...", e, e) + np.einsum("...i,...i->...", b, b)) / (8 * np.pi)
-        return float(np.sum(dens) * self.grid.cell_volume)
-
 
 @dataclass(frozen=True)
 class CompareReport:
@@ -53,10 +47,6 @@ class CompareReport:
     @property
     def max_abs(self) -> float:
         return max(self.max_abs_e, self.max_abs_b)
-
-    @property
-    def max_rel(self) -> float:
-        return max(self.rel_e, self.rel_b)
 
 
 # Bound on the bytes of each (intervals x nodes x modes) temporary of the

@@ -145,10 +145,10 @@ def photon_spin_selection(psi: SpinorField8) -> SpinSelectionReport:
 
 
 def _warn_if_packet_too_wide(run):
-    """The box-centred coordinate wraps at the boundary; warn when the
-    density RMS width exceeds L/8 on some axis (translation-invariant
+    """The box-centred coordinate wraps at the boundary; warn when the first
+    sample's density RMS width exceeds L/8 on some axis (translation-invariant
     states are exempt, their width is a matter of convention)."""
-    density = np.sum(np.abs(run.sample(0).values) ** 2, axis=-1)
+    density = run.moments.density0
     total = float(np.sum(density))
     peak = float(np.max(density))
     if total == 0.0 or (peak - float(np.min(density))) < 1e-6 * peak:

@@ -380,9 +380,9 @@ def test_a_command_forms_each_free_sample_once(tmp_path, monkeypatch, command):
            "zitter": {**zitter_point_cfg([5]), "duration": 4.0, "samples": 32}}[command]
     path = write_cfg(tmp_path, "cfg.json", cfg)
     assert run_command(command, path, str(tmp_path / "out")) == 0
-    # one pass forms each sample; <L>'s width warning reads sample 0 once more,
-    # while the jitter analysis reads the run's t = 0 branches
-    assert len(formed) == cfg["samples"] + (command == "evolve")
+    # one pass forms each sample; <L>'s width warning reads sample 0's density
+    # from it, and the jitter analysis reads the run's t = 0 branches
+    assert len(formed) == cfg["samples"]
 
 
 def snapshot_cfg():
@@ -503,9 +503,8 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
     out = tmp_path / "out"
     assert run_command("evolve", path, str(out)) == 0
     # forming and measuring a sample takes 2 ndim - 1 = 5 one-axis transforms: the
-    # pass reads the axis-0 stage of the inverse transform; <L>'s width warning
-    # forms sample 0 once more
-    assert counts == {"fft": 2 * samples, "ifft": 3 * (samples + 1), "fftn": 0, "ifftn": 0}
+    # pass reads the axis-0 stage of the inverse transform
+    assert counts == {"fft": 2 * samples, "ifft": 3 * samples, "fftn": 0, "ifftn": 0}
     assert len((out / "angular_momentum.csv").read_text().splitlines()) == samples + 1
 
 

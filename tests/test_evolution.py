@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac88.errors import ConstraintViolation, DegenerateMode, FitError
+from dirac88.errors import ConstraintViolation, FitError
 from dirac88.evolution import (EvolutionRun, _duhamel_kernels, _Spectral, alpha_density_series,
                                alpha_expectation_series, energy_expectation,
-                               energy_expectation_series, energy_projectors,
-                               evolve_free, evolve_sourced, hamiltonian_k,
-                               mode_decomposition, momentum_velocity_prediction,
-                               omega_k, positive_frequency_amplitudes,
-                               poynting_split, run_free, zitter_decompose,
-                               zitter_equals_poynting, zitter_lines)
-from dirac88.fields import EMField, GridSpec, SpinorField8, divergence, embed_em, extract_em
+                               energy_expectation_series, evolve_free, evolve_sourced,
+                               hamiltonian_k, mode_decomposition, omega_k, poynting_split,
+                               run_free, zitter_decompose, zitter_equals_poynting)
+from dirac88.fields import (EMField, GridSpec, SpinorField8, divergence, embed_em, extract_em,
+                            extract_em_amplitudes)
 from dirac88.lorentz import Boost, em_wavefunction_transform
 from dirac88.oracle import compare, maxwell_evolve
 from dirac88.spin import ExpectationSeries, angular_momentum_series
@@ -113,18 +111,15 @@ def test_propagator_matches_dense_per_mode(grid, mass, c, hbar):
 
 
 def test_projectors():
+    # the spectral projectors P(+-) = (I +- H/(hbar w))/2 of one mode
     k = np.array([0.3, -0.7, 1.1])
-    p_plus, p_minus = energy_projectors(k, 0.4)
     eye = np.eye(8)
+    h = hamiltonian_k(k, 0.4) / omega_k(k, 0.4)
+    p_plus, p_minus = 0.5 * (eye + h), 0.5 * (eye - h)
     assert np.max(np.abs(p_plus + p_minus - eye)) < 1e-14
     assert np.max(np.abs(p_plus @ p_minus)) < 1e-14
     assert np.max(np.abs(p_plus @ p_plus - p_plus)) < 1e-14
     assert np.trace(p_plus).real == pytest.approx(4.0, abs=1e-12)
-
-
-def test_projectors_degenerate():
-    with pytest.raises(DegenerateMode):
-        energy_projectors(np.zeros(3), 0.0)
 
 
 # --- free propagation ---------------------------------------------------
@@ -211,10 +206,21 @@ def test_mode_decomposition_residual_and_reconstruction():
     g = grid1d(128)
     psi = states.standing_wave(g, 3, "x")
     dec = mode_decomposition(psi)
-    assert dec.projector_residual() < 1e-12
+    # H psi_hat(+-) = +- hbar w psi_hat(+-)
+    spectral = _Spectral(g, psi.mass, psi.c, psi.hbar)
+    w = psi.hbar * dec.omega[..., None]
+    scale = max(np.max(np.abs(dec.plus)), np.max(np.abs(dec.minus)), 1.0)
+    assert np.max(np.abs(spectral.apply_h(dec.plus) - w * dec.plus)) < 1e-12 * scale
+    assert np.max(np.abs(spectral.apply_h(dec.minus) + w * dec.minus)) < 1e-12 * scale
     axes = (0,)
     recon = np.fft.ifftn(dec.plus + dec.minus, axes=axes)
     assert np.max(np.abs(recon - psi.values)) < 1e-12
+
+
+def positive_frequency_amplitudes(psi):
+    """Complex E(r), B(r) of the positive-frequency part: a real monofrequency
+    field is E(r) e^{-iwt} + c.c. with these amplitudes."""
+    return extract_em_amplitudes(psi.grid.ifft(mode_decomposition(psi).plus))
 
 
 def test_positive_frequency_amplitudes_standing_wave():
@@ -505,9 +511,8 @@ def test_spinor_field_fields():
 
 
 @pytest.mark.parametrize("function", [
-    evolve_free, run_free, evolve_sourced, mode_decomposition, positive_frequency_amplitudes,
-    energy_expectation, momentum_velocity_prediction, zitter_lines, angular_momentum_series,
-    energy_expectation_series], ids=lambda function: function.__name__)
+    evolve_free, run_free, evolve_sourced, mode_decomposition, energy_expectation,
+    angular_momentum_series, energy_expectation_series], ids=lambda function: function.__name__)
 def test_functions_of_a_state_take_no_units(function):
     # c and hbar come from the state or run, so they cannot disagree with it
     assert not {"c", "hbar"} & set(inspect.signature(function).parameters)
@@ -599,7 +604,7 @@ def test_positive_packet_drift_matches_prediction(hbar):
     run = run_free(psi, np.linspace(0.0, 2.0, 24))
     series = alpha_expectation_series(run)
     assert np.ptp(series.values, axis=0).max() < 1e-12
-    pred = momentum_velocity_prediction(psi)
+    pred = zitter_decompose(run, series).dc_prediction
     assert np.max(np.abs(series.values[0] - pred)) < 1e-10
 
 
@@ -610,11 +615,8 @@ def test_zitter_multimode_raises():
     mixed = psi1
     mixed.values[:] = psi1.values + psi2.values
     run = run_free(mixed, np.linspace(0, 8.0, 80))
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match="at frequencies 2, 6;"):
         zitter_decompose(run)
-    lines = zitter_lines(run.sample(0))
-    freqs = sorted({round(w, 6) for _, w, _ in lines})
-    assert freqs == [2.0, 6.0]
 
 
 def test_zitter_too_few_samples():
@@ -684,6 +686,20 @@ def test_zitter_equals_poynting_on_a_shifted_time_grid():
     rep = zitter_equals_poynting(run, omega=2.0)
     assert rep.volume_deviation < 1e-12
     assert rep.pointwise_deviation <= 1e-12
+
+
+def test_a_stored_run_off_t0_has_no_branches():
+    # a stored run's first sample is the t = 0 state only when it is taken at t = 0
+    g = grid1d(256)
+    psi = states.standing_wave(g, 2, "x")
+    times = 0.3 + np.linspace(0.0, 3.5, 64)
+    free = run_free(psi, times)
+    stored = EvolutionRun(g, times, free.values, free.kind, free.mass, free.c, free.hbar)
+    with pytest.raises(ValueError, match="not the t = 0 state"):
+        zitter_equals_poynting(stored, omega=2.0)
+    sourced = evolve_sourced(psi, states.uniform_current(g, [0, 1, 0], 0.0, 1.0), times)
+    with pytest.raises(ValueError, match="not the t = 0 state"):
+        sourced.branches
 
 
 def test_zitter_decompose_on_a_shifted_time_grid():

@@ -31,6 +31,12 @@ def test_free_plane_wave_closed_form():
         assert np.max(np.abs(run.b[i][..., 1].real - np.cos(k * z - k * t))) < 1e-12
 
 
+def field_energy(g, e, b):
+    """int (E^2 + B^2)/8pi dV of real fields."""
+    dens = (np.einsum("...i,...i->...", e, e) + np.einsum("...i,...i->...", b, b)) / (8 * np.pi)
+    return float(np.sum(dens) * g.cell_volume)
+
+
 def test_free_energy_conservation_random_divfree():
     g = grid1d(128)
     rng = np.random.default_rng(2)
@@ -40,7 +46,7 @@ def test_free_energy_conservation_random_divfree():
     em0 = EMField(g, e.astype(complex), b.astype(complex))
     times = np.linspace(0.0, 6.0, 40)
     run = maxwell_evolve(em0, None, times)
-    energies = [run.energy(i) for i in range(len(times))]
+    energies = [field_energy(g, run.e[i].real, run.b[i].real) for i in range(len(times))]
     assert np.ptp(energies) / energies[0] < 1e-12
 
 
@@ -76,7 +82,7 @@ def test_compare_free_agreement():
     oracle_run = maxwell_evolve(extract_em(psi0), None, times)
     rep = compare(run, oracle_run)
     assert rep.max_abs < 1e-12
-    assert rep.max_rel < 1e-12
+    assert max(rep.rel_e, rep.rel_b) < 1e-12
 
 
 def test_compare_sourced_agreement():
