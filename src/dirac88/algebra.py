@@ -13,7 +13,6 @@ ulp of rounding (tolerance 1e-15 for those).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +62,6 @@ class AlgebraReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _report(identity: str, deviation: float, tolerance: float) -> AlgebraReport:

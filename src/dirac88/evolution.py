@@ -6,9 +6,10 @@ phase e^{-+i w t}, so every tolerance in free runs is round-off dominated.
 Sourced runs are exact too: the source is separable in space and time, so
 the Duhamel integral of the source term has a closed form per mode.  The
 constants m, c and hbar of H come from the state (``SpinorField8``) and
-travel with it into every run, sample and mode decomposition.  A free run
-stores no samples: ``EvolutionRun.samples`` forms them one at a time, in
-reused arrays, and measures each as it passes.
+travel with it into every run, sample and mode decomposition.  A run, free
+or sourced, stores no samples: it holds the energy branches of its t = 0
+state, and ``EvolutionRun.samples`` forms the samples one at a time, in reused
+arrays, and measures each as it passes.
 
 The velocity expectation <alpha>(t) over the whole box is the quantity
 whose oscillatory component is the Zitterbewegung.  For photon states the
@@ -65,56 +66,41 @@ class EvolutionRun:
     """Samples of a wave-function over a time grid, and the one diagnostics
     pass that every series of the run reads.
 
-    ``values`` given to the constructor is either the stack of samples (n_times,
-    *grid, 8), or the ``ModeDecomposition`` of the t = 0 state: a free run
-    (``run_free``) stores no samples and forms each one when it is read.
-    ``branches`` is that t = 0 decomposition; a stored run splits its first
-    sample once, on first use, and raises ValueError unless it is at t = 0.
-    ``samples()`` is the pass: it yields the samples in time order, each a
-    read-only ``SpinorField8`` over a buffer the next sample reuses, so a yielded
-    sample stays valid only until the next one (copy what must outlive it).  It measures each sample as
-    it passes; a free sample hands the measurement the axis-0 stage of its
-    inverse transform, so it is transformed along axis 0 once, not twice.  When
-    the pass completes it fills ``moments``; a pass left early fills nothing.
-    ``moments`` on a run nobody iterated runs the same pass.  ``sample(i)``
-    forms one sample as a fresh, writable copy, and ``values`` stacks every
-    sample on first access, as a read-only array, for library users.
+    A run holds no samples.  It holds ``branches``, the ``ModeDecomposition`` of
+    its t = 0 state (grid, mass, c and hbar come from it), and, for a sourced run
+    (``evolve_sourced``), the spectral source term added to each sample; it forms
+    each sample when it is read.  ``samples()`` is the pass: it yields the samples
+    in time order, each a read-only ``SpinorField8`` over a buffer the next sample
+    reuses, so a yielded sample stays valid only until the next one (copy what
+    must outlive it).  It measures each sample as it passes, from the axis-0
+    stage of the sample's inverse transform, so a sample is transformed along
+    axis 0 once, not twice.  When the pass completes it fills ``moments``; a pass
+    left early fills nothing.  ``moments`` on a run nobody iterated runs the same
+    pass.  ``sample(i)`` forms one sample as a fresh, writable copy, and
+    ``values`` stacks every sample on first access, as a read-only array, for
+    library users.
     """
 
-    def __init__(self, grid: GridSpec, times: np.ndarray, values, kind: str, mass: float,
-                 c: float = 1.0, hbar: float = 1.0):
-        self.grid, self.times, self.kind, self.mass, self.c, self.hbar = (
-            grid, times, kind, mass, c, hbar)
-        self._branches = values if isinstance(values, ModeDecomposition) else None
-        self._stack = None if self._branches is not None else _read_only(np.asarray(values))
+    def __init__(self, branches: ModeDecomposition, times: np.ndarray, kind: str,
+                 source_term=None):
+        self.branches, self.times, self.kind = branches, np.asarray(times, dtype=float), kind
+        self.grid, self.mass, self.c, self.hbar = (branches.grid, branches.mass, branches.c,
+                                                   branches.hbar)
+        self._source_term = source_term
+        self._stack = None
         self._moments: _Moments | None = None
-
-    @property
-    def branches(self) -> ModeDecomposition:
-        """Energy branches of the t = 0 state; see the class docstring."""
-        if self._branches is None:
-            if self.times[0] != 0.0:
-                raise ValueError(f"the first sample is at t = {self.times[0]:.6g}, not the "
-                                 "t = 0 state whose energy branches were asked for")
-            self._branches = mode_decomposition(self.sample(0))
-        return self._branches
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
 
-    def _arrays(self):
-        """Each sample's values in time order, with fft(values, axis=0) when the
-        run has it for free: rows of the stack (without it), or free samples
-        formed into reused buffers (with their inverse transform's axis-0 stage)."""
-        if self._stack is not None:
-            return ((values, None) for values in self._stack)
-        return _free_samples(self._branches, self.times)
+    def _formed(self, times):
+        return _form_samples(self.branches, times, self._source_term)
 
     def samples(self):
         """The pass over the samples; see the class docstring."""
         measure = _MomentsPass(self.grid, self.n_samples) if self._moments is None else None
-        for s, (values, axis0) in enumerate(self._arrays()):
+        for s, (values, axis0) in enumerate(self._formed(self.times)):
             if measure is not None:
                 measure.add(s, values, axis0)
             yield SpinorField8(self.grid, _read_only(values), self.kind, self.mass,
@@ -131,18 +117,15 @@ class EvolutionRun:
         return self._moments
 
     def sample(self, index: int) -> SpinorField8:
-        if self._stack is not None:
-            values = self._stack[index].copy()
-        else:
-            values = next(_free_samples(self._branches, [self.times[index]]))[0]
+        values = next(self._formed([self.times[index]]))[0]
         return SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
 
     @property
     def values(self) -> np.ndarray:
-        """Every sample, (n_times, *grid, 8), read-only; a free run stacks them here."""
+        """Every sample, (n_times, *grid, 8), read-only, stacked on first access."""
         if self._stack is None:
             stack = np.empty((self.n_samples,) + self.grid.shape + (8,), dtype=complex)
-            for s, (values, _) in enumerate(self._arrays()):
+            for s, (values, _) in enumerate(self._formed(self.times)):
                 stack[s] = values
             self._stack = _read_only(stack)
         return self._stack
@@ -273,25 +256,32 @@ def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
 
     The run holds the energy branches of psi0 and stores no samples: each is
     formed when read (``EvolutionRun.samples``, ``sample``, ``values``)."""
-    times = np.asarray(times, dtype=float)
-    return EvolutionRun(psi0.grid, times, mode_decomposition(psi0), psi0.kind, psi0.mass,
-                        psi0.c, psi0.hbar)
+    return EvolutionRun(mode_decomposition(psi0), times, psi0.kind)
 
 
-def _free_samples(dec: ModeDecomposition, times, source_term=None):
+def _form_samples(dec: ModeDecomposition, times, source_term=None):
     """Yield (sample, axis-0 stage) at each time t.  The sample is the inverse
     transform of the spectral amplitudes dec.at(t), plus ``source_term(t)``
     when given, taken one axis at a time (``GridSpec.ifft_staged``); the stage
     is that transform over grid axes 1.. alone, fft(sample, axis=0) up to
     round-off, which the moments pass reads instead of transforming the
     sample again.  Both live in two arrays that every time reuses, so a
-    yielded pair is valid until the next."""
+    yielded pair is valid until the next.  A sourced sample is checked as it
+    is formed: its constrained components stay below ``_CONSTRAINT_TOL`` times
+    the field scale, or it raises ConstraintViolation (NaN fails too)."""
     hat, values = np.empty_like(dec.plus), np.empty_like(dec.plus)
     for t in times:
         dec.at(float(t), out=hat, scratch=values)
         if source_term is not None:
             hat += source_term(float(t))
-        yield dec.grid.ifft_staged(hat, out=values), hat
+        sample = dec.grid.ifft_staged(hat, out=values)
+        if source_term is not None:
+            resid = constraint_residual(sample)
+            if not resid <= _CONSTRAINT_TOL * max(float(np.max(np.abs(sample))), 1.0):
+                raise ConstraintViolation(
+                    f"constrained components reached {resid:.3e} at t = {t:.6g}; "
+                    "check source continuity and the Gauss law of the initial data")
+        yield sample, hat
 
 
 def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float):
@@ -333,41 +323,31 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
 
     Each sample is U(t) psi_hat_0 plus the Duhamel term
     int_0^t U(t-s) s_hat(s) ds / (i hbar), in closed form per mode
-    (``_duhamel_kernels``).  The constrained components are checked every
-    sample: they stay below ``_CONSTRAINT_TOL`` (times the field scale) when the
-    initial data satisfy the Gauss law and the source satisfies continuity,
-    whose residual (rho_amp + div j_amp) cos(Omega t) peaks at t = 0.
+    (``_duhamel_kernels``).  The run holds psi0's energy branches and that term,
+    and forms each sample when it is read.  Continuity, whose residual
+    (rho_amp + div j_amp) cos(Omega t) peaks at t = 0, is checked here; the
+    constrained components are checked wherever a sample is formed, so a
+    violation raises on the first read that reaches it: they stay below
+    ``_CONSTRAINT_TOL`` (times the field scale) when the initial data satisfy
+    the Gauss law and the source satisfies continuity.
     """
     if psi0.kind != "photon":
         raise ValueError("sourced evolution is defined for photon-embedded states")
-    times = np.asarray(times, dtype=float)
-    grid = psi0.grid
     cont = source.continuity_residual(0.0)
-    if cont > _CONTINUITY_TOL:
+    if not cont <= _CONTINUITY_TOL:
         raise ConstraintViolation(
             f"source continuity residual {cont:.3e} exceeds {_CONTINUITY_TOL:.1e}")
 
     hbar = psi0.hbar
-    spectral = _Spectral(grid, psi0.mass, psi0.c, hbar)
-    dec = _split(psi0, spectral)
-    rho_part, j_part = _source_hat_parts(grid, source, psi0.c, hbar)
+    spectral = _Spectral(psi0.grid, psi0.mass, psi0.c, hbar)
+    rho_part, j_part = _source_hat_parts(psi0.grid, source, psi0.c, hbar)
     h_rho, h_j = spectral.apply_h(rho_part), spectral.apply_h(j_part)
 
     def duhamel(t: float) -> np.ndarray:
         cc, cr, r = (k[..., None] for k in _duhamel_kernels(spectral.omega, source.omega, t))
         return (cr * rho_part + cc * j_part - 1j * (r * h_rho + cr * h_j) / hbar) / (1j * hbar)
 
-    # stored, so that a violation raises here and not in a later reader
-    values = np.empty((len(times),) + psi0.values.shape, dtype=complex)
-    for idx, (t, (sample, _)) in enumerate(zip(times, _free_samples(dec, times, duhamel))):
-        values[idx] = sample
-        resid = constraint_residual(sample)
-        scale = max(float(np.max(np.abs(sample))), 1.0)
-        if resid > _CONSTRAINT_TOL * scale:
-            raise ConstraintViolation(
-                f"constrained components reached {resid:.3e} at t = {t:.6g}; "
-                "check source continuity and the Gauss law of the initial data")
-    return EvolutionRun(grid, times, values, psi0.kind, psi0.mass, psi0.c, psi0.hbar)
+    return EvolutionRun(_split(psi0, spectral), times, psi0.kind, duhamel)
 
 
 def mode_decomposition(psi: SpinorField8) -> ModeDecomposition:
@@ -408,9 +388,9 @@ def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> Expectati
 
 
 def energy_expectation(psi: SpinorField8) -> float:
-    """<H> per unit norm (zero for an identically-zero state)."""
-    return float(energy_expectation_series(EvolutionRun(
-        psi.grid, np.zeros(1), psi.values[None], psi.kind, psi.mass, psi.c, psi.hbar))[0])
+    """<H> per unit norm (zero for an identically-zero state), read from the
+    state's own free run at t = 0."""
+    return float(energy_expectation_series(run_free(psi, [0.0]))[0])
 
 
 def energy_expectation_series(run: EvolutionRun) -> np.ndarray:

@@ -84,10 +84,6 @@ class GridSpec:
         return float(np.prod(self.spacings))
 
     @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
-    @property
     def spatial_axes(self) -> tuple[int, ...]:
         """Cartesian indices the grid axes map to: z for 1-D, (y,z), (x,y,z)."""
         return tuple(range(3 - self.ndim, 3))
@@ -198,8 +194,8 @@ class SpinorField8:
 
 def constraint_residual(values: np.ndarray) -> float:
     """Largest magnitude on the constrained components 0 and 4 of ``values`` (..., 8)."""
-    return float(max(np.max(np.abs(values[..., 0]), initial=0.0),
-                     np.max(np.abs(values[..., 4]), initial=0.0)))
+    return float(np.maximum(np.max(np.abs(values[..., 0]), initial=0.0),   # keeps NaN
+                            np.max(np.abs(values[..., 4]), initial=0.0)))
 
 
 @dataclass
@@ -346,7 +342,7 @@ class _MomentsPass:
     Gram matrix, and sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b.  A line
     Gram is a real product of the float view x of the line, with the real
     and imaginary parts of component a in columns 2a and 2a + 1: from
-    R = x^T x, G = (rr + ii) + i (ri - ir).  A free sample brings A_0 along,
+    R = x^T x, G = (rr + ii) + i (ri - ir).  Every sample brings A_0 along,
     the stage before the last of its inverse transform
     (``GridSpec.ifft_staged``), so it costs one forward transform fewer.
     """
@@ -371,9 +367,9 @@ class _MomentsPass:
         self._power = np.empty(grid.shape + (8,))
         self._scratch = np.empty(grid.shape + (8,), dtype=complex)
 
-    def add(self, s: int, v: np.ndarray, axis0: np.ndarray | None = None):
-        """Measure sample ``s``, of shape (*grid, 8); ``axis0``, when given, is
-        fft(v, axis=0) up to round-off and is read in place of that transform."""
+    def add(self, s: int, v: np.ndarray, axis0: np.ndarray):
+        """Measure sample ``s``, of shape (*grid, 8); ``axis0`` is fft(v, axis=0)
+        up to round-off and is read in place of that transform."""
         grid, cart = self.grid, self.grid.spatial_axes
         power = np.square(np.abs(v, out=self._power), out=self._power)
         self.norms[s] = np.sum(power)
@@ -383,7 +379,7 @@ class _MomentsPass:
         self.gram[s] = np.conjugate(flat, out=self._scratch.reshape(-1, 8)).T @ flat
         for b, n_b in enumerate(grid.points):
             others = grid.points[:b] + grid.points[b + 1:]
-            if b == 0 and axis0 is not None:
+            if b == 0:
                 lead = axis0
             else:   # A_b straight into the reused array, k_b leading
                 lead = self._scratch.reshape((n_b,) + others + (8,))

@@ -86,9 +86,6 @@ class Boost:
             return np.zeros(3)
         return self.v / self.speed
 
-    def reversed(self) -> "Boost":
-        return Boost(tuple(-x for x in self.velocity), self.c)
-
 
 def boost_matrix_L(boost: Boost) -> np.ndarray:
     """Hermitian positive 2x2 spinor boost, sqrt((g+1)/2) + sigma.(g v)/(c sqrt(2(1+g)))."""

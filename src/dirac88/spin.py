@@ -69,10 +69,6 @@ class SpinSelectionReport:
     witness_row: int
     witness_value: complex
 
-    @property
-    def selects_spin_one(self) -> bool:
-        return self.spin_one_max == 0.0 and self.spin_half_max > 0.0
-
 
 def spin_half(hbar: float = 1.0) -> SpinOperator:
     """S_i = (hbar/2) [[theta_i, kappa_i], [kappa_i, theta_i]]."""

@@ -112,6 +112,30 @@ def test_evolve_continuity_violation_exit1(tmp_path, capsys):
     assert failing and "ConstraintViolation" in failing[0]["name"]
 
 
+def test_gauss_violation_of_a_sourced_run_is_one_failure_row(tmp_path, monkeypatch):
+    # the constraint check runs in the pass, and a violation is still one failure row
+    from dirac88 import states
+    from dirac88.fields import EMField, embed_em
+
+    def divergent(grid):
+        e = np.zeros(grid.shape + (3,), dtype=complex)
+        e[..., 2] = np.sin(grid.positions()[..., 2])
+        return embed_em(EMField(grid, e, np.zeros_like(e)))
+
+    monkeypatch.setattr(states, "zero_field", divergent)
+    cfg = {**evolve_cfg(samples=8), "grid": {"points": [64], "lengths": [TWO_PI]},
+           "duration": 1.0, "state": {"type": "zero_field"}, "checks": {"constraint": 1e-10},
+           "source": {"type": "uniform_current", "direction": [0, 1, 0], "amplitude": 0.0,
+                      "omega": 1.0}}
+    out = tmp_path / "out"
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
+    assert read_summary(out)["checks"] == [{
+        "name": "ConstraintViolation", "paper_anchor": "run-time invariant", "deviation": None,
+        "tolerance": 0.0, "pass": False,
+        "error": "constrained components reached 1.424e-01 at t = 0.142857; check source "
+                 "continuity and the Gauss law of the initial data"}]
+
+
 def test_zitter_command(tmp_path):
     cfg = {
         "grid": {"points": [256], "lengths": [TWO_PI]},
@@ -364,24 +388,46 @@ def test_evolve_keeps_no_stack_of_a_free_run(tmp_path):
     assert peak < stack_bytes / 3, (peak, stack_bytes)
 
 
-@pytest.mark.parametrize("command", ["evolve", "zitter"])
+def test_compare_oracle_reads_the_run_one_sample_at_a_time(tmp_path):
+    import tracemalloc
+    cfg = {"grid": {"points": [16, 16, 16], "lengths": [TWO_PI] * 3}, "duration": 2.0,
+           "samples": 41, "tolerance": 1e-10,
+           "state": {"type": "travelling_wave", "mode": [1, 0, 2], "polarisation": "y"}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    tracemalloc.start()
+    try:
+        assert run_command("compare-oracle", path, str(tmp_path / "out")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the oracle's own e and b stacks are 15.7 MB; the run's stack would add 21.5 MB
+    assert peak <= 30e6, peak
+
+
+@pytest.mark.parametrize("command", ["evolve", "zitter", "evolve-sourced"])
 def test_a_command_forms_each_free_sample_once(tmp_path, monkeypatch, command):
     import dirac88.evolution as evolution
     formed = []
-    free_samples = evolution._free_samples
+    form_samples = evolution._form_samples
 
     def counted(*args, **kwargs):
-        for sample in free_samples(*args, **kwargs):
+        for sample in form_samples(*args, **kwargs):
             formed.append(1)
             yield sample
 
-    monkeypatch.setattr(evolution, "_free_samples", counted)
+    monkeypatch.setattr(evolution, "_form_samples", counted)
+    sourced = {**evolve_cfg(samples=9), "state": {"type": "zero_field"},
+               "source": {"type": "gaussian_dipole", "direction": [0, 1, 0], "amplitude": 1.0,
+                          "sigma": 0.4, "omega": 2.0},
+               "checks": {"constraint": 1e-10}, "outputs": {"snapshots": [0, -1]}}
     cfg = {"evolve": packet_cfg([8, 8, 16], 7),
-           "zitter": {**zitter_point_cfg([5]), "duration": 4.0, "samples": 32}}[command]
+           "zitter": {**zitter_point_cfg([5]), "duration": 4.0, "samples": 32},
+           "evolve-sourced": sourced}[command]
     path = write_cfg(tmp_path, "cfg.json", cfg)
-    assert run_command(command, path, str(tmp_path / "out")) == 0
+    assert run_command(command.split("-")[0], path, str(tmp_path / "out")) == 0
     # one pass forms each sample; <L>'s width warning reads sample 0's density
-    # from it, and the jitter analysis reads the run's t = 0 branches
+    # from it, the jitter analysis reads the run's t = 0 branches, and a sourced
+    # sample's constraint check runs as the pass forms it
     assert len(formed) == cfg["samples"]
 
 
@@ -430,19 +476,12 @@ def test_zitter_decompose_splits_the_state_once(monkeypatch):
     from dirac88.fields import GridSpec
     run = evolution.run_free(states.electron_rest_mix(GridSpec((16,), (TWO_PI,)), mass=1.0),
                              np.linspace(0.0, 9.0, 32))
-    stored = evolution.EvolutionRun(run.grid, run.times, run.values, run.kind, run.mass)
     calls = count_calls(monkeypatch, {"split": evolution.mode_decomposition,
                                       "core": evolution._Spectral})
-    # a free run already holds its t = 0 branches
+    # a run already holds its t = 0 branches
     report = evolution.zitter_decompose(run)
     assert calls == {"split": 0, "core": 0}
     assert report.relative_frequency_error < 1e-6
-    # a stored run splits its first sample once, and keeps the split
-    for _ in range(2):
-        again = evolution.zitter_decompose(stored)
-        assert again.expected_frequency == pytest.approx(report.expected_frequency, rel=1e-12)
-        assert stored.branches is stored.branches
-    assert calls == {"split": 1, "core": 1}
 
 
 def test_evolve_sourced_builds_one_spectral_core(monkeypatch):
@@ -461,7 +500,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
     import contextlib
     import dirac88.evolution as evolution
     counts = {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
-    kernel, free_samples = evolution._MomentsPass.add, evolution._free_samples
+    kernel, form_samples = evolution._MomentsPass.add, evolution._form_samples
 
     @contextlib.contextmanager
     def counting():
@@ -479,7 +518,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
 
     def counted_samples(*args, **kwargs):
         # the transforms that form each sample count too
-        samples = free_samples(*args, **kwargs)
+        samples = form_samples(*args, **kwargs)
         while True:
             with counting():
                 item = next(samples, None)
@@ -488,7 +527,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
             yield item
 
     monkeypatch.setattr(evolution._MomentsPass, "add", counted_kernel)
-    monkeypatch.setattr(evolution, "_free_samples", counted_samples)
+    monkeypatch.setattr(evolution, "_form_samples", counted_samples)
     samples = 5
     cfg = {
         "grid": {"points": [8, 8, 16], "lengths": [TWO_PI, 5.0, 9.0]},

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac88.errors import ConstraintViolation, FitError
-from dirac88.evolution import (EvolutionRun, _duhamel_kernels, _Spectral, alpha_density_series,
+from dirac88.evolution import (_duhamel_kernels, _Spectral, alpha_density_series,
                                alpha_expectation_series, energy_expectation,
                                energy_expectation_series, evolve_free, evolve_sourced,
                                hamiltonian_k, mode_decomposition, omega_k, poynting_split,
@@ -342,7 +342,61 @@ def test_sourced_gauss_initial_data_rejected():
     psi0 = embed_em(EMField(g, e, np.zeros_like(e)))
     src = states.uniform_current(g, [0, 1, 0], 0.0, 1.0)
     with pytest.raises(ConstraintViolation):
-        evolve_sourced(psi0, src, np.linspace(0, 1.0, 8))
+        evolve_sourced(psi0, src, np.linspace(0, 1.0, 8)).moments
+
+
+def test_a_violating_sourced_run_raises_on_its_first_read():
+    # the check runs where a sample is formed: the pass, sample(i) and values
+    g = grid1d(64)
+    e = np.zeros(g.shape + (3,), dtype=complex)
+    e[..., 2] = np.sin(g.positions()[..., 2])
+    src = states.uniform_current(g, [0, 1, 0], 0.0, 1.0)
+    times = np.linspace(0, 1.0, 8)
+    message = (r"constrained components reached \d\.\d{3}e[+-]\d+ at t = 0\.142857; check "
+               "source continuity and the Gauss law of the initial data")
+    reads = {"pass": lambda run: list(run.samples()),
+             "moments": lambda run: run.moments, "values": lambda run: run.values,
+             "sample": lambda run: run.sample(1)}
+    for name, read in reads.items():
+        run = evolve_sourced(embed_em(EMField(g, e, np.zeros_like(e))), src, times)
+        assert run.sample(0).constraint_residual() == 0.0, name
+        with pytest.raises(ConstraintViolation, match=message):
+            read(run)
+        assert run._moments is None, name
+
+
+def test_nan_fails_both_sourced_checks():
+    g = grid1d(64)
+    bad_source = states.uniform_current(g, [0, 1, 0], 1.0, 1.0)
+    bad_source.j_amp[3, 1] = np.nan
+    assert np.isnan(bad_source.continuity_residual(0.0))
+    with pytest.raises(ConstraintViolation, match="source continuity residual nan"):
+        evolve_sourced(states.zero_field(g), bad_source, np.linspace(0, 1.0, 4))
+    psi0 = states.zero_field(g)
+    psi0.values[5, 2] = np.nan
+    run = evolve_sourced(psi0, states.uniform_current(g, [0, 1, 0], 1.0, 1.0),
+                         np.linspace(0, 1.0, 4))
+    # the NaN stays off components 0 and 4 on a 1-D grid; the NaN field scale fails it
+    with pytest.raises(ConstraintViolation, match=r"reached 0\.000e\+00 at t = 0;"):
+        run.moments
+
+
+def test_a_sourced_run_holds_no_samples():
+    # the tracemalloc peak of a 3-D sourced run and its pass is flat in its sample count
+    import tracemalloc
+    g = GridSpec((16, 16, 16), (TWO_PI, TWO_PI, TWO_PI))
+    psi0, src = states.zero_field(g), states.uniform_current(g, [0, 1, 0], 1.0, 2.0)
+    peaks = []
+    for n in (11, 41):
+        tracemalloc.start()
+        try:
+            run = evolve_sourced(psi0, src, np.linspace(0.0, 2.0, n))
+            energy_expectation_series(run)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stack_bytes = 30 * g.points[0] ** 3 * 8 * 16     # 30 samples more
+    assert peaks[1] - peaks[0] < stack_bytes / 20, peaks
 
 
 def test_sourced_electron_state_rejected():
@@ -549,24 +603,32 @@ def test_run_diagnostics_share_one_moments_pass(monkeypatch):
     assert run.values[0, 0, 0, 0] != 1.0
 
 
-def test_views_read_zero_for_an_empty_sample_and_nan_for_a_nan_one():
-    # every expectation value divides by its own sample's norm in one way
-    g = grid1d(16)
-    free = run_free(states.electron_rest_mix(g, mass=1.0), np.linspace(0.0, 1.0, 4))
-    values = free.values.copy()
-    values[1] = 0.0
-    values[2, 5, 3] = np.nan
-    run = EvolutionRun(g, free.times, values, free.kind, free.mass, free.c, free.hbar)
+def _views(run):
     views = {"alpha": alpha_expectation_series(run).values,
-             "density at the NaN point": alpha_density_series(run, (5,)).values,
-             "density at a finite point": alpha_density_series(run, (9,)).values,
+             "density at point 5": alpha_density_series(run, (5,)).values,
+             "density at point 9": alpha_density_series(run, (9,)).values,
              "energy": energy_expectation_series(run)}
     views.update(zip(("orbital", "spin", "total"),
                      (series.values for series in angular_momentum_series(run))))
-    for name, view in views.items():
-        assert np.all(view[1] == 0.0), name
-        assert np.all(np.isnan(view[2])), name
-        assert np.all(np.isfinite(view[[0, 3]])), name
+    return views
+
+
+def test_views_read_zero_for_an_empty_sample_and_nan_for_a_nan_one():
+    # every expectation value divides by its own sample's norm in one way
+    g = grid1d(16)
+    times = np.linspace(0.0, 1.0, 4)
+    # a zero field driven from t = 0: sample 0 is exactly zero, the others are not
+    driven = evolve_sourced(states.zero_field(g), states.uniform_current(g, [0, 1, 0], 1.0, 1.0),
+                            times)
+    assert not np.any(driven.sample(0).values)
+    for name, view in _views(driven).items():
+        assert np.all(view[0] == 0.0), name
+        assert np.all(np.isfinite(view[1:])), name
+    # one NaN in the state reaches every point of every sample through the transforms
+    psi = states.electron_rest_mix(g, mass=1.0)
+    psi.values[5, 3] = np.nan
+    for name, view in _views(run_free(psi, times)).items():
+        assert np.all(np.isnan(view)), name
 
 
 def test_hypothesis_can_report_a_falsifying_example():
@@ -688,18 +750,16 @@ def test_zitter_equals_poynting_on_a_shifted_time_grid():
     assert rep.pointwise_deviation <= 1e-12
 
 
-def test_a_stored_run_off_t0_has_no_branches():
-    # a stored run's first sample is the t = 0 state only when it is taken at t = 0
+def test_a_sourced_run_off_t0_has_its_t0_branches():
+    # a sourced run holds psi0's split, whatever time its samples start at
     g = grid1d(256)
     psi = states.standing_wave(g, 2, "x")
     times = 0.3 + np.linspace(0.0, 3.5, 64)
-    free = run_free(psi, times)
-    stored = EvolutionRun(g, times, free.values, free.kind, free.mass, free.c, free.hbar)
-    with pytest.raises(ValueError, match="not the t = 0 state"):
-        zitter_equals_poynting(stored, omega=2.0)
-    sourced = evolve_sourced(psi, states.uniform_current(g, [0, 1, 0], 0.0, 1.0), times)
-    with pytest.raises(ValueError, match="not the t = 0 state"):
-        sourced.branches
+    dec = evolve_sourced(psi, states.uniform_current(g, [0, 1, 0], 0.0, 1.0), times).branches
+    ref = mode_decomposition(psi)
+    for name in ("plus", "minus", "omega"):
+        assert np.array_equal(getattr(dec, name), getattr(ref, name)), name
+    assert (dec.grid, dec.mass, dec.c, dec.hbar) == (ref.grid, ref.mass, ref.c, ref.hbar)
 
 
 def test_zitter_decompose_on_a_shifted_time_grid():

@@ -136,7 +136,7 @@ def test_energy_and_poynting_crossed_fields():
     e = np.zeros(g.shape + (3,), dtype=complex); e[..., 0] = 1.0
     b = np.zeros(g.shape + (3,), dtype=complex); b[..., 1] = 1.0
     energy, poynting, from_spinor = energy_and_poynting(EMField(g, e, b))
-    assert energy == pytest.approx(2 * g.volume / (8 * np.pi))
+    assert energy == pytest.approx(2 * np.prod(g.lengths) / (8 * np.pi))
     assert np.allclose(poynting[..., 2], 1.0 / (4 * np.pi))
     # spinor route reproduces E x B (not divided by 4 pi)
     assert np.max(np.abs(from_spinor[..., 2] - 1.0)) < 1e-12
@@ -413,6 +413,8 @@ def test_constraint_residual_of_points_stacks_and_empty_arrays():
     stack[1, 2, 0] = 0.25j
     assert constraint_residual(stack) == 0.25
     assert constraint_residual(np.zeros((0, 8))) == 0.0
+    stack[0, 1, 4] = np.nan
+    assert np.isnan(constraint_residual(stack))
 
 
 def test_spinor_csv_keeps_the_units(tmp_path):

@@ -60,7 +60,7 @@ def test_L_determinant_hermitian_inverse():
         assert np.linalg.det(el).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(el - el.conj().T)) < 1e-14
         assert np.min(np.linalg.eigvalsh(el)) > 0.0
-        assert np.max(np.abs(el @ boost_matrix_L(b.reversed()) - np.eye(2))) < 1e-12
+        assert np.max(np.abs(el @ boost_matrix_L(Boost(tuple(-b.v), b.c)) - np.eye(2))) < 1e-12
 
 
 def test_four_vector_boost_examples():

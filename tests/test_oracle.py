@@ -290,6 +290,18 @@ def test_simpson_sums_match_node_by_node_reference(name, monkeypatch):
     assert np.array_equal(free.e, e_ref) and np.array_equal(free.b, b_ref)
 
 
+def test_compare_fails_a_nan_run():
+    g = grid1d(64)
+    psi = states.travelling_wave(g, 2, "y")
+    times = np.linspace(0.0, 1.0, 5)
+    reference = maxwell_evolve(extract_em(psi), None, times)
+    psi.values[7, 2] = np.nan
+    rep = compare(run_free(psi, times), reference)
+    assert np.isnan(rep.max_abs_e) and np.isnan(rep.rel_e)
+    assert np.isnan(rep.max_abs) and not rep.max_abs <= 1e-10
+    assert np.isnan(oracle.CompareReport(0.0, np.nan, 0.0, np.nan).max_abs)
+
+
 def test_sourced_oracle_memory_bounded():
     g = GridSpec((16, 16, 16), (TWO_PI,) * 3)
     src = states.gaussian_dipole_current(g, [0, 0, 1], 1.0, 0.8, 4.0)

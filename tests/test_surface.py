@@ -5,9 +5,12 @@ Every name a module of the package lists in ``__all__``, and every name
 the package's code (a name, an attribute or a string, such as the state types
 ``cli`` maps to builders), the README (its library sketch, or a code span of
 its text), the acceptance criteria, the benchmark's span targets or the console
-script.  A reference from inside a public definition that is itself unreached
-does not count, and neither do docstrings and ``__all__``.  And no module of the
-package imports a name it never uses.
+script.  So is every public method and property of a public class, as
+``Class.name``, through an attribute or a string of that name (a bare name,
+such as the builtin ``reversed``, reaches no method).  A reference from inside
+a public definition that is itself unreached does not count, and neither do
+docstrings and ``__all__``.  And no module of the package imports a name it
+never uses.
 """
 
 import ast
@@ -51,29 +54,43 @@ def _defined(stmt: ast.stmt) -> str | None:
     return None
 
 
+def _methods(cls: ast.ClassDef):
+    """The public methods and properties of a class definition."""
+    return [stmt for stmt in cls.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not stmt.name.startswith("_")]
+
+
 def _references(tree: ast.AST):
-    """(name, enclosing top-level definition or None) for every Name, Attribute
-    and string constant of ``tree`` that can name something."""
+    """(name, is an attribute or a string, enclosing definitions) for every Name,
+    Attribute and string constant of ``tree`` that can name something; the
+    enclosing definitions are the top-level one and, inside a class, its method
+    as ``Class.method``."""
     skip = _not_references(tree)
     for stmt in tree.body:
         where = _defined(stmt)
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                yield node.id, where
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, where
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and id(node) not in skip):
-                yield node.value, where
+        parts = [(stmt, (where,))]
+        if isinstance(stmt, ast.ClassDef):
+            parts = [(method, (where, f"{where}.{method.name}")) for method in _methods(stmt)]
+            parts += [(node, (where,)) for node in stmt.body if node not in _methods(stmt)]
+            parts += [(node, (where,)) for node in stmt.decorator_list + stmt.bases]
+        for part, enclosing in parts:
+            for node in ast.walk(part):
+                if isinstance(node, ast.Name):
+                    yield node.id, False, enclosing
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr, True, enclosing
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and id(node) not in skip):
+                    yield node.value, True, enclosing
 
 
-def _readme_references() -> list[tuple[str, None]]:
+def _readme_references() -> list[tuple[str, bool, tuple]]:
     readme = (ROOT / "README.md").read_text()
     head, rest = readme.split("```python\n", 1)
     sketch, tail = rest.split("```", 1)
     spans = re.findall(r"`([A-Za-z_][\w.]*)`", head + tail)
     return list(_references(ast.parse(sketch))) + [
-        (part, None) for span in spans for part in span.split(".")]
+        (part, True, ()) for span in spans for part in span.split(".")]
 
 
 def _script_targets() -> list[str]:
@@ -83,7 +100,8 @@ def _script_targets() -> list[str]:
 
 
 def _public_names() -> set[str]:
-    names = set()
+    """Every public name, and ``Class.method`` for each public method of a public class."""
+    names, classes = set(), {}
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
         for stmt in tree.body:
@@ -91,7 +109,10 @@ def _public_names() -> set[str]:
                 names.update(ast.literal_eval(stmt.value))
             if path.name == "__init__.py" and isinstance(stmt, ast.ImportFrom):
                 names.update(alias.asname or alias.name for alias in stmt.names)
-    return names
+            if isinstance(stmt, ast.ClassDef):
+                classes[stmt.name] = stmt
+    return names | {f"{name}.{method.name}" for name in names & set(classes)
+                    for method in _methods(classes[name])}
 
 
 def unreached_public_names() -> list[str]:
@@ -101,12 +122,15 @@ def unreached_public_names() -> list[str]:
     refs += _readme_references()
     refs += _references(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
     refs += _references(ast.parse((ROOT / "bench" / "spans.py").read_text()))
-    refs += [(name, None) for name in _script_targets()]
+    refs += [(name, False, ()) for name in _script_targets()]
     public = _public_names()
     dead: set[str] = set()
     while True:
-        reached = {name for name, where in refs if where is None or where not in dead}
-        now = {name for name in public - reached if name not in KEPT}
+        live = [(name, attribute) for name, attribute, where in refs if not dead & set(where)]
+        names = {name for name, _ in live}
+        attributes = {name for name, attribute in live if attribute}
+        now = {name for name in public if name not in KEPT and not (
+            name.rpartition(".")[2] in attributes if "." in name else name in names)}
         if now == dead:
             return sorted(dead)
         dead = now
