@@ -419,22 +419,31 @@ _CSV_BLOCK_POINTS = 2048
 
 
 def _write_csv(path: Path, grid: GridSpec, values: np.ndarray, ncomp: int, kindmeta: dict):
-    """Rows ``i,j,k,component,re,im`` in C order, CRLF ends, ``%.17g`` values."""
+    """Rows ``i,j,k,component,re,im`` in C order, CRLF ends, ``%.17g`` values.
+
+    A block formats each distinct double once: snapshots repeat few values
+    (exact zeros, a plane wave's few levels). Doubles are told apart by
+    their bit pattern, not their value, since 0.0 == -0.0 prints apart
+    ("0", "-0") and a value key would merge them.
+    """
     path = Path(path)
     idx_shape = grid.shape + (1,) * (3 - grid.ndim)
     flat = values.reshape(-1, ncomp)
-    # one point's rows; each %s takes that point's "i,j,k," prefix
-    point_rows = "".join(f"%s{comp},%.17g,%.17g\r\n" for comp in range(ncomp))
+    # one point's rows; the first %s takes that point's "i,j,k," prefix
+    point_rows = "".join(f"%s{comp},%s,%s\r\n" for comp in range(ncomp))
     with path.open("w", newline="") as fh:
         fh.write("i,j,k,component,re,im\r\n")
         for start in range(0, len(flat), _CSV_BLOCK_POINTS):
             block = flat[start:start + _CSV_BLOCK_POINTS]
             ijk = np.unravel_index(np.arange(start, start + len(block)), idx_shape)
             prefixes = [f"{i},{j},{k}," for i, j, k in zip(*(a.tolist() for a in ijk))]
+            bits, inverse = np.unique(np.stack((block.real, block.imag), -1).view(np.int64),
+                                      return_inverse=True)
+            text = ("%.17g\n" * len(bits) % tuple(bits.view(float).tolist())).split("\n")
             cells = np.empty(block.shape + (3,), dtype=object)
             cells[..., 0] = np.array(prefixes, dtype=object)[:, None]
-            cells[..., 1] = block.real
-            cells[..., 2] = block.imag
+            # the inverse's shape differs across numpy releases
+            cells[..., 1:] = np.array(text, dtype=object)[inverse.reshape(block.shape + (2,))]
             fh.write(point_rows * len(block) % tuple(cells.ravel().tolist()))
     sidecar = {"grid": grid.to_dict(), "components": ncomp}
     sidecar.update(kindmeta)

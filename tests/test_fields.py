@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dirac88 import states
 from dirac88.errors import ConstraintViolation
-from dirac88.evolution import evolve_free
-from dirac88.fields import (EMField, FourCurrent, GridSpec, SpinorField8, _alpha_density,
-                            constraint_residual, curl, divergence, embed_em, extract_em,
-                            field_tensor, load_em_csv, load_spinor_csv, save_em_csv,
+from dirac88.evolution import evolve_free, run_free
+from dirac88.fields import (_CSV_BLOCK_POINTS, EMField, FourCurrent, GridSpec, SpinorField8,
+                            _alpha_density, constraint_residual, curl, divergence, embed_em,
+                            extract_em, field_tensor, load_em_csv, load_spinor_csv, save_em_csv,
                             save_spinor_csv)
 
 TWO_PI = 2 * np.pi
@@ -383,6 +384,67 @@ def test_snapshot_csv_golden_bytes(tmp_path, kind, points, csv_text, sidecar_tex
     assert (tmp_path / "snap.csv.json").read_bytes() == sidecar_text.encode()
 
 
+def _reference_csv(grid, values):
+    """The snapshot CSV body written row by row: the reference for the block
+    writer, which formats each distinct double of a block once."""
+    idx_shape = grid.shape + (1,) * (3 - grid.ndim)
+    rows = ["i,j,k,component,re,im\r\n"]
+    for (i, j, k), point in zip(np.ndindex(idx_shape), values.reshape(-1, values.shape[-1])):
+        for comp, v in enumerate(point.tolist()):
+            rows.append("%d,%d,%d,%d,%.17g,%.17g\r\n" % (i, j, k, comp, v.real, v.imag))
+    return "".join(rows).encode()
+
+
+def _redundant_em():
+    """A 16^3 EM field of two blocks whose first block holds both zeros, NaNs
+    of both signs and two payloads, the infinities, the smallest subnormal and
+    a double beside its neighbour; the rest repeats a few levels."""
+    g = GridSpec((16, 16, 16), (TWO_PI,) * 3)
+    rng = np.random.default_rng(23)
+    values = rng.choice([0.0, -0.0, 0.5, -1.25, 1 / 3], size=g.shape + (6,)).astype(complex)
+    values.imag = rng.choice([0.0, 2.0 ** -40, rng.standard_normal()], size=values.shape)
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000002, 0x7FF0000000000003,
+                     0xFFF4000000000000], dtype=np.uint64).view(float)
+    x = 0.1
+    special = np.concatenate([[0.0, -0.0, np.nan, -np.nan], nans,
+                              [np.inf, -np.inf, 5e-324, -5e-324, 1e-300, x, np.nextafter(x, 1.0),
+                               np.nextafter(x, 0.0), 1e300, np.nextafter(1e300, np.inf)]])
+    flat = values.reshape(-1)
+    flat.real[:len(special)] = special
+    flat.imag[40:40 + len(special)] = special[::-1]
+    return EMField(g, values[..., :3], values[..., 3:])
+
+
+def _travelling_wave_snapshot():
+    g = GridSpec((16, 16, 16), (TWO_PI, 2.0, 3.0))
+    run = run_free(states.travelling_wave(g, [1, 0, 2], "y"), np.linspace(0.0, 1.3, 3))
+    return extract_em(run.sample(2))
+
+
+def _redundant_spinor():
+    g = GridSpec((128, 32), (TWO_PI, 3.0))
+    rng = np.random.default_rng(29)
+    values = rng.standard_normal(g.shape + (8,)).astype(complex)
+    values.imag = rng.choice([0.0, -0.0, 0.75], values.shape)
+    values.real[::3] = 0.0
+    return SpinorField8(g, values, kind="electron", mass=0.5)
+
+
+@pytest.mark.parametrize("field", [_redundant_em, _redundant_spinor, _travelling_wave_snapshot],
+                         ids=["edge-em-3d", "spinor-2d", "travelling-wave-3d"])
+def test_snapshot_csv_equals_the_row_by_row_writer(tmp_path, field):
+    field = field()
+    path = tmp_path / "snap.csv"
+    if isinstance(field, EMField):
+        save_em_csv(path, field)
+        values = np.concatenate([field.e, field.b], axis=-1)
+    else:
+        save_spinor_csv(path, field)
+        values = field.values
+    assert values.size // values.shape[-1] > _CSV_BLOCK_POINTS
+    assert path.read_bytes() == _reference_csv(field.grid, values)
+
+
 def assert_bits_equal(got, want):
     for a, b in ((got.real, want.real), (got.imag, want.imag)):
         assert np.array_equal(a, b, equal_nan=True)
@@ -446,6 +508,20 @@ def test_snapshot_write_memory_budget(tmp_path):
     g = GridSpec((32, 32, 32), (TWO_PI,) * 3)
     rng = np.random.default_rng(19)
     em = EMField(g, rng.standard_normal(g.shape + (3,)), rng.standard_normal(g.shape + (3,)))
+    tracemalloc.start()
+    try:
+        save_em_csv(tmp_path / "em.csv", em)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_plane_wave_snapshot_write_memory_budget(tmp_path):
+    """The per-block distinct values, their inverse and their strings stay
+    small beside the block's rows: a 32^3 plane wave keeps the same bound."""
+    g = GridSpec((32, 32, 32), (TWO_PI,) * 3)
+    em = extract_em(states.travelling_wave(g, [1, 2, 0], "z", amplitude=0.9))
     tracemalloc.start()
     try:
         save_em_csv(tmp_path / "em.csv", em)
