@@ -24,8 +24,7 @@ from .spin import (ExpectationSeries, SpinOperator, angular_momentum_series,
 from .evolution import (EvolutionRun, ModeDecomposition, ZitterReport,
                         alpha_expectation_series, evolve_free, evolve_sourced,
                         hamiltonian_k, mode_decomposition, omega_k,
-                        poynting_split, run_free, zitter_decompose,
-                        zitter_equals_poynting)
+                        run_free, zitter_decompose, zitter_equals_poynting)
 from .oracle import CompareReport, OracleRun, compare, maxwell_evolve
 
 __version__ = "0.1.0"

@@ -15,8 +15,9 @@ The velocity expectation <alpha>(t) over the whole box is the quantity
 whose oscillatory component is the Zitterbewegung.  For photon states the
 volume-integrated flux is a conserved quantity (total field momentum), so
 the jitter lives in the local flux density; ``alpha_density_series``
-exposes it pointwise and ``poynting_split`` gives its single-frequency
-decomposition into a dc part and a doubled-frequency carrier.
+exposes it pointwise, and ``zitter_equals_poynting`` checks that it is the
+sum-frequency part 2 Re(E+ x B+) of the Poynting flux, with every mode of the
+run turning at its own frequency.
 ``zitter_decompose`` measures the jitter frequency in closed form: uniform
 samples of dc + A cos(W t + phi) obey a three-term recurrence whose one
 coefficient, 4 sin^2(W dt / 2), comes from a single linear least squares.
@@ -51,7 +52,6 @@ __all__ = [
     "energy_expectation",
     "energy_expectation_series",
     "zitter_decompose",
-    "poynting_split",
     "zitter_equals_poynting",
 ]
 
@@ -199,12 +199,11 @@ class ZitterReport:
 
 @dataclass(frozen=True)
 class PoyntingSplitReport:
-    """Agreement between the oscillatory flux of a run and the
-    single-frequency split of its complex amplitudes."""
+    """Agreement between the oscillatory flux of a run and the sum-frequency
+    Poynting flux of its positive-frequency fields."""
 
     volume_deviation: float
     pointwise_deviation: float
-    volume_scale: float
 
 
 def omega_k(k: np.ndarray, mass: float, c: float = 1.0, hbar: float = 1.0) -> np.ndarray:
@@ -487,52 +486,39 @@ def zitter_decompose(run: EvolutionRun,
     return ZitterReport(dc, prediction, amplitude, fitted, expected, rel, lines)
 
 
-def poynting_split(e_amp: np.ndarray, b_amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the flux of a single-frequency field into dc and carrier parts.
+def zitter_equals_poynting(run: EvolutionRun) -> PoyntingSplitReport:
+    """Check that the Zitterbewegung of a free field is the sum-frequency part
+    of its Poynting flux, every mode turning at its own frequency.
 
-    For E = E(r) e^{-iwt} + c.c. (same for B), the flux integrand
-    psi+ alpha psi / 2 equals dc + osc e^{-2iwt} + conj(osc) e^{+2iwt}
-    with dc = E* x B + E x B* (real) and osc = E x B.
+    Per sample t, E+(t) and B+(t) are the plus branch of the run's t = 0
+    ``branches``, each mode turned by e^{-i w t}, and a static mode (w = 0, kept
+    whole in plus by the split) halved, so E = E+ + conj(E+).  The flux
+    psi+ alpha psi / 2 = E x B then splits into a slow part 2 Re(E+* x B+) and
+    the sum-frequency part 2 Re(E+ x B+), the jitter, which a time average drops.
+    ``pointwise_deviation``: the largest |slow + sum-frequency - psi+ alpha psi / 2|
+    over samples and points.  ``volume_deviation``: the volume integrals of the
+    sum-frequency part and of the flux, each less its time mean, compared.
+
+    The fields must be real, on the constraint surface and band-limited, clear of
+    the Nyquist planes (a field with Nyquist content reads about 1 pointwise: it
+    fails, not passes).  For a complex field only the volume row means anything.
+    For photon fields the volume row is ~0 on both sides (total field momentum
+    is conserved), so the pointwise row carries the check.
     """
-    e_amp = np.asarray(e_amp, dtype=complex)
-    b_amp = np.asarray(b_amp, dtype=complex)
-    dc = (np.cross(e_amp.conj(), b_amp) + np.cross(e_amp, b_amp.conj())).real
-    osc = np.cross(e_amp, b_amp)
-    return dc, osc
-
-
-def zitter_equals_poynting(run: EvolutionRun, omega: float,
-                           e_amp: np.ndarray | None = None,
-                           b_amp: np.ndarray | None = None) -> PoyntingSplitReport:
-    """Check that the oscillatory velocity expectation is the oscillatory flux.
-
-    Side A: <alpha>(t) (int psi+ psi) / 2 with its time mean removed.
-    Side B: the volume integral of the carrier terms of ``poynting_split``
-    evaluated per sample.  Also reports the largest pointwise deviation of
-    the reconstruction dc + osc e^{-2iwt} + c.c. from psi+ alpha psi / 2.
-    The default amplitudes are the plus branch of the run's t = 0 ``branches``.
-    """
-    if e_amp is None or b_amp is None:
-        e_amp, b_amp = extract_em_amplitudes(run.grid.ifft(run.branches.plus))
-    dc, osc = poynting_split(e_amp, b_amp)
-    dv = run.grid.cell_volume
-    grid_axes = tuple(range(run.grid.ndim))
-    osc_volume = np.sum(osc, axis=grid_axes) * dv
-
-    n = run.n_samples
-    side_a = np.zeros((n, 3))
+    dec, grid = run.branches, run.grid
+    plus = np.where((dec.omega == 0.0)[..., None], 0.5 * dec.plus, dec.plus)
+    grid_axes = tuple(range(grid.ndim))
+    flux, jitter = np.zeros((run.n_samples, 3)), np.zeros((run.n_samples, 3))
     pointwise_dev = 0.0
     for it, psi in enumerate(run.samples()):
-        t = run.times[it]
         density = 0.5 * _alpha_density(psi.values)
-        side_a[it] = np.sum(density, axis=grid_axes) * dv
-        carrier = np.exp(-2j * omega * t)
-        recon = dc + (osc * carrier).real * 2.0
-        pointwise_dev = max(pointwise_dev, float(np.max(np.abs(recon - density))))
-    side_a -= side_a.mean(axis=0)
-    side_b = np.stack([(osc_volume * np.exp(-2j * omega * t)).real * 2.0 for t in run.times])
-    side_b -= side_b.mean(axis=0)
-    scale = max(float(np.max(np.abs(side_a))), float(np.max(np.abs(side_b))),
-                float(np.abs(osc_volume).max()) if osc_volume.size else 0.0)
-    dev = float(np.max(np.abs(side_a - side_b)))
-    return PoyntingSplitReport(dev, pointwise_dev, scale)
+        phase = np.exp(-1j * dec.omega * run.times[it])[..., None]
+        e, b = extract_em_amplitudes(grid.ifft(phase * plus))
+        slow = 2.0 * np.cross(e.conj(), b).real
+        fast = 2.0 * np.cross(e, b).real
+        pointwise_dev = max(pointwise_dev, float(np.max(np.abs(slow + fast - density))))
+        flux[it] = np.sum(density, axis=grid_axes) * grid.cell_volume
+        jitter[it] = np.sum(fast, axis=grid_axes) * grid.cell_volume
+    flux -= flux.mean(axis=0)
+    jitter -= jitter.mean(axis=0)
+    return PoyntingSplitReport(float(np.max(np.abs(flux - jitter))), pointwise_dev)

@@ -26,7 +26,6 @@ __all__ = [
     "EMField",
     "SpinorField8",
     "FourCurrent",
-    "FieldTensor",
     "embed_em",
     "extract_em",
     "field_tensor",
@@ -240,14 +239,6 @@ class FourCurrent:
         return float(np.max(np.abs(r)))
 
 
-@dataclass(frozen=True)
-class FieldTensor:
-    """Antisymmetric 4x4 field tensor and its dual."""
-
-    f: np.ndarray
-    g: np.ndarray
-
-
 def embed_em(em: EMField) -> SpinorField8:
     """Pack (E, B) into the eight-component wave-function [0, E, 0, iB]."""
     values = np.zeros(em.grid.shape + (8,), dtype=complex)
@@ -283,15 +274,13 @@ def extract_em_amplitudes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[..., 1:4].copy(), -1j * values[..., 5:8]
 
 
-def field_tensor(e: np.ndarray, b: np.ndarray) -> FieldTensor:
-    """Expand pointwise (E, B) on the generator basis:
-    F = -i kappa.E - i theta.B and the dual G = -i kappa.B + i theta.E."""
+def field_tensor(e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The antisymmetric 4x4 field tensor of pointwise (E, B) on the generator
+    basis, F = -i kappa.E - i theta.B; its dual is ``field_tensor(b, -e)``."""
     kappa, theta, _ = generators()
     e = np.asarray(e, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    f = -1j * np.einsum("k,kij->ij", e, kappa) - 1j * np.einsum("k,kij->ij", b, theta)
-    g = -1j * np.einsum("k,kij->ij", b, kappa) + 1j * np.einsum("k,kij->ij", e, theta)
-    return FieldTensor(f, g)
+    return -1j * np.einsum("k,kij->ij", e, kappa) - 1j * np.einsum("k,kij->ij", b, theta)
 
 
 def _alpha_density(values: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dirac88 import states
+from dirac88.algebra import generators
 from dirac88.errors import ConstraintViolation
 from dirac88.evolution import evolve_free, run_free
 from dirac88.fields import (_CSV_BLOCK_POINTS, EMField, FourCurrent, GridSpec, SpinorField8,
@@ -72,22 +73,24 @@ def test_field_tensor_entries():
     ft = field_tensor([1.0, 0, 0], [0, 0, 0])
     expect = np.zeros((4, 4))
     expect[0, 1], expect[1, 0] = -1.0, 1.0
-    assert np.max(np.abs(ft.f - expect)) == 0.0
+    assert np.max(np.abs(ft - expect)) == 0.0
     ft2 = field_tensor([0, 0, 0], [0, 0, 1.0])
     expect2 = np.zeros((4, 4))
     expect2[1, 2], expect2[2, 1] = -1.0, 1.0
-    assert np.max(np.abs(ft2.f - expect2)) == 0.0
+    assert np.max(np.abs(ft2 - expect2)) == 0.0
 
 
 def test_field_tensor_duality_and_antisymmetry():
+    # the dual G = -i kappa.B + i theta.E is the tensor of (B, -E)
     rng = np.random.default_rng(3)
     e = rng.standard_normal(3)
     b = rng.standard_normal(3)
+    kappa, theta, _ = generators()
+    g = -1j * np.einsum("k,kij->ij", b, kappa) + 1j * np.einsum("k,kij->ij", e, theta)
     ft = field_tensor(e, b)
-    assert np.max(np.abs(ft.f + ft.f.T)) == 0.0
-    assert np.max(np.abs(ft.g + ft.g.T)) == 0.0
-    dual = field_tensor(b, -e)
-    assert np.max(np.abs(ft.g - dual.f)) == 0.0
+    assert np.max(np.abs(ft + ft.T)) == 0.0
+    assert np.max(np.abs(g + g.T)) == 0.0
+    assert np.max(np.abs(g - field_tensor(b, -e))) == 0.0
 
 
 def test_spectral_divergence_single_mode():

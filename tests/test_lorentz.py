@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dirac88.algebra import gamma88, pauli_matrices, transformed_dirac88
 from dirac88.errors import ConstraintViolation
 from dirac88.evolution import hamiltonian_k
-from dirac88.fields import GridSpec, SpinorField8
 from dirac88.lorentz import (Boost, _embedded_law, boost_matrix_L,
                              chiral_intertwiner, closed_form_field_boost,
                              current_coupling_matrix, electron_transform_matrix,
@@ -110,26 +109,6 @@ def test_em_transform_preserves_constraint_components():
         b = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
         out = em_wavefunction_transform(embed_point(e, b), random_boost())
         assert abs(out[0]) < 1e-10 and abs(out[4]) < 1e-10
-
-
-def test_em_transform_on_field_object():
-    g = GridSpec((8,), (2 * np.pi,))
-    values = np.zeros(g.shape + (8,), dtype=complex)
-    values[..., 1] = 1.0
-    values[..., 6] = 1j
-    psi = SpinorField8(g, values, kind="photon")
-    out = em_wavefunction_transform(psi, Boost((0, 0, 0.6)))
-    assert isinstance(out, SpinorField8)
-    assert np.allclose(out.values[..., 1].real, 0.5)
-
-
-def test_transform_kind_preconditions():
-    g = GridSpec((8,), (2 * np.pi,))
-    values = np.zeros(g.shape + (8,), dtype=complex)
-    values[..., 1] = 1.0
-    electron = SpinorField8(g, values, kind="electron", mass=1.0)
-    with pytest.raises(ValueError):
-        em_wavefunction_transform(electron, Boost((0, 0, 0.5)))
 
 
 def test_block_law_coincides_on_x_and_z():

@@ -7,7 +7,9 @@ the package's code (a name, an attribute or a string, such as the state types
 its text), the acceptance criteria, the benchmark's span targets or the console
 script.  So is every public method and property of a public class, as
 ``Class.name``, through an attribute or a string of that name (a bare name,
-such as the builtin ``reversed``, reaches no method).  A reference from inside
+such as the builtin ``reversed``, reaches no method), and every annotated
+field of a public class, which needs a reader: an attribute load or a string
+(an assignment or a constructor keyword writes it).  A reference from inside
 a public definition that is itself unreached does not count, and neither do
 docstrings and ``__all__``.  And no module of the package imports a name it
 never uses.
@@ -60,6 +62,12 @@ def _methods(cls: ast.ClassDef):
             and not stmt.name.startswith("_")]
 
 
+def _fields(cls: ast.ClassDef) -> list[str]:
+    """The public annotated fields of a class definition."""
+    return [stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name) and not stmt.target.id.startswith("_")]
+
+
 def _references(tree: ast.AST):
     """(name, is an attribute or a string, enclosing definitions) for every Name,
     Attribute and string constant of ``tree`` that can name something; the
@@ -77,7 +85,7 @@ def _references(tree: ast.AST):
             for node in ast.walk(part):
                 if isinstance(node, ast.Name):
                     yield node.id, False, enclosing
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     yield node.attr, True, enclosing
                 elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                       and id(node) not in skip):
@@ -100,7 +108,8 @@ def _script_targets() -> list[str]:
 
 
 def _public_names() -> set[str]:
-    """Every public name, and ``Class.method`` for each public method of a public class."""
+    """Every public name, and ``Class.member`` for each public method and field of a
+    public class."""
     names, classes = set(), {}
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -111,8 +120,8 @@ def _public_names() -> set[str]:
                 names.update(alias.asname or alias.name for alias in stmt.names)
             if isinstance(stmt, ast.ClassDef):
                 classes[stmt.name] = stmt
-    return names | {f"{name}.{method.name}" for name in names & set(classes)
-                    for method in _methods(classes[name])}
+    return names | {f"{name}.{member}" for name in names & set(classes) for member in
+                    [method.name for method in _methods(classes[name])] + _fields(classes[name])}
 
 
 def unreached_public_names() -> list[str]:
