@@ -76,9 +76,7 @@ class EvolutionRun:
     stage of the sample's inverse transform, so a sample is transformed along
     axis 0 once, not twice.  When the pass completes it fills ``moments``; a pass
     left early fills nothing.  ``moments`` on a run nobody iterated runs the same
-    pass.  ``sample(i)`` forms one sample as a fresh, writable copy, and
-    ``values`` stacks every sample on first access, as a read-only array, for
-    library users.
+    pass.  ``sample(i)`` forms one sample as a fresh, writable copy.
     """
 
     def __init__(self, branches: ModeDecomposition, times: np.ndarray, kind: str,
@@ -87,7 +85,6 @@ class EvolutionRun:
         self.grid, self.mass, self.c, self.hbar = (branches.grid, branches.mass, branches.c,
                                                    branches.hbar)
         self._source_term = source_term
-        self._stack = None
         self._moments: _Moments | None = None
 
     @property
@@ -103,8 +100,9 @@ class EvolutionRun:
         for s, (values, axis0) in enumerate(self._formed(self.times)):
             if measure is not None:
                 measure.add(s, values, axis0)
-            yield SpinorField8(self.grid, _read_only(values), self.kind, self.mass,
-                               self.c, self.hbar)
+            view = values.view()
+            view.flags.writeable = False
+            yield SpinorField8(self.grid, view, self.kind, self.mass, self.c, self.hbar)
         if measure is not None:
             self._moments = measure.result()
 
@@ -119,22 +117,6 @@ class EvolutionRun:
     def sample(self, index: int) -> SpinorField8:
         values = next(self._formed([self.times[index]]))[0]
         return SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Every sample, (n_times, *grid, 8), read-only, stacked on first access."""
-        if self._stack is None:
-            stack = np.empty((self.n_samples,) + self.grid.shape + (8,), dtype=complex)
-            for s, (values, _) in enumerate(self._formed(self.times)):
-                stack[s] = values
-            self._stack = _read_only(stack)
-        return self._stack
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    view = values.view()
-    view.flags.writeable = False
-    return view
 
 
 @dataclass
@@ -254,7 +236,7 @@ def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
     """Free evolution sampled on a time grid, each sample propagated from t = 0.
 
     The run holds the energy branches of psi0 and stores no samples: each is
-    formed when read (``EvolutionRun.samples``, ``sample``, ``values``)."""
+    formed when read (``EvolutionRun.samples``, ``sample``)."""
     return EvolutionRun(mode_decomposition(psi0), times, psi0.kind)
 
 
@@ -446,13 +428,16 @@ def zitter_decompose(run: EvolutionRun,
     differences, -4 sin^2(W dt / 2) times the samples plus a constant, and
     is compared with 2 w(k) of the strongest interference line; both predictions
     read the run's t = 0 ``branches``.  Raises FitError below ``_MIN_SAMPLES``
-    samples or two periods, or when several distinct lines are comparably strong
+    samples or two periods, on a series that is not finite (a norm that
+    overflows makes it NaN), or when several distinct lines are comparably strong
     (the message names their frequencies).
     """
     if run.n_samples < _MIN_SAMPLES:
         raise FitError(f"need at least {_MIN_SAMPLES} samples, got {run.n_samples}")
     if series is None:
         series = alpha_expectation_series(run)
+    if not np.all(np.isfinite(series.values)):
+        raise FitError("the velocity series is not finite; nothing to fit")
     dec = run.branches
     dc = series.values.mean(axis=0)
     osc = series.values - dc
@@ -507,13 +492,15 @@ def zitter_equals_poynting(run: EvolutionRun) -> PoyntingSplitReport:
     """
     dec, grid = run.branches, run.grid
     plus = np.where((dec.omega == 0.0)[..., None], 0.5 * dec.plus, dec.plus)
+    positive = ModeDecomposition(grid, plus, np.zeros_like(plus), dec.omega, dec.mass,
+                                 dec.c, dec.hbar)
     grid_axes = tuple(range(grid.ndim))
     flux, jitter = np.zeros((run.n_samples, 3)), np.zeros((run.n_samples, 3))
     pointwise_dev = 0.0
-    for it, psi in enumerate(run.samples()):
+    for it, (psi, (fields_plus, _)) in enumerate(zip(run.samples(),
+                                                     _form_samples(positive, run.times))):
         density = 0.5 * _alpha_density(psi.values)
-        phase = np.exp(-1j * dec.omega * run.times[it])[..., None]
-        e, b = extract_em_amplitudes(grid.ifft(phase * plus))
+        e, b = extract_em_amplitudes(fields_plus)
         slow = 2.0 * np.cross(e.conj(), b).real
         fast = 2.0 * np.cross(e, b).real
         pointwise_dev = max(pointwise_dev, float(np.max(np.abs(slow + fast - density))))

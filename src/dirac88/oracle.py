@@ -25,14 +25,17 @@ from .fields import EMField, FourCurrent, GridSpec
 __all__ = ["OracleRun", "CompareReport", "maxwell_evolve", "compare"]
 
 
-@dataclass
 class OracleRun:
-    """Classical field samples on a time grid."""
+    """Classical fields on a time grid, formed when read: ``samples()`` yields
+    (e, b), each of shape (*grid, 3), at every time in order, in fresh arrays."""
 
-    grid: GridSpec
-    times: np.ndarray
-    e: np.ndarray      # (n_times, *grid, 3)
-    b: np.ndarray
+    def __init__(self, grid: GridSpec, times: np.ndarray, form):
+        self.grid, self.times = grid, times
+        self._form = form
+
+    def samples(self):
+        for idx, t in enumerate(self.times):
+            yield self._form(idx, t)
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,8 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     time factor is the scalar cos(omega t), so the Simpson accumulator of
     F(+-) through a sample is -4 pi [a P + b(k) Q -+ d(k) X], with the
     cumulative node sums a, b, d of ``_simpson_sums``: same fourth-order
-    rule, same nodes.
+    rule, same nodes.  Only F(+-) at t = 0, the parts and the sums are
+    made here; the run forms each sample when it is read.
     """
     grid = em0.grid
     times = np.asarray(times, dtype=float)
@@ -136,9 +140,7 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
         mode_ck = mode_ck.reshape(grid.shape)
         a, bd = _simpson_sums(times, substeps, source.omega, ck)
 
-    e_out = np.empty((len(times),) + em0.e.shape, dtype=complex)
-    b_out = np.empty_like(e_out)
-    for idx, t in enumerate(times):
+    def form(idx, t):
         f_p, f_m = f_plus0, f_minus0
         if source is not None:
             # dF(+-)/dt = +- c k x F(+-) - 4 pi J
@@ -154,26 +156,29 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
         f_m = _rotate(khat, cos_a, -sin_a, nonzero, f_m)
         e_hat = 0.5 * (f_p + f_m)
         b_hat = (f_p - f_m) / 2j
-        e_out[idx] = np.fft.ifftn(e_hat, axes=axes)
-        b_out[idx] = np.fft.ifftn(b_hat, axes=axes)
-    return OracleRun(grid, times, e_out, b_out)
+        return np.fft.ifftn(e_hat, axes=axes), np.fft.ifftn(b_hat, axes=axes)
+
+    return OracleRun(grid, times, form)
 
 
 def compare(run, oracle: OracleRun) -> CompareReport:
     """Max over samples and points of the field deviations, absolute and
-    relative to the oracle field RMS.  ``run`` is an ``EvolutionRun``;
-    only its grid, times and photon-embedded samples are read, one at a time."""
+    relative to the oracle field RMS.  ``run`` is an ``EvolutionRun`` on the
+    oracle's grid and times; its samples and the oracle's are read in step, one
+    of each at a time, and the RMS is summed as they pass."""
     if run.grid != oracle.grid:
         raise GridMismatch("wave-function run and oracle run use different grids")
-    if len(run.times) != len(oracle.times) or not np.allclose(run.times, oracle.times):
+    if not np.array_equal(run.times, oracle.times):   # samples pair by index
         raise GridMismatch("wave-function run and oracle run use different time grids")
     dev_e = dev_b = 0.0
-    for i in range(run.n_samples):   # one sample at a time; np.maximum keeps NaN
+    sum_e = sum_b = count = 0
+    for i, (e, b) in enumerate(oracle.samples()):   # np.maximum keeps NaN
         values = run.sample(i).values
-        dev_e = np.maximum(dev_e, np.max(np.abs(values[..., 1:4] - oracle.e[i])))
-        dev_b = np.maximum(dev_b, np.max(np.abs(-1j * values[..., 5:8] - oracle.b[i])))
+        dev_e = np.maximum(dev_e, np.max(np.abs(values[..., 1:4] - e)))
+        dev_b = np.maximum(dev_b, np.max(np.abs(-1j * values[..., 5:8] - b)))
+        sum_e += np.sum(np.abs(e) ** 2)
+        sum_b += np.sum(np.abs(b) ** 2)
+        count += e.size
     dev_e, dev_b = float(dev_e), float(dev_b)
-    rms_e = float(np.sqrt(np.mean(np.abs(oracle.e) ** 2)))
-    rms_b = float(np.sqrt(np.mean(np.abs(oracle.b) ** 2)))
-    scale = max(rms_e, rms_b, 1e-300)
+    scale = max(float(np.sqrt(max(sum_e, sum_b) / count)), 1e-300)
     return CompareReport(dev_e, dev_b, dev_e / scale, dev_b / scale)

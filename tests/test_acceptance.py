@@ -121,7 +121,7 @@ def test_criterion_4_dirac_form_vs_oracle():
         max(sourced_run.sample(i).constraint_residual() for i in range(sourced_run.n_samples)))
     gauss = 0.0
     for i, t in enumerate(times_s):
-        e_field = sourced_run.values[i][..., 1:4]
+        e_field = sourced_run.sample(i).values[..., 1:4]
         gauss = max(gauss, float(np.max(np.abs(
             divergence(GRID_1D, e_field) - 4 * np.pi * src.charge(t)))))
     passed = (free_rep.max_abs <= 1e-10 and sourced_rep.max_abs <= 1e-8

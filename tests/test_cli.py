@@ -389,19 +389,25 @@ def test_evolve_keeps_no_stack_of_a_free_run(tmp_path):
 
 
 def test_compare_oracle_reads_the_run_one_sample_at_a_time(tmp_path):
+    # both routes form one sample at a time, so compare-oracle's memory is flat in
+    # the sample count and within twice evolve's on the same run
     import tracemalloc
-    cfg = {"grid": {"points": [16, 16, 16], "lengths": [TWO_PI] * 3}, "duration": 2.0,
-           "samples": 41, "tolerance": 1e-10,
-           "state": {"type": "travelling_wave", "mode": [1, 0, 2], "polarisation": "y"}}
-    path = write_cfg(tmp_path, "cfg.json", cfg)
-    tracemalloc.start()
-    try:
-        assert run_command("compare-oracle", path, str(tmp_path / "out")) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the oracle's own e and b stacks are 15.7 MB; the run's stack would add 21.5 MB
-    assert peak <= 30e6, peak
+
+    def peak(command, samples, **keys):
+        cfg = {"grid": {"points": [16, 16, 16], "lengths": [TWO_PI] * 3}, "duration": 2.0,
+               "samples": samples, **keys,
+               "state": {"type": "travelling_wave", "mode": [1, 0, 2], "polarisation": "y"}}
+        path = write_cfg(tmp_path, f"{command}-{samples}.json", cfg)
+        tracemalloc.start()
+        try:
+            assert run_command(command, path, str(tmp_path / f"{command}-{samples}")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = (peak("compare-oracle", n, tolerance=1e-10) for n in (11, 41))
+    assert abs(many - few) <= 0.1 * few, (few, many)
+    assert many <= 2 * peak("evolve", 41), many
 
 
 @pytest.mark.parametrize("command", ["evolve", "zitter", "evolve-sourced"])
@@ -440,15 +446,21 @@ def snapshot_cfg():
 
 
 def test_evolve_writes_snapshots_without_stacking_the_run(tmp_path, monkeypatch):
+    # the snapshots are written from the one pass: no sample is formed twice
     import dirac88.evolution as evolution
+    formed = []
+    form_samples = evolution._form_samples
 
-    def refuse(run):
-        raise AssertionError("evolve stacked the run")
+    def counted(*args, **kwargs):
+        for sample in form_samples(*args, **kwargs):
+            formed.append(1)
+            yield sample
 
-    monkeypatch.setattr(evolution.EvolutionRun, "values", property(refuse))
+    monkeypatch.setattr(evolution, "_form_samples", counted)
     path = write_cfg(tmp_path, "cfg.json", snapshot_cfg())
     out = tmp_path / "out"
     assert run_command("evolve", path, str(out)) == 0
+    assert len(formed) == snapshot_cfg()["samples"]
     rows = read_summary(out)["checks"]
     assert [row["name"] for row in rows][-1] == "constrained components stay zero"
     assert sorted(p.name for p in out.glob("fields-*.csv")) == ["fields-0.csv", "fields-3.csv",
@@ -750,6 +762,19 @@ def test_zitter_too_short_run_records_fit_error(tmp_path):
     assert run_command("zitter", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
     rows = read_summary(out)["checks"]
     assert [(row["name"], row["pass"]) for row in rows] == [("FitError", False)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("amplitude", [1e300, 1e200])
+def test_zitter_of_an_overflowing_state_records_fit_error(tmp_path, amplitude):
+    # |psi|^2 overflows, so the velocity series is NaN: a failed row, not an internal error
+    cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 7.0, "samples": 40,
+           "state": {"type": "standing_wave", "mode": 1, "amplitude": amplitude}}
+    out = tmp_path / "o"
+    assert run_command("zitter", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
+    rows = read_summary(out)["checks"]
+    assert [(row["name"], row["pass"]) for row in rows] == [("FitError", False)]
+    assert "not finite" in rows[0]["error"]
 
 
 @pytest.mark.filterwarnings("ignore:density RMS width")

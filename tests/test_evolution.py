@@ -28,6 +28,12 @@ def grid1d(n=256):
     return GridSpec((n,), (TWO_PI,))
 
 
+def stacked(run):
+    """Every sample of a run, (n_times, *grid, 8): the pass reuses its buffers,
+    so each sample is copied out as it passes."""
+    return np.array([psi.values.copy() for psi in run.samples()])
+
+
 # --- per-mode operators ------------------------------------------------
 
 def test_hamiltonian_zero():
@@ -102,7 +108,7 @@ def test_propagator_matches_dense_per_mode(grid, mass, c, hbar):
     energies, vectors = np.linalg.eigh(np.stack([hamiltonian_k(k[idx], mass, c, hbar)
                                                  for idx in np.ndindex(grid.shape)]))
     hat0 = grid.fft(values).reshape(-1, 8)
-    for t, sample in zip(times, run.values):
+    for t, sample in zip(times, stacked(run)):
         phases = np.exp(-1j * energies * t / hbar)
         expected = np.einsum("mab,mb,mcb,mc->ma", vectors, phases, vectors.conj(), hat0)
         hat = grid.fft(sample).reshape(-1, 8)
@@ -180,7 +186,7 @@ def test_norm_energy_conservation_and_reality():
     assert np.max(np.abs(energies)) < 1e-12
     # reality preservation: divergence-free fields started real stay real
     for i in (5, 29):
-        vals = run.values[i]
+        vals = run.sample(i).values
         assert np.max(np.abs(vals[..., 1:4].imag)) < 1e-10
         assert np.max(np.abs(vals[..., 5:8].real)) < 1e-10
 
@@ -240,7 +246,7 @@ def test_sourced_zero_source_matches_free():
     times = np.linspace(0.0, 1.5, 16)
     free = run_free(psi, times)
     sourced = evolve_sourced(psi, src, times)
-    assert np.max(np.abs(free.values - sourced.values)) < 1e-12
+    assert np.max(np.abs(stacked(free) - stacked(sourced))) < 1e-12
 
 
 def test_sourced_uniform_mode_closed_form():
@@ -310,7 +316,7 @@ def test_sourced_charged_dipole_slow_omega():
     times = np.linspace(0.0, 3.0, 31)
     run = evolve_sourced(embed_em(EMField.zero(g)), src, times)
     for i, t in enumerate(times):
-        gauss = divergence(g, run.values[i][..., 1:4]) - 4 * np.pi * src.charge(t)
+        gauss = divergence(g, run.sample(i).values[..., 1:4]) - 4 * np.pi * src.charge(t)
         assert np.max(np.abs(gauss)) < 1e-10
 
 
@@ -345,7 +351,7 @@ def test_sourced_gauss_initial_data_rejected():
 
 
 def test_a_violating_sourced_run_raises_on_its_first_read():
-    # the check runs where a sample is formed: the pass, sample(i) and values
+    # the check runs where a sample is formed: the pass and sample(i)
     g = grid1d(64)
     e = np.zeros(g.shape + (3,), dtype=complex)
     e[..., 2] = np.sin(g.positions()[..., 2])
@@ -354,8 +360,7 @@ def test_a_violating_sourced_run_raises_on_its_first_read():
     message = (r"constrained components reached \d\.\d{3}e[+-]\d+ at t = 0\.142857; check "
                "source continuity and the Gauss law of the initial data")
     reads = {"pass": lambda run: list(run.samples()),
-             "moments": lambda run: run.moments, "values": lambda run: run.values,
-             "sample": lambda run: run.sample(1)}
+             "moments": lambda run: run.moments, "sample": lambda run: run.sample(1)}
     for name, read in reads.items():
         run = evolve_sourced(embed_em(EMField(g, e, np.zeros_like(e))), src, times)
         assert run.sample(0).constraint_residual() == 0.0, name
@@ -594,12 +599,11 @@ def test_run_diagnostics_share_one_moments_pass(monkeypatch):
     # state transforms its values: the same sums up to round-off
     assert abs(energies[2] - energy_expectation(run.sample(2))) <= 1e-15 * np.max(np.abs(energies))
     assert np.array_equal(alpha.values[0], alpha_expectation_series(run_free(psi, [0.0])).values[0])
-    assert not run.values.flags.writeable
     with pytest.raises(ValueError):
-        run.values[0, 0, 0, 0] = 1.0
+        next(run.samples()).values[0, 0, 0] = 1.0
     sample = run.sample(0)
     sample.values[0, 0, 0] = 1.0
-    assert run.values[0, 0, 0, 0] != 1.0
+    assert run.sample(0).values[0, 0, 0] != 1.0
 
 
 def _views(run):
@@ -735,7 +739,7 @@ def test_quadrature_standing_wave_dc_vanishes():
     times = np.linspace(0.0, period, 129)[:-1]
     run = run_free(psi, times)
     from dirac88.evolution import _alpha_density
-    avg = np.mean([0.5 * _alpha_density(run.values[i]) for i in range(run.n_samples)], axis=0)
+    avg = np.mean([0.5 * _alpha_density(psi.values) for psi in run.samples()], axis=0)
     assert np.max(np.abs(avg - dc)) < 1e-12
 
 
@@ -832,7 +836,7 @@ def random_free_field(static: bool) -> SpinorField8:
 
 def pointwise_deviation_over_scale(run):
     from dirac88.evolution import _alpha_density
-    scale = max(float(np.max(np.abs(0.5 * _alpha_density(v)))) for v in run.values)
+    scale = max(float(np.max(np.abs(0.5 * _alpha_density(psi.values)))) for psi in run.samples())
     return zitter_equals_poynting(run).pointwise_deviation / scale
 
 
@@ -959,15 +963,14 @@ def test_samples_stream_the_free_evolution_in_order(case):
             assert np.array_equal(psi.values, psi0.grid.ifft(dec.at(float(run.times[i]))))
         seen.append(psi.values.copy())
     assert len(seen) == run.n_samples
-    assert np.array_equal(np.array(seen), run.values)
-    assert all(np.array_equal(run.sample(i).values, seen[i]) for i in (0, -1))
+    assert all(np.array_equal(run.sample(i).values, seen[i]) for i in range(run.n_samples))
 
 
 @pytest.mark.parametrize("case", list(STREAM_CASES))
 def test_pass_moments_equal_the_stacked_moments(case):
     _, run = _stream_run(case)
     moments = run.moments            # the pass, before anything stacks the run
-    norms, gram, kinetic, rk = _stacked_moments(run.grid, run.values)
+    norms, gram, kinetic, rk = _stacked_moments(run.grid, stacked(run))
     assert np.array_equal(moments.norms, norms)
     assert np.array_equal(moments.gram, gram)
     scale = float(np.max(np.abs(run.grid.wave_vectors()))) * float(np.max(norms))
@@ -990,7 +993,7 @@ def test_a_pass_left_early_fills_no_moments(monkeypatch):
     monkeypatch.setattr(GridSpec, "ifft_staged", counted)
     norms = run.moments.norms
     assert len(formed) == run.n_samples
-    assert np.array_equal(norms, _stacked_moments(run.grid, run.values)[0])
+    assert np.array_equal(norms, _stacked_moments(run.grid, stacked(run))[0])
     # the complete pass is cached: iterating again measures nothing and keeps it
     for _ in run.samples():
         pass
@@ -1006,5 +1009,5 @@ def test_a_yielded_sample_is_valid_until_the_next():
         else:
             break
     # the buffer is reused: the first sample's values now hold the second's
-    assert np.array_equal(first, run.values[1])
-    assert np.array_equal(kept, run.values[0])
+    assert np.array_equal(first, run.sample(1).values)
+    assert np.array_equal(kept, run.sample(0).values)

@@ -18,17 +18,23 @@ def grid1d(n=256):
     return GridSpec((n,), (TWO_PI,))
 
 
+def stacked(run):
+    """Every (e, b) sample of an oracle run, stacked as two arrays."""
+    e, b = zip(*run.samples())
+    return np.array(e), np.array(b)
+
+
 def test_free_plane_wave_closed_form():
     g = grid1d()
     k = 3.0
     em0 = extract_em(states.travelling_wave(g, 3, "x"))
     times = np.linspace(0.0, 4.0, 50)
-    run = maxwell_evolve(em0, None, times)
+    e, b = stacked(maxwell_evolve(em0, None, times))
     z = g.positions()[..., 2]
     for i in (10, 49):
         t = times[i]
-        assert np.max(np.abs(run.e[i][..., 0].real - np.cos(k * z - k * t))) < 1e-12
-        assert np.max(np.abs(run.b[i][..., 1].real - np.cos(k * z - k * t))) < 1e-12
+        assert np.max(np.abs(e[i][..., 0].real - np.cos(k * z - k * t))) < 1e-12
+        assert np.max(np.abs(b[i][..., 1].real - np.cos(k * z - k * t))) < 1e-12
 
 
 def field_energy(g, e, b):
@@ -46,7 +52,7 @@ def test_free_energy_conservation_random_divfree():
     em0 = EMField(g, e.astype(complex), b.astype(complex))
     times = np.linspace(0.0, 6.0, 40)
     run = maxwell_evolve(em0, None, times)
-    energies = [field_energy(g, run.e[i].real, run.b[i].real) for i in range(len(times))]
+    energies = [field_energy(g, e.real, b.real) for e, b in run.samples()]
     assert np.ptp(energies) / energies[0] < 1e-12
 
 
@@ -56,10 +62,10 @@ def test_uniform_mode_current_closed_form():
     src = states.uniform_current(g, [0, 1, 0], amp, omega)
     times = np.linspace(0.0, 2.0, 9)
     run = maxwell_evolve(EMField.zero(g), src, times, substeps=128)
-    for i, t in enumerate(times):
+    for t, (e, b) in zip(times, run.samples()):
         expect = -4 * np.pi * amp * np.sin(omega * t) / omega
-        assert np.max(np.abs(run.e[i][..., 1].real - expect)) < 1e-10
-        assert np.max(np.abs(run.b[i])) < 1e-12
+        assert np.max(np.abs(e[..., 1].real - expect)) < 1e-10
+        assert np.max(np.abs(b)) < 1e-12
 
 
 def test_gauss_law_with_sources():
@@ -67,10 +73,10 @@ def test_gauss_law_with_sources():
     src = states.gaussian_dipole_current(g, [0, 0, 1], 1.0, TWO_PI / 16, 4.0)
     times = np.linspace(0.0, 2.0, 17)
     run = maxwell_evolve(EMField.zero(g), src, times, substeps=128)
-    for i, t in enumerate(times):
-        gauss = divergence(g, run.e[i]) - 4 * np.pi * src.charge(t)
+    for t, (e, b) in zip(times, run.samples()):
+        gauss = divergence(g, e) - 4 * np.pi * src.charge(t)
         assert np.max(np.abs(gauss)) < 1e-10
-        divb = divergence(g, run.b[i])
+        divb = divergence(g, b)
         assert np.max(np.abs(divb)) < 1e-10
 
 
@@ -121,6 +127,17 @@ def test_compare_grid_mismatch():
         compare(run, oracle_run2)
 
 
+def test_compare_requires_equal_sample_times():
+    # samples pair by index, so times that are merely close are a mismatch: a
+    # shift of 5e-6 would otherwise read as a deviation of the wave equation
+    g = grid1d(64)
+    psi = states.travelling_wave(g, 1, "x")
+    run = run_free(psi, [0.0, 1.0])
+    with pytest.raises(GridMismatch, match="different time grids"):
+        compare(run, maxwell_evolve(extract_em(psi), None, [0.0, 1.000005]))
+    assert compare(run, maxwell_evolve(extract_em(psi), None, [0.0, 1.0])).max_abs < 1e-12
+
+
 def _band_limited_divfree(g, seed):
     """Real transverse fields with no content at or above half-Nyquist.
 
@@ -164,15 +181,16 @@ def test_oracle_sees_a_fault_in_the_grid_wave_numbers(monkeypatch):
 def test_oracle_uses_no_grid_spectral_helper(g, monkeypatch):
     src = states.gaussian_dipole_current(g, [0.3, 1.0, -0.2], 1.0, 0.8, 3.0)
     times = np.linspace(0.0, 1.5, 6)
-    expected = maxwell_evolve(EMField.zero(g), src, times, substeps=8)
+    expected = stacked(maxwell_evolve(EMField.zero(g), src, times, substeps=8))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called a spectral helper of GridSpec")
 
     for name in ("wave_vectors", "_axis_wave_numbers", "fft", "ifft"):
         monkeypatch.setattr(GridSpec, name, refuse)
-    run = maxwell_evolve(EMField.zero(g), src, times, substeps=8)
-    assert np.array_equal(run.e, expected.e) and np.array_equal(run.b, expected.b)
+    # samples are formed as they are read, so the set-up alone proves nothing
+    e, b = stacked(maxwell_evolve(EMField.zero(g), src, times, substeps=8))
+    assert np.array_equal(e, expected[0]) and np.array_equal(b, expected[1])
 
 
 def test_oracle_3d():
@@ -279,15 +297,15 @@ def test_simpson_sums_match_node_by_node_reference(name, monkeypatch):
     # all intervals in one block, then one interval and one mode per block
     for block_bytes in (oracle._BLOCK_BYTES, 1):
         monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_bytes)
-        run = maxwell_evolve(em0, src, times, substeps=substeps, c=c)
-        assert np.max(np.abs(run.e - e_ref)) <= 1e-14 * scale
-        assert np.max(np.abs(run.b - b_ref)) <= 1e-14 * scale
+        e, b = stacked(maxwell_evolve(em0, src, times, substeps=substeps, c=c))
+        assert np.max(np.abs(e - e_ref)) <= 1e-14 * scale
+        assert np.max(np.abs(b - b_ref)) <= 1e-14 * scale
 
     rng = np.random.default_rng(3)
     em_free = EMField(g, *(rng.standard_normal((2,) + g.shape + (3,)) + 0j))
     e_ref, b_ref = _reference_maxwell_evolve(em_free, None, times, substeps, c)
-    free = maxwell_evolve(em_free, None, times, substeps=substeps, c=c)
-    assert np.array_equal(free.e, e_ref) and np.array_equal(free.b, b_ref)
+    e, b = stacked(maxwell_evolve(em_free, None, times, substeps=substeps, c=c))
+    assert np.array_equal(e, e_ref) and np.array_equal(b, b_ref)
 
 
 def test_compare_fails_a_nan_run():
@@ -303,17 +321,20 @@ def test_compare_fails_a_nan_run():
 
 
 def test_sourced_oracle_memory_bounded():
+    # set-up and every sample within one bound, whatever the sample count
     g = GridSpec((16, 16, 16), (TWO_PI,) * 3)
     src = states.gaussian_dipole_current(g, [0, 0, 1], 1.0, 0.8, 4.0)
     em0 = EMField.zero(g)
-    times = np.linspace(0.0, 2.0, 9)
-    tracemalloc.start()
-    try:
-        run = maxwell_evolve(em0, src, times, substeps=32)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= run.e.nbytes + run.b.nbytes + 8 * 2 ** 20
+    for samples in (9, 65):
+        tracemalloc.start()
+        try:
+            for _ in maxwell_evolve(em0, src, np.linspace(0.0, 2.0, samples),
+                                    substeps=32).samples():
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20, (samples, peak)
 
 
 def test_simpson_sums_blocks_bounded_when_one_interval_is_larger():
