@@ -17,7 +17,7 @@ from .fields import (EMField, FourCurrent, GridSpec, SpinorField8, curl,
                      divergence, embed_em, extract_em, field_tensor)
 from .lorentz import (Boost, boost_matrix_L, closed_form_field_boost,
                       em_wavefunction_transform, four_vector_boost,
-                      nonmomentum_em, tensor_boost_oracle)
+                      tensor_boost_oracle)
 from .spin import (ExpectationSeries, SpinOperator, angular_momentum_series,
                    photon_spin_selection, spin_half, spin_one,
                    verify_spin_evolution)

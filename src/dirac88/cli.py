@@ -32,7 +32,7 @@ from .evolution import (alpha_density_series, alpha_expectation_series,
 from .fields import (GridSpec, constraint_residual, extract_em, extract_em_amplitudes,
                      save_em_csv)
 from .lorentz import (Boost, closed_form_field_boost, em_wavefunction_transform,
-                      nonmomentum_boost_residual, tensor_boost_oracle)
+                      tensor_boost_oracle)
 from .oracle import compare, maxwell_evolve
 from .spin import (angular_momentum_series, closure_deviation, photon_spin_selection,
                    spin_half, spin_one, verify_spin_evolution, write_angular_momentum_csv)
@@ -63,15 +63,6 @@ class _Checks:
             "tolerance": 0.0,
             "pass": False,
             "error": message,
-        })
-
-    def add_info(self, name: str, anchor: str, deviation: float):
-        self.rows.append({
-            "name": name,
-            "paper_anchor": anchor,
-            "deviation": float(deviation),
-            "tolerance": None,
-            "pass": True,
         })
 
     @property
@@ -248,6 +239,7 @@ def _run_from_config(cfg: dict):
     return run, psi0, source
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite run reads NaN and fails
 def _evolve_checks(wanted: dict, run, norms, energies, constraint, angular, checks: _Checks):
     if "norm_drift" in wanted:
         # meaningful for free runs; sourced runs inject norm and fail it
@@ -387,8 +379,6 @@ def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
     checks.add("spinor, tensor and closed-form boosts agree", "three-route field boost", dev, tol)
     checks.add("boost preserves the constrained components", "transversality under boosts",
                constraint_residual(out), tol)
-    checks.add_info("four-current coupling residual (measured)", "source-term covariance",
-                    nonmomentum_boost_residual(1.0, np.array([0.2, -0.4, 0.3]), boost))
 
 
 def _cmd_compare_oracle(cfg: dict, outdir: Path, checks: _Checks):
@@ -495,8 +485,6 @@ def run_command(command: str, config_path: str, outdir: str) -> int:
         status = "PASS" if row["pass"] else "FAIL"
         if row["deviation"] is None:
             print(f"[{status}] {row['name']}: {row.get('error', '')}")
-        elif row["tolerance"] is None:
-            print(f"[info] {row['name']}: deviation {row['deviation']:.3e} (reported)")
         else:
             print(f"[{status}] {row['name']}: deviation {row['deviation']:.3e} "
                   f"(tol {row['tolerance']:.1e})")

@@ -309,9 +309,10 @@ class _Moments:
     rk: np.ndarray
     density0: np.ndarray
 
+    @np.errstate(invalid="ignore")   # inf / inf reads NaN, which the checks fail
     def per_norm(self, sums: np.ndarray) -> np.ndarray:
         """Each sample's sums (leading axis) over that sample's norm: 0 for an
-        identically-zero sample, NaN for a NaN one."""
+        identically-zero sample, NaN for a NaN or overflowing one."""
         norms = self.norms.reshape((-1,) + (1,) * (np.ndim(sums) - 1))
         return np.divide(sums, norms, out=np.zeros_like(sums), where=norms != 0.0)
 
@@ -356,9 +357,11 @@ class _MomentsPass:
         self._power = np.empty(grid.shape + (8,))
         self._scratch = np.empty(grid.shape + (8,), dtype=complex)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def add(self, s: int, v: np.ndarray, axis0: np.ndarray):
         """Measure sample ``s``, of shape (*grid, 8); ``axis0`` is fft(v, axis=0)
-        up to round-off and is read in place of that transform."""
+        up to round-off and is read in place of that transform.  A sample whose
+        squares overflow reads inf or NaN here, which the checks then fail."""
         grid, cart = self.grid, self.grid.spatial_axes
         power = np.square(np.abs(v, out=self._power), out=self._power)
         self.norms[s] = np.sum(power)

@@ -39,8 +39,6 @@ __all__ = [
     "electron_transform_matrix",
     "chiral_intertwiner",
     "current_coupling_matrix",
-    "nonmomentum_em",
-    "nonmomentum_boost_residual",
     "tensor_boost_oracle",
     "closed_form_field_boost",
 ]
@@ -197,33 +195,6 @@ def electron_transform_matrix(boost: Boost) -> np.ndarray:
     """The 8x8 electron boost diag(I2 (x) L, I2 (x) L^-1) in the chiral
     basis, expressed on the embedded basis."""
     return _embedded_law(boost, photon=False)
-
-
-def nonmomentum_em(rho: float, current: np.ndarray, c: float = 1.0,
-                   hbar: float = 1.0) -> np.ndarray:
-    """The momentum-independent source term Y built from the four-current:
-    Y = -(4 pi hbar / c) diag(T, T) [c rho, -iJ, -c rho, -iJ]."""
-    t = current_coupling_matrix()
-    u = np.concatenate([[c * rho], -1j * np.asarray(current, dtype=complex)])
-    q = np.diag([-1.0, 1.0, 1.0, 1.0])
-    stacked = np.concatenate([u, q @ u])
-    z4 = np.zeros((4, 4), dtype=complex)
-    return -(4 * np.pi * hbar / c) * (np.block([[t, z4], [z4, t]]) @ stacked)
-
-
-def nonmomentum_boost_residual(rho: float, current: np.ndarray, boost: Boost) -> float:
-    """Measured residual of the claim that Y built from the boosted
-    four-current equals the chiral block law applied to Y, in the boost's c
-    and hbar = 1.
-
-    Reported, not asserted: with the intertwiner pinned by the same
-    coupling matrix, the identity holds only on special axes.
-    """
-    c = boost.c
-    fc = four_vector_boost(np.concatenate([[c * rho], np.asarray(current, float)]), boost)
-    y_boosted = nonmomentum_em(fc[0] / c, fc[1:], c=c)
-    y_law = _chiral_law(boost, photon=True) @ nonmomentum_em(rho, current, c=c)
-    return float(np.max(np.abs(y_boosted - y_law)))
 
 
 def tensor_boost_oracle(e: np.ndarray, b: np.ndarray, boost: Boost) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,9 @@ tautology.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,15 +29,17 @@ __all__ = ["OracleRun", "CompareReport", "maxwell_evolve", "compare"]
 
 class OracleRun:
     """Classical fields on a time grid, formed when read: ``samples()`` yields
-    (e, b), each of shape (*grid, 3), at every time in order, in fresh arrays."""
+    (e, b), each of shape (*grid, 3), at every time in order, in fresh arrays,
+    formed from the running source sums that a fresh ``sums()`` iterator
+    yields in the same order (None at every time of a free run)."""
 
-    def __init__(self, grid: GridSpec, times: np.ndarray, form):
+    def __init__(self, grid: GridSpec, times: np.ndarray, form, sums):
         self.grid, self.times = grid, times
-        self._form = form
+        self._form, self._sums = form, sums
 
     def samples(self):
-        for idx, t in enumerate(self.times):
-            yield self._form(idx, t)
+        for t, sums in zip(self.times, self._sums()):
+            yield self._form(t, sums)
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,8 @@ class CompareReport:
         return float(np.maximum(self.max_abs_e, self.max_abs_b))
 
 
-# Bound on the bytes of each (intervals x nodes x modes) temporary of the
-# Simpson sums; larger blocks measured no faster.
+# Bound on the bytes of each (nodes x modes) temporary of the Simpson sums;
+# larger blocks measured no faster.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -67,34 +71,33 @@ def _rotate(khat: np.ndarray, cos_a: np.ndarray, sin_a: np.ndarray,
     return np.where(nonzero[..., None], out, v)
 
 
-def _simpson_sums(times: np.ndarray, substeps: int, omega: float,
-                  ck: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative composite-Simpson sums through each sample, over the
-    ``substeps + 1`` nodes s of every sample interval:
+def _simpson_sums(times: np.ndarray, substeps: int, omega: float, ck: np.ndarray):
+    """Running composite-Simpson sums through each sample, in time order, over
+    the ``substeps + 1`` nodes s of every sample interval:
     a = sum w cos(omega s), b = sum w cos(omega s) cos(ck s) and
     d = sum w cos(omega s) sin(ck s), with w the Simpson weights
-    (h/3)(1, 4, 2, ..., 4, 1) of the interval's step h.  Returns a, of
-    shape (samples,), and b, d stacked as (samples, 2, len(ck))."""
+    (h/3)(1, 4, 2, ..., 4, 1) of the interval's step h.  Yields (a, bd) at
+    every time, zeros at the first, with b, d stacked as bd of shape
+    (2, len(ck)): one array, updated in place as each interval is added."""
     weights = np.full(substeps + 1, 2.0)
     weights[1::2] = 4.0
     weights[[0, -1]] = 1.0
-    h = np.diff(times)[:, None] / substeps
-    nodes = times[:-1, None] + h * np.arange(substeps + 1)
-    g = h / 3.0 * weights * np.cos(omega * nodes)
-    a = np.concatenate([[0.0], np.cumsum(g.sum(axis=1))])
-    bd = np.zeros((len(times), 2, ck.size))
-    # blocks of whole intervals (the cumsum runs over them) by a slice of modes
     cols = min(ck.size, max(1, _BLOCK_BYTES // (16 * (substeps + 1))))
-    rows = max(1, _BLOCK_BYTES // (16 * (substeps + 1) * cols))
-    for m in range(0, ck.size, cols):
-        for i in range(0, len(times) - 1, rows):
-            phase = nodes[i:i + rows, :, None] * ck[m:m + cols]
+    a, bd = 0.0, np.zeros((2, ck.size))
+    yield a, bd
+    for t0, t1 in zip(times[:-1], times[1:]):
+        h = (t1 - t0) / substeps
+        nodes = t0 + h * np.arange(substeps + 1)
+        g = h / 3.0 * weights * np.cos(omega * nodes)
+        a += g.sum()
+        for m in range(0, ck.size, cols):   # a slice of modes at a time
+            phase = nodes[:, None] * ck[m:m + cols]
             trig = np.empty((2,) + phase.shape)
             np.cos(phase, out=trig[0])
             np.sin(phase, out=trig[1])
-            sums = np.cumsum(np.einsum("in,jinm->ijm", g[i:i + rows], trig), axis=0)
-            bd[i + 1:i + 1 + len(sums), :, m:m + cols] = bd[i, :, m:m + cols] + sums
-    return a, bd
+            bd[:, m:m + cols] += np.einsum("n,jnm->jm", g, trig)
+        del phase, trig   # not held while the sample is formed
+        yield a, bd
 
 
 def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
@@ -108,9 +111,9 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     Q = j - P and X = khat x j of the source amplitude j, and the source's
     time factor is the scalar cos(omega t), so the Simpson accumulator of
     F(+-) through a sample is -4 pi [a P + b(k) Q -+ d(k) X], with the
-    cumulative node sums a, b, d of ``_simpson_sums``: same fourth-order
-    rule, same nodes.  Only F(+-) at t = 0, the parts and the sums are
-    made here; the run forms each sample when it is read.
+    running node sums a, b, d of ``_simpson_sums``: same fourth-order rule,
+    same nodes.  Only F(+-) at t = 0 and the parts are made here; the run
+    adds up the sums and forms each sample as it is read, in time order.
     """
     grid = em0.grid
     times = np.asarray(times, dtype=float)
@@ -138,14 +141,14 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
         # b and d depend on |k| alone, and many modes share it (k and -k at least)
         ck, mode_ck = np.unique(c * kn, return_inverse=True)
         mode_ck = mode_ck.reshape(grid.shape)
-        a, bd = _simpson_sums(times, substeps, source.omega, ck)
 
-    def form(idx, t):
+    def form(t, sums):
         f_p, f_m = f_plus0, f_minus0
-        if source is not None:
+        if sums is not None:
             # dF(+-)/dt = +- c k x F(+-) - 4 pi J
-            b, d = bd[idx][:, mode_ck, None]
-            even = a[idx] * par + b * perp
+            a, bd = sums
+            b, d = bd[:, mode_ck, None]
+            even = a * par + b * perp
             odd = d * crossed
             f_p = f_plus0 - 4 * np.pi * (even - odd)
             f_m = f_minus0 - 4 * np.pi * (even + odd)
@@ -158,7 +161,9 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
         b_hat = (f_p - f_m) / 2j
         return np.fft.ifftn(e_hat, axes=axes), np.fft.ifftn(b_hat, axes=axes)
 
-    return OracleRun(grid, times, form)
+    if source is None:
+        return OracleRun(grid, times, form, partial(itertools.repeat, None))
+    return OracleRun(grid, times, form, partial(_simpson_sums, times, substeps, source.omega, ck))
 
 
 def compare(run, oracle: OracleRun) -> CompareReport:

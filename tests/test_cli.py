@@ -764,17 +764,30 @@ def test_zitter_too_short_run_records_fit_error(tmp_path):
     assert [(row["name"], row["pass"]) for row in rows] == [("FitError", False)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def overflowing_cfg(amplitude):
+    return {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 7.0, "samples": 40,
+            "state": {"type": "standing_wave", "mode": 1, "amplitude": amplitude}}
+
+
+# |psi|^2 overflows, so the diagnostics are NaN: a failed run, not an internal
+# error, also where numpy's RuntimeWarning is an error, as it is in this suite
 @pytest.mark.parametrize("amplitude", [1e300, 1e200])
 def test_zitter_of_an_overflowing_state_records_fit_error(tmp_path, amplitude):
-    # |psi|^2 overflows, so the velocity series is NaN: a failed row, not an internal error
-    cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 7.0, "samples": 40,
-           "state": {"type": "standing_wave", "mode": 1, "amplitude": amplitude}}
     out = tmp_path / "o"
-    assert run_command("zitter", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
+    path = write_cfg(tmp_path, "cfg.json", overflowing_cfg(amplitude))
+    assert run_command("zitter", path, str(out)) == 1
     rows = read_summary(out)["checks"]
     assert [(row["name"], row["pass"]) for row in rows] == [("FitError", False)]
     assert "not finite" in rows[0]["error"]
+
+
+@pytest.mark.parametrize("amplitude", [1e300, 1e200])
+def test_evolve_of_an_overflowing_state_is_a_failed_run(tmp_path, capsys, amplitude):
+    cfg = {**overflowing_cfg(amplitude), "checks": {"norm_drift": 1e-8, "energy_drift": 1e-8}}
+    out = tmp_path / "o"
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
+    assert "summary.json: Out of range float values" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore:density RMS width")
@@ -856,6 +869,9 @@ def test_shipped_config_runs(tmp_path, config):
     command = {"verify": "verify-algebra", "zitter": "zitter", "evolve": "evolve",
                "compare": "compare-oracle", "boost": "boost-demo"}[config.stem.split("_")[0]]
     assert run_command(command, str(config), str(tmp_path / "o")) == 0
+    # a row without a bound checks nothing: each is a measurement against its tolerance
+    rows = read_summary(tmp_path / "o")["checks"]
+    assert rows and all(type(row["tolerance"]) is float for row in rows)
 
 
 def readme_key_tables():

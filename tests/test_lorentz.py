@@ -10,8 +10,7 @@ from dirac88.lorentz import (Boost, _embedded_law, boost_matrix_L,
                              chiral_intertwiner, closed_form_field_boost,
                              current_coupling_matrix, electron_transform_matrix,
                              em_transform_matrix, em_wavefunction_transform,
-                             four_vector_boost, nonmomentum_boost_residual,
-                             nonmomentum_em, tensor_boost_oracle)
+                             four_vector_boost, tensor_boost_oracle)
 
 RNG = np.random.default_rng(20240811)
 
@@ -173,28 +172,6 @@ def test_current_coupling_entries():
     t = current_coupling_matrix()
     assert t[0, 0] == 1 and t[0, 3] == -1j and t[3, 3] == 1j
     assert t[1, 1] == -1j and t[1, 2] == 1 and t[2, 2] == -1
-
-
-def test_nonmomentum_zero_current():
-    y = nonmomentum_em(0.0, np.zeros(3))
-    assert np.max(np.abs(y)) == 0.0
-
-
-def test_nonmomentum_scaling():
-    y = nonmomentum_em(1.0, np.array([0.0, 0.0, 0.0]), c=2.0, hbar=3.0)
-    # rho enters as c*rho through T, prefactor 4 pi hbar / c
-    t = current_coupling_matrix()
-    q = np.diag([-1.0, 1.0, 1.0, 1.0])
-    u = np.array([2.0, 0, 0, 0], dtype=complex)
-    expect = -(4 * np.pi * 3.0 / 2.0) * np.concatenate([t @ u, t @ q @ u])
-    assert np.max(np.abs(y - expect)) < 1e-12
-
-
-def test_nonmomentum_boost_residual_measured():
-    rho, j = 0.7, np.array([0.1, -0.3, 0.2])
-    # exact along y, nonzero along z: measured, not asserted
-    assert nonmomentum_boost_residual(rho, j, Boost((0, 0.5, 0))) < 1e-12
-    assert nonmomentum_boost_residual(rho, j, Boost((0, 0, 0.5))) > 1e-3
 
 
 def test_tensor_oracle_examples():
