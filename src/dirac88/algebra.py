@@ -167,19 +167,12 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def verify_identities(overrides: dict[str, np.ndarray] | None = None) -> list[AlgebraReport]:
-    """Run the full identity catalogue and return one report per check.
-
-    ``overrides`` may replace individual constructed matrices by name
-    ("kappa1".."kappa3", "theta1".."theta3", "u") for negative controls;
-    failures are reported, never raised.
-    """
-    overrides = overrides or {}
+def verify_identities() -> list[AlgebraReport]:
+    """Run the full identity catalogue and return one report per check;
+    failures are reported, never raised."""
     reports: list[AlgebraReport] = []
 
     kappa, theta, eta = generators()
-    kappa = np.stack([overrides.get(f"kappa{i + 1}", kappa[i]) for i in range(3)])
-    theta = np.stack([overrides.get(f"theta{i + 1}", theta[i]) for i in range(3)])
 
     for label, (alpha, beta), dim in (("4x4", dirac44(), 4), ("8x8", dirac88(), 8)):
         ident = np.eye(dim)
@@ -193,7 +186,7 @@ def verify_identities(overrides: dict[str, np.ndarray] | None = None) -> list[Al
         reports.append(_report(f"alpha-beta anticommutation ({label})", dev, 0.0))
         reports.append(_report(f"beta squared = identity ({label})", _max_abs(beta @ beta - ident), 0.0))
 
-    u = overrides.get("u", unitary_u())
+    u = unitary_u()
     reports.append(_report("U unitarity", _max_abs(u @ u.conj().T - np.eye(8)), 1e-15))
 
     alpha8, beta8 = dirac88()

@@ -134,8 +134,6 @@ _RUN = {
     "units": (_OBJECT, {}),
     "units.c": (_POSITIVE, 1.0),
     "units.hbar": (_POSITIVE, 1.0),
-    "c": (_POSITIVE, lambda f: f["units.c"]),
-    "hbar": (_POSITIVE, lambda f: f["units.hbar"]),
     "duration": (_POSITIVE, _REQUIRED),
     "samples": (_Type("an integer >= 2", lambda v: type(v) is int and v >= 2), _REQUIRED),
     "state": (_OBJECT, _REQUIRED),
@@ -225,14 +223,13 @@ def _checked_config(table: dict, raw: dict) -> dict:
 
 
 def _make(function: str, block: dict, cfg: dict, grid: GridSpec):
-    make, args = getattr(states, function), {**cfg, **block, "grid": grid}
+    make, args = getattr(states, function), {**cfg, **cfg["units"], **block, "grid": grid}
     return make(**{key: args[key] for key in inspect.signature(make).parameters if key in args})
 
 
 def _run_from_config(cfg: dict):
     grid = GridSpec(tuple(cfg["grid"]["points"]), tuple(cfg["grid"]["lengths"]))
-    psi0 = replace(_make(_STATES[cfg["state"]["type"]], cfg["state"], cfg, grid),
-                   c=cfg["c"], hbar=cfg["hbar"])
+    psi0 = replace(_make(_STATES[cfg["state"]["type"]], cfg["state"], cfg, grid), **cfg["units"])
     source = cfg["source"] and _make(_SOURCES[cfg["source"]["type"]], cfg["source"], cfg, grid)
     times = np.linspace(0.0, cfg["duration"], cfg["samples"])
     run = run_free(psi0, times) if source is None else evolve_sourced(psi0, source, times)
@@ -327,9 +324,13 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     norms, energies = run.moments.norms * run.grid.cell_volume, energy_expectation_series(run)
     angular = (angular_momentum_series(run) if "angular_momentum_drift" in wanted
                or cfg["series"] == "angular_momentum" else None)
+    alpha = alpha_expectation_series(run)
     _evolve_checks(wanted, run, norms, energies, constraint, angular, checks)
-    _write_samples_csv(outdir / "samples.csv", run.times, norms, energies,
-                       alpha_expectation_series(run))
+    _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
+    # whatever checks are enabled, a run must not write inf or NaN diagnostics
+    series = {"norm": norms, "energy": energies, "<alpha>": alpha.values}
+    if bad := [name for name, values in series.items() if not np.isfinite(values).all()]:
+        checks.add_failure("finite diagnostics", "samples.csv", f"non-finite {', '.join(bad)}")
     if snapshot_error is not None:
         raise snapshot_error
     if cfg["series"] == "angular_momentum":

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConstraintViolation, FitError
 from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
-                     SpinorField8, _alpha_density, _Moments, _MomentsPass,
+                     SpinorField8, _alpha_density, _Moments,
                      constraint_residual, extract_em_amplitudes)
 from .spin import ExpectationSeries
 
@@ -96,7 +96,7 @@ class EvolutionRun:
 
     def samples(self):
         """The pass over the samples; see the class docstring."""
-        measure = _MomentsPass(self.grid, self.n_samples) if self._moments is None else None
+        measure = _Moments(self.grid, self.n_samples) if self._moments is None else None
         for s, (values, axis0) in enumerate(self._formed(self.times)):
             if measure is not None:
                 measure.add(s, values, axis0)
@@ -104,7 +104,7 @@ class EvolutionRun:
             view.flags.writeable = False
             yield SpinorField8(self.grid, view, self.kind, self.mass, self.c, self.hbar)
         if measure is not None:
-            self._moments = measure.result()
+            self._moments = measure
 
     @property
     def moments(self) -> _Moments:

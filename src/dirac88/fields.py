@@ -290,9 +290,8 @@ def _alpha_density(values: np.ndarray) -> np.ndarray:
                      for i in range(3)], axis=-1)
 
 
-@dataclass(frozen=True)
 class _Moments:
-    """Grid sums over each sample of a run, as ``_MomentsPass`` takes them.
+    """Every volume diagnostic of a run's samples, taken one sample at a time.
 
     ``norms[s]`` is sum |psi|^2 (numpy's pairwise sum) and ``gram[s]`` the
     8x8 Gram matrix G_ab = sum psi_a* psi_b, so that sum psi+ M psi =
@@ -301,29 +300,11 @@ class _Moments:
     sum r_i psi+ (k_j psi) for Cartesian i != j (zero otherwise), with k the
     spectral wave-vector operator -i grad.  ``density0`` is sum_a |psi_a|^2 per
     point of the first sample.
-    """
-
-    norms: np.ndarray
-    gram: np.ndarray
-    kinetic: np.ndarray
-    rk: np.ndarray
-    density0: np.ndarray
-
-    @np.errstate(invalid="ignore")   # inf / inf reads NaN, which the checks fail
-    def per_norm(self, sums: np.ndarray) -> np.ndarray:
-        """Each sample's sums (leading axis) over that sample's norm: 0 for an
-        identically-zero sample, NaN for a NaN or overflowing one."""
-        norms = self.norms.reshape((-1,) + (1,) * (np.ndim(sums) - 1))
-        return np.divide(sums, norms, out=np.zeros_like(sums), where=norms != 0.0)
-
-
-class _MomentsPass:
-    """Every volume diagnostic of a run's samples, taken one sample at a time.
 
     The set-up (coordinates, axis wave numbers, the line-Gram weights) and the
-    scratch arrays are made once per pass; ``add`` measures one sample into
-    them, allocating nothing of the sample's size, and ``result`` hands back
-    the ``_Moments``.  The norm and the Gram matrix are sums over the sample
+    scratch arrays are made once; ``add`` measures one sample into them,
+    allocating nothing of the sample's size, and drops the scratch after the
+    last sample.  The norm and the Gram matrix are sums over the sample
     itself.  The momentum sums take, per grid axis b, the 1-D DFT
     A_b = fft(psi, axis=b), laid out with k_b leading, and Parseval along b
     alone: k_b varies only along b, while alpha'_b and the coordinate r_a of
@@ -386,9 +367,15 @@ class _MomentsPass:
                     rest = tuple(ax for ax in range(len(others)) if ax != along)
                     self.rk[s, cart[a], cart[b]] = (weighted.sum(axis=rest) @ self._coords[a]
                                                     / n_b)
+        if s == len(self.norms) - 1:   # the run keeps the sums, not the scratch
+            self._power = self._scratch = None
 
-    def result(self) -> _Moments:
-        return _Moments(self.norms, self.gram, self.kinetic, self.rk, self.density0)
+    @np.errstate(invalid="ignore")   # inf / inf reads NaN, which the checks fail
+    def per_norm(self, sums: np.ndarray) -> np.ndarray:
+        """Each sample's sums (leading axis) over that sample's norm: 0 for an
+        identically-zero sample, NaN for a NaN or overflowing one."""
+        norms = self.norms.reshape((-1,) + (1,) * (np.ndim(sums) - 1))
+        return np.divide(sums, norms, out=np.zeros_like(sums), where=norms != 0.0)
 
 
 def divergence(grid: GridSpec, v: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Boosts of the eight-component wave-function, four-vectors, and fields.
 
-All transformations are passive (frame change): a boost with velocity v
-re-expresses the same physics in the frame moving at +v.  One convention
-fixes everything: the four-vector boost below, under which a photon
-four-momentum along the boost picks up the Doppler factor gamma(1 - beta),
-and plane-wave field amplitudes must pick up the same factor.
+All transformations are passive (frame change): a boost with velocity
+beta, in units of c, re-expresses the same physics in the frame moving at
++beta.  One convention fixes everything: the four-vector boost below, under
+which a photon four-momentum along the boost picks up the Doppler factor
+gamma(1 - beta), and plane-wave field amplitudes must pick up the same
+factor.  Every law is one formula in beta; at beta = 0 it is the identity.
 
 Three independent routes transform field amplitudes:
 
@@ -49,60 +50,48 @@ _CONSTRAINT_TOL = 1e-10     # boost leakage, relative to the field scale
 
 @dataclass(frozen=True)
 class Boost:
-    """Boost velocity (units of c) and derived factors."""
+    """Boost velocity in units of c, and its derived factors."""
 
-    velocity: tuple[float, float, float]
-    c: float = 1.0
+    beta: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.speed >= self.c:
-            raise ValueError(f"|v| = {self.speed} must be below c = {self.c}")
-
-    @property
-    def v(self) -> np.ndarray:
-        return np.asarray(self.velocity, dtype=float)
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.v / self.c
+        if self.speed >= 1.0:
+            raise ValueError(f"|beta| = {self.speed} must be below 1")
 
     @property
     def speed(self) -> float:
-        return float(np.linalg.norm(self.velocity))
+        return float(np.linalg.norm(self.beta))
 
     @property
     def gamma(self) -> float:
-        return 1.0 / np.sqrt(1.0 - float(self.beta @ self.beta))
+        return 1.0 / np.sqrt(1.0 - float(np.dot(self.beta, self.beta)))
 
     @property
     def rapidity(self) -> float:
-        return float(np.arctanh(self.speed / self.c))
+        return float(np.arctanh(self.speed))
 
     @property
     def direction(self) -> np.ndarray:
         if self.speed == 0.0:
             return np.zeros(3)
-        return self.v / self.speed
+        return np.divide(self.beta, self.speed)
 
 
 def boost_matrix_L(boost: Boost) -> np.ndarray:
-    """Hermitian positive 2x2 spinor boost, sqrt((g+1)/2) + sigma.(g v)/(c sqrt(2(1+g)))."""
+    """Hermitian positive 2x2 spinor boost, sqrt((g+1)/2) + sigma.(g beta)/sqrt(2(1+g))."""
     g = boost.gamma
     sig = np.stack(pauli_matrices())
     return (np.sqrt((g + 1) / 2) * np.eye(2)
-            + np.einsum("k,kij->ij", boost.v, sig) * (g / (boost.c * np.sqrt(2 * (1 + g)))))
+            + np.einsum("k,kij->ij", boost.beta, sig) * (g / np.sqrt(2 * (1 + g))))
 
 
 def four_vector_boost(x: np.ndarray, boost: Boost) -> np.ndarray:
     """Standard passive boost of (x0, x); preserves the Minkowski norm."""
     arr = np.asarray(x, dtype=float)
-    beta = boost.beta
-    b2 = float(beta @ beta)
-    if b2 == 0.0:
-        return arr.copy()
+    beta = np.asarray(boost.beta, dtype=float)
     g = boost.gamma
     t = g * (arr[0] - beta @ arr[1:])
-    s = arr[1:] + ((g - 1) * (arr[1:] @ beta) / b2 - g * arr[0]) * beta
+    s = arr[1:] + (g * g / (g + 1) * (arr[1:] @ beta) - g * arr[0]) * beta
     return np.concatenate([[t], s])
 
 
@@ -121,8 +110,6 @@ def em_transform_matrix(boost: Boost) -> np.ndarray:
     are untouched for every velocity, which is the transversality
     constraint surviving the transformation.
     """
-    if boost.speed == 0.0:
-        return np.eye(8, dtype=complex)
     n = boost.direction
     phi = boost.rapidity
     a = _rotation_exp(n, +phi)   # acts on X1 - X2
@@ -204,13 +191,10 @@ def tensor_boost_oracle(e: np.ndarray, b: np.ndarray, boost: Boost) -> tuple[np.
     where the boost is the complex-orthogonal exp(phi n.kappa), conjugates,
     and reads E and B back off the tensor.
     """
-    if boost.speed == 0.0:
-        lam = np.eye(4, dtype=complex)
-    else:
-        kappa, _, _ = generators()
-        g = np.einsum("k,kij->ij", boost.direction, kappa)
-        phi = boost.rapidity
-        lam = np.eye(4) + np.sinh(phi) * g + (np.cosh(phi) - 1.0) * (g @ g)
+    kappa, _, _ = generators()
+    g = np.einsum("k,kij->ij", boost.direction, kappa)
+    phi = boost.rapidity
+    lam = np.eye(4) + np.sinh(phi) * g + (np.cosh(phi) - 1.0) * (g @ g)
     s = np.diag([1j, 1.0, 1.0, 1.0])
     s_inv = np.diag([-1j, 1.0, 1.0, 1.0])
     f_ict = s @ field_tensor(e, b) @ s.T
@@ -225,10 +209,7 @@ def closed_form_field_boost(e: np.ndarray, b: np.ndarray, boost: Boost) -> tuple
     """Textbook passive field boost: E'_perp = gamma(E + beta x B)_perp etc."""
     e = np.asarray(e, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    beta = boost.beta
-    b2 = float(beta @ beta)
-    if b2 == 0.0:
-        return e.copy(), b.copy()
+    beta = np.asarray(boost.beta, dtype=float)
     g = boost.gamma
     e_out = g * (e + np.cross(beta, b)) - (g * g / (g + 1)) * beta * (beta @ e)
     b_out = g * (b - np.cross(beta, e)) - (g * g / (g + 1)) * beta * (beta @ b)

@@ -97,11 +97,12 @@ def test_verify_identities_all_pass():
     assert all(r.deviation == 0.0 for r in exact)
 
 
-def test_verify_identities_negative_control():
-    kappa, _, _ = generators()
-    bad = kappa[0].copy()
-    bad[0, 1] = -0.5j
-    reports = verify_identities(overrides={"kappa1": bad})
+def test_verify_identities_negative_control(monkeypatch):
+    import dirac88.algebra as algebra
+    kappa, theta, eta = generators()
+    kappa[0, 0, 1] = -0.5j
+    monkeypatch.setattr(algebra, "generators", lambda: (kappa, theta, eta))
+    reports = verify_identities()
     failed = [r for r in reports if not r.passed]
     assert any("kappa" in r.identity for r in failed)
     # untouched families still pass

@@ -328,7 +328,7 @@ def test_evolve_diagnostics_computed_once(tmp_path, monkeypatch):
     import dirac88.fields as fields
     import dirac88.spin as spin
     calls = count_calls(monkeypatch, {
-        "kernel": fields._MomentsPass,
+        "kernel": fields._Moments,
         "energy": evolution.energy_expectation_series,
         "alpha": evolution.alpha_expectation_series,
         "angular": spin.angular_momentum_series,
@@ -512,7 +512,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
     import contextlib
     import dirac88.evolution as evolution
     counts = {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
-    kernel, form_samples = evolution._MomentsPass.add, evolution._form_samples
+    kernel, form_samples = evolution._Moments.add, evolution._form_samples
 
     @contextlib.contextmanager
     def counting():
@@ -538,7 +538,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
                 return
             yield item
 
-    monkeypatch.setattr(evolution._MomentsPass, "add", counted_kernel)
+    monkeypatch.setattr(evolution._Moments, "add", counted_kernel)
     monkeypatch.setattr(evolution, "_form_samples", counted_samples)
     samples = 5
     cfg = {
@@ -584,9 +584,9 @@ def test_bad_point_index_exit2(tmp_path, capsys, point_index):
     ("grid.lengths", lambda cfg: cfg["grid"].update(lengths=[-TWO_PI])),
     ("grid.lengths", lambda cfg: cfg["grid"].update(lengths=[float("nan")])),
     ("grid.lengths", lambda cfg: cfg["grid"].update(lengths=[float("inf")])),
-    ("c", lambda cfg: cfg.update(c=0)),
+    ("units.c", lambda cfg: cfg.update(units={"c": 0})),
     ("c", lambda cfg: cfg.update(units={"c": float("nan")})),
-    ("hbar", lambda cfg: cfg.update(hbar=-1.0)),
+    ("units.hbar", lambda cfg: cfg.update(units={"hbar": -1.0})),
     ("hbar", lambda cfg: cfg.update(units={"hbar": "one"})),
     ("state.mode", lambda cfg: cfg["state"].update(mode="a")),
     ("state.mode", lambda cfg: cfg["state"].update(mode=[1.5])),
@@ -613,15 +613,14 @@ def test_config_domain_exit2(tmp_path, capsys, key, edit):
 
 
 def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
-    import dataclasses
     import dirac88.evolution as evolution
-    kernel = evolution._MomentsPass.result
+    kernel = evolution._Moments.add
 
-    def nan_energies(*args, **kwargs):
-        moments = kernel(*args, **kwargs)
-        return dataclasses.replace(moments, kinetic=np.full_like(moments.kinetic, np.nan))
+    def nan_energies(moments, s, *args, **kwargs):
+        kernel(moments, s, *args, **kwargs)
+        moments.kinetic[s] = np.nan
 
-    monkeypatch.setattr(evolution._MomentsPass, "result", nan_energies)
+    monkeypatch.setattr(evolution._Moments, "add", nan_energies)
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
     out = tmp_path / "o"
     assert run_command("evolve", path, str(out)) == 1
@@ -630,17 +629,15 @@ def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
 
 
 def test_nan_sample_fails_drift_checks(tmp_path, capsys, monkeypatch):
-    import dataclasses
     import dirac88.evolution as evolution
-    kernel = evolution._MomentsPass.result
+    kernel = evolution._Moments.add
 
-    def nan_last_norm(*args, **kwargs):
-        moments = kernel(*args, **kwargs)
-        norms = moments.norms.copy()
-        norms[-1] = np.nan
-        return dataclasses.replace(moments, norms=norms)
+    def nan_last_norm(moments, s, *args, **kwargs):
+        kernel(moments, s, *args, **kwargs)
+        if s == len(moments.norms) - 1:
+            moments.norms[s] = np.nan
 
-    monkeypatch.setattr(evolution._MomentsPass, "result", nan_last_norm)
+    monkeypatch.setattr(evolution._Moments, "add", nan_last_norm)
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
     out = tmp_path / "o"
     assert run_command("evolve", path, str(out)) == 1
@@ -790,6 +787,19 @@ def test_evolve_of_an_overflowing_state_is_a_failed_run(tmp_path, capsys, amplit
     assert not (out / "summary.json").exists()
 
 
+def test_evolve_fails_a_run_whose_diagnostics_are_not_finite(tmp_path):
+    # no drift check reads the norms, energies or <alpha>: the run still fails,
+    # with a strict summary.json naming what samples.csv holds
+    cfg = {**overflowing_cfg(1e300), "checks": {"constraint": 1e-8}}
+    out = tmp_path / "o"
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
+    rows = read_summary(out)["checks"]
+    failed = [row for row in rows if not row["pass"]]
+    assert [row["name"] for row in failed] == ["finite diagnostics"]
+    assert failed[0]["deviation"] is None
+    assert "non-finite norm, energy, <alpha>" in failed[0]["error"]
+
+
 @pytest.mark.filterwarnings("ignore:density RMS width")
 @pytest.mark.parametrize("tiny", [1e-300, 1e-200])
 def test_electron_packet_tiny_weight_is_the_unit_weight(tmp_path, tiny):
@@ -821,8 +831,13 @@ def compare_cfg():
     ("zitter", zitter_cfg, "outputs", lambda cfg: cfg.update(outputs={"snapshots": [0]})),
     ("evolve", evolve_cfg, "tolerance", lambda cfg: cfg.update(tolerance=1e-8)),
     ("evolve", sourced_cfg, "source.bogus", lambda cfg: cfg["source"].update(bogus=1)),
+    # units are set in the units block only, so two settings of c cannot disagree
+    ("evolve", evolve_cfg, "c", lambda cfg: cfg.update(units={"c": 2.0}, c=3.0)),
+    ("zitter", zitter_cfg, "hbar", lambda cfg: cfg.update(hbar=1.0)),
+    ("compare-oracle", compare_cfg, "c", lambda cfg: cfg.update(c=1.0)),
 ], ids=["check-name-typo", "checks-on-zitter", "checks-on-compare-oracle", "outputs-on-zitter",
-        "tolerance-on-evolve", "unknown-source-key"])
+        "tolerance-on-evolve", "unknown-source-key", "c-beside-units-c", "top-level-hbar",
+        "top-level-c"])
 def test_key_a_command_does_not_read_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)

@@ -55,7 +55,7 @@ def value_strategies(command, points, samples, strict):
         "grid.points": st.just(points),
         "grid.lengths": st.lists(floats(1.0, 8.0), min_size=ndim, max_size=ndim),
         "mass": floats(0.0, 3.0),
-        "units.c": positive, "units.hbar": positive, "c": positive, "hbar": positive,
+        "units.c": positive, "units.hbar": positive,
         "duration": floats(0.1, 4.0),
         "samples": st.just(samples),
         "state.type": st.sampled_from(STATE_TYPES),
@@ -152,7 +152,7 @@ def bad_values(key, cfg):
     if key in ("mass", "state.plus_weight", "state.minus_weight", "tolerance") \
             or key.startswith("checks."):
         return NUMBER + [-1.0, -1e-300]
-    if key in ("units.c", "units.hbar", "c", "hbar", "duration", "state.sigma", "source.sigma"):
+    if key in ("units.c", "units.hbar", "duration", "state.sigma", "source.sigma"):
         return NUMBER + [0.0, -1.0]
     if key in ("seed", "samples", "substeps"):
         return INTEGER + {"seed": [], "samples": [1, 0, -3], "substeps": [3, 0, -2]}[key]

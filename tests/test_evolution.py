@@ -579,13 +579,13 @@ def test_functions_of_a_state_take_no_units(function):
 def test_run_diagnostics_share_one_moments_pass(monkeypatch):
     import dirac88.evolution as evolution
     calls = []
-    kernel = evolution._MomentsPass
+    kernel = evolution._Moments
 
     def counted(*args, **kwargs):
         calls.append(1)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_MomentsPass", counted)
+    monkeypatch.setattr(evolution, "_Moments", counted)
     g = GridSpec((8, 8), (TWO_PI, 5.0))
     psi = states.electron_gaussian_packet(g, mass=1.5, sigma=0.5, k0_mode=(1, 1),
                                           minus_weight=0.5)

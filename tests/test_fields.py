@@ -506,8 +506,8 @@ def test_spinor_csv_without_units_loads_natural_units(tmp_path):
 
 def test_snapshot_write_memory_budget(tmp_path):
     """Rows are formatted a block at a time, so one 32^3 snapshot (a 3 MiB
-    array of E and B) peaks near 5 MiB; formatting all rows at once would
-    take about 36 MiB."""
+    array of E and B) peaks at 6.0 MiB (tracemalloc, numpy 2.4); formatting
+    all rows at once would take about 36 MiB."""
     g = GridSpec((32, 32, 32), (TWO_PI,) * 3)
     rng = np.random.default_rng(19)
     em = EMField(g, rng.standard_normal(g.shape + (3,)), rng.standard_normal(g.shape + (3,)))

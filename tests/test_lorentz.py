@@ -58,7 +58,7 @@ def test_L_determinant_hermitian_inverse():
         assert np.linalg.det(el).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(el - el.conj().T)) < 1e-14
         assert np.min(np.linalg.eigvalsh(el)) > 0.0
-        assert np.max(np.abs(el @ boost_matrix_L(Boost(tuple(-b.v), b.c)) - np.eye(2))) < 1e-12
+        assert np.max(np.abs(el @ boost_matrix_L(Boost(tuple(-np.array(b.beta)))) - np.eye(2))) < 1e-12
 
 
 def test_four_vector_boost_examples():
@@ -168,6 +168,20 @@ def test_rest_spinor_boost_matches_eigenvector():
     assert resid < 1e-12
 
 
+def test_every_law_is_the_identity_at_rest():
+    # one formula per law, with no zero-speed branch: at beta = 0 it gives its input back
+    rest = Boost((0.0, 0.0, 0.0))
+    e = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
+    b = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
+    psi = embed_point(e, b)
+    assert (em_wavefunction_transform(psi, rest) == psi).all()
+    for route in (tensor_boost_oracle, closed_form_field_boost):
+        e_out, b_out = route(e, b, rest)
+        assert (e_out == e).all() and (b_out == b).all(), route.__name__
+    x = RNG.standard_normal(4)
+    assert (four_vector_boost(x, rest) == x).all()
+
+
 def test_current_coupling_entries():
     t = current_coupling_matrix()
     assert t[0, 0] == 1 and t[0, 3] == -1j and t[3, 3] == 1j
@@ -206,9 +220,9 @@ VECTOR = st.tuples(COMPONENT, COMPONENT, COMPONENT)
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(direction=VECTOR.filter(lambda d: np.linalg.norm(d) > 1e-3), fraction=st.floats(0.0, 0.95),
-       c=st.floats(0.5, 3.0), e=VECTOR, b=VECTOR)
-def test_three_boost_routes_agree_for_random_velocity_and_fields(direction, fraction, c, e, b):
-    boost = Boost(tuple(np.array(direction) / np.linalg.norm(direction) * fraction * c), c)
+       e=VECTOR, b=VECTOR)
+def test_three_boost_routes_agree_for_random_velocity_and_fields(direction, fraction, e, b):
+    boost = Boost(tuple(np.array(direction) / np.linalg.norm(direction) * fraction))
     e, b = np.array(e, dtype=complex), np.array(b, dtype=complex)
     e1, b1 = fields_of(em_wavefunction_transform(embed_point(e, b), boost))
     e2, b2 = tensor_boost_oracle(e, b, boost)
