@@ -18,9 +18,8 @@ from .fields import (EMField, FourCurrent, GridSpec, SpinorField8, curl,
 from .lorentz import (Boost, boost_matrix_L, closed_form_field_boost,
                       em_wavefunction_transform, four_vector_boost,
                       tensor_boost_oracle)
-from .spin import (ExpectationSeries, SpinOperator, angular_momentum_series,
-                   photon_spin_selection, spin_half, spin_one,
-                   verify_spin_evolution)
+from .spin import (SpinOperator, angular_momentum_series, photon_spin_selection,
+                   spin_half, spin_one, verify_spin_evolution)
 from .evolution import (EvolutionRun, ModeDecomposition, ZitterReport,
                         alpha_expectation_series, evolve_free, evolve_sourced,
                         hamiltonian_k, mode_decomposition, omega_k,

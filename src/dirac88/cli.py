@@ -122,7 +122,6 @@ _PHOTON_STATES = ("zero_field",) + _WAVES
 
 # dotted key -> (type and domain, default).  A default is a value (an object's is walked
 # like a given block), a function f of the keys before it by dotted key, None or _REQUIRED.
-_SEED = {"seed": (_INTEGER, None)}      # read by no command; existing configs carry it
 _RUN = {
     "grid": (_OBJECT, _REQUIRED),
     "grid.points": (_list(_Type("", lambda n: type(n) is int and n >= 2 and not n & (n - 1)),
@@ -154,11 +153,9 @@ _RUN = {
     "source.omega": (_NUMBER, 1.0),
     "source.sigma": (_POSITIVE, lambda f: f["grid.lengths"][0] / 16.0),
     "source.center": (_AXIS_NUMBERS, None),
-    "source.violate_continuity": (_BOOLEAN, False),
     # sets only the oracle's quadrature (compare-oracle); evolve and zitter accept it
     "substeps": (_Type("an even integer >= 2", lambda v: type(v) is int and v >= 2 and not v % 2),
                  64),
-    **_SEED,
 }
 
 
@@ -256,7 +253,7 @@ def _evolve_checks(wanted: dict, run, norms, energies, constraint, angular, chec
         checks.add("constrained components stay zero", "Gauss-law rows of the wave-function",
                    constraint, wanted["constraint"])
     if "angular_momentum_drift" in wanted:
-        total = angular[2].values
+        total = angular[2]
         scale = max(float(np.max(np.abs(total))), 1.0)
         drift = float(np.ptp(total, axis=0).max()) / scale
         checks.add("total angular momentum constant", "orbital plus spin conservation",
@@ -267,7 +264,7 @@ def _write_samples_csv(path: Path, times, norms, energies, series):
     with path.open("w") as fh:
         fh.write("t,norm,energy,alpha_x,alpha_y,alpha_z\n")
         for i, t in enumerate(times):
-            ax, ay, az = series.values[i]
+            ax, ay, az = series[i]
             fh.write(f"{t:.17g},{norms[i]:.17g},{energies[i]:.17g},"
                      f"{ax:.17g},{ay:.17g},{az:.17g}\n")
 
@@ -328,13 +325,13 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     _evolve_checks(wanted, run, norms, energies, constraint, angular, checks)
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
     # whatever checks are enabled, a run must not write inf or NaN diagnostics
-    series = {"norm": norms, "energy": energies, "<alpha>": alpha.values}
+    series = {"norm": norms, "energy": energies, "<alpha>": alpha}
     if bad := [name for name, values in series.items() if not np.isfinite(values).all()]:
         checks.add_failure("finite diagnostics", "samples.csv", f"non-finite {', '.join(bad)}")
     if snapshot_error is not None:
         raise snapshot_error
     if cfg["series"] == "angular_momentum":
-        write_angular_momentum_csv(outdir / "angular_momentum.csv", *angular)
+        write_angular_momentum_csv(outdir / "angular_momentum.csv", run.times, *angular)
 
 
 def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
@@ -396,8 +393,8 @@ def _cmd_compare_oracle(cfg: dict, outdir: Path, checks: _Checks):
 
 # command -> (handler, key table)
 COMMANDS = {
-    "verify-algebra": (_cmd_verify_algebra, _SEED),
-    "spin-check": (_cmd_spin_check, _SEED),
+    "verify-algebra": (_cmd_verify_algebra, {}),
+    "spin-check": (_cmd_spin_check, {}),
     "evolve": (_cmd_evolve, {
         **_RUN,
         "checks": (_OBJECT, {"norm_drift": 1e-8, "energy_drift": 1e-8}),
@@ -419,7 +416,6 @@ COMMANDS = {
                            lambda v: len(v) == 3 and np.linalg.norm(v) < 1.0), _REQUIRED),
         **dict.fromkeys(("e", "b"), (_VECTOR, _REQUIRED)),
         "tolerance": (_NONNEGATIVE, 1e-10),
-        **_SEED,
     }),
     "compare-oracle": (_cmd_compare_oracle, {**_RUN, "tolerance": (_NONNEGATIVE, 1e-10)}),
 }

@@ -34,7 +34,6 @@ from .errors import ConstraintViolation, FitError
 from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
                      SpinorField8, _alpha_density, _Moments,
                      constraint_residual, extract_em_amplitudes)
-from .spin import ExpectationSeries
 
 __all__ = [
     "EvolutionRun",
@@ -314,7 +313,7 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
     """
     if psi0.kind != "photon":
         raise ValueError("sourced evolution is defined for photon-embedded states")
-    cont = source.continuity_residual(0.0)
+    cont = source.continuity_residual()
     if not cont <= _CONTINUITY_TOL:
         raise ConstraintViolation(
             f"source continuity residual {cont:.3e} exceeds {_CONTINUITY_TOL:.1e}")
@@ -351,21 +350,20 @@ def _split(psi: SpinorField8, spectral: _Spectral) -> ModeDecomposition:
     return ModeDecomposition(grid, plus, minus, spectral.omega, psi.mass, psi.c, psi.hbar)
 
 
-def alpha_expectation_series(run: EvolutionRun) -> ExpectationSeries:
-    """<alpha>(t) = int psi+ alpha psi / int psi+ psi per sample (zero for
-    identically-zero samples, NaN for NaN ones)."""
+def alpha_expectation_series(run: EvolutionRun) -> np.ndarray:
+    """<alpha>(t) = int psi+ alpha psi / int psi+ psi per sample, shape
+    (samples, 3) (zero for identically-zero samples, NaN for NaN ones)."""
     moments = run.moments
-    return ExpectationSeries(run.times, moments.per_norm(
-        np.einsum("iab,sab->si", _ALPHA, moments.gram).real))
+    return moments.per_norm(np.einsum("iab,sab->si", _ALPHA, moments.gram).real)
 
 
-def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> ExpectationSeries:
-    """The local velocity density psi+ alpha psi at one grid point, normalised
+def alpha_density_series(run: EvolutionRun, index: tuple[int, ...]) -> np.ndarray:
+    """The local velocity density psi+ alpha psi at one grid point per sample, normalised
     by the sample's total norm as <alpha> is; carries the pointwise jitter."""
     index = tuple(index)
     # copied: each yielded sample's buffer is reused by the next
     point = np.array([psi.values[index].copy() for psi in run.samples()])
-    return ExpectationSeries(run.times, run.moments.per_norm(_alpha_density(point)))
+    return run.moments.per_norm(_alpha_density(point))
 
 
 def energy_expectation(psi: SpinorField8) -> float:
@@ -418,16 +416,16 @@ def _lines(dec: ModeDecomposition) -> list[tuple[np.ndarray, float, float]]:
     return lines
 
 
-def zitter_decompose(run: EvolutionRun,
-                     series: ExpectationSeries | None = None) -> ZitterReport:
+def zitter_decompose(run: EvolutionRun, series: np.ndarray | None = None) -> ZitterReport:
     """Split a velocity series into dc and oscillation and measure the frequency.
 
-    The dc part is the time mean, compared against the mode-space drift
-    prediction c <p H^-1>.  The frequency W of the largest-amplitude
-    component comes from one linear least squares on its second
-    differences, -4 sin^2(W dt / 2) times the samples plus a constant, and
-    is compared with 2 w(k) of the strongest interference line; both predictions
-    read the run's t = 0 ``branches``.  Raises FitError below ``_MIN_SAMPLES``
+    ``series`` (``alpha_expectation_series`` when omitted) holds one 3-vector per
+    sample of ``run.times``; another length raises ValueError.  The dc part is the
+    time mean, compared against the mode-space drift prediction c <p H^-1>.  The
+    frequency W of the largest-amplitude component comes from one linear least
+    squares on its second differences, -4 sin^2(W dt / 2) times the samples plus a
+    constant, and is compared with 2 w(k) of the strongest interference line; both
+    predictions read the run's t = 0 ``branches``.  Raises FitError below ``_MIN_SAMPLES``
     samples or two periods, on a series that is not finite (a norm that
     overflows makes it NaN), or when several distinct lines are comparably strong
     (the message names their frequencies).
@@ -436,11 +434,13 @@ def zitter_decompose(run: EvolutionRun,
         raise FitError(f"need at least {_MIN_SAMPLES} samples, got {run.n_samples}")
     if series is None:
         series = alpha_expectation_series(run)
-    if not np.all(np.isfinite(series.values)):
+    elif len(series) != run.n_samples:
+        raise ValueError(f"the series has {len(series)} samples, the run {run.n_samples}")
+    if not np.all(np.isfinite(series)):
         raise FitError("the velocity series is not finite; nothing to fit")
     dec = run.branches
-    dc = series.values.mean(axis=0)
-    osc = series.values - dc
+    dc = series.mean(axis=0)
+    osc = series - dc
     amplitude = np.sqrt(2.0 * np.mean(osc ** 2, axis=0))
     prediction = _drift_prediction(dec)
 
@@ -456,7 +456,7 @@ def zitter_decompose(run: EvolutionRun,
     expected = lines[0][1]
 
     component = int(np.argmax(amplitude))
-    span = series.times[-1] - series.times[0]
+    span = run.times[-1] - run.times[0]
     if expected * span < 4.0 * np.pi:
         raise FitError("run shorter than two oscillation periods of the dominant line")
 
@@ -466,7 +466,7 @@ def zitter_decompose(run: EvolutionRun,
     design = np.stack([x[1:-1], np.ones(len(x) - 2)], axis=1)
     slope = np.linalg.lstsq(design, x[2:] - 2.0 * x[1:-1] + x[:-2], rcond=None)[0][0]
     q = min(max(-slope, 0.0), 4.0)
-    fitted = 2.0 / (series.times[1] - series.times[0]) * float(np.arcsin(np.sqrt(q) / 2.0))
+    fitted = 2.0 / (run.times[1] - run.times[0]) * float(np.arcsin(np.sqrt(q) / 2.0))
     rel = abs(fitted - expected) / expected
     return ZitterReport(dc, prediction, amplitude, fitted, expected, rel, lines)
 

@@ -13,7 +13,7 @@ Hamiltonian (natural units c = hbar = 1 by default).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ _ALPHA_COEF = np.take_along_axis(_ALPHA, _ALPHA_COL[..., None], axis=-1)[..., 0]
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic box: points per axis (powers of two) and box lengths."""
+    """Periodic box: points per axis (integer powers of two) and box lengths (finite, > 0)."""
 
     points: tuple[int, ...]
     lengths: tuple[float, ...]
@@ -63,8 +63,11 @@ class GridSpec:
         if not 1 <= len(self.points) <= 3:
             raise ValueError("grid rank must be 1, 2 or 3")
         for n in self.points:
-            if n < 2 or n & (n - 1):
-                raise ValueError(f"points per axis must be a power of two >= 2, got {n}")
+            if not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
+                raise ValueError(f"points per axis must be integer powers of two >= 2, got {n!r}")
+        for length in self.lengths:
+            if not 0.0 < length < np.inf:
+                raise ValueError(f"lengths must be finite numbers > 0, got {length!r}")
 
     @property
     def ndim(self) -> int:
@@ -132,12 +135,11 @@ class GridSpec:
         return np.fft.ifft(values, axis=0, out=out)
 
     def to_dict(self) -> dict:
-        return {"points": list(self.points), "lengths": list(self.lengths)}
+        return {"points": [int(n) for n in self.points], "lengths": list(self.lengths)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(points=tuple(int(p) for p in d["points"]),
-                   lengths=tuple(float(x) for x in d["lengths"]))
+        return cls(points=tuple(d["points"]), lengths=tuple(float(x) for x in d["lengths"]))
 
 
 @dataclass
@@ -165,8 +167,8 @@ class EMField:
 class SpinorField8:
     """Eight complex components per grid point plus kind ('photon' states
     keep components 0 and 4 at zero) and the units of its Hamiltonian: rest
-    mass, c and hbar.  ``dataclasses.replace(psi, c=2.0)`` sets other units
-    on the same values."""
+    mass (finite, >= 0), c and hbar (finite, > 0).  ``dataclasses.replace(psi,
+    c=2.0)`` sets other units on the same values."""
 
     grid: GridSpec
     values: np.ndarray
@@ -181,6 +183,11 @@ class SpinorField8:
             raise ValueError(f"wave-function shape must be {self.grid.shape + (8,)}")
         if self.kind not in (PHOTON, ELECTRON, GENERIC):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not 0.0 <= self.mass < np.inf:
+            raise ValueError(f"mass must be a finite number >= 0, got {self.mass!r}")
+        for name, value in (("c", self.c), ("hbar", self.hbar)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def norm(self) -> float:
         """Integral of psi+ psi over the box."""
@@ -200,42 +207,30 @@ def constraint_residual(values: np.ndarray) -> float:
 @dataclass
 class FourCurrent:
     """Prescribed source: J(r, t) = j_amp(r) cos(Omega t) with the charge
-    density following from continuity, rho(r, t) = rho_amp(r) sin(Omega t)/Omega.
+    density that continuity gives it, rho(r, t) = rho_amp(r) sin(Omega t)/Omega.
 
-    By default rho_amp = -div j_amp (computed spectrally), which satisfies
-    continuity exactly.  Passing ``rho_amp`` explicitly allows deliberately
-    inconsistent sources for negative controls.
+    A source is its current: rho_amp = -div j_amp (computed spectrally) is
+    derived when the source is made, not given.
     """
 
     grid: GridSpec
     j_amp: np.ndarray
     omega: float = 0.0
-    rho_amp: np.ndarray | None = None
+    rho_amp: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.j_amp = np.asarray(self.j_amp, dtype=float)
         if self.j_amp.shape != self.grid.shape + (3,):
             raise ValueError(f"current amplitude shape must be {self.grid.shape + (3,)}")
-        if self.rho_amp is None:
-            self.rho_amp = -divergence(self.grid, self.j_amp).real
-        else:
-            self.rho_amp = np.asarray(self.rho_amp, dtype=float)
-            if self.rho_amp.shape != self.grid.shape:
-                raise ValueError(f"charge amplitude shape must be {self.grid.shape}")
-
-    def current(self, t: float) -> np.ndarray:
-        return self.j_amp * np.cos(self.omega * t)
+        self.rho_amp = -divergence(self.grid, self.j_amp).real
 
     def charge(self, t: float) -> np.ndarray:
         # sin(w t)/w with a smooth w -> 0 limit of t
         return self.rho_amp * (t * np.sinc(self.omega * t / np.pi))
 
-    def charge_rate(self, t: float) -> np.ndarray:
-        return self.rho_amp * np.cos(self.omega * t)
-
-    def continuity_residual(self, t: float) -> float:
-        """max |d rho/dt + div J| at time t (complex spectral divergence, as evolved)."""
-        r = self.charge_rate(t) + divergence(self.grid, self.current(t).astype(complex))
+    def continuity_residual(self) -> float:
+        """max |d rho/dt + div J| at t = 0, its peak (complex spectral divergence, as evolved)."""
+        r = self.rho_amp + divergence(self.grid, self.j_amp.astype(complex))
         return float(np.max(np.abs(r)))
 
 
@@ -252,17 +247,17 @@ def extract_em(psi: SpinorField8, tol: float = 1e-10) -> EMField:
 
     Raises ConstraintViolation if components 0 or 4 exceed ``tol`` anywhere
     (broken transversality / Gauss constraint), or if the recovered fields
-    fail the reality check at the same tolerance.
+    fail the reality check at the same tolerance; a NaN fails either.
     """
     resid = psi.constraint_residual()
-    if resid > tol:
+    if not resid <= tol:   # NaN fails
         raise ConstraintViolation(
             f"components 0/4 reach {resid:.3e} (tolerance {tol:.1e}); "
             "Gauss-law or transversality constraint broken")
     e = psi.values[..., 1:4]
     b = -1j * psi.values[..., 5:8]
-    imag = max(float(np.max(np.abs(e.imag))), float(np.max(np.abs(b.imag))))
-    if imag > tol:
+    imag = float(np.maximum(np.max(np.abs(e.imag)), np.max(np.abs(b.imag))))   # keeps NaN
+    if not imag <= tol:
         raise ConstraintViolation(
             f"recovered fields have imaginary residue {imag:.3e} (tolerance {tol:.1e})")
     return EMField(psi.grid, e.real.astype(complex), b.real.astype(complex))

@@ -50,13 +50,13 @@ _CONSTRAINT_TOL = 1e-10     # boost leakage, relative to the field scale
 
 @dataclass(frozen=True)
 class Boost:
-    """Boost velocity in units of c, and its derived factors."""
+    """Boost velocity in units of c (3 finite components, |beta| < 1) and its derived factors."""
 
     beta: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.speed >= 1.0:
-            raise ValueError(f"|beta| = {self.speed} must be below 1")
+        if np.shape(self.beta) != (3,) or not self.speed < 1.0:   # NaN fails too
+            raise ValueError(f"beta must be 3 finite components with |beta| < 1, got {self.beta!r}")
 
     @property
     def speed(self) -> float:
@@ -122,12 +122,12 @@ def em_wavefunction_transform(psi: np.ndarray, boost: Boost) -> np.ndarray:
 
     Raises ConstraintViolation if the output grows components 0/4 past
     ``_CONSTRAINT_TOL`` relative to the field scale (a convention or
-    implementation error; the law preserves them identically).
+    implementation error; the law preserves them identically), or NaN there.
     """
     values = np.einsum("ab,...b->...a", em_transform_matrix(boost), np.asarray(psi, dtype=complex))
     resid = constraint_residual(values)
     scale = float(np.max(np.abs(values)))
-    if resid > _CONSTRAINT_TOL * max(scale, 1.0):
+    if not resid <= _CONSTRAINT_TOL * max(scale, 1.0):   # NaN fails
         raise ConstraintViolation(
             f"boost leaked {resid:.3e} into the constrained components")
     return values

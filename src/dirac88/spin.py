@@ -4,7 +4,9 @@ Two inequivalent spin operators solve the same operator evolution identity
 dS/dt = -c alpha x p: the spin-1/2 blocks (theta on the diagonal, kappa
 off it) and the spin-1 doubled-theta form.  Which applies is decided by
 the photon constraint: the spin-1 operator never touches the two
-constrained components, the spin-1/2 one leaks into them.
+constrained components, the spin-1/2 one leaks into them.  Both are fixed
+matrices in units of hbar, with eigenvalues +-1/2 and {-1, 0, 1}; a run's
+own hbar scales them where an expectation is taken.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .fields import PHOTON, SpinorField8, constraint_residual
 
 __all__ = [
     "SpinOperator",
-    "ExpectationSeries",
     "SpinSelectionReport",
     "spin_half",
     "spin_one",
@@ -41,21 +42,6 @@ class SpinOperator:
 
     components: np.ndarray
     label: str
-    hbar: float = 1.0
-
-
-@dataclass
-class ExpectationSeries:
-    """Sampled 3-vector expectation values over time."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values)
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
 
 
 @dataclass(frozen=True)
@@ -70,36 +56,35 @@ class SpinSelectionReport:
     witness_value: complex
 
 
-def spin_half(hbar: float = 1.0) -> SpinOperator:
-    """S_i = (hbar/2) [[theta_i, kappa_i], [kappa_i, theta_i]]."""
+def spin_half() -> SpinOperator:
+    """S_i = (1/2) [[theta_i, kappa_i], [kappa_i, theta_i]], eigenvalues +-1/2."""
     kappa, theta, _ = generators()
     comps = np.stack([np.block([[t, k], [k, t]]) for k, t in zip(kappa, theta)])
-    return SpinOperator(0.5 * hbar * comps, "spin-1/2", hbar)
+    return SpinOperator(0.5 * comps, "spin-1/2")
 
 
-def spin_one(hbar: float = 1.0) -> SpinOperator:
-    """S_i = hbar diag(theta_i, theta_i)."""
+def spin_one() -> SpinOperator:
+    """S_i = diag(theta_i, theta_i), eigenvalues {-1, 0, 1}."""
     _, theta, _ = generators()
     z4 = np.zeros((4, 4), dtype=complex)
     comps = np.stack([np.block([[t, z4], [z4, t]]) for t in theta])
-    return SpinOperator(hbar * comps, "spin-1", hbar)
+    return SpinOperator(comps, "spin-1")
 
 
 def verify_spin_evolution(op: SpinOperator) -> AlgebraReport:
     """Check the momentum-independent content of dS/dt = -c alpha x p.
 
-    Substituting H = c alpha.p + beta' m c^2 reduces the identity to
-    (i/hbar)[alpha_k, S_i] = -eps_ijk alpha_j for every (i, k), together
-    with [beta', S_i] = 0 so the mass term drops out.  Deviation is the
-    max over all component pairs.
+    Substituting H = c alpha.p + beta' m c^2 reduces the identity, with S in
+    units of hbar, to i[alpha_k, S_i] = -eps_ijk alpha_j for every (i, k),
+    together with [beta', S_i] = 0 so the mass term drops out.  Deviation is
+    the max over all component pairs.
     """
     alpha, beta = transformed_dirac88()
-    hbar = op.hbar
     dev = 0.0
     for i in range(3):
         s_i = op.components[i]
         for k in range(3):
-            lhs = (1j / hbar) * (alpha[k] @ s_i - s_i @ alpha[k])
+            lhs = 1j * (alpha[k] @ s_i - s_i @ alpha[k])
             rhs = -np.einsum("j,jml->ml", _EPS[i, :, k], alpha)
             dev = max(dev, float(np.max(np.abs(lhs - rhs))))
         dev = max(dev, float(np.max(np.abs(beta @ s_i - s_i @ beta))))
@@ -107,12 +92,12 @@ def verify_spin_evolution(op: SpinOperator) -> AlgebraReport:
 
 
 def closure_deviation(op: SpinOperator) -> float:
-    """Max deviation of [S_i, S_j] = i hbar eps_ijk S_k."""
+    """Max deviation of [S_i, S_j] = i eps_ijk S_k (S in units of hbar)."""
     dev = 0.0
     for i in range(3):
         for j in range(3):
             lhs = op.components[i] @ op.components[j] - op.components[j] @ op.components[i]
-            rhs = 1j * op.hbar * np.einsum("k,kml->ml", _EPS[i, j], op.components)
+            rhs = 1j * np.einsum("k,kml->ml", _EPS[i, j], op.components)
             dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     return dev
 
@@ -165,35 +150,34 @@ def _warn_if_packet_too_wide(run):
             return
 
 
-def angular_momentum_series(run) -> tuple[ExpectationSeries, ExpectationSeries, ExpectationSeries]:
-    """Orbital, spin, and total angular-momentum expectations over a run.
+def angular_momentum_series(run) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbital, spin, and total angular-momentum expectations over a run,
+    each of shape (samples, 3) over ``run.times``.
 
     <L> integrates psi+ (r x p) psi with box-centred coordinates and the
     spectral momentum p = hbar k; <S> uses the kind-appropriate operator
-    (spin-1 for photon runs, spin-1/2 otherwise).  Both take hbar from the
-    run and are normalised by the wave-function norm (zero for
+    (spin-1 for photon runs, spin-1/2 otherwise) times hbar.  Both take hbar
+    from the run and are normalised by the wave-function norm (zero for
     identically-zero samples, NaN for NaN ones).  Warns when a localised
     packet reaches the box boundary (wrap-around corrupts <L>).
     """
     hbar, moments = run.hbar, run.moments
-    operator = spin_one(hbar) if run.kind == PHOTON else spin_half(hbar)
+    spin_op = (spin_one() if run.kind == PHOTON else spin_half()).components
     _warn_if_packet_too_wide(run)
-    # L_i = eps_ijk <r_j p_k> with p = hbar k; int psi+ S_i psi = sum_ab (S_i)_ab G_ab
+    # L_i = eps_ijk <r_j p_k> with p = hbar k; int psi+ S_i psi = hbar sum_ab (S_i)_ab G_ab
     orbital = moments.per_norm(hbar * np.einsum("ijk,sjk->si", _EPS, moments.rk))
-    spin = moments.per_norm(np.einsum("iab,sab->si", operator.components, moments.gram).real)
-    return (ExpectationSeries(run.times, orbital),
-            ExpectationSeries(run.times, spin),
-            ExpectationSeries(run.times, orbital + spin))
+    spin = moments.per_norm(hbar * np.einsum("iab,sab->si", spin_op, moments.gram).real)
+    return orbital, spin, orbital + spin
 
 
-def write_angular_momentum_csv(path, orbital: ExpectationSeries, spin: ExpectationSeries,
-                               total: ExpectationSeries):
+def write_angular_momentum_csv(path, times: np.ndarray, orbital: np.ndarray, spin: np.ndarray,
+                               total: np.ndarray):
     """t, Lx, Ly, Lz, Sx, Sy, Sz, Jx, Jy, Jz rows."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "Lx", "Ly", "Lz", "Sx", "Sy", "Sz", "Jx", "Jy", "Jz"])
-        for i, t in enumerate(orbital.times):
+        for i, t in enumerate(times):
             row = [f"{t:.17g}"]
             for series in (orbital, spin, total):
-                row.extend(f"{x:.17g}" for x in series.values[i])
+                row.extend(f"{x:.17g}" for x in series[i])
             writer.writerow(row)

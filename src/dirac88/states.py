@@ -164,13 +164,10 @@ def uniform_current(grid: GridSpec, direction, amplitude: float, omega: float) -
 
 
 def gaussian_dipole_current(grid: GridSpec, direction, amplitude: float,
-                            sigma: float, omega: float, center=None,
-                            violate_continuity: bool = False) -> FourCurrent:
-    """Band-limited dipole: J = A d exp(-|r - r0|^2 / (2 sigma^2)) cos(w t)
-    with the matching charge density (or, for negative controls, none)."""
+                            sigma: float, omega: float, center=None) -> FourCurrent:
+    """Band-limited dipole: J = A d exp(-|r - r0|^2 / (2 sigma^2)) cos(w t),
+    with the charge density that continuity gives it (``FourCurrent``)."""
     delta = grid.positions() - _center(grid, center)
     env = amplitude * np.exp(-np.einsum("...i,...i->...", delta, delta) / (2.0 * sigma ** 2))
     j = env[..., None] * np.asarray(direction, dtype=float)
-    if violate_continuity:
-        return FourCurrent(grid, j, omega=omega, rho_amp=np.zeros(grid.shape))
     return FourCurrent(grid, j, omega=omega)

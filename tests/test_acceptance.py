@@ -153,12 +153,12 @@ def test_criterion_5_zitter_frequencies():
     # (c) pure positive-frequency states show no oscillation
     psi_c = states.circular_wave_analytic(GRID_1D, 3, +1)
     run_c = run_free(psi_c, np.linspace(0.0, 2.0, 32))
-    amp_photon = max(float(np.ptp(alpha_expectation_series(run_c).values, axis=0).max()),
-                     float(np.ptp(alpha_density_series(run_c, (9,)).values, axis=0).max()))
+    amp_photon = max(float(np.ptp(alpha_expectation_series(run_c), axis=0).max()),
+                     float(np.ptp(alpha_density_series(run_c, (9,)), axis=0).max()))
     psi_p = states.electron_gaussian_packet(GRID_1D, mass=1.0, sigma=TWO_PI / 14,
                                             k0_mode=(3,), plus_weight=1.0, minus_weight=0.0)
     run_p = run_free(psi_p, np.linspace(0.0, 2.0, 32))
-    amp_electron = float(np.ptp(alpha_expectation_series(run_p).values, axis=0).max())
+    amp_electron = float(np.ptp(alpha_expectation_series(run_p), axis=0).max())
     ok_c = amp_photon <= 1e-12 and amp_electron <= 1e-12
 
     passed = ok_a and ok_b and ok_c
@@ -231,9 +231,9 @@ def test_criterion_8_conservation_suite():
     orbital, spin, total = angular_momentum_series(run)
     norm_drift = float(np.ptp(norms) / norms[0])
     energy_drift = float(np.ptp(energies) / abs(energies[0]))
-    j_scale = max(float(np.max(np.abs(total.values))), 1.0)
-    j_drift = float(np.ptp(total.values, axis=0).max()) / j_scale
-    moving = float(np.ptp(spin.values, axis=0).max())
+    j_scale = max(float(np.max(np.abs(total))), 1.0)
+    j_drift = float(np.ptp(total, axis=0).max()) / j_scale
+    moving = float(np.ptp(spin, axis=0).max())
     passed = norm_drift <= 1e-8 and energy_drift <= 1e-8 and j_drift <= 1e-8 and moving > 1e-4
     report(8, passed,
            f"over 10 periods: norm drift {norm_drift:.2e}, energy drift "

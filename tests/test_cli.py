@@ -96,11 +96,22 @@ def test_evolve_snapshots(tmp_path):
     assert em.grid.points == (128,)
 
 
-def test_evolve_continuity_violation_exit1(tmp_path, capsys):
+def test_evolve_continuity_violation_exit1(tmp_path, capsys, monkeypatch):
+    # the fault is planted on the built source: a current with no charge
+    import functools
+    from dirac88 import states
+    build = states.gaussian_dipole_current
+
+    @functools.wraps(build)   # the config's keys are matched to its signature
+    def chargeless(*args, **kwargs):
+        source = build(*args, **kwargs)
+        source.rho_amp = np.zeros(source.grid.shape)
+        return source
+
+    monkeypatch.setattr(states, "gaussian_dipole_current", chargeless)
     cfg = evolve_cfg(samples=8)
     cfg["source"] = {"type": "gaussian_dipole", "direction": [0, 0, 1],
-                     "amplitude": 1.0, "sigma": 0.4, "omega": 2.0,
-                     "violate_continuity": True}
+                     "amplitude": 1.0, "sigma": 0.4, "omega": 2.0}
     cfg["state"] = {"type": "standing_wave", "mode": 0}
     # a standing wave of mode 0 is invalid; use zero-amplitude travelling wave
     cfg["state"] = {"type": "travelling_wave", "mode": 1, "amplitude": 0.0}
@@ -699,8 +710,6 @@ NAN = float("nan")
     ("evolve", evolve_cfg, "state.helicity",
      lambda cfg: cfg.update(state={"type": "circular_analytic", "mode": 2, "helicity": True})),
     ("evolve", evolve_cfg, "checks.norm_drift", lambda cfg: cfg["checks"].update(norm_drift=True)),
-    ("evolve", sourced_cfg, "source.violate_continuity",
-     lambda cfg: cfg["source"].update(violate_continuity="no")),
     ("zitter", zitter_cfg, "expect_no_oscillation", lambda cfg: cfg.update(expect_no_oscillation="no")),
     ("evolve", evolve_cfg, "series", lambda cfg: cfg.update(series="angular_momentun")),
     ("zitter", zitter_cfg, "series", lambda cfg: cfg.update(series="pointt")),
@@ -717,7 +726,7 @@ NAN = float("nan")
         "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan",
         "helicity-string", "polarisation-unknown", "weights-zero", "weight-nan",
         "source-center-string", "state-center-nan", "direction-nan", "k0-mode-string",
-        "k0-mode-float", "helicity-bool", "check-tolerance-bool", "violate-continuity-string",
+        "k0-mode-float", "helicity-bool", "check-tolerance-bool",
         "no-oscillation-string", "evolve-series-unknown", "zitter-series-unknown",
         "zitter-zero-field", "zitter-zero-amplitude", "travelling-mode-zero",
         "standing-mode-zero", "circular-mode-zero", "polarisation-along-mode",
@@ -835,9 +844,25 @@ def compare_cfg():
     ("evolve", evolve_cfg, "c", lambda cfg: cfg.update(units={"c": 2.0}, c=3.0)),
     ("zitter", zitter_cfg, "hbar", lambda cfg: cfg.update(hbar=1.0)),
     ("compare-oracle", compare_cfg, "c", lambda cfg: cfg.update(c=1.0)),
+    # a source is its current: its charge follows by continuity and cannot be dropped
+    ("evolve", sourced_cfg, "source.violate_continuity",
+     lambda cfg: cfg["source"].update(violate_continuity="no")),
+    ("evolve", sourced_cfg, "source.violate_continuity",
+     lambda cfg: cfg["source"].update(violate_continuity=False)),
+    ("compare-oracle", compare_cfg, "source.violate_continuity",
+     lambda cfg: cfg["source"].update(violate_continuity=True)),
+    # no command reads a seed
+    ("verify-algebra", dict, "seed", lambda cfg: cfg.update(seed=1)),
+    ("spin-check", dict, "seed", lambda cfg: cfg.update(seed=1)),
+    ("evolve", evolve_cfg, "seed", lambda cfg: cfg.update(seed=1)),
+    ("zitter", zitter_cfg, "seed", lambda cfg: cfg.update(seed=0)),
+    ("boost-demo", boost_cfg, "seed", lambda cfg: cfg.update(seed=3)),
+    ("compare-oracle", compare_cfg, "seed", lambda cfg: cfg.update(seed=1)),
 ], ids=["check-name-typo", "checks-on-zitter", "checks-on-compare-oracle", "outputs-on-zitter",
         "tolerance-on-evolve", "unknown-source-key", "c-beside-units-c", "top-level-hbar",
-        "top-level-c"])
+        "top-level-c", "violate-continuity-string", "violate-continuity-false",
+        "violate-continuity-on-compare-oracle", "seed-on-verify-algebra", "seed-on-spin-check",
+        "seed-on-evolve", "seed-on-zitter", "seed-on-boost-demo", "seed-on-compare-oracle"])
 def test_key_a_command_does_not_read_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)
@@ -914,6 +939,6 @@ def test_readme_library_sketch_runs():
 def test_readme_tables_list_the_schema_keys():
     from dirac88.cli import COMMANDS
     tables = readme_key_tables()
-    assert set(tables) == set(COMMANDS)
+    assert set(tables) == {command for command, (_, table) in COMMANDS.items() if table}
     for command, (_, table) in COMMANDS.items():
-        assert sorted(tables[command]) == sorted(table), command
+        assert sorted(tables.get(command, [])) == sorted(table), command

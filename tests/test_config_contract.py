@@ -51,7 +51,6 @@ def value_strategies(command, points, samples, strict):
     positive, tolerance = floats(0.3, 3.0), st.sampled_from([0.0, 1e-12, 1e-8, 1e-3, 10.0])
     vector = st.lists(floats(-2.0, 2.0), min_size=3, max_size=3)
     return {
-        "seed": st.integers(-10, 10),
         "grid.points": st.just(points),
         "grid.lengths": st.lists(floats(1.0, 8.0), min_size=ndim, max_size=ndim),
         "mass": floats(0.0, 3.0),
@@ -74,7 +73,6 @@ def value_strategies(command, points, samples, strict):
         "source.omega": floats(-5.0, 5.0),
         "source.sigma": floats(0.2, 2.0),
         "source.center": axis_floats,
-        "source.violate_continuity": st.booleans(),
         "substeps": st.sampled_from([2, 4, 8]),
         **{f"checks.{name}": tolerance for name in CHECKS},
         "series": st.sampled_from(SERIES.get(command, [""])),
@@ -154,8 +152,8 @@ def bad_values(key, cfg):
         return NUMBER + [-1.0, -1e-300]
     if key in ("units.c", "units.hbar", "duration", "state.sigma", "source.sigma"):
         return NUMBER + [0.0, -1.0]
-    if key in ("seed", "samples", "substeps"):
-        return INTEGER + {"seed": [], "samples": [1, 0, -3], "substeps": [3, 0, -2]}[key]
+    if key in ("samples", "substeps"):
+        return INTEGER + {"samples": [1, 0, -3], "substeps": [3, 0, -2]}[key]
     if key == "grid.points":
         return ["x", 16, [], [2, 2, 2, 2], [3], [1], [16.7], ["16"], [True], [-16]]
     if key in ("grid.lengths", "state.center", "source.center"):
@@ -177,7 +175,7 @@ def bad_values(key, cfg):
         return ["bogus", True, 1, None, ["x"]]
     if key == "state.helicity":
         return [0, 2, True, 1.0, "1"]
-    if key in ("source.violate_continuity", "expect_no_oscillation"):
+    if key == "expect_no_oscillation":
         return ["no", 1, 0, None]
     raise AssertionError(f"no out-of-domain values for {key}")
 

@@ -17,7 +17,7 @@ from dirac88.evolution import (_duhamel_kernels, _Spectral, alpha_density_series
 from dirac88.fields import (EMField, GridSpec, SpinorField8, divergence, embed_em, extract_em,
                             extract_em_amplitudes)
 from dirac88.oracle import compare, maxwell_evolve
-from dirac88.spin import ExpectationSeries, angular_momentum_series
+from dirac88.spin import angular_momentum_series
 from dirac88 import states
 
 TWO_PI = 2 * np.pi
@@ -322,8 +322,8 @@ def test_sourced_charged_dipole_slow_omega():
 
 def test_sourced_continuity_rejected():
     g = grid1d(64)
-    bad = states.gaussian_dipole_current(g, [0, 0, 1], 1.0, 0.4, 2.0,
-                                         violate_continuity=True)
+    bad = states.gaussian_dipole_current(g, [0, 0, 1], 1.0, 0.4, 2.0)
+    bad.rho_amp = np.zeros(g.shape)   # the fault: a current with no charge
     psi0 = embed_em(EMField.zero(g))
     with pytest.raises(ConstraintViolation):
         evolve_sourced(psi0, bad, np.linspace(0, 1.0, 8))
@@ -373,7 +373,7 @@ def test_nan_fails_both_sourced_checks():
     g = grid1d(64)
     bad_source = states.uniform_current(g, [0, 1, 0], 1.0, 1.0)
     bad_source.j_amp[3, 1] = np.nan
-    assert np.isnan(bad_source.continuity_residual(0.0))
+    assert np.isnan(bad_source.continuity_residual())
     with pytest.raises(ConstraintViolation, match="source continuity residual nan"):
         evolve_sourced(states.zero_field(g), bad_source, np.linspace(0, 1.0, 4))
     psi0 = states.zero_field(g)
@@ -417,7 +417,7 @@ def test_alpha_constant_for_photon_volume():
     psi = states.standing_wave(g, 2, "x")
     run = run_free(psi, np.linspace(0, 3.0, 40))
     series = alpha_expectation_series(run)
-    assert np.ptp(series.values, axis=0).max() < 1e-12
+    assert np.ptp(series, axis=0).max() < 1e-12
 
 
 def test_monochromatic_photon_no_jitter():
@@ -425,9 +425,9 @@ def test_monochromatic_photon_no_jitter():
     psi = states.circular_wave_analytic(g, 3, +1)
     run = run_free(psi, np.linspace(0, 2.0, 24))
     vol = alpha_expectation_series(run)
-    assert np.ptp(vol.values, axis=0).max() < 1e-12
+    assert np.ptp(vol, axis=0).max() < 1e-12
     pointwise = alpha_density_series(run, (11,))
-    assert np.ptp(pointwise.values, axis=0).max() < 1e-12
+    assert np.ptp(pointwise, axis=0).max() < 1e-12
     rep = zitter_decompose(run)
     assert rep.amplitude.max() < 1e-12 and rep.lines == []
 
@@ -455,7 +455,7 @@ def test_electron_rest_mix_jitter():
     assert rep.amplitude.max() > 0.5
     # closed form: <alpha_z>(t) = -sin(2 m t) for the equal mixture
     series = alpha_expectation_series(run)
-    assert np.max(np.abs(series.values[:, 2] + np.sin(2.0 * run.times))) < 1e-12
+    assert np.max(np.abs(series[:, 2] + np.sin(2.0 * run.times))) < 1e-12
 
 
 def test_single_mode_mixture_any_mass():
@@ -511,7 +511,7 @@ def test_jitter_frequency_of_a_sampled_sinusoid(phase, dc, amplitude, samples, s
     run = run_free(states.electron_rest_mix(grid1d(4), mass=1.0), times)
     values = np.full((samples, 3), dc)
     values[:, axis] += amplitude * np.cos(omega * times + phase)
-    rep = zitter_decompose(run, ExpectationSeries(times, values))
+    rep = zitter_decompose(run, values)
     assert rep.expected_frequency == omega
     assert rep.relative_frequency_error <= 1e-12
 
@@ -527,7 +527,7 @@ def test_jitter_frequency_under_a_large_dc_offset():
     for phase in np.linspace(-np.pi, np.pi, 8, endpoint=False):
         values = np.full((samples, 3), 5e4 * 0.5)
         values[:, 0] += 0.5 * np.cos(omega * times + phase)
-        errors.append(zitter_decompose(run, ExpectationSeries(times, values)).relative_frequency_error)
+        errors.append(zitter_decompose(run, values).relative_frequency_error)
     assert max(errors) <= 1e-10
 
 
@@ -536,10 +536,18 @@ def test_flat_series_gives_a_finite_frequency():
     # writes a frequency in [0, pi / dt], with no NaN and no warning
     times = np.linspace(0.0, 9.0, 64)
     run = run_free(states.electron_rest_mix(grid1d(4), mass=1.0), times)
-    rep = zitter_decompose(run, ExpectationSeries(times, np.zeros((64, 3))))
+    rep = zitter_decompose(run, np.zeros((64, 3)))
     assert np.isfinite(rep.fitted_frequency)
     assert 0.0 <= rep.fitted_frequency <= np.pi / (times[1] - times[0])
     assert rep.amplitude.max() == 0.0
+
+
+def test_a_series_of_another_length_is_rejected():
+    # a series is one 3-vector per sample of the run, over run.times
+    run = run_free(states.electron_rest_mix(grid1d(4), mass=1.0), np.linspace(0.0, 9.0, 64))
+    values = np.cos(2.0 * np.linspace(0.0, 9.0, 63))[:, None] * np.ones(3)
+    with pytest.raises(ValueError, match="63 samples, the run 64"):
+        zitter_decompose(run, values)
 
 
 def test_sample_carries_the_run_units():
@@ -598,7 +606,7 @@ def test_run_diagnostics_share_one_moments_pass(monkeypatch):
     # a free run reads its axis-0 transform from the spectral amplitudes, a lone
     # state transforms its values: the same sums up to round-off
     assert abs(energies[2] - energy_expectation(run.sample(2))) <= 1e-15 * np.max(np.abs(energies))
-    assert np.array_equal(alpha.values[0], alpha_expectation_series(run_free(psi, [0.0])).values[0])
+    assert np.array_equal(alpha[0], alpha_expectation_series(run_free(psi, [0.0]))[0])
     with pytest.raises(ValueError):
         next(run.samples()).values[0, 0, 0] = 1.0
     sample = run.sample(0)
@@ -607,12 +615,11 @@ def test_run_diagnostics_share_one_moments_pass(monkeypatch):
 
 
 def _views(run):
-    views = {"alpha": alpha_expectation_series(run).values,
-             "density at point 5": alpha_density_series(run, (5,)).values,
-             "density at point 9": alpha_density_series(run, (9,)).values,
+    views = {"alpha": alpha_expectation_series(run),
+             "density at point 5": alpha_density_series(run, (5,)),
+             "density at point 9": alpha_density_series(run, (9,)),
              "energy": energy_expectation_series(run)}
-    views.update(zip(("orbital", "spin", "total"),
-                     (series.values for series in angular_momentum_series(run))))
+    views.update(zip(("orbital", "spin", "total"), angular_momentum_series(run)))
     return views
 
 
@@ -668,9 +675,9 @@ def test_positive_packet_drift_matches_prediction(hbar):
                                           minus_weight=0.0, hbar=hbar)
     run = run_free(psi, np.linspace(0.0, 2.0, 24))
     series = alpha_expectation_series(run)
-    assert np.ptp(series.values, axis=0).max() < 1e-12
+    assert np.ptp(series, axis=0).max() < 1e-12
     pred = zitter_decompose(run, series).dc_prediction
-    assert np.max(np.abs(series.values[0] - pred)) < 1e-10
+    assert np.max(np.abs(series[0] - pred)) < 1e-10
 
 
 def test_zitter_multimode_raises():

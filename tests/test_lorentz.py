@@ -40,6 +40,24 @@ def test_boost_validation_and_factors():
     assert b.rapidity == pytest.approx(np.arctanh(0.6))
 
 
+@pytest.mark.parametrize("beta", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf), (0.5,),
+                                  (0.1, 0.2), (0, 0, 0, 0.5)],
+                         ids=["nan", "inf", "minus-inf", "one-component", "two-components",
+                              "four-components"])
+def test_boost_needs_three_finite_components(beta):
+    # Boost((nan, 0, 0)) had gamma = NaN; Boost((0.5,)) failed later inside np.cross
+    with pytest.raises(ValueError, match="beta"):
+        Boost(beta)
+
+
+def test_em_transform_fails_a_nan():
+    # the leak check compared with >, so an all-NaN input came back NaN without a word
+    with pytest.raises(ConstraintViolation, match="leaked nan"):
+        em_wavefunction_transform(np.full(8, np.nan, dtype=complex), Boost((0, 0, 0.6)))
+    with pytest.raises(ConstraintViolation, match="leaked nan"):
+        em_wavefunction_transform(embed_point([np.nan, 0, 0], [0, 1, 0]), Boost((0, 0.3, 0)))
+
+
 def test_L_identity_at_rest():
     assert np.max(np.abs(boost_matrix_L(Boost((0.0, 0, 0))) - np.eye(2))) == 0.0
 

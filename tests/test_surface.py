@@ -167,3 +167,38 @@ def test_no_module_imports_a_name_it_never_uses():
                     if bound not in used:
                         unused.append(f"{path.name}: {bound}")
     assert not unused, f"imported and never used: {', '.join(unused)}"
+
+
+# The package modules each module may import (README module map).  The oracle
+# and the boost routes stay independent of the 8x8 evolution and of each other;
+# ``cli`` and ``__init__`` (the re-exports) may import every module.
+LAYERS = {
+    "errors": set(),
+    "algebra": {"errors"},
+    "fields": {"algebra", "errors"},
+    **dict.fromkeys(("spin", "lorentz", "evolution", "oracle"), {"algebra", "fields", "errors"}),
+    "states": {"algebra", "fields", "errors", "evolution"},
+}
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The package modules that ``from . import x`` and ``from .x import y`` name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dirac88"):
+            module = node.module.partition(".")[2]
+            out.update([module] if module else [alias.name for alias in node.names])
+    return out
+
+
+def test_modules_import_only_the_layers_below_them():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"cli", "__init__"}
+    assert modules == set(LAYERS), "place each module of the package in LAYERS"
+    crossing = {}
+    for name, allowed in LAYERS.items():
+        imported = _package_imports(ast.parse((PACKAGE / f"{name}.py").read_text()))
+        if imported - allowed:
+            crossing[name] = sorted(imported - allowed)
+    assert not crossing, f"imports across the layers: {crossing}"
