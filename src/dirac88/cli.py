@@ -99,7 +99,6 @@ def _list(item: _Type, text: str, test=lambda v: True) -> _Type:
 
 _REQUIRED = "required"        # the default of a key that must be given
 _OBJECT = _Type("an object", lambda v: isinstance(v, dict))
-_BOOLEAN = _Type("true or false", lambda v: type(v) is bool)
 _NUMBER = _Type("a finite number", lambda v: type(v) in (int, float)  # type(True) is bool
                 and abs(v) <= sys.float_info.max, float)
 _NONNEGATIVE = _Type("a finite number >= 0", lambda v: _NUMBER.test(v) and v >= 0, float)
@@ -146,6 +145,9 @@ _RUN = {
     "state.sigma": (_POSITIVE, lambda f: f["grid.lengths"][0] / 14.0),
     "state.k0_mode": (_MODE, None),
     "state.center": (_AXIS_NUMBERS, None),
+}
+# a source term, which evolve and compare-oracle take; zitter analyses free runs only
+_SOURCED = {
     "source": (_OBJECT, None),
     "source.type": (_choice(*_SOURCES), _REQUIRED),
     "source.direction": (_VECTOR, [0.0, 1.0, 0.0]),
@@ -153,7 +155,7 @@ _RUN = {
     "source.omega": (_NUMBER, 1.0),
     "source.sigma": (_POSITIVE, lambda f: f["grid.lengths"][0] / 16.0),
     "source.center": (_AXIS_NUMBERS, None),
-    # sets only the oracle's quadrature (compare-oracle); evolve and zitter accept it
+    # sets only the oracle's quadrature (compare-oracle); evolve accepts it for old configs
     "substeps": (_Type("an even integer >= 2", lambda v: type(v) is int and v >= 2 and not v % 2),
                  64),
 }
@@ -203,19 +205,20 @@ def _checked_config(table: dict, raw: dict) -> dict:
     if snaps and kind not in _PHOTON_STATES or not all(-samples <= s < samples for s in snaps):
         raise ConfigError(f"outputs.snapshots must be sample indices in [{-samples}, {samples}) "
                           f"of a photon state, got {snaps} of a {kind!r} state")
-    if cfg["source"] and kind not in _PHOTON_STATES:
+    if cfg.get("source") and kind not in _PHOTON_STATES:
         raise ConfigError(f"source must be absent: a source needs a photon state, not {kind!r}")
     if flat["state.plus_weight"] == 0.0 and flat["state.minus_weight"] == 0.0:
         raise ConfigError("state.plus_weight must be > 0 when state.minus_weight is 0")
-    # zitter (the one table with expect_no_oscillation) fits the jitter of the
-    # state's velocity; without a source, a state of norm 0 has none
-    if "expect_no_oscillation" in flat and not cfg["source"]:
+    # zitter (the one table with point_index) analyses the velocity of a free
+    # state, and a state of norm 0 has none
+    if "point_index" in flat:
         if kind == "zero_field":
-            raise ConfigError("state.type must be a state of nonzero norm for zitter "
-                              "without a source, got 'zero_field'")
+            raise ConfigError("state.type must be a state of nonzero norm for zitter, "
+                              "got 'zero_field'")
         if kind in _WAVES and flat["state.amplitude"] == 0.0:
-            raise ConfigError("state.amplitude must be nonzero for zitter without a source, "
-                              "got 0")
+            raise ConfigError("state.amplitude must be nonzero for zitter, got 0")
+    if kind in _PHOTON_STATES and flat["mass"] != 0.0:
+        raise ConfigError(f"mass must be 0 for a photon state, got {flat['mass']!r}")
     return cfg
 
 
@@ -227,7 +230,7 @@ def _make(function: str, block: dict, cfg: dict, grid: GridSpec):
 def _run_from_config(cfg: dict):
     grid = GridSpec(tuple(cfg["grid"]["points"]), tuple(cfg["grid"]["lengths"]))
     psi0 = replace(_make(_STATES[cfg["state"]["type"]], cfg["state"], cfg, grid), **cfg["units"])
-    source = cfg["source"] and _make(_SOURCES[cfg["source"]["type"]], cfg["source"], cfg, grid)
+    source = cfg.get("source") and _make(_SOURCES[cfg["source"]["type"]], cfg["source"], cfg, grid)
     times = np.linspace(0.0, cfg["duration"], cfg["samples"])
     run = run_free(psi0, times) if source is None else evolve_sourced(psi0, source, times)
     return run, psi0, source
@@ -344,13 +347,14 @@ def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
     report = zitter_decompose(run, alpha if point is None else point)
     _write_json(outdir / "zitter.json", report.to_dict())
     _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
-    tol = cfg["tolerance"]
-    if cfg["expect_no_oscillation"]:
-        checks.add("no oscillation for a single energy branch",
-                   "monochromatic states show no jitter", float(report.amplitude.max()), tol)
-    else:
+    # the t = 0 branches pick the row: a state with no interference line cannot jitter
+    tol = (1e-6 if report.lines else 1e-12) if cfg["tolerance"] is None else cfg["tolerance"]
+    if report.lines:
         checks.add("fitted jitter frequency = doubled mode frequency",
                    "doubled-frequency interference term", report.relative_frequency_error, tol)
+    else:
+        checks.add("no oscillation for a single energy branch",
+                   "monochromatic states show no jitter", float(report.amplitude.max()), tol)
 
 
 def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
@@ -396,7 +400,7 @@ COMMANDS = {
     "verify-algebra": (_cmd_verify_algebra, {}),
     "spin-check": (_cmd_spin_check, {}),
     "evolve": (_cmd_evolve, {
-        **_RUN,
+        **_RUN, **_SOURCED,
         "checks": (_OBJECT, {"norm_drift": 1e-8, "energy_drift": 1e-8}),
         **{f"checks.{name}": (_NONNEGATIVE, None)
            for name in ("norm_drift", "energy_drift", "constraint", "angular_momentum_drift")},
@@ -408,8 +412,7 @@ COMMANDS = {
         **_RUN,
         "series": (_choice("point"), None),
         "point_index": (_AXIS_INTEGERS, lambda f: [0] * len(f["grid.points"])),
-        "expect_no_oscillation": (_BOOLEAN, False),
-        "tolerance": (_NONNEGATIVE, lambda f: 1e-12 if f["expect_no_oscillation"] else 1e-6),
+        "tolerance": (_NONNEGATIVE, None),   # off: the row's own, 1e-12 or 1e-6
     }),
     "boost-demo": (_cmd_boost_demo, {
         "velocity": (_list(_NUMBER, "a list of 3 finite numbers, |v| < 1",
@@ -417,7 +420,8 @@ COMMANDS = {
         **dict.fromkeys(("e", "b"), (_VECTOR, _REQUIRED)),
         "tolerance": (_NONNEGATIVE, 1e-10),
     }),
-    "compare-oracle": (_cmd_compare_oracle, {**_RUN, "tolerance": (_NONNEGATIVE, 1e-10)}),
+    "compare-oracle": (_cmd_compare_oracle, {**_RUN, **_SOURCED,
+                                             "tolerance": (_NONNEGATIVE, 1e-10)}),
 }
 
 

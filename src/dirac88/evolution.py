@@ -420,8 +420,9 @@ def zitter_decompose(run: EvolutionRun, series: np.ndarray | None = None) -> Zit
     """Split a velocity series into dc and oscillation and measure the frequency.
 
     ``series`` (``alpha_expectation_series`` when omitted) holds one 3-vector per
-    sample of ``run.times``; another length raises ValueError.  The dc part is the
-    time mean, compared against the mode-space drift prediction c <p H^-1>.  The
+    sample of ``run.times``; another length raises ValueError, as does a run with a
+    source term, which the t = 0 branches do not describe.  The dc part is the time
+    mean, compared against the mode-space drift prediction c <p H^-1>.  The
     frequency W of the largest-amplitude component comes from one linear least
     squares on its second differences, -4 sin^2(W dt / 2) times the samples plus a
     constant, and is compared with 2 w(k) of the strongest interference line; both
@@ -430,6 +431,8 @@ def zitter_decompose(run: EvolutionRun, series: np.ndarray | None = None) -> Zit
     overflows makes it NaN), or when several distinct lines are comparably strong
     (the message names their frequencies).
     """
+    if run._source_term is not None:
+        raise ValueError("a sourced run has no jitter analysis: its branches are those of t = 0")
     if run.n_samples < _MIN_SAMPLES:
         raise FitError(f"need at least {_MIN_SAMPLES} samples, got {run.n_samples}")
     if series is None:

@@ -13,9 +13,10 @@ Three independent routes transform field amplitudes:
   wave-function.  The E -+ iB halves rotate by exp(-+ phi n.theta), built
   from the rotation generators; the two constrained components are left
   exactly invariant.  Through the chiral intertwiner this realises the
-  block law diag(L^-1 (x) L, L (x) L^-1) (it coincides with that literal
-  Kronecker form for boosts along x and z, which
-  ``tests/test_lorentz.py::test_block_law_coincides_on_x_and_z`` pins).
+  block law diag(L^-1 (x) L, L (x) L^-1).  It coincides with that literal
+  Kronecker form for boosts along x and z only, which
+  ``tests/test_lorentz.py::test_block_law_coincides_on_x_and_z`` pins: for
+  other directions the mixed Kronecker pairing is no group homomorphism.
 * ``tensor_boost_oracle``: conjugates the 4x4 field tensor by the
   complex-orthogonal boost exp(phi n.kappa) in (ict, x, y, z) coordinates.
 * ``closed_form_field_boost``: the textbook E/B formulas, the arbiter.
@@ -157,31 +158,14 @@ def chiral_intertwiner() -> np.ndarray:
     return np.block([[-tq, tq], [-t, -t]])
 
 
-def _chiral_law(boost: Boost, photon: bool) -> np.ndarray:
-    """The chiral-basis block law diag(X (x) L, Y (x) L^-1), with (X, Y) =
-    (L^-1, L) for the electromagnetic law and (I2, I2) for the electron's."""
-    el = boost_matrix_L(boost)
-    eli = np.linalg.inv(el)
-    x, y = (eli, el) if photon else (np.eye(2), np.eye(2))
-    z4 = np.zeros((4, 4), dtype=complex)
-    return np.block([[np.kron(x, el), z4], [z4, np.kron(y, eli)]])
-
-
-def _embedded_law(boost: Boost, photon: bool) -> np.ndarray:
-    """``_chiral_law`` mapped to the embedded basis by the chiral intertwiner.
-
-    The electromagnetic one coincides with ``em_transform_matrix`` for boosts
-    along x or z only: for other directions the mixed Kronecker pairing is no
-    group homomorphism, and the theta-rotation form is the one meeting the
-    tensor and closed-form routes."""
-    v = chiral_intertwiner()
-    return v.conj().T @ _chiral_law(boost, photon) @ v / 4.0
-
-
 def electron_transform_matrix(boost: Boost) -> np.ndarray:
     """The 8x8 electron boost diag(I2 (x) L, I2 (x) L^-1) in the chiral
-    basis, expressed on the embedded basis."""
-    return _embedded_law(boost, photon=False)
+    basis, mapped to the embedded basis by the chiral intertwiner."""
+    el = boost_matrix_L(boost)
+    z4 = np.zeros((4, 4), dtype=complex)
+    law = np.block([[np.kron(np.eye(2), el), z4], [z4, np.kron(np.eye(2), np.linalg.inv(el))]])
+    v = chiral_intertwiner()
+    return v.conj().T @ law @ v / 4.0
 
 
 def tensor_boost_oracle(e: np.ndarray, b: np.ndarray, boost: Boost) -> tuple[np.ndarray, np.ndarray]:

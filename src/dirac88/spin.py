@@ -128,11 +128,12 @@ def photon_spin_selection(psi: SpinorField8) -> SpinSelectionReport:
 def _warn_if_packet_too_wide(run):
     """The box-centred coordinate wraps at the boundary; warn when the first
     sample's density RMS width exceeds L/8 on some axis (translation-invariant
-    states are exempt, their width is a matter of convention)."""
+    states are exempt, their width is a matter of convention, and so are 1-D
+    grids, where r x p needs two grid axes and <L> is identically 0)."""
     density = run.moments.density0
     total = float(np.sum(density))
     peak = float(np.max(density))
-    if total == 0.0 or (peak - float(np.min(density))) < 1e-6 * peak:
+    if run.grid.ndim < 2 or total == 0.0 or (peak - float(np.min(density))) < 1e-6 * peak:
         return
     for axis in range(run.grid.ndim):
         n = run.grid.points[axis]
@@ -159,7 +160,7 @@ def angular_momentum_series(run) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (spin-1 for photon runs, spin-1/2 otherwise) times hbar.  Both take hbar
     from the run and are normalised by the wave-function norm (zero for
     identically-zero samples, NaN for NaN ones).  Warns when a localised
-    packet reaches the box boundary (wrap-around corrupts <L>).
+    packet reaches the boundary of a 2-D or 3-D box (wrap-around corrupts <L>).
     """
     hbar, moments = run.hbar, run.moments
     spin_op = (spin_one() if run.kind == PHOTON else spin_half()).components

@@ -227,7 +227,6 @@ def test_zitter_no_oscillation_path(tmp_path):
         "duration": 2.0,
         "samples": 24,
         "state": {"type": "circular_analytic", "mode": 3, "helicity": -1},
-        "expect_no_oscillation": True,
         "tolerance": 1e-12,
     }
     path = write_cfg(tmp_path, "cfg.json", cfg)
@@ -235,6 +234,31 @@ def test_zitter_no_oscillation_path(tmp_path):
     assert run_command("zitter", path, str(out)) == 0
     zit = json.loads((out / "zitter.json").read_text())
     assert max(zit["oscillation_amplitude"]) < 1e-12
+
+
+NO_OSCILLATION = "no oscillation for a single energy branch"
+FREQUENCY = "fitted jitter frequency = doubled mode frequency"
+
+
+@pytest.mark.parametrize("grid, keys, row, tolerance", [
+    ([16], {"mass": 1.0, "duration": 9.0, "samples": 160, "state": {
+        "type": "electron_rest_mix", "plus_weight": 1.0, "minus_weight": 0.0}}, NO_OSCILLATION, 1e-12),
+    ([64], {"duration": 6.0, "samples": 64, "series": "point",
+            "state": {"type": "circular_analytic", "mode": 2}}, NO_OSCILLATION, 1e-12),
+    ([16], {"mass": 1.0, "duration": 9.0, "samples": 160,
+            "state": {"type": "electron_rest_mix"}}, FREQUENCY, 1e-6),
+    ([16], {"mass": 1.0, "duration": 9.0, "samples": 160, "tolerance": 1e-3, "state": {
+        "type": "electron_rest_mix", "plus_weight": 1.0, "minus_weight": 0.0}}, NO_OSCILLATION, 1e-3),
+], ids=["single-branch-rest-mix", "circular-point", "two-branch-rest-mix", "given-tolerance"])
+def test_zitter_row_follows_the_branches(tmp_path, grid, keys, row, tolerance):
+    # a state with an interference line gets the frequency row, one without it the
+    # no-oscillation row: nothing passes the frequency row with nothing fitted
+    cfg = {"grid": {"points": grid, "lengths": [TWO_PI]}, **keys}
+    out = tmp_path / "out"
+    assert run_command("zitter", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 0
+    rows = read_summary(out)["checks"]
+    assert [(r["name"], r["tolerance"]) for r in rows] == [(row, tolerance)]
+    assert bool(json.loads((out / "zitter.json").read_text())["lines"]) == (row == FREQUENCY)
 
 
 def test_units_block(tmp_path):
@@ -665,6 +689,13 @@ def sourced_cfg():
     return cfg
 
 
+def compare_cfg():
+    cfg = sourced_cfg()
+    del cfg["checks"]
+    cfg["tolerance"] = 1e-8
+    return cfg
+
+
 def zitter_cfg():
     return {"grid": {"points": [16], "lengths": [TWO_PI]}, "mass": 1.0, "duration": 9.0,
             "samples": 32, "state": {"type": "electron_rest_mix"}, "tolerance": 1e-6}
@@ -710,7 +741,6 @@ NAN = float("nan")
     ("evolve", evolve_cfg, "state.helicity",
      lambda cfg: cfg.update(state={"type": "circular_analytic", "mode": 2, "helicity": True})),
     ("evolve", evolve_cfg, "checks.norm_drift", lambda cfg: cfg["checks"].update(norm_drift=True)),
-    ("zitter", zitter_cfg, "expect_no_oscillation", lambda cfg: cfg.update(expect_no_oscillation="no")),
     ("evolve", evolve_cfg, "series", lambda cfg: cfg.update(series="angular_momentun")),
     ("zitter", zitter_cfg, "series", lambda cfg: cfg.update(series="pointt")),
     ("zitter", zitter_cfg, "state.type", lambda cfg: cfg.update(state={"type": "zero_field"})),
@@ -721,16 +751,21 @@ NAN = float("nan")
                                                         "circular_analytic")),
     ("evolve", evolve_cfg, "state.polarisation", lambda cfg: cfg["state"].update(polarisation="z")),
     ("zitter", zitter_cfg, "mass", lambda cfg: cfg.update(mass=0)),
+    # the photon states take no mass: a given one is refused, never dropped
+    ("evolve", evolve_cfg, "mass", lambda cfg: cfg.update(mass=1.0)),
+    ("zitter", zitter_cfg, "mass", lambda cfg: cfg.update(state={"type": "travelling_wave"})),
+    ("compare-oracle", compare_cfg, "mass", lambda cfg: cfg.update(mass=1.0)),
 ], ids=["substeps-zero", "substeps-odd", "duration-nan", "mass-nan", "state-amplitude-nan",
         "checks-tolerance-nan", "source-amplitude-nan", "source-omega-nan", "source-sigma-nan",
         "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan",
         "helicity-string", "polarisation-unknown", "weights-zero", "weight-nan",
         "source-center-string", "state-center-nan", "direction-nan", "k0-mode-string",
         "k0-mode-float", "helicity-bool", "check-tolerance-bool",
-        "no-oscillation-string", "evolve-series-unknown", "zitter-series-unknown",
+        "evolve-series-unknown", "zitter-series-unknown",
         "zitter-zero-field", "zitter-zero-amplitude", "travelling-mode-zero",
         "standing-mode-zero", "circular-mode-zero", "polarisation-along-mode",
-        "rest-mix-massless"])
+        "rest-mix-massless", "photon-mass-evolve", "photon-mass-zitter",
+        "photon-mass-compare-oracle"])
 def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)
@@ -742,7 +777,7 @@ def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_zero_norm_samples_have_zero_expectations(tmp_path):
+def test_zero_norm_samples_have_zero_expectations(tmp_path, capsys):
     cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 1.0, "samples": 5,
            "state": {"type": "zero_field"}, "series": "angular_momentum",
            "checks": {"norm_drift": 1e-8, "angular_momentum_drift": 1e-12}}
@@ -751,13 +786,14 @@ def test_zero_norm_samples_have_zero_expectations(tmp_path):
     rows = (out / "angular_momentum.csv").read_text().splitlines()[1:]
     assert len(rows) == 5 and all(float(x) == 0.0 for row in rows for x in row.split(",")[1:])
     assert all(row["pass"] for row in read_summary(out)["checks"])
-    # a source lets zitter run from the zero state: sample 0 has no lines to fit
+    # zitter analyses free runs only, so a driven zero state cannot pass a check
+    # with nothing fitted
     cfg = {**zitter_cfg(), "mass": 0.0, "state": {"type": "zero_field"},
            "source": {"type": "gaussian_dipole", "direction": [0, 1, 0], "sigma": 0.4}}
     out = tmp_path / "zitter"
-    assert run_command("zitter", write_cfg(tmp_path, "zitter.json", cfg), str(out)) == 0
-    zit = json.loads((out / "zitter.json").read_text())
-    assert zit["lines"] == [] and zit["dc_prediction"] == [0.0, 0.0, 0.0]
+    assert run_command("zitter", write_cfg(tmp_path, "zitter.json", cfg), str(out)) == 2
+    assert "unknown key 'source'" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_zitter_too_short_run_records_fit_error(tmp_path):
@@ -826,13 +862,6 @@ def test_electron_packet_tiny_weight_is_the_unit_weight(tmp_path, tiny):
     assert artifacts(tiny) == artifacts(1)
 
 
-def compare_cfg():
-    cfg = sourced_cfg()
-    del cfg["checks"]
-    cfg["tolerance"] = 1e-8
-    return cfg
-
-
 @pytest.mark.parametrize("command, make, key, edit", [
     ("evolve", evolve_cfg, "checks.norm_drfit", lambda cfg: cfg.update(checks={"norm_drfit": 1e-8})),
     ("zitter", zitter_cfg, "checks", lambda cfg: cfg.update(checks={"norm_drift": 1e-30})),
@@ -858,11 +887,17 @@ def compare_cfg():
     ("zitter", zitter_cfg, "seed", lambda cfg: cfg.update(seed=0)),
     ("boost-demo", boost_cfg, "seed", lambda cfg: cfg.update(seed=3)),
     ("compare-oracle", compare_cfg, "seed", lambda cfg: cfg.update(seed=1)),
+    # zitter reads its check from the run's branches and analyses free runs only
+    ("zitter", zitter_cfg, "expect_no_oscillation", lambda cfg: cfg.update(expect_no_oscillation="no")),
+    ("zitter", zitter_cfg, "expect_no_oscillation", lambda cfg: cfg.update(expect_no_oscillation=True)),
+    ("zitter", zitter_cfg, "source", lambda cfg: cfg.update(source={"type": "uniform_current"})),
+    ("zitter", zitter_cfg, "substeps", lambda cfg: cfg.update(substeps=32)),
 ], ids=["check-name-typo", "checks-on-zitter", "checks-on-compare-oracle", "outputs-on-zitter",
         "tolerance-on-evolve", "unknown-source-key", "c-beside-units-c", "top-level-hbar",
         "top-level-c", "violate-continuity-string", "violate-continuity-false",
         "violate-continuity-on-compare-oracle", "seed-on-verify-algebra", "seed-on-spin-check",
-        "seed-on-evolve", "seed-on-zitter", "seed-on-boost-demo", "seed-on-compare-oracle"])
+        "seed-on-evolve", "seed-on-zitter", "seed-on-boost-demo", "seed-on-compare-oracle",
+        "no-oscillation-string", "no-oscillation-true", "source-on-zitter", "substeps-on-zitter"])
 def test_key_a_command_does_not_read_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)
@@ -879,7 +914,7 @@ def test_electron_packet_split_with_config_units(tmp_path, units):
     # the packet is projected on the positive branch of the run's own H, so a
     # single-branch packet shows no jitter whatever c and hbar are
     cfg = {"grid": {"points": [32], "lengths": [TWO_PI]}, "mass": 1.0, "units": units,
-           "duration": 6.0, "samples": 32, "expect_no_oscillation": True,
+           "duration": 6.0, "samples": 32,
            "state": {"type": "electron_packet", "plus_weight": 1.0, "minus_weight": 0.0,
                      "k0_mode": 1}}
     out = tmp_path / "o"

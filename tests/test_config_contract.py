@@ -77,7 +77,6 @@ def value_strategies(command, points, samples, strict):
         **{f"checks.{name}": tolerance for name in CHECKS},
         "series": st.sampled_from(SERIES.get(command, [""])),
         "point_index": st.tuples(*[st.integers(-n, n - 1) for n in points]).map(list),
-        "expect_no_oscillation": st.booleans(),
         "tolerance": tolerance,
         "outputs.snapshots": st.lists(st.integers(-samples, samples - 1), max_size=3),
         "velocity": st.lists(floats(-0.57, 0.57), min_size=3, max_size=3),   # |v| < 1
@@ -175,8 +174,6 @@ def bad_values(key, cfg):
         return ["bogus", True, 1, None, ["x"]]
     if key == "state.helicity":
         return [0, 2, True, 1.0, "1"]
-    if key == "expect_no_oscillation":
-        return ["no", 1, 0, None]
     raise AssertionError(f"no out-of-domain values for {key}")
 
 

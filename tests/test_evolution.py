@@ -550,6 +550,15 @@ def test_a_series_of_another_length_is_rejected():
         zitter_decompose(run, values)
 
 
+def test_a_sourced_run_is_rejected():
+    # a source term moves the samples away from what the t = 0 branches predict
+    g = grid1d(16)
+    run = evolve_sourced(states.zero_field(g), states.uniform_current(g, [0, 1, 0], 1.0, 1.0),
+                         np.linspace(0.0, 9.0, 64))
+    with pytest.raises(ValueError, match="sourced run"):
+        zitter_decompose(run)
+
+
 def test_sample_carries_the_run_units():
     # <H> of a positive-frequency rest electron is m c^2 in the state's own units
     psi = states.electron_rest_mix(grid1d(16), mass=0.8, plus_weight=1.0, minus_weight=0.0)

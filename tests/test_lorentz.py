@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dirac88.algebra import gamma88, pauli_matrices, transformed_dirac88
 from dirac88.errors import ConstraintViolation
 from dirac88.evolution import hamiltonian_k
-from dirac88.lorentz import (Boost, _embedded_law, boost_matrix_L,
+from dirac88.lorentz import (Boost, boost_matrix_L,
                              chiral_intertwiner, closed_form_field_boost,
                              current_coupling_matrix, electron_transform_matrix,
                              em_transform_matrix, em_wavefunction_transform,
@@ -129,21 +129,16 @@ def test_em_transform_preserves_constraint_components():
 
 
 def test_block_law_coincides_on_x_and_z():
-    for v in ((0.6, 0, 0), (0, 0, 0.6), (0.35, 0, 0), (0, 0, -0.8)):
-        b = Boost(v)
-        assert np.max(np.abs(_embedded_law(b, photon=True) - em_transform_matrix(b))) < 1e-13
-
-
-def test_block_law_structure():
-    # the chiral-basis law is block diagonal with Kronecker-factor blocks
-    b = Boost((0, 0, 0.6))
-    el = boost_matrix_L(b)
-    eli = np.linalg.inv(el)
+    # reference: the literal chiral-basis law diag(L^-1 (x) L, L (x) L^-1),
+    # mapped to the embedded basis by the chiral intertwiner
     v = chiral_intertwiner()
-    s = v @ _embedded_law(b, photon=True) @ v.conj().T / 4.0
-    assert np.max(np.abs(s[:4, 4:])) < 1e-14
-    assert np.max(np.abs(s[:4, :4] - np.kron(eli, el))) < 1e-13
-    assert np.max(np.abs(s[4:, 4:] - np.kron(el, eli))) < 1e-13
+    z4 = np.zeros((4, 4), dtype=complex)
+    for velocity in ((0.6, 0, 0), (0, 0, 0.6), (0.35, 0, 0), (0, 0, -0.8)):
+        b = Boost(velocity)
+        el = boost_matrix_L(b)
+        eli = np.linalg.inv(el)
+        law = v.conj().T @ np.block([[np.kron(eli, el), z4], [z4, np.kron(el, eli)]]) @ v / 4.0
+        assert np.max(np.abs(law - em_transform_matrix(b))) < 1e-13
 
 
 def test_electron_transform_identity_and_kron_structure():

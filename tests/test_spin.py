@@ -100,10 +100,7 @@ def test_spin_in_the_run_hbar():
     assert np.max(np.abs(spin[:, 2] - 1.5)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:density RMS width")
 def test_linear_wave_no_spin():
-    # a full-box wave triggers the width warning by design; its spin
-    # expectation is still exact
     g = GridSpec((64,), (TWO_PI,))
     psi = states.travelling_wave(g, 2, "x")
     run = run_free(psi, np.linspace(0.0, 4.0, 33))
@@ -139,13 +136,22 @@ def test_wide_packet_warns():
     assert record[0].filename == __file__
 
 
-def test_narrow_packet_does_not_warn():
-    g = GridSpec((16, 16, 16), (TWO_PI,) * 3)
+def narrow_packet():
     spinor = np.zeros(8, complex)
     spinor[3] = 1.0
-    psi = states.electron_gaussian_packet(g, mass=5.0, sigma=TWO_PI / 14,
-                                          plus_weight=1.0, spinor=spinor)
-    run = run_free(psi, np.linspace(0.0, 0.2, 17))
+    return states.electron_gaussian_packet(GridSpec((16, 16, 16), (TWO_PI,) * 3), mass=5.0,
+                                           sigma=TWO_PI / 14, plus_weight=1.0, spinor=spinor)
+
+
+def wave_on_a_line():
+    # a full-box wave, but r x p needs two grid axes: on a 1-D grid <L> is 0
+    # and wrap-around has nothing to corrupt
+    return states.travelling_wave(GridSpec((16,), (TWO_PI,)), 1, "x")
+
+
+@pytest.mark.parametrize("make", [narrow_packet, wave_on_a_line], ids=["3d-packet", "1d-wave"])
+def test_narrow_packet_does_not_warn(make):
+    run = run_free(make(), np.linspace(0.0, 0.2, 17))
     import warnings as _w
     with _w.catch_warnings():
         _w.simplefilter("error")
