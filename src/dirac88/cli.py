@@ -110,14 +110,13 @@ _AXIS_NUMBERS = _list(_NUMBER, "a list of finite numbers, one per grid axis")
 _AXIS_INTEGERS = _list(_INTEGER, "a list of integers, one per grid axis")
 _MODE = _Type("an integer, or a list of integers, one per grid axis",
               lambda v: _INTEGER.test(v) or _AXIS_INTEGERS.test(v))
-# state.type and source.type -> the function in ``states`` that makes it; the config
-# keys that name its arguments, from the block or else the top level, are passed to it
+# state.type and source.type -> the function in ``states`` that makes it; its block takes
+# only the keys that name its arguments, and mass and the units come from the top level
 _STATES = {"zero_field": "zero_field", "travelling_wave": "travelling_wave",
            "standing_wave": "standing_wave", "circular_analytic": "circular_wave_analytic",
            "electron_rest_mix": "electron_rest_mix", "electron_packet": "electron_gaussian_packet"}
 _SOURCES = {"uniform_current": "uniform_current", "gaussian_dipole": "gaussian_dipole_current"}
-_WAVES = ("travelling_wave", "standing_wave", "circular_analytic")
-_PHOTON_STATES = ("zero_field",) + _WAVES
+_PHOTON_STATES = ("zero_field", "travelling_wave", "standing_wave", "circular_analytic")
 
 # dotted key -> (type and domain, default).  A default is a value (an object's is walked
 # like a given block), a function f of the keys before it by dotted key, None or _REQUIRED.
@@ -167,9 +166,15 @@ def _walk(table: dict, raw, flat: dict, prefix: str = "") -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix[:-1] or 'config'} must be an object, got {raw!r}")
     names = [key[len(prefix):] for key in table if key.rpartition(".")[0] == prefix[:-1]]
+    makers = {"state.": _STATES, "source.": _SOURCES}.get(prefix, {})
+    chosen, of = raw.get("type"), ""
+    if isinstance(chosen, str) and chosen in makers:   # a list is not hashable
+        reads = inspect.signature(getattr(states, makers[chosen])).parameters
+        names = [name for name in names if name == "type" or name in reads]
+        of = f" for a {chosen!r} {prefix[:-1]}"
     for name in raw:
         if name not in names:
-            raise ConfigError(f"unknown key '{prefix}{name}'")
+            raise ConfigError(f"unknown key '{prefix}{name}'{of}")
     out = {}
     for name in names:
         key = prefix + name
@@ -195,19 +200,21 @@ def _checked_config(table: dict, raw: dict) -> dict:
         return cfg
     points, kind = flat["grid.points"], flat["state.type"]
     axial = ["grid.lengths", "state.k0_mode", "state.center", "source.center", "point_index"]
-    for key in axial + (["state.mode"] if kind in _WAVES else []):
+    for key in axial + ["state.mode"]:
         if flat.get(key) is not None and np.size(flat[key]) != len(points):
             raise ConfigError(f"{key} must be {table[key][0].text}, got {flat[key]!r}")
-    index = flat.get("point_index", ())
+    index = flat.get("point_index") or ()
     if not all(-n <= i < n for i, n in zip(index, points)):
         raise ConfigError(f"point_index must be in [-points, points) on grid {points}, got {index}")
+    if index and flat["series"] != "point":
+        raise ConfigError(f'point_index must be given only with series "point", got {index}')
     snaps, samples = flat.get("outputs.snapshots", []), flat["samples"]
     if snaps and kind not in _PHOTON_STATES or not all(-samples <= s < samples for s in snaps):
         raise ConfigError(f"outputs.snapshots must be sample indices in [{-samples}, {samples}) "
                           f"of a photon state, got {snaps} of a {kind!r} state")
     if cfg.get("source") and kind not in _PHOTON_STATES:
         raise ConfigError(f"source must be absent: a source needs a photon state, not {kind!r}")
-    if flat["state.plus_weight"] == 0.0 and flat["state.minus_weight"] == 0.0:
+    if flat.get("state.plus_weight") == 0.0 and flat.get("state.minus_weight") == 0.0:
         raise ConfigError("state.plus_weight must be > 0 when state.minus_weight is 0")
     # zitter (the one table with point_index) analyses the velocity of a free
     # state, and a state of norm 0 has none
@@ -215,7 +222,7 @@ def _checked_config(table: dict, raw: dict) -> dict:
         if kind == "zero_field":
             raise ConfigError("state.type must be a state of nonzero norm for zitter, "
                               "got 'zero_field'")
-        if kind in _WAVES and flat["state.amplitude"] == 0.0:
+        if flat.get("state.amplitude") == 0.0:
             raise ConfigError("state.amplitude must be nonzero for zitter, got 0")
     if kind in _PHOTON_STATES and flat["mass"] != 0.0:
         raise ConfigError(f"mass must be 0 for a photon state, got {flat['mass']!r}")
@@ -401,7 +408,9 @@ COMMANDS = {
     "spin-check": (_cmd_spin_check, {}),
     "evolve": (_cmd_evolve, {
         **_RUN, **_SOURCED,
-        "checks": (_OBJECT, {"norm_drift": 1e-8, "energy_drift": 1e-8}),
+        # a driven run conserves neither norm nor energy
+        "checks": (_OBJECT, lambda f: {"constraint": 1e-10} if f["source"]
+                   else {"norm_drift": 1e-8, "energy_drift": 1e-8}),
         **{f"checks.{name}": (_NONNEGATIVE, None)
            for name in ("norm_drift", "energy_drift", "constraint", "angular_momentum_drift")},
         "series": (_choice("angular_momentum"), None),
@@ -411,7 +420,7 @@ COMMANDS = {
     "zitter": (_cmd_zitter, {
         **_RUN,
         "series": (_choice("point"), None),
-        "point_index": (_AXIS_INTEGERS, lambda f: [0] * len(f["grid.points"])),
+        "point_index": (_AXIS_INTEGERS, lambda f: f["series"] and [0] * len(f["grid.points"])),
         "tolerance": (_NONNEGATIVE, None),   # off: the row's own, 1e-12 or 1e-6
     }),
     "boost-demo": (_cmd_boost_demo, {

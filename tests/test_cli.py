@@ -892,20 +892,67 @@ def test_electron_packet_tiny_weight_is_the_unit_weight(tmp_path, tiny):
     ("zitter", zitter_cfg, "expect_no_oscillation", lambda cfg: cfg.update(expect_no_oscillation=True)),
     ("zitter", zitter_cfg, "source", lambda cfg: cfg.update(source={"type": "uniform_current"})),
     ("zitter", zitter_cfg, "substeps", lambda cfg: cfg.update(substeps=32)),
+    # a state or source block takes only the keys its type reads
+    ("evolve", evolve_cfg, "state.helicity", lambda cfg: cfg["state"].update(helicity=-1)),
+    ("evolve", evolve_cfg, "state.sigma", lambda cfg: cfg["state"].update(sigma=0.3)),
+    ("evolve", evolve_cfg, "state.k0_mode", lambda cfg: cfg["state"].update(k0_mode=1)),
+    ("evolve", evolve_cfg, "state.plus_weight", lambda cfg: cfg["state"].update(plus_weight=1.0)),
+    ("evolve", evolve_cfg, "state.polarisation", lambda cfg: cfg.update(
+        state={"type": "circular_analytic", "mode": 2, "polarisation": "y"})),
+    *(("evolve", evolve_cfg, f"state.{name}", lambda cfg, name=name, value=value: cfg.update(
+        mass=1.0, state={"type": "electron_packet", name: value}))
+      for name, value in (("mode", [1]), ("amplitude", 5.0), ("polarisation", "y"))),
+    *(("evolve", evolve_cfg, f"state.{name}", lambda cfg, name=name, value=value: cfg.update(
+        state={"type": "zero_field", name: value}))
+      for name, value in (("amplitude", 1.0), ("mode", 1), ("polarisation", "x"),
+                          ("helicity", 1), ("plus_weight", 1.0), ("minus_weight", 0.0),
+                          ("sigma", 0.3), ("k0_mode", 1), ("center", [0.0]))),
+    ("evolve", sourced_cfg, "source.sigma",
+     lambda cfg: cfg.update(source={"type": "uniform_current", "sigma": 0.4})),
+    ("compare-oracle", compare_cfg, "source.center",
+     lambda cfg: cfg.update(source={"type": "uniform_current", "center": [1.0]})),
+    # point_index is read only beside series "point"
+    ("zitter", zitter_cfg, "point_index", lambda cfg: cfg.update(point_index=[5])),
 ], ids=["check-name-typo", "checks-on-zitter", "checks-on-compare-oracle", "outputs-on-zitter",
         "tolerance-on-evolve", "unknown-source-key", "c-beside-units-c", "top-level-hbar",
         "top-level-c", "violate-continuity-string", "violate-continuity-false",
         "violate-continuity-on-compare-oracle", "seed-on-verify-algebra", "seed-on-spin-check",
         "seed-on-evolve", "seed-on-zitter", "seed-on-boost-demo", "seed-on-compare-oracle",
-        "no-oscillation-string", "no-oscillation-true", "source-on-zitter", "substeps-on-zitter"])
+        "no-oscillation-string", "no-oscillation-true", "source-on-zitter", "substeps-on-zitter",
+        "helicity-on-travelling-wave", "sigma-on-travelling-wave", "k0-mode-on-travelling-wave",
+        "plus-weight-on-travelling-wave", "polarisation-on-circular-wave",
+        "mode-on-electron-packet", "amplitude-on-electron-packet",
+        "polarisation-on-electron-packet", "amplitude-on-zero-field", "mode-on-zero-field",
+        "polarisation-on-zero-field", "helicity-on-zero-field", "plus-weight-on-zero-field",
+        "minus-weight-on-zero-field", "sigma-on-zero-field", "k0-mode-on-zero-field",
+        "center-on-zero-field", "sigma-on-uniform-current", "center-on-uniform-current",
+        "point-index-without-series"])
 def test_key_a_command_does_not_read_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)
     path = write_cfg(tmp_path, "cfg.json", cfg)
     out = tmp_path / "o"
     assert run_command(command, path, str(out)) == 2
-    assert f"unknown key '{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    block, dot, _ = key.partition(".")
+    if dot and block in ("state", "source"):
+        assert f"unknown key '{key}' for a '{cfg[block]['type']}' {block}\n" in err
+    elif key == "point_index":
+        assert 'point_index must be given only with series "point"' in err
+    else:
+        assert f"unknown key '{key}'\n" in err
     assert not (out / "summary.json").exists()
+
+
+def test_sourced_evolve_checks_its_constraint_by_default(tmp_path):
+    # a driven run conserves neither norm nor energy, so those rows are not its default
+    cfg = sourced_cfg()
+    del cfg["checks"]
+    out = tmp_path / "o"
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 0
+    rows = read_summary(out)["checks"]
+    assert [(row["name"], row["tolerance"]) for row in rows] == [
+        ("constrained components stay zero", 1e-10)]
 
 
 @pytest.mark.parametrize("units", [{"c": 2.0, "hbar": 1.5}, {"hbar": 0.5}],
@@ -941,8 +988,9 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
 def test_shipped_config_runs(tmp_path, config):
     # the file name starts with the command it is for
-    command = {"verify": "verify-algebra", "zitter": "zitter", "evolve": "evolve",
-               "compare": "compare-oracle", "boost": "boost-demo"}[config.stem.split("_")[0]]
+    command = {"verify": "verify-algebra", "spin": "spin-check", "zitter": "zitter",
+               "evolve": "evolve", "compare": "compare-oracle",
+               "boost": "boost-demo"}[config.stem.split("_")[0]]
     assert run_command(command, str(config), str(tmp_path / "o")) == 0
     # a row without a bound checks nothing: each is a measurement against its tolerance
     rows = read_summary(tmp_path / "o")["checks"]
@@ -977,3 +1025,50 @@ def test_readme_tables_list_the_schema_keys():
     assert set(tables) == {command for command, (_, table) in COMMANDS.items() if table}
     for command, (_, table) in COMMANDS.items():
         assert sorted(tables.get(command, [])) == sorted(table), command
+
+
+def typed_blocks():
+    """(block, type, builder, the block's keys of the command tables beside type)."""
+    import inspect
+
+    import dirac88.cli as cli
+    from dirac88 import states
+    keys = {key for _, table in cli.COMMANDS.values() for key in table}
+    for block, makers in (("state", cli._STATES), ("source", cli._SOURCES)):
+        names = sorted(key.split(".")[1] for key in keys
+                       if key.startswith(f"{block}.") and key != f"{block}.type")
+        for kind, function in makers.items():
+            yield block, kind, inspect.signature(getattr(states, function)).parameters, names
+
+
+# a value in the domain of each state and source key
+TYPED_VALUES = {"amplitude": 2.0, "mode": 1, "polarisation": "y", "helicity": -1,
+                "plus_weight": 1.0, "minus_weight": 1.0, "sigma": 0.5, "k0_mode": 1,
+                "center": [0.5], "direction": [0, 0, 1], "omega": 2.0}
+
+
+def test_a_typed_block_takes_exactly_its_builders_parameters():
+    import dirac88.cli as cli
+    from dirac88.errors import ConfigError
+    table = cli.COMMANDS["evolve"][1]
+    for block, kind, parameters, names in typed_blocks():
+        accepted = []
+        for name in names:
+            cfg = {**evolve_cfg(), "state": {"type": "zero_field"},
+                   block: {"type": kind, name: TYPED_VALUES[name]}}
+            try:
+                cli._walk(table, cfg, {})
+            except ConfigError as exc:
+                assert str(exc) == f"unknown key '{block}.{name}' for a '{kind}' {block}"
+            else:
+                accepted.append(name)
+        assert accepted == [name for name in names if name in parameters], kind
+
+
+def test_every_typed_key_is_read_by_some_type():
+    keys, reads = {}, {}
+    for block, _, parameters, names in typed_blocks():
+        keys[block] = set(names)
+        reads.setdefault(block, set()).update(parameters)
+    for block, names in keys.items():
+        assert names <= reads[block], (block, names - reads[block])

@@ -2,9 +2,11 @@
 
 A config drawn from the command tables runs (exit 0 or 1) or exits 2
 through a documented rule whose message names its key; it never exits 4
-and never raises.  One key set to a value outside its domain exits 2,
-names that dotted key and writes no summary.json.  The domains below are
-restated from the README tables, so a table that accepts too much fails.
+and never raises.  A state or source block takes only the keys its type
+reads: any other key exits 2 as unknown, naming the type.  One key set to
+a value outside its domain exits 2, names that dotted key and writes no
+summary.json.  The domains below are restated from the README tables, so
+a table that accepts too much fails.
 """
 
 import contextlib
@@ -26,8 +28,19 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples
 # at most 16 grid points in all
 GRIDS = [[2], [4], [8], [16], [2, 2], [2, 4], [4, 4], [8, 2], [2, 2, 2], [2, 2, 4], [4, 2, 2]]
 PHOTON_STATES = ["zero_field", "travelling_wave", "standing_wave", "circular_analytic"]
-WAVES = PHOTON_STATES[1:]
 STATE_TYPES = PHOTON_STATES + ["electron_rest_mix", "electron_packet"]
+# state.type or source.type -> the keys of its block that it reads, beside type
+READS = {
+    "zero_field": [],
+    "travelling_wave": ["amplitude", "mode", "polarisation"],
+    "standing_wave": ["amplitude", "mode", "polarisation"],
+    "circular_analytic": ["amplitude", "mode", "helicity"],
+    "electron_rest_mix": ["plus_weight", "minus_weight"],
+    "electron_packet": ["plus_weight", "minus_weight", "sigma", "k0_mode", "center"],
+    "uniform_current": ["direction", "amplitude", "omega"],
+    "gaussian_dipole": ["direction", "amplitude", "omega", "sigma", "center"],
+}
+TYPED = {"state", "source"}   # the blocks whose type picks their keys
 REQUIRED = {"grid", "grid.points", "grid.lengths", "duration", "samples", "state", "state.type",
             "source.type", "velocity", "e", "b"}
 BLOCKS = {"grid", "units", "state", "source", "checks", "outputs"}
@@ -43,8 +56,9 @@ def value_strategies(command, points, samples, strict):
     """Key -> strategy of a value in its domain on a grid of ``points``.
 
     ``strict`` also keeps the cross-key rules that a value of one key alone
-    cannot break: the branch weights are not both 0 and snapshots only
-    appear for photon states (drawn in ``configs``)."""
+    cannot break: the branch weights are not both 0, and snapshots only
+    appear for photon states and point_index only with a series (drawn in
+    ``configs``)."""
     ndim = len(points)
     axis_ints = st.lists(st.integers(-3, 3), min_size=ndim, max_size=ndim)
     axis_floats = st.lists(floats(-3.0, 3.0), min_size=ndim, max_size=ndim)
@@ -85,17 +99,27 @@ def value_strategies(command, points, samples, strict):
     }
 
 
+def unread(cfg, key):
+    """Whether ``key`` is in a typed block of ``cfg`` whose type does not read it."""
+    block, _, name = key.rpartition(".")
+    return block in TYPED and name != "type" and name not in READS[cfg[block]["type"]]
+
+
 @st.composite
 def configs(draw, command, strict=False):
-    """A config of ``command`` with every value in its key's domain."""
+    """A config of ``command`` with every value in its key's domain.  Unless
+    ``strict``, some configs also carry keys that their state or source type
+    does not read."""
     table = COMMANDS[command][1]
     points, samples = draw(st.sampled_from(GRIDS)), draw(st.integers(2, 40))
     values = value_strategies(command, points, samples, strict)
     assert set(table) <= set(values) | BLOCKS, set(table) - set(values) - BLOCKS
+    foreign = not strict and draw(st.integers(0, 3)) == 3   # about one config in four
     cfg, absent = {}, set()
     for key in table:
         block, _, name = key.rpartition(".")
-        if block in absent or key not in REQUIRED and not draw(st.booleans()):
+        if block in absent or not foreign and unread(cfg, key) \
+                or key not in REQUIRED and not draw(st.booleans()):
             absent.add(key)
             continue
         parent = cfg[block] if block else cfg
@@ -103,6 +127,8 @@ def configs(draw, command, strict=False):
     state = cfg.get("state", {})
     if strict and state.get("type") not in PHOTON_STATES:
         cfg.get("outputs", {}).pop("snapshots", None)
+    if strict and "series" not in cfg:
+        cfg.pop("point_index", None)
     return cfg
 
 
@@ -126,8 +152,14 @@ def test_drawn_config_runs_or_exits_2_naming_a_key(data):
     code, err, summary = run(command, cfg)
     assert code in (0, 1, 2), err
     if code == 2:
-        named = re.match(r"error: (\S+) must be", err)
-        assert named and named.group(1) in COMMANDS[command][1], err
+        unknown = re.match(r"error: unknown key '(\S+)' for a '(\w+)' (\w+)$", err)
+        if unknown:
+            key, kind, block = unknown.groups()
+            assert key.startswith(f"{block}.") and cfg[block]["type"] == kind, err
+            assert key in COMMANDS[command][1] and unread(cfg, key), err
+        else:
+            named = re.match(r"error: (\S+) must be", err)
+            assert named and named.group(1) in COMMANDS[command][1], err
         assert not summary
     else:
         # exit 1 without a summary only when strict JSON refuses a NaN
@@ -159,9 +191,7 @@ def bad_values(key, cfg):
         bad = ["x", 1.0, [math.nan] * ndim, [True] * ndim, ["1"] * ndim, [1.0] * (ndim + 1)]
         return bad + ([[0.0] * ndim, [-1.0] * ndim] if key == "grid.lengths" else [])
     if key in ("state.mode", "state.k0_mode"):
-        bad = ["a", True, 1.5, None, [1.5] * ndim, [True] * ndim]
-        wrong_length = key == "state.k0_mode" or cfg["state"]["type"] in WAVES
-        return bad + ([[1] * (ndim + 1)] if wrong_length else [])
+        return ["a", True, 1.5, None, [1.5] * ndim, [True] * ndim, [1] * (ndim + 1)]
     if key == "point_index":
         return ["x", 0, [1.5] * ndim, [True] * ndim, [0] * (ndim + 1),
                 [points[0]] + [0] * (ndim - 1), [-points[-1] - 1] * ndim]
@@ -184,7 +214,7 @@ def test_one_out_of_domain_key_exits_2_naming_it(data):
     cfg = data.draw(configs(command, strict=True))
     table = COMMANDS[command][1]
     blocks = [""] + [key for key in BLOCKS & set(table) if key in cfg]
-    keys = [key for key in table if key.rpartition(".")[0] in blocks]
+    keys = [key for key in table if key.rpartition(".")[0] in blocks and not unread(cfg, key)]
     key = data.draw(st.sampled_from(keys + [f"{block}.bogus_key".lstrip(".") for block in blocks]))
     block, _, name = key.rpartition(".")
     parent = cfg[block] if block else cfg
