@@ -154,7 +154,7 @@ _SOURCED = {
     "source.omega": (_NUMBER, 1.0),
     "source.sigma": (_POSITIVE, lambda f: f["grid.lengths"][0] / 16.0),
     "source.center": (_AXIS_NUMBERS, None),
-    # sets only the oracle's quadrature (compare-oracle); evolve accepts it for old configs
+    # read by no command; accepted because the benchmark's configs carry it
     "substeps": (_Type("an even integer >= 2", lambda v: type(v) is int and v >= 2 and not v % 2),
                  64),
 }
@@ -391,9 +391,11 @@ def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_compare_oracle(cfg: dict, outdir: Path, checks: _Checks):
+    kind = cfg["state"]["type"]
+    if kind not in _PHOTON_STATES:   # the classical solver evolves fields only
+        raise ConfigError(f"state.type must be a photon state for compare-oracle, got {kind!r}")
     run, psi0, source = _run_from_config(cfg)
-    em0 = extract_em(psi0)
-    oracle_run = maxwell_evolve(em0, source, run.times, substeps=cfg["substeps"], c=run.c)
+    oracle_run = maxwell_evolve(extract_em(psi0), source, run.times, c=run.c)
     rep = compare(run, oracle_run)
     checks.add("wave-equation fields match the classical solver",
                "exact embedding of the curl equations", rep.max_abs, cfg["tolerance"])

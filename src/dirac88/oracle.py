@@ -2,22 +2,18 @@
 
 Works per Fourier mode on the six field components directly: the free
 curl equations rotate E +- iB about the wave vector by the angle +- c|k|t
-(Rodrigues form, exact), and the current source is integrated with a
-fourth-order composite Simpson rule.  The source's time factor is a scalar,
-so the rule's node sums are formed per mode as three scalar sums (a, b(k),
-d(k)) that weight three fixed vector parts of the source amplitude: same
-fourth-order rule, same nodes as summing the rotated source vectors node by
-node.  The wave-function evolution integrates its source in closed form, so
-in sourced runs ``compare`` measures this quadrature's error.  Nothing here
-touches the 8x8 machinery, so agreement with it is evidence rather than
-tautology.
+(Rodrigues form, exact), and the current source is integrated in closed
+form.  The source's time factor is the scalar cos(omega s), so rotating it
+back to t = 0 and integrating weights three fixed vector parts of the
+source amplitude by three elementary integrals (a, b(k), d(k)).  Nothing
+here touches the 8x8 machinery, and the wave-function evolution reaches
+its own closed form by another route (the Duhamel kernels of H(k)), so
+agreement with it is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -30,16 +26,15 @@ __all__ = ["OracleRun", "CompareReport", "maxwell_evolve", "compare"]
 class OracleRun:
     """Classical fields on a time grid, formed when read: ``samples()`` yields
     (e, b), each of shape (*grid, 3), at every time in order, in fresh arrays,
-    formed from the running source sums that a fresh ``sums()`` iterator
-    yields in the same order (None at every time of a free run)."""
+    each formed from t = 0 by ``form(t)`` alone."""
 
-    def __init__(self, grid: GridSpec, times: np.ndarray, form, sums):
+    def __init__(self, grid: GridSpec, times: np.ndarray, form):
         self.grid, self.times = grid, times
-        self._form, self._sums = form, sums
+        self._form = form
 
     def samples(self):
-        for t, sums in zip(self.times, self._sums()):
-            yield self._form(t, sums)
+        for t in self.times:
+            yield self._form(t)
 
 
 @dataclass(frozen=True)
@@ -56,11 +51,6 @@ class CompareReport:
         return float(np.maximum(self.max_abs_e, self.max_abs_b))
 
 
-# Bound on the bytes of each (nodes x modes) temporary of the Simpson sums;
-# larger blocks measured no faster.
-_BLOCK_BYTES = 1 << 20
-
-
 def _rotate(khat: np.ndarray, cos_a: np.ndarray, sin_a: np.ndarray,
             nonzero: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate complex vectors v about khat by the pointwise angle."""
@@ -71,56 +61,34 @@ def _rotate(khat: np.ndarray, cos_a: np.ndarray, sin_a: np.ndarray,
     return np.where(nonzero[..., None], out, v)
 
 
-def _simpson_sums(times: np.ndarray, substeps: int, omega: float, ck: np.ndarray):
-    """Running composite-Simpson sums through each sample, in time order, over
-    the ``substeps + 1`` nodes s of every sample interval:
-    a = sum w cos(omega s), b = sum w cos(omega s) cos(ck s) and
-    d = sum w cos(omega s) sin(ck s), with w the Simpson weights
-    (h/3)(1, 4, 2, ..., 4, 1) of the interval's step h.  Yields (a, bd) at
-    every time, zeros at the first, with b, d stacked as bd of shape
-    (2, len(ck)): one array, updated in place as each interval is added."""
-    weights = np.full(substeps + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[[0, -1]] = 1.0
-    cols = min(ck.size, max(1, _BLOCK_BYTES // (16 * (substeps + 1))))
-    a, bd = 0.0, np.zeros((2, ck.size))
-    yield a, bd
-    for t0, t1 in zip(times[:-1], times[1:]):
-        h = (t1 - t0) / substeps
-        nodes = t0 + h * np.arange(substeps + 1)
-        g = h / 3.0 * weights * np.cos(omega * nodes)
-        a += g.sum()
-        for m in range(0, ck.size, cols):   # a slice of modes at a time
-            phase = nodes[:, None] * ck[m:m + cols]
-            trig = np.empty((2,) + phase.shape)
-            np.cos(phase, out=trig[0])
-            np.sin(phase, out=trig[1])
-            bd[:, m:m + cols] += np.einsum("n,jnm->jm", g, trig)
-        del phase, trig   # not held while the sample is formed
-        yield a, bd
+def _source_integrals(t: float, omega: float, ck: np.ndarray):
+    """a = int_0^t cos(omega s) ds and, stacked per c|k| as (2, len(ck)),
+    b = int_0^t cos(omega s) cos(ck s) ds and d = int_0^t cos(omega s) sin(ck s) ds,
+    in sinc forms that stay smooth at omega = 0, ck = 0 and ck = +-omega."""
+    sinc = lambda x: np.sinc(x / np.pi)
+    minus, plus = (ck - omega) * t, (ck + omega) * t
+    b = 0.5 * t * (sinc(minus) + sinc(plus))
+    # (1 - cos xt) / x = x t^2 sinc^2(xt / 2) / 2, for x = ck -+ omega
+    d = 0.25 * t * (minus * sinc(0.5 * minus) ** 2 + plus * sinc(0.5 * plus) ** 2)
+    return t * sinc(omega * t), np.stack((b, d))
 
 
 def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
-                   substeps: int = 64, c: float = 1.0) -> OracleRun:
+                   c: float = 1.0) -> OracleRun:
     """Evolve dE/dt = c curl B - 4 pi J, dB/dt = -c curl E on the periodic box.
 
     Free part: per mode, F(+-) = E +- iB rotates about k by the angle
-    +- c|k|t.  Sourced part: interaction-picture composite Simpson with
-    ``substeps`` even subintervals between consecutive samples.  The
-    rotation back to t = 0 is linear in the parts P = (khat.j)khat,
-    Q = j - P and X = khat x j of the source amplitude j, and the source's
-    time factor is the scalar cos(omega t), so the Simpson accumulator of
-    F(+-) through a sample is -4 pi [a P + b(k) Q -+ d(k) X], with the
-    running node sums a, b, d of ``_simpson_sums``: same fourth-order rule,
-    same nodes.  Only F(+-) at t = 0 and the parts are made here; the run
-    adds up the sums and forms each sample as it is read, in time order.
+    +- c|k|t.  Sourced part: in the interaction picture, F(+-) at t is the
+    rotation of F(+-)(0) - 4 pi int_0^t R(-+s) j cos(omega s) ds, where R(s)
+    rotates about khat by c|k|s.  That rotation is linear in the parts
+    P = (khat.j)khat, Q = j - P and X = khat x j of the source amplitude j,
+    so the integral is a P + b(k) Q -+ d(k) X, with the closed-form
+    integrals a, b, d of ``_source_integrals``.  Only F(+-) at t = 0 and the
+    parts are made here; the run forms each sample as it is read, from
+    t = 0, so its times may start anywhere.
     """
     grid = em0.grid
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError("oracle runs must start at t = 0")
-    if substeps < 2 or substeps % 2:
-        raise ValueError("substeps must be an even integer >= 2")
     axes = tuple(range(grid.ndim))
     # k from points and lengths, not GridSpec's wave vectors, so a fault there shows
     axis_k = [2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
@@ -142,11 +110,11 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
         ck, mode_ck = np.unique(c * kn, return_inverse=True)
         mode_ck = mode_ck.reshape(grid.shape)
 
-    def form(t, sums):
+    def form(t):
         f_p, f_m = f_plus0, f_minus0
-        if sums is not None:
+        if source is not None:
             # dF(+-)/dt = +- c k x F(+-) - 4 pi J
-            a, bd = sums
+            a, bd = _source_integrals(t, source.omega, ck)
             b, d = bd[:, mode_ck, None]
             even = a * par + b * perp
             odd = d * crossed
@@ -161,9 +129,7 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
         b_hat = (f_p - f_m) / 2j
         return np.fft.ifftn(e_hat, axes=axes), np.fft.ifftn(b_hat, axes=axes)
 
-    if source is None:
-        return OracleRun(grid, times, form, partial(itertools.repeat, None))
-    return OracleRun(grid, times, form, partial(_simpson_sums, times, substeps, source.omega, ck))
+    return OracleRun(grid, times, form)
 
 
 def compare(run, oracle: OracleRun) -> CompareReport:

@@ -114,8 +114,7 @@ def test_criterion_4_dirac_form_vs_oracle():
     zero = embed_em(EMField.zero(GRID_1D))
     times_s = np.linspace(0.0, 3.0, 100)
     sourced_run = evolve_sourced(zero, src, times_s)
-    sourced_rep = compare(sourced_run, maxwell_evolve(EMField.zero(GRID_1D), src,
-                                                      times_s, substeps=32))
+    sourced_rep = compare(sourced_run, maxwell_evolve(EMField.zero(GRID_1D), src, times_s))
     constraint = max(
         max(free_run.sample(i).constraint_residual() for i in range(free_run.n_samples)),
         max(sourced_run.sample(i).constraint_residual() for i in range(sourced_run.n_samples)))

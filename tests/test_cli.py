@@ -191,14 +191,44 @@ def test_compare_oracle_command(tmp_path):
     assert rep["max_abs_e"] < 1e-11
 
 
+SHIPPED_COMPARE_ORACLE = Path(__file__).resolve().parents[1] / "configs" / "compare_oracle.json"
+
+
 def test_compare_oracle_shipped_config_measures_oracle_quadrature(tmp_path):
-    # the wave-equation route is exact, so the deviation is the oracle's own
-    # Simpson error, not a difference of two identical quadratures
-    config = Path(__file__).resolve().parents[1] / "configs" / "compare_oracle.json"
+    # both routes integrate the source in closed form, each its own way, so the
+    # sourced deviation is round-off
     out = tmp_path / "out"
-    assert run_command("compare-oracle", str(config), str(out)) == 0
+    assert run_command("compare-oracle", str(SHIPPED_COMPARE_ORACLE), str(out)) == 0
     row = read_summary(out)["checks"][0]
-    assert 1e-13 < row["deviation"] <= row["tolerance"]
+    assert row["deviation"] <= 1e-13
+
+
+def test_compare_oracle_routes_share_no_source_integral(tmp_path, monkeypatch):
+    # a fault in either route's source integral moves that route alone, so the
+    # shipped row reads it
+    import dirac88.evolution as evolution
+    import dirac88.oracle as oracle
+    kernels, integrals = evolution._duhamel_kernels, oracle._source_integrals
+
+    def scaled_kernel(*args):
+        cc, cr, r = kernels(*args)
+        return cc * (1.0 + 1e-6), cr, r
+
+    monkeypatch.setattr(evolution, "_duhamel_kernels", scaled_kernel)
+    out = tmp_path / "kernel"
+    assert run_command("compare-oracle", str(SHIPPED_COMPARE_ORACLE), str(out)) == 1
+    row = read_summary(out)["checks"][0]
+    assert not row["pass"] and row["deviation"] > row["tolerance"]
+    monkeypatch.setattr(evolution, "_duhamel_kernels", kernels)
+
+    def flipped_d(*args):
+        a, bd = integrals(*args)
+        return a, bd * np.array([[1.0], [-1.0]])
+
+    monkeypatch.setattr(oracle, "_source_integrals", flipped_d)
+    out = tmp_path / "integrals"
+    assert run_command("compare-oracle", str(SHIPPED_COMPARE_ORACLE), str(out)) == 1
+    assert read_summary(out)["checks"][0]["deviation"] >= 1e-2
 
 
 def test_evolve_angular_momentum_series(tmp_path):
@@ -755,6 +785,10 @@ NAN = float("nan")
     ("evolve", evolve_cfg, "mass", lambda cfg: cfg.update(mass=1.0)),
     ("zitter", zitter_cfg, "mass", lambda cfg: cfg.update(state={"type": "travelling_wave"})),
     ("compare-oracle", compare_cfg, "mass", lambda cfg: cfg.update(mass=1.0)),
+    # the classical solver evolves fields, so an electron state has nothing to compare
+    *(("compare-oracle", compare_cfg, "state.type", lambda cfg, kind=kind: (
+        cfg.pop("source"), cfg.update(mass=1.0, state={"type": kind})))
+      for kind in ("electron_packet", "electron_rest_mix")),
 ], ids=["substeps-zero", "substeps-odd", "duration-nan", "mass-nan", "state-amplitude-nan",
         "checks-tolerance-nan", "source-amplitude-nan", "source-omega-nan", "source-sigma-nan",
         "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan",
@@ -765,7 +799,8 @@ NAN = float("nan")
         "zitter-zero-field", "zitter-zero-amplitude", "travelling-mode-zero",
         "standing-mode-zero", "circular-mode-zero", "polarisation-along-mode",
         "rest-mix-massless", "photon-mass-evolve", "photon-mass-zitter",
-        "photon-mass-compare-oracle"])
+        "photon-mass-compare-oracle", "electron-packet-compare-oracle",
+        "electron-rest-mix-compare-oracle"])
 def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)

@@ -16,7 +16,6 @@ from dirac88.evolution import (_duhamel_kernels, _Spectral, alpha_density_series
                                zitter_decompose, zitter_equals_poynting)
 from dirac88.fields import (EMField, GridSpec, SpinorField8, divergence, embed_em, extract_em,
                             extract_em_amplitudes)
-from dirac88.oracle import compare, maxwell_evolve
 from dirac88.spin import angular_momentum_series
 from dirac88 import states
 
@@ -262,20 +261,6 @@ def test_sourced_uniform_mode_closed_form():
             expect = -4 * np.pi * amp * t * np.sinc(omega * t / np.pi)
             assert np.max(np.abs(em.e[..., 1].real - expect)) < 1e-13
             assert np.max(np.abs(em.b)) < 1e-12
-
-
-def test_sourced_quadrature_order():
-    # the oracle's Simpson rule against the exact route: halving its step
-    # shrinks the error ~16x (fourth order)
-    g = grid1d(32)
-    src = states.uniform_current(g, [0, 1, 0], 1.0, 5.0)
-    psi0 = embed_em(EMField.zero(g))
-    times = np.array([0.0, 1.0])
-    exact = evolve_sourced(psi0, src, times)
-    errs = [compare(exact, maxwell_evolve(EMField.zero(g), src, times, substeps=sub)).max_abs
-            for sub in (4, 8, 16)]
-    assert errs[0] / errs[1] > 10.0
-    assert errs[1] / errs[2] > 10.0
 
 
 def _kernel_reference(w, omega, t):
