@@ -4,7 +4,8 @@ Everything here is a pure constructor: Pauli matrices, the 4x4 and 8x8
 Dirac sets, the boost/rotation generators kappa and theta, the unitary
 change of basis that turns the 8x8 alpha into its block kappa/theta form,
 and the 8x8 chiral gamma matrices.  ``verify_identities`` runs the whole
-identity catalogue and reports measured deviations.
+identity catalogue and reports measured deviations; ``closure_deviation``
+measures commutator closure for it and for the spin operators.
 
 Entries are drawn from {0, +-1, +-i, +-1/sqrt(2)}, so most checks are
 exact in double precision; only products involving 1/sqrt(2) pick up one
@@ -27,6 +28,7 @@ __all__ = [
     "unitary_u",
     "transformed_dirac88",
     "gamma88",
+    "closure_deviation",
     "verify_identities",
 ]
 
@@ -167,59 +169,51 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
+def closure_deviation(a: np.ndarray, b: np.ndarray, closes_onto: np.ndarray) -> float:
+    """Max over (i, j) of |[a_i, b_j] - i eps_ijk c_k| for (3, n, n) stacks a, b
+    and c = ``closes_onto``."""
+    dev = 0.0
+    for i in range(3):
+        for j in range(3):
+            target = 1j * np.einsum("k,kml->ml", _EPS[i, j], closes_onto)
+            dev = max(dev, _max_abs(a[i] @ b[j] - b[j] @ a[i] - target))
+    return dev
+
+
+def _anticommutation(x: np.ndarray, metric: np.ndarray) -> float:
+    """Max over (i, j) of |{x_i, x_j} - 2 g_ij I| for a stack x and metric g."""
+    ident = np.eye(x.shape[-1])
+    return max(_max_abs(x[i] @ x[j] + x[j] @ x[i] - 2.0 * metric[i, j] * ident)
+               for i in range(len(x)) for j in range(len(x)))
+
+
 def verify_identities() -> list[AlgebraReport]:
     """Run the full identity catalogue and return one report per check;
-    failures are reported, never raised."""
-    reports: list[AlgebraReport] = []
-
-    kappa, theta, eta = generators()
-
-    for label, (alpha, beta), dim in (("4x4", dirac44(), 4), ("8x8", dirac88(), 8)):
-        ident = np.eye(dim)
-        dev = 0.0
-        for i in range(3):
-            for j in range(3):
-                target = 2.0 * ident if i == j else np.zeros((dim, dim))
-                dev = max(dev, _max_abs(alpha[i] @ alpha[j] + alpha[j] @ alpha[i] - target))
-        reports.append(_report(f"alpha anticommutation ({label})", dev, 0.0))
-        dev = max(_max_abs(alpha[i] @ beta + beta @ alpha[i]) for i in range(3))
-        reports.append(_report(f"alpha-beta anticommutation ({label})", dev, 0.0))
-        reports.append(_report(f"beta squared = identity ({label})", _max_abs(beta @ beta - ident), 0.0))
+    failures are reported, never raised.  The U rows compare against
+    ``transformed_dirac88``, the matrices every kernel is built from."""
+    rows = []
+    for label, (alpha, beta) in (("4x4", dirac44()), ("8x8", dirac88())):
+        rows += [(f"alpha anticommutation ({label})", _anticommutation(alpha, np.eye(3)), 0.0),
+                 (f"alpha-beta anticommutation ({label})",
+                  max(_max_abs(a @ beta + beta @ a) for a in alpha), 0.0),
+                 (f"beta squared = identity ({label})",
+                  _max_abs(beta @ beta - np.eye(len(beta))), 0.0)]
 
     u = unitary_u()
-    reports.append(_report("U unitarity", _max_abs(u @ u.conj().T - np.eye(8)), 1e-15))
-
+    rows.append(("U unitarity", _max_abs(u @ u.conj().T - np.eye(8)), 1e-15))
     alpha8, beta8 = dirac88()
-    z4 = np.zeros((4, 4), dtype=complex)
-    for i, name in enumerate("xyz"):
-        block = np.block([[kappa[i], theta[i]], [theta[i], kappa[i]]])
-        dev = _max_abs(u @ alpha8[i] @ u.conj().T - block)
-        reports.append(_report(f"U alpha_{name} U+ block form", dev, 1e-15))
-    beta_block = np.block([[-eta, z4], [z4, eta]])
-    reports.append(_report("U beta U+ = diag(-eta, eta)", _max_abs(u @ beta8 @ u.conj().T - beta_block), 1e-15))
+    alpha_t, beta_t = transformed_dirac88()
+    rows += [(f"U alpha_{name} U+ block form", _max_abs(u @ a @ u.conj().T - a_t), 1e-15)
+             for name, a, a_t in zip("xyz", alpha8, alpha_t)]
+    rows.append(("U beta U+ = diag(-eta, eta)", _max_abs(u @ beta8 @ u.conj().T - beta_t), 1e-15))
 
     # generator commutators; realised structure constants are +i eps_ijk
     # for all three families (so(4) convention of the complex-coordinate
     # boosts), recorded in the identity names.
-    def family(a: np.ndarray, b: np.ndarray, closes_onto: np.ndarray) -> float:
-        dev = 0.0
-        for i in range(3):
-            for j in range(3):
-                target = 1j * np.einsum("k,kml->ml", _EPS[i, j], closes_onto)
-                dev = max(dev, _max_abs(a[i] @ b[j] - b[j] @ a[i] - target))
-        return dev
-
-    reports.append(_report("[kappa_i, kappa_j] = +i eps_ijk theta_k", family(kappa, kappa, theta), 0.0))
-    reports.append(_report("[theta_i, theta_j] = +i eps_ijk theta_k", family(theta, theta, theta), 0.0))
-    reports.append(_report("[kappa_i, theta_j] = +i eps_ijk kappa_k", family(kappa, theta, kappa), 0.0))
-
-    gammas = gamma88()
-    metric = np.diag([1.0, -1.0, -1.0, -1.0])
-    dev = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            target = 2.0 * metric[mu, nu] * np.eye(8)
-            dev = max(dev, _max_abs(gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu] - target))
-    reports.append(_report("gamma anticommutation, metric (+,-,-,-)", dev, 0.0))
-
-    return reports
+    kappa, theta, _ = generators()
+    rows += [("[kappa_i, kappa_j] = +i eps_ijk theta_k", closure_deviation(kappa, kappa, theta), 0.0),
+             ("[theta_i, theta_j] = +i eps_ijk theta_k", closure_deviation(theta, theta, theta), 0.0),
+             ("[kappa_i, theta_j] = +i eps_ijk kappa_k", closure_deviation(kappa, theta, kappa), 0.0),
+             ("gamma anticommutation, metric (+,-,-,-)",
+              _anticommutation(gamma88(), np.diag([1.0, -1.0, -1.0, -1.0])), 0.0)]
+    return [_report(*row) for row in rows]

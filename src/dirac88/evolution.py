@@ -191,7 +191,8 @@ def omega_k(k: np.ndarray, mass: float, c: float = 1.0, hbar: float = 1.0) -> np
     """Dispersion w(k) = c sqrt(k^2 + (m c / hbar)^2)."""
     k = np.asarray(k, dtype=float)
     k2 = np.einsum("...i,...i->...", k, k)
-    return c * np.sqrt(k2 + (mass * c / hbar) ** 2)
+    rest = mass * c / hbar   # squared as a product: a float's ** 2 raises OverflowError
+    return c * np.sqrt(k2 + rest * rest)
 
 
 def hamiltonian_k(k: np.ndarray, mass: float, c: float = 1.0, hbar: float = 1.0) -> np.ndarray:

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AlgebraReport, generators, levi_civita, transformed_dirac88
+from .algebra import (AlgebraReport, closure_deviation, generators, levi_civita,
+                      transformed_dirac88)
 from .fields import PHOTON, SpinorField8, constraint_residual
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "spin_half",
     "spin_one",
     "verify_spin_evolution",
-    "closure_deviation",
     "photon_spin_selection",
     "angular_momentum_series",
     "write_angular_momentum_csv",
@@ -76,30 +76,14 @@ def verify_spin_evolution(op: SpinOperator) -> AlgebraReport:
 
     Substituting H = c alpha.p + beta' m c^2 reduces the identity, with S in
     units of hbar, to i[alpha_k, S_i] = -eps_ijk alpha_j for every (i, k),
-    together with [beta', S_i] = 0 so the mass term drops out.  Deviation is
-    the max over all component pairs.
+    that is the closure [alpha_k, S_i] = i eps_kij alpha_j, together with
+    [beta', S_i] = 0 so the mass term drops out.  Deviation is the max over
+    all component pairs.
     """
     alpha, beta = transformed_dirac88()
-    dev = 0.0
-    for i in range(3):
-        s_i = op.components[i]
-        for k in range(3):
-            lhs = 1j * (alpha[k] @ s_i - s_i @ alpha[k])
-            rhs = -np.einsum("j,jml->ml", _EPS[i, :, k], alpha)
-            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-        dev = max(dev, float(np.max(np.abs(beta @ s_i - s_i @ beta))))
+    dev = max(closure_deviation(alpha, op.components, alpha),
+              *(float(np.max(np.abs(beta @ s_i - s_i @ beta))) for s_i in op.components))
     return AlgebraReport(f"{op.label} satisfies dS/dt = -c alpha x p", dev, 0.0, dev <= 0.0)
-
-
-def closure_deviation(op: SpinOperator) -> float:
-    """Max deviation of [S_i, S_j] = i eps_ijk S_k (S in units of hbar)."""
-    dev = 0.0
-    for i in range(3):
-        for j in range(3):
-            lhs = op.components[i] @ op.components[j] - op.components[j] @ op.components[i]
-            rhs = 1j * np.einsum("k,kml->ml", _EPS[i, j], op.components)
-            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    return dev
 
 
 def photon_spin_selection(psi: SpinorField8) -> SpinSelectionReport:

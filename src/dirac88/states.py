@@ -141,7 +141,7 @@ def electron_gaussian_packet(grid: GridSpec, mass: float, sigma: float,
         spinor[2] = 0.5
     spinor = np.asarray(spinor, dtype=complex)
     delta = grid.positions() - _center(grid, center)
-    env = np.exp(-np.einsum("...i,...i->...", delta, delta) / (4.0 * sigma ** 2))
+    env = np.exp(-np.einsum("...i,...i->...", delta, delta) / (4.0 * sigma * sigma))
     if k0_mode is not None:
         k0 = mode_wave_vector(grid, k0_mode)
         env = env * np.exp(1j * _phase(grid, k0))
@@ -168,6 +168,6 @@ def gaussian_dipole_current(grid: GridSpec, direction, amplitude: float,
     """Band-limited dipole: J = A d exp(-|r - r0|^2 / (2 sigma^2)) cos(w t),
     with the charge density that continuity gives it (``FourCurrent``)."""
     delta = grid.positions() - _center(grid, center)
-    env = amplitude * np.exp(-np.einsum("...i,...i->...", delta, delta) / (2.0 * sigma ** 2))
+    env = amplitude * np.exp(-np.einsum("...i,...i->...", delta, delta) / (2.0 * sigma * sigma))
     j = env[..., None] * np.asarray(direction, dtype=float)
     return FourCurrent(grid, j, omega=omega)

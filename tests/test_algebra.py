@@ -117,3 +117,35 @@ def test_report_serialisation():
     assert set(d) == {"identity", "deviation", "tolerance", "pass"}
     parsed = json.loads(json.dumps(d))
     assert parsed == d
+
+
+def negated_beta():
+    alpha, beta = transformed_dirac88()
+    return alpha, -beta
+
+
+def negated_alpha_y():
+    alpha, beta = transformed_dirac88()
+    alpha[1] = -alpha[1]
+    return alpha, beta
+
+
+@pytest.mark.parametrize("fault, row", [(negated_beta, "U beta U+ = diag(-eta, eta)"),
+                                        (negated_alpha_y, "U alpha_y U+ block form")],
+                         ids=["beta-sign", "alpha-y-sign"])
+def test_u_rows_read_the_matrices_the_kernels_run_on(fault, row, monkeypatch, tmp_path):
+    # a sign fault in transformed_dirac88 reaches every kernel through
+    # fields._ALPHA/_BETA, and the U row that names it reads it
+    import json
+
+    import dirac88.algebra as algebra
+    from dirac88.cli import run_command
+
+    monkeypatch.setattr(algebra, "transformed_dirac88", fault)
+    failed = {rep.identity: rep.deviation for rep in verify_identities() if not rep.passed}
+    assert set(failed) == {row} and failed[row] >= 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    assert run_command("verify-algebra", str(cfg), str(tmp_path / "out")) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [r["name"] for r in summary["checks"] if not r["pass"]] == [row]

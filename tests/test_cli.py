@@ -231,6 +231,24 @@ def test_compare_oracle_routes_share_no_source_integral(tmp_path, monkeypatch):
     assert read_summary(out)["checks"][0]["deviation"] >= 1e-2
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 1e-12])
+def test_compare_oracle_verdict_does_not_scale_with_the_amplitude(tmp_path, monkeypatch,
+                                                                  amplitude):
+    # an oracle that turns its fields backwards is wrong at any amplitude; the
+    # row reads the deviation relative to the oracle field's RMS
+    import dirac88.oracle as oracle
+    rotate = oracle._rotate
+    monkeypatch.setattr(oracle, "_rotate", lambda khat, cos_a, sin_a, nonzero, v:
+                        rotate(khat, cos_a, -sin_a, nonzero, v))
+    cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 2.0, "samples": 8,
+           "state": {"type": "travelling_wave", "mode": 1, "amplitude": amplitude},
+           "tolerance": 1e-10}
+    out = tmp_path / "out"
+    assert run_command("compare-oracle", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
+    rep = json.loads((out / "compare.json").read_text())
+    assert read_summary(out)["checks"][0]["deviation"] == max(rep["rel_e"], rep["rel_b"]) > 1.0
+
+
 def test_evolve_angular_momentum_series(tmp_path):
     cfg = {
         "grid": {"points": [64], "lengths": [TWO_PI]},
@@ -248,6 +266,22 @@ def test_evolve_angular_momentum_series(tmp_path):
     assert lines[0] == "t,Lx,Ly,Lz,Sx,Sy,Sz,Jx,Jy,Jz"
     sz = float(lines[1].split(",")[6])
     assert sz == pytest.approx(1.0, abs=1e-10)
+
+
+def test_series_csv_headers_and_line_ends(tmp_path):
+    # samples.csv is written line by line (LF); angular_momentum.csv through
+    # the csv module (CRLF); every value is %.17g, which round-trips a double
+    out = tmp_path / "out"
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", angular_evolve_cfg(5)),
+                       str(out)) == 0
+    for name, header, end in [("samples.csv", "t,norm,energy,alpha_x,alpha_y,alpha_z", b"\n"),
+                              ("angular_momentum.csv", "t,Lx,Ly,Lz,Sx,Sy,Sz,Jx,Jy,Jz", b"\r\n")]:
+        data = (out / name).read_bytes()
+        lines = data.split(end)
+        assert lines[0] == header.encode() and lines[-1] == b"" and len(lines) == 7, name
+        assert data.count(b"\n") == 6 and data.count(b"\r") == (6 if end == b"\r\n" else 0)
+        for line in lines[1:-1]:
+            assert all(f"{float(x):.17g}".encode() == x for x in line.split(b","))
 
 
 def test_zitter_no_oscillation_path(tmp_path):
@@ -789,6 +823,9 @@ NAN = float("nan")
     *(("compare-oracle", compare_cfg, "state.type", lambda cfg, kind=kind: (
         cfg.pop("source"), cfg.update(mass=1.0, state={"type": kind})))
       for kind in ("electron_packet", "electron_rest_mix")),
+    # a snapshot writes real fields, and the circular wave's are complex
+    ("evolve", evolve_cfg, "outputs.snapshots", lambda cfg: cfg.update(
+        state={"type": "circular_analytic", "mode": 2}, outputs={"snapshots": [0]})),
 ], ids=["substeps-zero", "substeps-odd", "duration-nan", "mass-nan", "state-amplitude-nan",
         "checks-tolerance-nan", "source-amplitude-nan", "source-omega-nan", "source-sigma-nan",
         "tolerance-nan", "velocity-light", "velocity-nan", "e-short", "boost-tolerance-nan",
@@ -800,7 +837,7 @@ NAN = float("nan")
         "standing-mode-zero", "circular-mode-zero", "polarisation-along-mode",
         "rest-mix-massless", "photon-mass-evolve", "photon-mass-zitter",
         "photon-mass-compare-oracle", "electron-packet-compare-oracle",
-        "electron-rest-mix-compare-oracle"])
+        "electron-rest-mix-compare-oracle", "snapshots-of-circular-wave"])
 def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     cfg = make()
     edit(cfg)
@@ -878,6 +915,37 @@ def test_evolve_fails_a_run_whose_diagnostics_are_not_finite(tmp_path):
     assert [row["name"] for row in failed] == ["finite diagnostics"]
     assert failed[0]["deviation"] is None
     assert "non-finite norm, energy, <alpha>" in failed[0]["error"]
+
+
+# a valid config whose float squares overflow is a run, never an internal error:
+# each square is a product, which gives inf where a float's ** 2 raised
+# OverflowError (exit 4)
+@pytest.mark.parametrize("key, edit", [
+    ("mass", lambda cfg: cfg.update(mass=1e300)),
+    ("units.c", lambda cfg: cfg.update(units={"c": 1e300})),
+    ("units.hbar", lambda cfg: cfg.update(units={"hbar": 1e-300})),
+], ids=["mass", "c", "hbar"])
+def test_an_overflowing_rest_frequency_is_a_failed_run(tmp_path, key, edit):
+    # m c^2 / hbar overflows by design downstream, so numpy warns on the way
+    import warnings
+
+    cfg = zitter_cfg()
+    edit(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_command("zitter", write_cfg(tmp_path, "cfg.json", cfg), str(tmp_path / "o")) == 1
+
+
+@pytest.mark.parametrize("command, make, edit", [
+    ("evolve", evolve_cfg,
+     lambda cfg: cfg.update(mass=1.0, state={"type": "electron_packet", "sigma": 1e300})),
+    # a driven run checks its constraint by default
+    ("evolve", sourced_cfg, lambda cfg: (cfg.pop("checks"), cfg["source"].update(sigma=1e300))),
+], ids=["state-sigma", "source-sigma"])
+def test_a_gaussian_of_huge_width_is_flat(tmp_path, command, make, edit):
+    cfg = make()
+    edit(cfg)
+    assert run_command(command, write_cfg(tmp_path, "cfg.json", cfg), str(tmp_path / "o")) == 0
 
 
 @pytest.mark.filterwarnings("ignore:density RMS width")

@@ -27,8 +27,8 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples
                     suppress_health_check=[HealthCheck.too_slow])
 # at most 16 grid points in all
 GRIDS = [[2], [4], [8], [16], [2, 2], [2, 4], [4, 4], [8, 2], [2, 2, 2], [2, 2, 4], [4, 2, 2]]
-PHOTON_STATES = ["zero_field", "travelling_wave", "standing_wave", "circular_analytic"]
-STATE_TYPES = PHOTON_STATES + ["electron_rest_mix", "electron_packet"]
+REAL_PHOTON_STATES = ["zero_field", "travelling_wave", "standing_wave"]   # what a snapshot writes
+STATE_TYPES = REAL_PHOTON_STATES + ["circular_analytic", "electron_rest_mix", "electron_packet"]
 # state.type or source.type -> the keys of its block that it reads, beside type
 READS = {
     "zero_field": [],
@@ -57,8 +57,8 @@ def value_strategies(command, points, samples, strict):
 
     ``strict`` also keeps the cross-key rules that a value of one key alone
     cannot break: the branch weights are not both 0, and snapshots only
-    appear for photon states and point_index only with a series (drawn in
-    ``configs``)."""
+    appear for real photon states and point_index only with a series (drawn
+    in ``configs``)."""
     ndim = len(points)
     axis_ints = st.lists(st.integers(-3, 3), min_size=ndim, max_size=ndim)
     axis_floats = st.lists(floats(-3.0, 3.0), min_size=ndim, max_size=ndim)
@@ -125,7 +125,7 @@ def configs(draw, command, strict=False):
         parent = cfg[block] if block else cfg
         parent[name] = {} if key in BLOCKS else draw(values[key])
     state = cfg.get("state", {})
-    if strict and state.get("type") not in PHOTON_STATES:
+    if strict and state.get("type") not in REAL_PHOTON_STATES:
         cfg.get("outputs", {}).pop("snapshots", None)
     if strict and "series" not in cfg:
         cfg.pop("point_index", None)

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dirac88.algebra import closure_deviation
 from dirac88.fields import GridSpec, SpinorField8
 from dirac88.evolution import run_free
 from dirac88.spin import (SpinOperator, angular_momentum_series,
-                          closure_deviation, photon_spin_selection, spin_half,
-                          spin_one, verify_spin_evolution,
-                          write_angular_momentum_csv)
+                          photon_spin_selection, spin_half, spin_one,
+                          verify_spin_evolution, write_angular_momentum_csv)
 from dirac88 import states
 
 TWO_PI = 2 * np.pi
@@ -48,9 +48,14 @@ def test_evolution_identity_negative_control():
     assert not verify_spin_evolution(bad).passed
 
 
+def su2_closure(op):
+    # [S_i, S_j] = i eps_ijk S_k, through the catalogue's commutator routine
+    return closure_deviation(op.components, op.components, op.components)
+
+
 def test_closure():
-    assert closure_deviation(spin_half()) == 0.0
-    assert closure_deviation(spin_one()) == 0.0
+    assert su2_closure(spin_half()) == 0.0
+    assert su2_closure(spin_one()) == 0.0
 
 
 def test_photon_selection():
