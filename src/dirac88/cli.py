@@ -4,8 +4,9 @@ Every command writes a ``summary.json`` listing each enabled check with
 its measured deviation, tolerance and pass flag, and exits 0 only when
 all checks pass.  Exit codes: 0 success, 1 check failure, 2 config error,
 3 I/O error, 4 internal error (a fault of the program, reported in one
-line; no ``summary.json``).  Identical configs produce identical summaries
-apart from the timestamp and wall-time fields.
+line; no ``summary.json``); the code does not depend on the warning filters.
+Identical configs produce identical summaries apart from the timestamp and
+wall-time fields.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import inspect
 import json
 import sys
 import time
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +37,7 @@ from .lorentz import (Boost, closed_form_field_boost, em_wavefunction_transform,
                       tensor_boost_oracle)
 from .oracle import compare, maxwell_evolve
 from .spin import (angular_momentum_series, photon_spin_selection, spin_half, spin_one,
-                   verify_spin_evolution, write_angular_momentum_csv)
+                   verify_spin_evolution)
 
 __all__ = ["main", "run_command"]
 
@@ -168,7 +170,9 @@ def _walk(table: dict, raw, flat: dict, prefix: str = "") -> dict:
     names = [key[len(prefix):] for key in table if key.rpartition(".")[0] == prefix[:-1]]
     makers = {"state.": _STATES, "source.": _SOURCES}.get(prefix, {})
     chosen, of = raw.get("type"), ""
-    if isinstance(chosen, str) and chosen in makers:   # a list is not hashable
+    # a type in the command's domain picks the keys; any other type keeps them all,
+    # so that its own message comes out
+    if makers and table[prefix + "type"][0].test(chosen):
         reads = inspect.signature(getattr(states, makers[chosen])).parameters
         names = [name for name in names if name == "type" or name in reads]
         of = f" for a {chosen!r} {prefix[:-1]}"
@@ -216,16 +220,6 @@ def _checked_config(table: dict, raw: dict) -> dict:
                           f"of a real photon state, got {snaps} of a {kind!r} state")
     if cfg.get("source") and kind not in _PHOTON_STATES:
         raise ConfigError(f"source must be absent: a source needs a photon state, not {kind!r}")
-    if flat.get("state.plus_weight") == 0.0 and flat.get("state.minus_weight") == 0.0:
-        raise ConfigError("state.plus_weight must be > 0 when state.minus_weight is 0")
-    # zitter (the one table with point_index) analyses the velocity of a free
-    # state, and a state of norm 0 has none
-    if "point_index" in flat:
-        if kind == "zero_field":
-            raise ConfigError("state.type must be a state of nonzero norm for zitter, "
-                              "got 'zero_field'")
-        if flat.get("state.amplitude") == 0.0:
-            raise ConfigError("state.amplitude must be nonzero for zitter, got 0")
     if kind in _PHOTON_STATES and flat["mass"] != 0.0:
         raise ConfigError(f"mass must be 0 for a photon state, got {flat['mass']!r}")
     return cfg
@@ -245,7 +239,6 @@ def _run_from_config(cfg: dict):
     return run, psi0, source
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a non-finite run reads NaN and fails
 def _evolve_checks(wanted: dict, run, norms, energies, constraint, angular, checks: _Checks):
     if "norm_drift" in wanted:
         # meaningful for free runs; sourced runs inject norm and fail it
@@ -272,13 +265,18 @@ def _evolve_checks(wanted: dict, run, norms, energies, constraint, angular, chec
                    drift, wanted["angular_momentum_drift"])
 
 
-def _write_samples_csv(path: Path, times, norms, energies, series):
-    with path.open("w") as fh:
-        fh.write("t,norm,energy,alpha_x,alpha_y,alpha_z\n")
-        for i, t in enumerate(times):
-            ax, ay, az = series[i]
-            fh.write(f"{t:.17g},{norms[i]:.17g},{energies[i]:.17g},"
-                     f"{ax:.17g},{ay:.17g},{az:.17g}\n")
+# a run-series CSV's name -> (header, line end)
+_SERIES_CSV = {"samples.csv": ("t,norm,energy,alpha_x,alpha_y,alpha_z", "\n"),
+               "angular_momentum.csv": ("t,Lx,Ly,Lz,Sx,Sy,Sz,Jx,Jy,Jz", "\r\n")}
+
+
+def _write_series_csv(path: Path, times, *columns):
+    """The header, then one row per sample: t and the values of each column, all %.17g."""
+    header, newline = _SERIES_CSV[path.name]
+    with path.open("w", newline=newline) as fh:   # each "\n" written ends a line in ``newline``
+        fh.write(header + "\n")
+        fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n"
+                      for row in np.column_stack((times, *columns)).tolist())
 
 
 def _cmd_verify_algebra(cfg: dict, outdir: Path, checks: _Checks):
@@ -336,7 +334,7 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
                or cfg["series"] == "angular_momentum" else None)
     alpha = alpha_expectation_series(run)
     _evolve_checks(wanted, run, norms, energies, constraint, angular, checks)
-    _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
+    _write_series_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
     # whatever checks are enabled, a run must not write inf or NaN diagnostics
     series = {"norm": norms, "energy": energies, "<alpha>": alpha}
     if bad := [name for name, values in series.items() if not np.isfinite(values).all()]:
@@ -344,7 +342,7 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     if snapshot_error is not None:
         raise snapshot_error
     if cfg["series"] == "angular_momentum":
-        write_angular_momentum_csv(outdir / "angular_momentum.csv", run.times, *angular)
+        _write_series_csv(outdir / "angular_momentum.csv", run.times, *angular)
 
 
 def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
@@ -356,7 +354,7 @@ def _cmd_zitter(cfg: dict, outdir: Path, checks: _Checks):
     alpha = alpha_expectation_series(run)
     report = zitter_decompose(run, alpha if point is None else point)
     _write_json(outdir / "zitter.json", report.to_dict())
-    _write_samples_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
+    _write_series_csv(outdir / "samples.csv", run.times, norms, energies, alpha)
     # the t = 0 branches pick the row: a state with no interference line cannot jitter
     tol = (1e-6 if report.lines else 1e-12) if cfg["tolerance"] is None else cfg["tolerance"]
     if report.lines:
@@ -394,9 +392,6 @@ def _cmd_boost_demo(cfg: dict, outdir: Path, checks: _Checks):
 
 
 def _cmd_compare_oracle(cfg: dict, outdir: Path, checks: _Checks):
-    kind = cfg["state"]["type"]
-    if kind not in _PHOTON_STATES:   # the classical solver evolves fields only
-        raise ConfigError(f"state.type must be a photon state for compare-oracle, got {kind!r}")
     run, psi0, source = _run_from_config(cfg)
     oracle_run = maxwell_evolve(extract_em(psi0), source, run.times, c=run.c)
     rep = compare(run, oracle_run)
@@ -426,6 +421,10 @@ COMMANDS = {
     }),
     "zitter": (_cmd_zitter, {
         **_RUN,
+        # it fits the velocity of a free state, and a state of norm 0 has none
+        "state.type": (_choice(*(kind for kind in _STATES if kind != "zero_field")), _REQUIRED),
+        "state.amplitude": (_Type("a finite number != 0", lambda v: _NUMBER.test(v) and v != 0,
+                                  float), 1.0),
         "series": (_choice("point"), None),
         "point_index": (_AXIS_INTEGERS, lambda f: f["series"] and [0] * len(f["grid.points"])),
         "tolerance": (_NONNEGATIVE, None),   # off: the row's own, 1e-12 or 1e-6
@@ -436,8 +435,11 @@ COMMANDS = {
         **dict.fromkeys(("e", "b"), (_VECTOR, _REQUIRED)),
         "tolerance": (_NONNEGATIVE, 1e-10),
     }),
-    "compare-oracle": (_cmd_compare_oracle, {**_RUN, **_SOURCED,
-                                             "tolerance": (_NONNEGATIVE, 1e-10)}),
+    "compare-oracle": (_cmd_compare_oracle, {
+        **_RUN, **_SOURCED,
+        "state.type": (_choice(*_PHOTON_STATES), _REQUIRED),   # the classical solver evolves fields
+        "tolerance": (_NONNEGATIVE, 1e-10),
+    }),
 }
 
 
@@ -467,7 +469,11 @@ def run_command(command: str, config_path: str, outdir: str) -> int:
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     try:
         handler, table = COMMANDS[command]
-        handler(_checked_config(table, cfg), out, checks)
+        # a non-finite run fails its own rows whatever the warning filters say, and the
+        # packet-width advisory is printed, never fatal
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.filterwarnings("default", "density RMS width")
+            handler(_checked_config(table, cfg), out, checks)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,10 +11,8 @@ own hbar scales them where an expectation is taken.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +28,6 @@ __all__ = [
     "verify_spin_evolution",
     "photon_spin_selection",
     "angular_momentum_series",
-    "write_angular_momentum_csv",
 ]
 
 _EPS = levi_civita()
@@ -154,15 +151,3 @@ def angular_momentum_series(run) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     spin = moments.per_norm(hbar * np.einsum("iab,sab->si", spin_op, moments.gram).real)
     return orbital, spin, orbital + spin
 
-
-def write_angular_momentum_csv(path, times: np.ndarray, orbital: np.ndarray, spin: np.ndarray,
-                               total: np.ndarray):
-    """t, Lx, Ly, Lz, Sx, Sy, Sz, Jx, Jy, Jz rows."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "Lx", "Ly", "Lz", "Sx", "Sy", "Sz", "Jx", "Jy", "Jz"])
-        for i, t in enumerate(times):
-            row = [f"{t:.17g}"]
-            for series in (orbital, spin, total):
-                row.extend(f"{x:.17g}" for x in series[i])
-            writer.writerow(row)

@@ -54,34 +54,34 @@ def zero_field(grid: GridSpec) -> SpinorField8:
     return embed_em(EMField.zero(grid))
 
 
+def _wave_vector(grid: GridSpec, mode, polarisation: str | None = None) -> np.ndarray:
+    """k of a wave's mode.  An EM wave is transverse: k must be nonzero, and a
+    given polarisation perpendicular to it."""
+    k = mode_wave_vector(grid, mode)
+    if np.linalg.norm(k) == 0.0:
+        raise ConfigError("state.mode must be nonzero for a wave")
+    if polarisation is not None and abs(_UNIT[polarisation] @ k) > 1e-12:
+        raise ConfigError("state.polarisation must be transverse to state.mode")
+    return k
+
+
 def travelling_wave(grid: GridSpec, mode, polarisation: str = "x",
                     amplitude: float = 1.0) -> SpinorField8:
     """Real travelling wave E = A p cos(k.r), B = A (khat x p) cos(k.r)."""
-    k = mode_wave_vector(grid, mode)
-    kn = np.linalg.norm(k)
-    if kn == 0.0:
-        raise ConfigError("state.mode must be nonzero for a travelling wave")
+    k = _wave_vector(grid, mode, polarisation)
     pol = _UNIT[polarisation]
-    if abs(pol @ k) > 1e-12:
-        raise ConfigError("state.polarisation must be transverse to state.mode")
     phase = np.cos(_phase(grid, k))
     e = amplitude * phase[..., None] * pol
-    b = amplitude * phase[..., None] * np.cross(k / kn, pol)
-    return embed_em(EMField(grid, e.astype(complex), b.astype(complex)))
+    b = amplitude * phase[..., None] * np.cross(k / np.linalg.norm(k), pol)
+    return embed_em(EMField(grid, e, b))
 
 
 def standing_wave(grid: GridSpec, mode, polarisation: str = "x",
                   amplitude: float = 1.0) -> SpinorField8:
     """Equal mixture of counter-propagating waves: E = A p cos(k.r), B = 0."""
-    k = mode_wave_vector(grid, mode)
-    if np.linalg.norm(k) == 0.0:
-        raise ConfigError("state.mode must be nonzero for a standing wave")
-    pol = _UNIT[polarisation]
-    if abs(pol @ k) > 1e-12:
-        raise ConfigError("state.polarisation must be transverse to state.mode")
-    e = amplitude * np.cos(_phase(grid, k))[..., None] * pol
-    b = np.zeros_like(e)
-    return embed_em(EMField(grid, e.astype(complex), b.astype(complex)))
+    k = _wave_vector(grid, mode, polarisation)
+    e = amplitude * np.cos(_phase(grid, k))[..., None] * _UNIT[polarisation]
+    return embed_em(EMField(grid, e, np.zeros_like(e)))
 
 
 def circular_wave_analytic(grid: GridSpec, mode, helicity: int = +1,
@@ -93,11 +93,8 @@ def circular_wave_analytic(grid: GridSpec, mode, helicity: int = +1,
     """
     if helicity not in (+1, -1):
         raise ConfigError("helicity must be +1 or -1")
-    k = mode_wave_vector(grid, mode)
-    kn = np.linalg.norm(k)
-    if kn == 0.0:
-        raise ConfigError("state.mode must be nonzero for a circular wave")
-    khat = k / kn
+    k = _wave_vector(grid, mode)
+    khat = k / np.linalg.norm(k)
     p1 = _UNIT["x"] if abs(khat @ _UNIT["x"]) < 0.9 else _UNIT["y"]
     p1 = p1 - (p1 @ khat) * khat
     p1 /= np.linalg.norm(p1)
@@ -108,12 +105,19 @@ def circular_wave_analytic(grid: GridSpec, mode, helicity: int = +1,
     return embed_em(EMField(grid, e, np.cross(khat, e)))
 
 
+def _check_weights(plus_weight: float, minus_weight: float):
+    """At least one energy branch must carry the state."""
+    if plus_weight == 0.0 and minus_weight == 0.0:
+        raise ConfigError("state.plus_weight must be > 0 when state.minus_weight is 0")
+
+
 def electron_rest_mix(grid: GridSpec, mass: float, plus_weight: float = 1.0,
                       minus_weight: float = 1.0) -> SpinorField8:
     """Uniform (k = 0) electron state mixing one positive- and one
     negative-frequency rest spinor with a nonzero velocity cross term."""
     if mass <= 0.0:
         raise ConfigError("mass must be > 0 for an electron rest mixture")
+    _check_weights(plus_weight, minus_weight)
     values = np.zeros(grid.shape + (8,), dtype=complex)
     # beta' = diag(-1,1,1,1, 1,-1,-1,-1): component 3 is positive frequency,
     # component 0 negative, and alpha_z couples them.
@@ -135,6 +139,7 @@ def electron_gaussian_packet(grid: GridSpec, mass: float, sigma: float,
     branches of the H that mass, c and hbar set (the state carries all three)
     and recombined with both weights over the larger, so none can underflow.
     """
+    _check_weights(plus_weight, minus_weight)
     if spinor is None:
         spinor = np.zeros(8, dtype=complex)
         spinor[3] = 1.0

@@ -28,7 +28,11 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples
 # at most 16 grid points in all
 GRIDS = [[2], [4], [8], [16], [2, 2], [2, 4], [4, 4], [8, 2], [2, 2, 2], [2, 2, 4], [4, 2, 2]]
 REAL_PHOTON_STATES = ["zero_field", "travelling_wave", "standing_wave"]   # what a snapshot writes
-STATE_TYPES = REAL_PHOTON_STATES + ["circular_analytic", "electron_rest_mix", "electron_packet"]
+PHOTON_STATES = REAL_PHOTON_STATES + ["circular_analytic"]
+STATE_TYPES = PHOTON_STATES + ["electron_rest_mix", "electron_packet"]
+# command -> the state types it takes: zitter fits the velocity of a state of
+# nonzero norm, and the classical solver of compare-oracle evolves fields only
+COMMAND_STATES = {"zitter": STATE_TYPES[1:], "compare-oracle": PHOTON_STATES}
 # state.type or source.type -> the keys of its block that it reads, beside type
 READS = {
     "zero_field": [],
@@ -71,8 +75,9 @@ def value_strategies(command, points, samples, strict):
         "units.c": positive, "units.hbar": positive,
         "duration": floats(0.1, 4.0),
         "samples": st.just(samples),
-        "state.type": st.sampled_from(STATE_TYPES),
-        "state.amplitude": floats(-2.0, 2.0),
+        "state.type": st.sampled_from(COMMAND_STATES.get(command, STATE_TYPES)),
+        # zitter's state has a nonzero norm
+        "state.amplitude": floats(-2.0, 2.0).filter(lambda v: command != "zitter" or v != 0.0),
         "state.mode": axis_ints | st.integers(-3, 3) if ndim == 1 else axis_ints,
         "state.polarisation": st.sampled_from(["x", "y", "z"]),
         "state.helicity": st.sampled_from([1, -1]),
@@ -170,13 +175,15 @@ NUMBER = ["x", True, None, math.nan, math.inf, -math.inf, [1.0], {}]
 INTEGER = [1.5, True, "2", None, math.nan, [2]]
 
 
-def bad_values(key, cfg):
-    """Values outside the domain of ``key`` in the valid config ``cfg``."""
+def bad_values(command, key, cfg):
+    """Values outside the domain of ``key`` in the valid config ``cfg`` of ``command``."""
     points = cfg.get("grid", {}).get("points", [2])
     samples, ndim = cfg.get("samples", 2), len(points)
     if key in BLOCKS:
         return [3, "x", [], None]
-    if key in ("state.amplitude", "source.amplitude", "source.omega"):
+    if key == "state.amplitude":
+        return NUMBER + ([0, 0.0, -0.0] if command == "zitter" else [])
+    if key in ("source.amplitude", "source.omega"):
         return NUMBER
     if key in ("mass", "state.plus_weight", "state.minus_weight", "tolerance") \
             or key.startswith("checks."):
@@ -201,7 +208,8 @@ def bad_values(key, cfg):
         bad = ["x", [1.0, 0.0], [0.0, math.nan, 0.0], [True, 0.0, 0.0], [0.0] * 4]
         return bad + ([[1.0, 0.0, 0.0], [0.6, 0.6, 0.6]] if key == "velocity" else [])
     if key in ("state.type", "source.type", "state.polarisation", "series"):
-        return ["bogus", True, 1, None, ["x"]]
+        other = sorted(set(STATE_TYPES) - set(COMMAND_STATES.get(command, STATE_TYPES)))
+        return ["bogus", True, 1, None, ["x"]] + (other if key == "state.type" else [])
     if key == "state.helicity":
         return [0, 2, True, 1.0, "1"]
     raise AssertionError(f"no out-of-domain values for {key}")
@@ -218,7 +226,7 @@ def test_one_out_of_domain_key_exits_2_naming_it(data):
     key = data.draw(st.sampled_from(keys + [f"{block}.bogus_key".lstrip(".") for block in blocks]))
     block, _, name = key.rpartition(".")
     parent = cfg[block] if block else cfg
-    parent[name] = 1 if name == "bogus_key" else data.draw(st.sampled_from(bad_values(key, cfg)))
+    parent[name] = 1 if name == "bogus_key" else data.draw(st.sampled_from(bad_values(command, key, cfg)))
     code, err, summary = run(command, cfg)
     assert code == 2, (key, parent[name], err)
     assert f"{key} must be" in err or f"unknown key '{key}'" in err, (key, err)

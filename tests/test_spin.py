@@ -8,7 +8,7 @@ from dirac88.fields import GridSpec, SpinorField8
 from dirac88.evolution import run_free
 from dirac88.spin import (SpinOperator, angular_momentum_series,
                           photon_spin_selection, spin_half, spin_one,
-                          verify_spin_evolution, write_angular_momentum_csv)
+                          verify_spin_evolution)
 from dirac88 import states
 
 TWO_PI = 2 * np.pi
@@ -161,18 +161,6 @@ def test_narrow_packet_does_not_warn(make):
     with _w.catch_warnings():
         _w.simplefilter("error")
         angular_momentum_series(run)
-
-
-def test_angular_momentum_csv(tmp_path):
-    g = GridSpec((16,), (TWO_PI,))
-    psi = states.circular_wave_analytic(g, 1, +1)
-    run = run_free(psi, np.linspace(0.0, 1.0, 17))
-    orbital, spin, total = angular_momentum_series(run)
-    path = tmp_path / "am.csv"
-    write_angular_momentum_csv(path, run.times, orbital, spin, total)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,Lx,Ly,Lz,Sx,Sy,Sz,Jx,Jy,Jz"
-    assert len(path.read_text().splitlines()) == 18
 
 
 @pytest.mark.filterwarnings("ignore:density RMS width")

@@ -202,3 +202,23 @@ def test_modules_import_only_the_layers_below_them():
         if imported - allowed:
             crossing[name] = sorted(imported - allowed)
     assert not crossing, f"imports across the layers: {crossing}"
+
+
+# Only ``cli`` and the serialisation of ``fields`` open or write files; every other
+# module computes and returns values.
+FILE_IO = {"open", "write_text", "write_bytes", "csv"}
+
+
+def test_only_cli_and_fields_touch_files():
+    touching = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("cli", "fields", "__init__"):
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        if names & FILE_IO:
+            touching[path.stem] = sorted(names & FILE_IO)
+    assert not touching, f"file I/O outside cli and fields: {touching}"
