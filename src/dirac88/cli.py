@@ -49,6 +49,11 @@ class _Checks:
         self.rows: list[dict] = []
 
     def add(self, name: str, anchor: str, deviation: float, tolerance: float):
+        """A row that passes when deviation <= tolerance; a NaN or infinite
+        deviation fails, as a row that strict JSON can hold."""
+        if not np.isfinite(deviation):
+            self.add_failure(name, anchor, f"non-finite deviation {float(deviation)}")
+            return
         self.rows.append({
             "name": name,
             "paper_anchor": anchor,

@@ -387,38 +387,53 @@ def curl(grid: GridSpec, v: np.ndarray) -> np.ndarray:
 
 # --- columnar serialisation: CSV body plus a JSON sidecar with the grid ---
 
-# Grid points formatted per write: one block's row strings are held at a
-# time, never a whole snapshot's.
+# Grid points formatted per write: one block's rows are held at a time,
+# never a whole snapshot's.
 _CSV_BLOCK_POINTS = 2048
 
 
 def _write_csv(path: Path, grid: GridSpec, values: np.ndarray, ncomp: int, kindmeta: dict):
     """Rows ``i,j,k,component,re,im`` in C order, CRLF ends, ``%.17g`` values.
 
-    A block formats each distinct double once: snapshots repeat few values
-    (exact zeros, a plane wave's few levels). Doubles are told apart by
-    their bit pattern, not their value, since 0.0 == -0.0 prints apart
-    ("0", "-0") and a value key would merge them.
+    A block is a uint8 matrix, one record of NUL-padded cells per CSV row:
+    ``i,``, ``j,``, ``k,``, ``component,``, re, ``,``, im and CRLF. No cell
+    can contain a NUL, so dropping the NULs leaves exactly the rows.
+    Snapshots repeat few values (exact zeros, a plane wave's few levels), so
+    a block formats only the doubles that the previous block's table lacks.
+    Doubles are keyed by bit pattern: 0.0 == -0.0 prints apart ("0", "-0").
     """
     path = Path(path)
     idx_shape = grid.shape + (1,) * (3 - grid.ndim)
     flat = values.reshape(-1, ncomp)
-    # one point's rows; the first %s takes that point's "i,j,k," prefix
-    point_rows = "".join(f"%s{comp},%s,%s\r\n" for comp in range(ncomp))
-    with path.open("w", newline="") as fh:
-        fh.write("i,j,k,component,re,im\r\n")
+    axes = [np.array([f"{i}," for i in range(n)], dtype="S") for n in idx_shape]
+    comp = np.array([f"{c}," for c in range(ncomp)], dtype="S")
+    # one block's sorted bits and %.17g texts (<= 24 bytes); row 0 is +0.0, never sorted
+    known_bits, known = np.zeros(1, np.uint64), np.array([b"0"], "S24")
+    with path.open("wb") as fh:
+        fh.write(b"i,j,k,component,re,im\r\n")
         for start in range(0, len(flat), _CSV_BLOCK_POINTS):
             block = flat[start:start + _CSV_BLOCK_POINTS]
+            keys = np.stack((block.real, block.imag), -1).view(np.uint64).ravel()
+            order = np.flatnonzero(keys)
+            order = order[keys[order].argsort(kind="stable")]
+            run = np.r_[np.uint64(0), keys[order]]
+            starts = np.r_[True, run[1:] != run[:-1]]
+            inverse = np.zeros(keys.shape, np.intp)
+            inverse[order] = starts.cumsum()[1:] - 1
+            bits = run[starts]
+            at = np.minimum(known_bits.searchsorted(bits), len(known_bits) - 1)
+            miss = known_bits[at] != bits
+            known_bits, known = bits, known[at]
+            known[miss] = ("%.17g " * miss.sum() % tuple(bits[miss].view(float).tolist())).split()
+            text = known[inverse.reshape(block.shape + (2,))]
             ijk = np.unravel_index(np.arange(start, start + len(block)), idx_shape)
-            prefixes = [f"{i},{j},{k}," for i, j, k in zip(*(a.tolist() for a in ijk))]
-            bits, inverse = np.unique(np.stack((block.real, block.imag), -1).view(np.int64),
-                                      return_inverse=True)
-            text = ("%.17g\n" * len(bits) % tuple(bits.view(float).tolist())).split("\n")
-            cells = np.empty(block.shape + (3,), dtype=object)
-            cells[..., 0] = np.array(prefixes, dtype=object)[:, None]
-            # the inverse's shape differs across numpy releases
-            cells[..., 1:] = np.array(text, dtype=object)[inverse.reshape(block.shape + (2,))]
-            fh.write(point_rows * len(block) % tuple(cells.ravel().tolist()))
+            cells = [axis[index, None] for axis, index in zip(axes, ijk)]
+            cells += [comp, text[..., 0], np.bytes_(b","), text[..., 1], np.bytes_(b"\r\n")]
+            rows = np.empty(block.shape, [(f"f{n}", cell.dtype) for n, cell in enumerate(cells)])
+            for name, cell in zip(rows.dtype.names, cells):
+                rows[name] = cell
+            rows = rows.view(np.uint8)
+            fh.write(rows[rows != 0])
     sidecar = {"grid": grid.to_dict(), "components": ncomp}
     sidecar.update(kindmeta)
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=1))

@@ -727,6 +727,15 @@ def test_config_domain_exit2(tmp_path, capsys, key, edit):
     assert not (out / "summary.json").exists()
 
 
+def failed_rows(outdir):
+    """(name, deviation) of each failed row of a summary.json read as strict JSON."""
+    def reject(token):
+        raise ValueError(f"non-finite {token} in summary.json")
+
+    rows = json.loads((outdir / "summary.json").read_text(), parse_constant=reject)["checks"]
+    return [(row["name"], row["deviation"]) for row in rows if not row["pass"]]
+
+
 def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
     import dirac88.evolution as evolution
     kernel = evolution._Moments.add
@@ -739,8 +748,8 @@ def test_summary_is_strict_json(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
     out = tmp_path / "o"
     assert run_command("evolve", path, str(out)) == 1
-    assert "summary.json" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert "summary.json" not in capsys.readouterr().err
+    assert failed_rows(out) == [("energy conservation", None), ("finite diagnostics", None)]
 
 
 def test_nan_sample_fails_drift_checks(tmp_path, capsys, monkeypatch):
@@ -756,8 +765,8 @@ def test_nan_sample_fails_drift_checks(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))
     out = tmp_path / "o"
     assert run_command("evolve", path, str(out)) == 1
-    assert "summary.json" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert "summary.json" not in capsys.readouterr().err
+    assert failed_rows(out)[0] == ("norm conservation", None)
 
 
 def sourced_cfg():
@@ -922,8 +931,11 @@ def test_evolve_of_an_overflowing_state_is_a_failed_run(tmp_path, capsys, amplit
     cfg = {**overflowing_cfg(amplitude), "checks": {"norm_drift": 1e-8, "energy_drift": 1e-8}}
     out = tmp_path / "o"
     assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
-    assert "summary.json: Out of range float values" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert "Out of range float values" not in capsys.readouterr().err
+    assert failed_rows(out) == [("norm conservation", None), ("energy conservation", None),
+                                ("finite diagnostics", None)]
+    errors = [row.get("error") for row in read_summary(out)["checks"]]
+    assert errors[:2] == ["non-finite deviation nan"] * 2
 
 
 def test_evolve_fails_a_run_whose_diagnostics_are_not_finite(tmp_path):

@@ -167,8 +167,8 @@ def test_drawn_config_runs_or_exits_2_naming_a_key(data):
             assert named and named.group(1) in COMMANDS[command][1], err
         assert not summary
     else:
-        # exit 1 without a summary only when strict JSON refuses a NaN
-        assert summary or re.search(r"error: \S+\.json: Out of range float", err), err
+        # a run that exits 0 or 1 names its checks, failed ones included
+        assert summary, err
 
 
 NUMBER = ["x", True, None, math.nan, math.inf, -math.inf, [1.0], {}]

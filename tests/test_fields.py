@@ -6,6 +6,7 @@ import pytest
 
 from dirac88 import states
 from dirac88.algebra import generators
+from dirac88.cli import run_command
 from dirac88.errors import ConstraintViolation
 from dirac88.evolution import evolve_free, run_free
 from dirac88.fields import (_CSV_BLOCK_POINTS, EMField, FourCurrent, GridSpec, SpinorField8,
@@ -501,8 +502,25 @@ def _redundant_spinor():
     return SpinorField8(g, values, kind="electron", mass=0.5)
 
 
-@pytest.mark.parametrize("field", [_redundant_em, _redundant_spinor, _travelling_wave_snapshot],
-                         ids=["edge-em-3d", "spinor-2d", "travelling-wave-3d"])
+def _carried_table_spinor():
+    """A 1-D spinor of eight blocks, each against the table of the block
+    before it: the same doubles (full overlap), half of them (partial), new
+    ones (none), only +0.0 beside the widest text (-1.0000000000000001e+300)
+    on either side, then all distinct doubles."""
+    g = GridSpec((8 * _CSV_BLOCK_POINTS,), (TWO_PI,))
+    rng = np.random.default_rng(31)
+    a, b, c = (rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40) for _ in range(3))
+    a[:4] = 0.0, -0.0, np.nan, 1e-300
+    levels = [a, a[::-1], np.r_[a[:20], b[:20]], c, [0.0], [-1e300, 0.5],
+              [0.0], rng.standard_normal(2 * 8 * _CSV_BLOCK_POINTS)]
+    blocks = [rng.choice(level, (_CSV_BLOCK_POINTS, 8, 2)) for level in levels]
+    values = np.concatenate(blocks).view(complex)[..., 0]
+    return SpinorField8(g, values, kind="electron", mass=0.5)
+
+
+@pytest.mark.parametrize("field", [_redundant_em, _redundant_spinor, _travelling_wave_snapshot,
+                                   _carried_table_spinor],
+                         ids=["edge-em-3d", "spinor-2d", "travelling-wave-3d", "carried-table-1d"])
 def test_snapshot_csv_equals_the_row_by_row_writer(tmp_path, field):
     field = field()
     path = tmp_path / "snap.csv"
@@ -514,6 +532,24 @@ def test_snapshot_csv_equals_the_row_by_row_writer(tmp_path, field):
         values = field.values
     assert values.size // values.shape[-1] > _CSV_BLOCK_POINTS
     assert path.read_bytes() == _reference_csv(field.grid, values)
+
+
+# each polarisation axis, with the mode in the other two: an x-polarised wave
+# holds the most distinct doubles per block of the three
+@pytest.mark.parametrize("polarisation, mode", [("x", [0, 1, -2]), ("y", [2, 0, 1]),
+                                                ("z", [-1, 2, 0])])
+def test_evolve_snapshots_equal_the_row_by_row_writer(tmp_path, polarisation, mode):
+    cfg = {"grid": {"points": [16, 16, 16], "lengths": [TWO_PI] * 3}, "duration": 0.9,
+           "samples": 3, "outputs": {"snapshots": [0, 1, 2]},
+           "state": {"type": "travelling_wave", "mode": mode, "polarisation": polarisation}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_command("evolve", str(tmp_path / "cfg.json"), str(tmp_path)) == 0
+    for n in range(3):
+        path = tmp_path / f"fields-{n}.csv"
+        em = load_em_csv(path)
+        values = np.concatenate([em.e, em.b], axis=-1)
+        assert len(np.unique(values)) > 2
+        assert path.read_bytes() == _reference_csv(em.grid, values)
 
 
 def assert_bits_equal(got, want):
@@ -574,7 +610,7 @@ def test_spinor_csv_without_units_loads_natural_units(tmp_path):
 
 def test_snapshot_write_memory_budget(tmp_path):
     """Rows are formatted a block at a time, so one 32^3 snapshot (a 3 MiB
-    array of E and B) peaks at 6.0 MiB (tracemalloc, numpy 2.4); formatting
+    array of E and B) peaks at 6.6 MiB (tracemalloc, numpy 2.4); formatting
     all rows at once would take about 36 MiB."""
     g = GridSpec((32, 32, 32), (TWO_PI,) * 3)
     rng = np.random.default_rng(19)
