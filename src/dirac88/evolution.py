@@ -242,19 +242,20 @@ def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
 
 def _form_samples(dec: ModeDecomposition, times, source_term=None):
     """Yield (sample, axis-0 stage) at each time t.  The sample is the inverse
-    transform of the spectral amplitudes dec.at(t), plus ``source_term(t)``
-    when given, taken one axis at a time (``GridSpec.ifft_staged``); the stage
-    is that transform over grid axes 1.. alone, fft(sample, axis=0) up to
-    round-off, which the moments pass reads instead of transforming the
-    sample again.  Both live in two arrays that every time reuses, so a
-    yielded pair is valid until the next.  A sourced sample is checked as it
-    is formed: its constrained components stay below ``_CONSTRAINT_TOL`` times
-    the field scale, or it raises ConstraintViolation (NaN fails too)."""
+    transform of the spectral amplitudes dec.at(t), plus what a given
+    ``source_term(t, hat, scratch)`` adds to them in place, taken one axis at
+    a time (``GridSpec.ifft_staged``); the stage is that transform over grid
+    axes 1.. alone, fft(sample, axis=0) up to round-off, which the moments
+    pass reads instead of transforming the sample again.  Both live in two
+    arrays that every time reuses, so a yielded pair is valid until the next.
+    A sourced sample is checked as it is formed: its constrained components
+    stay below ``_CONSTRAINT_TOL`` times the field scale, or it raises
+    ConstraintViolation (NaN fails too)."""
     hat, values = np.empty_like(dec.plus), np.empty_like(dec.plus)
     for t in times:
         dec.at(float(t), out=hat, scratch=values)
         if source_term is not None:
-            hat += source_term(float(t))
+            source_term(float(t), hat, values)
         sample = dec.grid.ifft_staged(hat, out=values)
         if source_term is not None:
             resid = constraint_residual(sample)
@@ -289,12 +290,15 @@ def _duhamel_kernels(w: np.ndarray, omega: float, t: float):
     R = int sin/w.sin/omega, set to 0 at the inert w = 0 mode.  R divides by
     the larger of w and |omega|, which keeps it accurate at resonance and as
     omega -> 0, where splitting sin(omega s) into exponentials loses digits."""
-    sinc = lambda x: np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
     p, m = 0.5 * (omega + w) * t, 0.5 * (omega - w) * t
-    re_plus, re_minus = t * np.cos(p) * sinc(m), t * np.cos(m) * sinc(p)
-    cc, cr = 0.5 * (re_plus + re_minus), 0.5 * t * t * sinc(p) * sinc(m)
+    sinc_p = np.divide(np.sin(p), p, out=np.ones_like(p), where=p != 0.0)
+    sinc_m = np.divide(np.sin(m), m, out=np.ones_like(m), where=m != 0.0)
+    re_plus, re_minus = t * np.cos(p) * sinc_m, t * np.cos(m) * sinc_p
+    cc, cr = 0.5 * (re_plus + re_minus), 0.5 * t * t * sinc_p * sinc_m
+    wt = omega * t
     w_larger = w >= abs(omega)
-    num = np.where(w_larger, t * sinc(np.asarray(omega * t)) - cc, 0.5 * (re_minus - re_plus))
+    num = np.where(w_larger, t * (np.sin(wt) / wt if wt else 1.0) - cc,
+                   0.5 * (re_minus - re_plus))
     den = np.where(w_larger, w * w, omega * w)
     return cc, cr, np.divide(num, den, out=np.zeros_like(num), where=w > 0.0)
 
@@ -322,11 +326,15 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
     hbar = psi0.hbar
     spectral = _Spectral(psi0.grid, psi0.mass, psi0.c, hbar)
     rho_part, j_part = _source_hat_parts(psi0.grid, source, psi0.c, hbar)
-    h_rho, h_j = spectral.apply_h(rho_part), spectral.apply_h(j_part)
+    # (C_c j + C_r (rho - i H j / hbar) - i R H rho / hbar) / (i hbar), one part per kernel
+    parts = (j_part / (1j * hbar),
+             (rho_part - 1j * spectral.apply_h(j_part) / hbar) / (1j * hbar),
+             spectral.apply_h(rho_part) / -(hbar * hbar))
 
-    def duhamel(t: float) -> np.ndarray:
-        cc, cr, r = (k[..., None] for k in _duhamel_kernels(spectral.omega, source.omega, t))
-        return (cr * rho_part + cc * j_part - 1j * (r * h_rho + cr * h_j) / hbar) / (1j * hbar)
+    def duhamel(t: float, out: np.ndarray, scratch: np.ndarray):
+        """Add the term at t to the spectral amplitudes ``out``, through ``scratch``."""
+        for kernel, part in zip(_duhamel_kernels(spectral.omega, source.omega, t), parts):
+            out += np.multiply(kernel[..., None], part, out=scratch)
 
     return EvolutionRun(_split(psi0, spectral), times, psi0.kind, duhamel)
 

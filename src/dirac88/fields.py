@@ -296,7 +296,7 @@ class _Moments:
     spectral wave-vector operator -i grad.  ``density0`` is sum_a |psi_a|^2 per
     point of the first sample.
 
-    The set-up (coordinates, axis wave numbers, the line-Gram weights) and the
+    The set-up (coordinates, axis wave numbers, the weights W_b) and the
     scratch arrays are made once; ``add`` measures one sample into them,
     allocating nothing of the sample's size, and drops the scratch after the
     last sample.  The norm and the Gram matrix are sums over the sample
@@ -304,14 +304,17 @@ class _Moments:
     A_b = fft(psi, axis=b), laid out with k_b leading, and Parseval along b
     alone: k_b varies only along b, while alpha'_b and the coordinate r_a of
     any other axis are constant along it.  So sum psi+ alpha'_b k_b psi =
-    sum_k k_b A_b+ alpha'_b A_b / N_b, summed per k_b line through an 8x8
-    Gram matrix, and sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b.  A line
-    Gram is a real product of the float view x of the line, with the real
-    and imaginary parts of component a in columns 2a and 2a + 1: from
-    R = x^T x, G = (rr + ii) + i (ri - ir).  Every sample brings A_0 along,
-    the stage before the last of its inverse transform
+    sum_k k_b A_b+ alpha'_b A_b / N_b and sum r_a psi+ k_b psi =
+    sum r_a k_b |A_b|^2 / N_b.  The first is x . (x W_b) per point, x the float
+    view of A_b (component a in columns 2a, 2a + 1) and W_b the 16x16
+    ``_kinetic_weights``, summed per k_b line; x W_b goes, a cache-sized block
+    of lines at a time, into an array that is dead by then (the scratch after
+    the Gram matrix, the axis-0 stage after b = 0).  Every sample brings A_0
+    along, the stage before the last of its inverse transform
     (``GridSpec.ifft_staged``), so it costs one forward transform fewer.
     """
+    # rows per block of x and of x W_b, 256 KiB each: both stay in a 2 MiB L2 cache
+    _BLOCK_ROWS = 2048
 
     def __init__(self, grid: GridSpec, n: int):
         self.grid = grid
@@ -322,22 +325,22 @@ class _Moments:
         self.density0 = None    # the first sample's, set when it is measured
         self._coords = grid.axis_coords()
         self._k_axes = grid._axis_wave_numbers()
-        # Re sum_ab alpha'_ab G_ab as a weight on the real line Gram R
-        self._line_weights = []
+        # Re psi+ alpha'_b psi = x . (x W_b) on the float view x of psi
+        self._kinetic_weights = []
         for cart in grid.spatial_axes:
             alpha = _ALPHA[cart]
             w = np.empty((8, 2, 8, 2))
             w[:, 0, :, 0] = w[:, 1, :, 1] = alpha.real
             w[:, 0, :, 1], w[:, 1, :, 0] = -alpha.imag, alpha.imag
-            self._line_weights.append(w.reshape(-1))
+            self._kinetic_weights.append(w.reshape(16, 16))
         self._power = np.empty(grid.shape + (8,))
         self._scratch = np.empty(grid.shape + (8,), dtype=complex)
 
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, s: int, v: np.ndarray, axis0: np.ndarray):
         """Measure sample ``s``, of shape (*grid, 8); ``axis0`` is fft(v, axis=0)
-        up to round-off and is read in place of that transform.  A sample whose
-        squares overflow reads inf or NaN here, which the checks then fail."""
+        up to round-off, read in place of that transform, then overwritten.  A
+        sample whose squares overflow reads inf or NaN, which the checks fail."""
         grid, cart = self.grid, self.grid.spatial_axes
         power = np.square(np.abs(v, out=self._power), out=self._power)
         self.norms[s] = np.sum(power)
@@ -353,8 +356,14 @@ class _Moments:
                 lead = self._scratch.reshape((n_b,) + others + (8,))
                 np.fft.fft(v, axis=b, out=np.moveaxis(lead, 0, b))
             x = lead.reshape(n_b, -1, 8).view(float)
-            k_gram = self._k_axes[b] @ (x.transpose(0, 2, 1) @ x).reshape(n_b, -1)
-            self.kinetic[s] += k_gram @ self._line_weights[b] / n_b
+            dead = (axis0 if b else self._scratch).reshape(-1, 8).view(float)
+            lines = max(1, self._BLOCK_ROWS // x.shape[1])
+            for k0 in range(0, n_b, lines):
+                block = x[k0:k0 + lines]
+                xw = np.matmul(block.reshape(-1, 16), self._kinetic_weights[b],
+                               out=dead[:block.size // 16])
+                self.kinetic[s] += self._k_axes[b][k0:k0 + lines] @ np.vecdot(
+                    block.reshape(len(block), -1), xw.reshape(len(block), -1)) / n_b
             weighted = (self._k_axes[b] @ np.einsum("kmi,kmi->km", x, x)).reshape(others)
             for a in range(grid.ndim):
                 if a != b:
@@ -415,7 +424,7 @@ def _write_csv(path: Path, grid: GridSpec, values: np.ndarray, ncomp: int, kindm
             block = flat[start:start + _CSV_BLOCK_POINTS]
             keys = np.stack((block.real, block.imag), -1).view(np.uint64).ravel()
             order = np.flatnonzero(keys)
-            order = order[keys[order].argsort(kind="stable")]
+            order = order[keys[order].argsort()]   # equal keys make one run in any order
             run = np.r_[np.uint64(0), keys[order]]
             starts = np.r_[True, run[1:] != run[:-1]]
             inverse = np.zeros(keys.shape, np.intp)

@@ -22,6 +22,9 @@ from .fields import EMField, FourCurrent, GridSpec
 
 __all__ = ["OracleRun", "CompareReport", "maxwell_evolve", "compare"]
 
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]   # (khat x v)_i = khat_{i+1} v_{i+2} - khat_{i+2} v_{i+1}
+_TO_EB = np.array([[0.5, 0.5], [-0.5j, 0.5j]])   # E = (F+ + F-) / 2, B = (F+ - F-) / 2i
+
 
 class OracleRun:
     """Classical fields on a time grid, formed when read: ``samples()`` yields
@@ -51,14 +54,13 @@ class CompareReport:
         return float(np.maximum(self.max_abs_e, self.max_abs_b))
 
 
-def _rotate(khat: np.ndarray, cos_a: np.ndarray, sin_a: np.ndarray,
-            nonzero: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate complex vectors v about khat by the pointwise angle."""
+def _rotate(khat: np.ndarray, khat_next: np.ndarray, khat_prev: np.ndarray,
+            cos_a: np.ndarray, sin_a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate complex vectors v about unit vectors khat by the angle of cos_a and sin_a;
+    khat_next and khat_prev are khat with its components cycled by one and by two."""
     par = np.einsum("...i,...i->...", khat, v)[..., None] * khat
-    perp = v - par
-    crossed = np.cross(khat, v)
-    out = par + cos_a[..., None] * perp + sin_a[..., None] * crossed
-    return np.where(nonzero[..., None], out, v)
+    crossed = khat_next * v[..., _PREV] - khat_prev * v[..., _NEXT]
+    return par + cos_a * (v - par) + sin_a * crossed
 
 
 def _source_integrals(t: float, omega: float, ck: np.ndarray):
@@ -96,38 +98,34 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     k = np.zeros(grid.shape + (3,))
     k[..., 3 - grid.ndim:] = np.stack(np.meshgrid(*axis_k, indexing="ij"), axis=-1)
     kn = np.linalg.norm(k, axis=-1)
-    nonzero = kn > 0.0
-    khat = k / np.where(nonzero, kn, 1.0)[..., None]
+    # khat is 0 at k = 0, where the angle c|k|t is 0 too: that mode stays as it is
+    khat = k / np.where(kn > 0.0, kn, 1.0)[..., None]
+    axis = (khat, khat[..., _NEXT], khat[..., _PREV])
 
-    f_plus0 = np.fft.fftn(em0.e + 1j * em0.b, axes=axes)
-    f_minus0 = np.fft.fftn(em0.e - 1j * em0.b, axes=axes)
+    # F(+) and F(-) stacked on a leading axis, along which ``sign`` turns sin(angle) to +-sin
+    stack_axes = tuple(range(1, grid.ndim + 1))
+    f0 = np.fft.fftn(np.stack((em0.e + 1j * em0.b, em0.e - 1j * em0.b)), axes=stack_axes)
+    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (grid.ndim + 1))
     if source is not None:
         j_hat = np.fft.fftn(source.j_amp.astype(complex), axes=axes)
         par = np.einsum("...i,...i->...", khat, j_hat)[..., None] * khat
         perp = j_hat - par
-        crossed = np.cross(khat, j_hat)
+        signed_crossed = sign * np.cross(khat, j_hat)
         # b and d depend on |k| alone, and many modes share it (k and -k at least)
         ck, mode_ck = np.unique(c * kn, return_inverse=True)
         mode_ck = mode_ck.reshape(grid.shape)
 
     def form(t):
-        f_p, f_m = f_plus0, f_minus0
+        """(E, B) at t: F(+-) with the source's share, both turned in one
+        rotation by +-c|k|t and transformed back as one stacked array."""
+        f = f0
         if source is not None:
-            # dF(+-)/dt = +- c k x F(+-) - 4 pi J
             a, bd = _source_integrals(t, source.omega, ck)
             b, d = bd[:, mode_ck, None]
-            even = a * par + b * perp
-            odd = d * crossed
-            f_p = f_plus0 - 4 * np.pi * (even - odd)
-            f_m = f_minus0 - 4 * np.pi * (even + odd)
-        # F(+-) rotates about khat by the angle +- c |k| t
-        angle = c * kn * t
-        cos_a, sin_a = np.cos(angle), np.sin(angle)
-        f_p = _rotate(khat, cos_a, sin_a, nonzero, f_p)
-        f_m = _rotate(khat, cos_a, -sin_a, nonzero, f_m)
-        e_hat = 0.5 * (f_p + f_m)
-        b_hat = (f_p - f_m) / 2j
-        return np.fft.ifftn(e_hat, axes=axes), np.fft.ifftn(b_hat, axes=axes)
+            f = f0 - 4 * np.pi * (a * par + b * perp - d * signed_crossed)
+        angle = (c * kn * t)[..., None]
+        f = _rotate(*axis, np.cos(angle), sign * np.sin(angle), f)
+        return tuple(np.fft.ifftn(np.einsum("ts,s...->t...", _TO_EB, f), axes=stack_axes))
 
     return OracleRun(grid, times, form)
 

@@ -238,8 +238,8 @@ def test_compare_oracle_verdict_does_not_scale_with_the_amplitude(tmp_path, monk
     # row reads the deviation relative to the oracle field's RMS
     import dirac88.oracle as oracle
     rotate = oracle._rotate
-    monkeypatch.setattr(oracle, "_rotate", lambda khat, cos_a, sin_a, nonzero, v:
-                        rotate(khat, cos_a, -sin_a, nonzero, v))
+    monkeypatch.setattr(oracle, "_rotate", lambda khat, nxt, prv, cos_a, sin_a, v:
+                        rotate(khat, nxt, prv, cos_a, -sin_a, v))
     cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 2.0, "samples": 8,
            "state": {"type": "travelling_wave", "mode": 1, "amplitude": amplitude},
            "tolerance": 1e-10}

@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import tracemalloc
 from dataclasses import fields, replace
 
 import mpmath
@@ -9,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac88.errors import ConstraintViolation, FitError
-from dirac88.evolution import (_duhamel_kernels, _Spectral, alpha_density_series,
-                               alpha_expectation_series, energy_expectation,
+from dirac88.evolution import (_duhamel_kernels, _source_hat_parts, _Spectral,
+                               alpha_density_series, alpha_expectation_series, energy_expectation,
                                energy_expectation_series, evolve_free, evolve_sourced,
                                hamiltonian_k, mode_decomposition, omega_k, run_free,
                                zitter_decompose, zitter_equals_poynting)
-from dirac88.fields import (EMField, GridSpec, SpinorField8, divergence, embed_em, extract_em,
-                            extract_em_amplitudes)
+from dirac88.fields import (EMField, GridSpec, SpinorField8, _Moments, divergence, embed_em,
+                            extract_em, extract_em_amplitudes)
 from dirac88.spin import angular_momentum_series
 from dirac88 import states
 
@@ -935,9 +936,14 @@ STREAM_CASES = {
     "sourced-1d": lambda: states.travelling_wave(grid1d(64), 2, "y", 0.5),
     "sourced-3d": lambda: states.travelling_wave(GridSpec((8, 4, 16), (TWO_PI, 5.0, 9.0)),
                                                  (1, 0, 2), "y", 0.5),
+    # the grid of the bench's sourced 1-D runs
+    "sourced-1d-256": lambda: states.zero_field(grid1d(256)),
 }
 STREAM_SOURCES = {
     "sourced-1d": lambda g: states.gaussian_dipole_current(g, [0, 1, 0], 1.0, TWO_PI / 16, 2.0),
+    # a charged source: its longitudinal part puts rho and H j on one component
+    "sourced-1d-256": lambda g: states.gaussian_dipole_current(g, [0.6, 0, 0.8], 1.2,
+                                                               TWO_PI / 16, 4.0),
     # uniform, so band-limited on a coarse grid, where that dipole's tail at the
     # Nyquist modes would break the Gauss law
     "sourced-3d": lambda g: states.uniform_current(g, [0, 1, 0], 1.0, 2.0),
@@ -977,6 +983,69 @@ def test_pass_moments_equal_the_stacked_moments(case):
     scale = float(np.max(np.abs(run.grid.wave_vectors()))) * float(np.max(norms))
     assert np.max(np.abs(moments.kinetic - kinetic)) <= 1e-15 * scale
     assert np.max(np.abs(moments.rk - rk)) <= 1e-15 * scale * max(run.grid.lengths)
+
+
+def test_moments_allocate_nothing_of_the_sample_size():
+    # the kinetic sum's product x W_b goes into an array that is dead by then,
+    # not into a temporary the size of the sample
+    g = GridSpec((16, 16, 16), (TWO_PI, 5.0, 9.0))
+    v = RNG.standard_normal(g.shape + (8,)) + 1j * RNG.standard_normal(g.shape + (8,))
+    axis0 = np.fft.fft(v, axis=0)
+    moments = _Moments(g, 3)
+    moments.add(0, v, axis0.copy())
+    tracemalloc.start()
+    try:
+        moments.add(1, v, axis0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nbytes / 4, peak
+
+
+def _duhamel_reference(psi0, source):
+    """The Duhamel term at t as a sum of the four source parts and their H
+    images, each weighted by its kernel, with the kernels taken through five
+    sinc evaluations: the reference for the run's three fixed parts."""
+    hbar, omega = psi0.hbar, source.omega
+    spectral = _Spectral(psi0.grid, psi0.mass, psi0.c, hbar)
+    w = spectral.omega
+    rho_part, j_part = _source_hat_parts(psi0.grid, source, psi0.c, hbar)
+    h_rho, h_j = spectral.apply_h(rho_part), spectral.apply_h(j_part)
+    sinc = lambda x: np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+
+    def duhamel(t):
+        p, m = 0.5 * (omega + w) * t, 0.5 * (omega - w) * t
+        re_plus, re_minus = t * np.cos(p) * sinc(m), t * np.cos(m) * sinc(p)
+        cc, cr = 0.5 * (re_plus + re_minus), 0.5 * t * t * sinc(p) * sinc(m)
+        w_larger = w >= abs(omega)
+        num = np.where(w_larger, t * sinc(np.asarray(omega * t)) - cc,
+                       0.5 * (re_minus - re_plus))
+        den = np.where(w_larger, w * w, omega * w)
+        r = np.divide(num, den, out=np.zeros_like(num), where=w > 0.0)
+        cc, cr, r = cc[..., None], cr[..., None], r[..., None]
+        return (cr * rho_part + cc * j_part - 1j * (r * h_rho + cr * h_j) / hbar) / (1j * hbar)
+
+    return duhamel
+
+
+@pytest.mark.parametrize("case", list(STREAM_SOURCES))
+def test_duhamel_term_equals_the_summed_reference(case):
+    psi0, run = _stream_run(case)
+    reference = _duhamel_reference(psi0, STREAM_SOURCES[case](psi0.grid))
+    shape = psi0.values.shape
+    terms, refs = [], []
+    for t in run.times:
+        term = np.zeros(shape, dtype=complex)
+        run._source_term(float(t), term, np.empty(shape, dtype=complex))
+        terms.append(term)
+        refs.append(reference(float(t)))
+    scale = np.max(np.abs(refs))
+    assert scale > 1.0
+    assert np.max(np.abs(np.array(terms) - refs)) <= 1e-15 * scale
+    # and so the samples, formed from the branches and the term
+    dec = mode_decomposition(psi0)
+    samples = np.array([psi0.grid.ifft(dec.at(float(t)) + ref) for t, ref in zip(run.times, refs)])
+    assert np.max(np.abs(stacked(run) - samples)) <= 1e-15 * np.max(np.abs(samples))
 
 
 def test_a_pass_left_early_fills_no_moments(monkeypatch):

@@ -237,21 +237,29 @@ def test_oracle_imports_no_8x8_machinery():
     assert not imported & forbidden
 
 
-def _reference_maxwell_evolve(em0, source, times, substeps, c):
-    """The oracle as a node-by-node Simpson loop: rotate the source vector
-    back to t = 0 at every node and sum the rotated vectors pair by pair."""
-    grid = em0.grid
-    axes = tuple(range(grid.ndim))
+def _reference_rotation(grid, c):
+    """rotate(v, t, sign): one field F(+-) turned about khat by the angle
+    sign c|k|t, through np.cross, with the k = 0 mode kept by np.where."""
     k = grid.wave_vectors()
     kn = np.linalg.norm(k, axis=-1)
+    khat = k / np.where(kn > 0.0, kn, 1.0)[..., None]
 
     def rotate(v, t, sign):
-        khat = k / np.where(kn > 0.0, kn, 1.0)[..., None]
         angle = sign * c * kn * t
         par = np.einsum("...i,...i->...", khat, v)[..., None] * khat
         out = (par + np.cos(angle)[..., None] * (v - par)
                + np.sin(angle)[..., None] * np.cross(khat, v))
         return np.where((kn > 0.0)[..., None], out, v)
+
+    return rotate
+
+
+def _reference_maxwell_evolve(em0, source, times, substeps, c):
+    """The oracle as a node-by-node Simpson loop: rotate the source vector
+    back to t = 0 at every node and sum the rotated vectors pair by pair."""
+    grid = em0.grid
+    axes = tuple(range(grid.ndim))
+    rotate = _reference_rotation(grid, c)
 
     def integrand(t, sign):
         j_hat = np.fft.fftn(source.j_amp.astype(complex), axes=axes)
@@ -310,6 +318,51 @@ def test_simpson_sums_match_node_by_node_reference(name):
     e_ref, b_ref = _reference_maxwell_evolve(em_free, None, times, substeps, c)
     e, b = stacked(maxwell_evolve(em_free, None, times, c=c))
     assert np.array_equal(e, e_ref) and np.array_equal(b, b_ref)
+
+
+def _closed_form_reference(em0, source, times, c):
+    """The closed-form oracle with F+ and F- each rotated on its own and E and
+    B each transformed on its own: the reference for the stacked rotation."""
+    grid = em0.grid
+    axes = tuple(range(grid.ndim))
+    rotate = _reference_rotation(grid, c)
+    k = grid.wave_vectors()
+    kn = np.linalg.norm(k, axis=-1)
+    khat = k / np.where(kn > 0.0, kn, 1.0)[..., None]
+    j_hat = np.fft.fftn(source.j_amp.astype(complex), axes=axes)
+    par = np.einsum("...i,...i->...", khat, j_hat)[..., None] * khat
+    perp, crossed = j_hat - par, np.cross(khat, j_hat)
+    f_plus0 = np.fft.fftn(em0.e + 1j * em0.b, axes=axes)
+    f_minus0 = np.fft.fftn(em0.e - 1j * em0.b, axes=axes)
+    e_out = np.empty((len(times),) + em0.e.shape, dtype=complex)
+    b_out = np.empty_like(e_out)
+    for idx, t in enumerate(times):
+        a, (b, d) = oracle._source_integrals(float(t), source.omega, c * kn)
+        even, odd = a * par + b[..., None] * perp, d[..., None] * crossed
+        f_p = rotate(f_plus0 - 4 * np.pi * (even - odd), float(t), +1.0)
+        f_m = rotate(f_minus0 - 4 * np.pi * (even + odd), float(t), -1.0)
+        e_out[idx] = np.fft.ifftn(0.5 * (f_p + f_m), axes=axes)
+        b_out[idx] = np.fft.ifftn((f_p - f_m) / 2j, axes=axes)
+    return e_out, b_out
+
+
+@pytest.mark.parametrize("name", ["1d-256", "3d"])
+def test_stacked_rotation_matches_one_field_at_a_time(name):
+    if name == "1d-256":   # the grid and source of the bench's compare-oracle runs
+        g = grid1d()
+        em0, c = EMField.zero(g), 1.0
+        src = states.gaussian_dipole_current(g, [1, 0, 0], 1.2, TWO_PI / 16, 4.0)
+    else:
+        g = GridSpec((8, 8, 8), (TWO_PI, 5.0, 7.0))
+        em0, c = _band_limited_divfree(g, 7), 1.7
+        src = states.gaussian_dipole_current(g, [0.3, 1.0, -0.2], 1.0, 0.8, 3.0)
+    times = np.linspace(0.0, 3.0, 11)
+    e_ref, b_ref = _closed_form_reference(em0, src, times, c)
+    scale = max(np.max(np.abs(e_ref)), np.max(np.abs(b_ref)))
+    assert scale > 0.1
+    e, b = stacked(maxwell_evolve(em0, src, times, c=c))
+    assert np.max(np.abs(e - e_ref)) <= 1e-15 * scale
+    assert np.max(np.abs(b - b_ref)) <= 1e-15 * scale
 
 
 def _source_integrals_reference(t, omega, ck):
