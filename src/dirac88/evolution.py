@@ -8,8 +8,8 @@ the Duhamel integral of the source term has a closed form per mode.  The
 constants m, c and hbar of H come from the state (``SpinorField8``) and
 travel with it into every run, sample and mode decomposition.  A run, free
 or sourced, stores no samples: it holds the energy branches of its t = 0
-state, and ``EvolutionRun.samples`` forms the samples one at a time, in reused
-arrays, and measures each as it passes.
+state, and ``EvolutionRun.samples`` forms the samples a time block at a time, in
+reused arrays, and measures each block as it passes.
 
 The velocity expectation <alpha>(t) over the whole box is the quantity
 whose oscillatory component is the Zitterbewegung.  For photon states the
@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ConstraintViolation, FitError
 from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
-                     SpinorField8, _alpha_density, _Moments,
-                     constraint_residual, extract_em_amplitudes)
+                     SpinorField8, _alpha_density, _block_size, _Moments, _time_blocks,
+                     extract_em_amplitudes)
 
 __all__ = [
     "EvolutionRun",
@@ -68,14 +68,16 @@ class EvolutionRun:
     A run holds no samples.  It holds ``branches``, the ``ModeDecomposition`` of
     its t = 0 state (grid, mass, c and hbar come from it), and, for a sourced run
     (``evolve_sourced``), the spectral source term added to each sample; it forms
-    each sample when it is read.  ``samples()`` is the pass: it yields the samples
-    in time order, each a read-only ``SpinorField8`` over a buffer the next sample
-    reuses, so a yielded sample stays valid only until the next one (copy what
-    must outlive it).  It measures each sample as it passes, from the axis-0
-    stage of the sample's inverse transform, so a sample is transformed along
-    axis 0 once, not twice.  When the pass completes it fills ``moments``; a pass
-    left early fills nothing.  ``moments`` on a run nobody iterated runs the same
-    pass.  ``sample(i)`` forms one sample as a fresh, writable copy.
+    each sample when it is read.  ``samples()`` is the pass: it forms and measures
+    a time block of samples at a time (``_form_samples``), then yields them in
+    time order, each a read-only ``SpinorField8`` over a buffer the next block
+    reuses, so a yielded sample stays valid only until the pass leaves its block
+    (copy what must outlive it).  It measures from the axis-0 stage of the
+    block's inverse transform, so a sample is transformed along axis 0 once, not
+    twice.  When the pass completes it fills ``moments``; a pass left early fills
+    nothing.  ``moments`` on a run nobody iterated runs the same pass.
+    ``blocks()`` yields the same time blocks, read-only (B, *grid, 8), and
+    measures nothing.  ``sample(i)`` forms one sample as a fresh, writable copy.
     """
 
     def __init__(self, branches: ModeDecomposition, times: np.ndarray, kind: str,
@@ -96,14 +98,20 @@ class EvolutionRun:
     def samples(self):
         """The pass over the samples; see the class docstring."""
         measure = _Moments(self.grid, self.n_samples) if self._moments is None else None
-        for s, (values, axis0) in enumerate(self._formed(self.times)):
+        s0 = 0
+        for block, axis0 in self._formed(self.times):
             if measure is not None:
-                measure.add(s, values, axis0)
-            view = values.view()
-            view.flags.writeable = False
-            yield SpinorField8(self.grid, view, self.kind, self.mass, self.c, self.hbar)
+                measure.add(s0, block, axis0)
+            s0 += len(block)
+            for values in block:
+                yield SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
         if measure is not None:
             self._moments = measure
+
+    def blocks(self):
+        """The samples a time block at a time, unmeasured; see the class docstring."""
+        for block, _ in self._formed(self.times):
+            yield block
 
     @property
     def moments(self) -> _Moments:
@@ -114,7 +122,7 @@ class EvolutionRun:
         return self._moments
 
     def sample(self, index: int) -> SpinorField8:
-        values = next(self._formed([self.times[index]]))[0]
+        values = next(self._formed(self.times[[index]]))[0][0].copy()
         return SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
 
 
@@ -142,14 +150,26 @@ class ModeDecomposition:
         """|plus|^2 and |minus|^2 of each mode, summed over the eight components."""
         return tuple(np.einsum("...a,...a->...", x.conj(), x).real for x in (self.plus, self.minus))
 
-    def at(self, t: float, out: np.ndarray | None = None,
+    @cached_property
+    def _distinct_omega(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct frequencies and, per mode, the index of its own."""
+        distinct, mode = np.unique(self.omega, return_inverse=True)
+        return distinct, mode.reshape(self.omega.shape)
+
+    def at(self, t, out: np.ndarray | None = None,
            scratch: np.ndarray | None = None) -> np.ndarray:
-        """Spectral amplitudes at time t, e^{-i w t} plus + e^{+i w t} minus.
-        Arrays of the shape of ``plus`` given as ``out`` (the result) and
-        ``scratch`` (overwritten) spare the two full-size temporaries."""
-        phase = np.exp(-1j * self.omega * t)[..., None]
-        out = np.multiply(phase, self.plus, out=out)
-        out += np.multiply(phase.conj(), self.minus, out=scratch)
+        """Spectral amplitudes at time t, e^{-i w t} plus + e^{+i w t} minus; a
+        vector of B times gives a block (B, *grid, 8).  Arrays of the result's
+        shape given as ``out`` (the result) and ``scratch`` (overwritten) spare
+        the two full-size temporaries.  Each distinct w's phase is taken once
+        and spread over the modes and components, so the products run along rows."""
+        distinct, mode = self._distinct_omega
+        phase = np.exp(-1j * distinct * np.asarray(t, dtype=float)[..., None])[..., mode, None]
+        out, scratch = (np.empty(phase.shape[:-1] + (8,), dtype=complex) if a is None else a
+                        for a in (out, scratch))
+        np.copyto(scratch, phase)
+        np.multiply(scratch, self.plus, out=out)
+        out += np.multiply(np.conjugate(scratch, out=scratch), self.minus, out=scratch)
         return out
 
 
@@ -241,29 +261,38 @@ def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
 
 
 def _form_samples(dec: ModeDecomposition, times, source_term=None):
-    """Yield (sample, axis-0 stage) at each time t.  The sample is the inverse
-    transform of the spectral amplitudes dec.at(t), plus what a given
-    ``source_term(t, hat, scratch)`` adds to them in place, taken one axis at
-    a time (``GridSpec.ifft_staged``); the stage is that transform over grid
-    axes 1.. alone, fft(sample, axis=0) up to round-off, which the moments
-    pass reads instead of transforming the sample again.  Both live in two
-    arrays that every time reuses, so a yielded pair is valid until the next.
+    """Yield (block, axis-0 stage), each (B, *grid, 8), per time block of B times
+    (``_time_blocks``).  The block is the inverse transform of the spectral
+    amplitudes dec.at(t), plus what a given ``source_term(t, hat, scratch)``
+    adds to them in place (t of shape (B, 1)), taken one axis at a time
+    (``GridSpec.ifft_staged``); the stage is that transform over grid axes 1..
+    alone, each sample's fft along grid axis 0 up to round-off, which the
+    moments pass reads instead of transforming the block again.  Both live in
+    arrays that every block reuses, so a yielded pair is valid until the next;
+    the block is a read-only view.
     A sourced sample is checked as it is formed: its constrained components
-    stay below ``_CONSTRAINT_TOL`` times the field scale, or it raises
-    ConstraintViolation (NaN fails too)."""
-    hat, values = np.empty_like(dec.plus), np.empty_like(dec.plus)
-    for t in times:
-        dec.at(float(t), out=hat, scratch=values)
+    stay below ``_CONSTRAINT_TOL`` times the field scale, or the first that
+    does not raises ConstraintViolation (NaN fails too)."""
+    grid = dec.grid
+    shape = (min(len(times), _block_size(grid)),) + dec.plus.shape
+    hat_rows, value_rows = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for t in _time_blocks(grid, times):
+        hat, values = hat_rows[:len(t)], value_rows[:len(t)]
+        dec.at(t, out=hat, scratch=values)
         if source_term is not None:
-            source_term(float(t), hat, values)
-        sample = dec.grid.ifft_staged(hat, out=values)
+            source_term(t[:, None], hat, values)
+        block = grid.ifft_staged(hat, out=values)
         if source_term is not None:
-            resid = constraint_residual(sample)
-            if not resid <= _CONSTRAINT_TOL * max(float(np.max(np.abs(sample))), 1.0):
+            size = abs(block).reshape(len(t), -1, 8).max(axis=1)   # per sample and component
+            resid, scale = size[:, ::4].max(axis=1), np.maximum(size.max(axis=1), 1.0)
+            bad = np.flatnonzero(~(resid <= _CONSTRAINT_TOL * scale))   # NaN fails
+            if len(bad):
                 raise ConstraintViolation(
-                    f"constrained components reached {resid:.3e} at t = {t:.6g}; "
+                    f"constrained components reached {resid[bad[0]]:.3e} at t = {t[bad[0]]:.6g}; "
                     "check source continuity and the Gauss law of the initial data")
-        yield sample, hat
+        block = block.view()
+        block.flags.writeable = False
+        yield block, hat
 
 
 def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float):
@@ -281,8 +310,9 @@ def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float
     return rho_part, j_part
 
 
-def _duhamel_kernels(w: np.ndarray, omega: float, t: float):
-    """Duhamel kernels of one time t, per mode frequency w, in closed form.
+def _duhamel_kernels(w: np.ndarray, omega: float, t):
+    """Duhamel kernels at time t, per mode frequency w, in closed form (times
+    of shape (B, 1) give kernels (B, len(w))).
 
     With the propagator's factors cos w(t-s) and sin w(t-s)/w and the source's
     cos(omega s) and sin(omega s)/omega integrated over s in [0, t]:
@@ -290,15 +320,14 @@ def _duhamel_kernels(w: np.ndarray, omega: float, t: float):
     R = int sin/w.sin/omega, set to 0 at the inert w = 0 mode.  R divides by
     the larger of w and |omega|, which keeps it accurate at resonance and as
     omega -> 0, where splitting sin(omega s) into exponentials loses digits."""
-    p, m = 0.5 * (omega + w) * t, 0.5 * (omega - w) * t
-    sinc_p = np.divide(np.sin(p), p, out=np.ones_like(p), where=p != 0.0)
-    sinc_m = np.divide(np.sin(m), m, out=np.ones_like(m), where=m != 0.0)
-    re_plus, re_minus = t * np.cos(p) * sinc_m, t * np.cos(m) * sinc_p
-    cc, cr = 0.5 * (re_plus + re_minus), 0.5 * t * t * sinc_p * sinc_m
-    wt = omega * t
+    pm = np.stack((0.5 * (omega + w) * t, 0.5 * (omega - w) * t))   # p and m
+    sinc_pm = np.divide(np.sin(pm), pm, out=np.ones_like(pm), where=pm != 0.0)
+    re_plus, re_minus = t * np.cos(pm) * sinc_pm[::-1]
+    cc, cr = 0.5 * (re_plus + re_minus), 0.5 * t * t * sinc_pm[0] * sinc_pm[1]
+    wt = np.asarray(omega * t)
+    sinc_wt = np.divide(np.sin(wt), wt, out=np.ones_like(wt), where=wt != 0.0)
     w_larger = w >= abs(omega)
-    num = np.where(w_larger, t * (np.sin(wt) / wt if wt else 1.0) - cc,
-                   0.5 * (re_minus - re_plus))
+    num = np.where(w_larger, t * sinc_wt - cc, 0.5 * (re_minus - re_plus))
     den = np.where(w_larger, w * w, omega * w)
     return cc, cr, np.divide(num, den, out=np.zeros_like(num), where=w > 0.0)
 
@@ -331,12 +360,17 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
              (rho_part - 1j * spectral.apply_h(j_part) / hbar) / (1j * hbar),
              spectral.apply_h(rho_part) / -(hbar * hbar))
 
-    def duhamel(t: float, out: np.ndarray, scratch: np.ndarray):
-        """Add the term at t to the spectral amplitudes ``out``, through ``scratch``."""
-        for kernel, part in zip(_duhamel_kernels(spectral.omega, source.omega, t), parts):
-            out += np.multiply(kernel[..., None], part, out=scratch)
+    branches = _split(psi0, spectral)
+    distinct, mode = branches._distinct_omega   # the kernels depend on w alone
 
-    return EvolutionRun(_split(psi0, spectral), times, psi0.kind, duhamel)
+    def duhamel(t, out: np.ndarray, scratch: np.ndarray):
+        """Add the term at t, or at times (B, 1), to the spectral amplitudes
+        ``out``, through ``scratch``."""
+        for kernel, part in zip(_duhamel_kernels(distinct, source.omega, t), parts):
+            np.copyto(scratch, kernel[..., mode, None])
+            out += np.multiply(scratch, part, out=scratch)
+
+    return EvolutionRun(branches, times, psi0.kind, duhamel)
 
 
 def mode_decomposition(psi: SpinorField8) -> ModeDecomposition:
@@ -509,8 +543,8 @@ def zitter_equals_poynting(run: EvolutionRun) -> PoyntingSplitReport:
     grid_axes = tuple(range(grid.ndim))
     flux, jitter = np.zeros((run.n_samples, 3)), np.zeros((run.n_samples, 3))
     pointwise_dev = 0.0
-    for it, (psi, (fields_plus, _)) in enumerate(zip(run.samples(),
-                                                     _form_samples(positive, run.times))):
+    plus_samples = (sample for block, _ in _form_samples(positive, run.times) for sample in block)
+    for it, (psi, fields_plus) in enumerate(zip(run.samples(), plus_samples)):
         density = 0.5 * _alpha_density(psi.values)
         e, b = extract_em_amplitudes(fields_plus)
         slow = 2.0 * np.cross(e.conj(), b).real

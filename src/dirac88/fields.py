@@ -126,13 +126,14 @@ class GridSpec:
 
     def ifft_staged(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``ifft(values)`` into ``out``, as one-axis transforms in ifftn's own
-        order, last grid axis first, so ``out`` receives the same bits.  Every
-        stage but the last runs in place in ``values``, which is left holding
-        the transform over grid axes 1.. alone: fft(out, axis=0) up to
-        round-off (the spectral amplitudes themselves on a 1-D grid)."""
-        for axis in range(self.ndim - 1, 0, -1):
+        order, last grid axis first, so ``out`` receives the same bits; a block
+        (B, *grid, 8) is transformed sample by sample.  Every stage but the last
+        runs in place in ``values``, which is left holding the transform over
+        grid axes 1.. alone: fft(out) along grid axis 0 up to round-off (the
+        spectral amplitudes themselves on a 1-D grid)."""
+        for axis in range(-2, -1 - self.ndim, -1):
             np.fft.ifft(values, axis=axis, out=values)
-        return np.fft.ifft(values, axis=0, out=out)
+        return np.fft.ifft(values, axis=-1 - self.ndim, out=out)
 
     def to_dict(self) -> dict:
         return {"points": [int(n) for n in self.points], "lengths": list(self.lengths)}
@@ -285,8 +286,15 @@ def _alpha_density(values: np.ndarray) -> np.ndarray:
                      for i in range(3)], axis=-1)
 
 
+# rows per block of x and of x W_b in ``_Moments.add``, 256 KiB each: both stay
+# in a 2 MiB L2 cache; a time block holds half as many grid points, as a pass
+# holds several arrays of its size
+_BLOCK_ROWS = 2048
+_TIME_BLOCK_POINTS = _BLOCK_ROWS // 2
+
+
 class _Moments:
-    """Every volume diagnostic of a run's samples, taken one sample at a time.
+    """Every volume diagnostic of a run's samples, taken a time block at a time.
 
     ``norms[s]`` is sum |psi|^2 (numpy's pairwise sum) and ``gram[s]`` the
     8x8 Gram matrix G_ab = sum psi_a* psi_b, so that sum psi+ M psi =
@@ -294,34 +302,35 @@ class _Moments:
     ``kinetic[s]`` = sum psi+ (alpha'.k) psi and ``rk[s, i, j]`` =
     sum r_i psi+ (k_j psi) for Cartesian i != j (zero otherwise), with k the
     spectral wave-vector operator -i grad.  ``density0`` is sum_a |psi_a|^2 per
-    point of the first sample.
+    point of the first sample, and ``constraint[s]`` the largest |psi_0| or
+    |psi_4| of sample s (``constraint_residual``; NaN stays NaN).
 
     The set-up (coordinates, axis wave numbers, the weights W_b) and the
-    scratch arrays are made once; ``add`` measures one sample into them,
-    allocating nothing of the sample's size, and drops the scratch after the
-    last sample.  The norm and the Gram matrix are sums over the sample
-    itself.  The momentum sums take, per grid axis b, the 1-D DFT
-    A_b = fft(psi, axis=b), laid out with k_b leading, and Parseval along b
-    alone: k_b varies only along b, while alpha'_b and the coordinate r_a of
+    scratch array, one time block's size, are made once; ``add`` measures one
+    block, each sample to the bits it would read alone, allocating nothing of
+    the block's size, and drops the scratch after the last sample.  The norm
+    and the Gram matrix are sums over the sample itself.  The momentum sums
+    take, per grid axis b, the 1-D DFT A_b = fft(psi, axis=b), laid out with
+    k_b leading, and Parseval along b alone: k_b varies only along b, while alpha'_b and the coordinate r_a of
     any other axis are constant along it.  So sum psi+ alpha'_b k_b psi =
     sum_k k_b A_b+ alpha'_b A_b / N_b and sum r_a psi+ k_b psi =
     sum r_a k_b |A_b|^2 / N_b.  The first is x . (x W_b) per point, x the float
     view of A_b (component a in columns 2a, 2a + 1) and W_b the 16x16
     ``_kinetic_weights``, summed per k_b line; x W_b goes, a cache-sized block
     of lines at a time, into an array that is dead by then (the scratch after
-    the Gram matrix, the axis-0 stage after b = 0).  Every sample brings A_0
-    along, the stage before the last of its inverse transform
-    (``GridSpec.ifft_staged``), so it costs one forward transform fewer.
+    the Gram matrix, the axis-0 stage after b = 0).  Run after the complex Gram
+    product, this real one also restores the speed of numpy's transforms along
+    the last axis.  Every sample brings A_0 along, the stage before the last of
+    its inverse transform (``GridSpec.ifft_staged``), so it costs one forward
+    transform fewer.
     """
-    # rows per block of x and of x W_b, 256 KiB each: both stay in a 2 MiB L2 cache
-    _BLOCK_ROWS = 2048
-
     def __init__(self, grid: GridSpec, n: int):
         self.grid = grid
         self.norms = np.empty(n)
         self.gram = np.empty((n, 8, 8), dtype=complex)
         self.kinetic = np.zeros(n)
         self.rk = np.zeros((n, 3, 3))
+        self.constraint = np.empty(n)
         self.density0 = None    # the first sample's, set when it is measured
         self._coords = grid.axis_coords()
         self._k_axes = grid._axis_wave_numbers()
@@ -333,46 +342,58 @@ class _Moments:
             w[:, 0, :, 0] = w[:, 1, :, 1] = alpha.real
             w[:, 0, :, 1], w[:, 1, :, 0] = -alpha.imag, alpha.imag
             self._kinetic_weights.append(w.reshape(16, 16))
-        self._power = np.empty(grid.shape + (8,))
-        self._scratch = np.empty(grid.shape + (8,), dtype=complex)
+        self._scratch = np.empty((min(n, _block_size(grid)),) + grid.shape + (8,), dtype=complex)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def add(self, s: int, v: np.ndarray, axis0: np.ndarray):
-        """Measure sample ``s``, of shape (*grid, 8); ``axis0`` is fft(v, axis=0)
-        up to round-off, read in place of that transform, then overwritten.  A
-        sample whose squares overflow reads inf or NaN, which the checks fail."""
+    def add(self, s0: int, v: np.ndarray, axis0: np.ndarray):
+        """Measure samples s0, s0 + 1, ... of a block ``v``, of shape (B, *grid, 8)
+        or, for one sample, (*grid, 8); ``axis0`` is the fft of ``v`` along grid
+        axis 0 up to round-off, read in place of that transform, then
+        overwritten.  A sample whose squares overflow reads inf or NaN, which
+        the checks fail."""
         grid, cart = self.grid, self.grid.spatial_axes
-        power = np.square(np.abs(v, out=self._power), out=self._power)
-        self.norms[s] = np.sum(power)
-        if s == 0:
-            self.density0 = power.sum(axis=-1)
-        flat = v.reshape(-1, 8)
-        self.gram[s] = np.conjugate(flat, out=self._scratch.reshape(-1, 8)).T @ flat
+        v = v.reshape((-1,) + grid.shape + (8,))
+        axis0 = axis0.reshape(v.shape)
+        n, s = len(v), slice(s0, s0 + len(v))
+        scratch = self._scratch[:n]
+        # |psi|^2 in the head of the scratch, which the Gram matrix overwrites after it
+        power = scratch.reshape(-1).view(float)[:v.size].reshape(v.shape)
+        power = np.square(np.abs(v, out=power), out=power)
+        self.norms[s] = power.reshape(n, -1).sum(axis=1)
+        if s0 == 0:
+            self.density0 = power[0].sum(axis=-1)
+        self.constraint[s] = abs(v[..., ::4]).reshape(n, -1).max(axis=1)   # keeps NaN
+        flat = v.reshape(n, -1, 8)
+        self.gram[s] = np.conjugate(flat, out=scratch.reshape(flat.shape)).transpose(0, 2, 1) @ flat
         for b, n_b in enumerate(grid.points):
             others = grid.points[:b] + grid.points[b + 1:]
             if b == 0:
                 lead = axis0
             else:   # A_b straight into the reused array, k_b leading
-                lead = self._scratch.reshape((n_b,) + others + (8,))
-                np.fft.fft(v, axis=b, out=np.moveaxis(lead, 0, b))
-            x = lead.reshape(n_b, -1, 8).view(float)
-            dead = (axis0 if b else self._scratch).reshape(-1, 8).view(float)
-            lines = max(1, self._BLOCK_ROWS // x.shape[1])
+                lead = scratch.reshape((n, n_b) + others + (8,))
+                np.fft.fft(v, axis=b + 1, out=np.moveaxis(lead, 1, b + 1))
+            x = lead.reshape(n, n_b, -1, 8).view(float)
+            dead = (axis0 if b else scratch).reshape(-1, 8).view(float)
+            # a block of several samples fits in _BLOCK_ROWS whole: one pass of lines
+            lines = max(1, _BLOCK_ROWS // (n * x.shape[2]))
             for k0 in range(0, n_b, lines):
-                block = x[k0:k0 + lines]
+                block = x[:, k0:k0 + lines]
                 xw = np.matmul(block.reshape(-1, 16), self._kinetic_weights[b],
                                out=dead[:block.size // 16])
-                self.kinetic[s] += self._k_axes[b][k0:k0 + lines] @ np.vecdot(
-                    block.reshape(len(block), -1), xw.reshape(len(block), -1)) / n_b
-            weighted = (self._k_axes[b] @ np.einsum("kmi,kmi->km", x, x)).reshape(others)
+                per_line = np.vecdot(block.reshape(block.shape[:2] + (-1,)),
+                                     xw.reshape(block.shape[:2] + (-1,)))
+                self.kinetic[s] += np.vecdot(per_line, self._k_axes[b][k0:k0 + lines]) / n_b
+            if grid.ndim == 1:   # no other axis, no <r p> moment
+                continue
+            weighted = (self._k_axes[b] @ np.einsum("skmi,skmi->skm", x, x)).reshape((n,) + others)
             for a in range(grid.ndim):
                 if a != b:
                     along = a - (a > b)   # axis a among the others
-                    rest = tuple(ax for ax in range(len(others)) if ax != along)
-                    self.rk[s, cart[a], cart[b]] = (weighted.sum(axis=rest) @ self._coords[a]
-                                                    / n_b)
-        if s == len(self.norms) - 1:   # the run keeps the sums, not the scratch
-            self._power = self._scratch = None
+                    rest = tuple(ax + 1 for ax in range(len(others)) if ax != along)
+                    self.rk[s, cart[a], cart[b]] = np.vecdot(weighted.sum(axis=rest),
+                                                             self._coords[a]) / n_b
+        if s.stop == len(self.norms):   # the run keeps the sums, not the scratch
+            self._scratch = None
 
     @np.errstate(invalid="ignore")   # inf / inf reads NaN, which the checks fail
     def per_norm(self, sums: np.ndarray) -> np.ndarray:
@@ -380,6 +401,18 @@ class _Moments:
         identically-zero sample, NaN for a NaN or overflowing one."""
         norms = self.norms.reshape((-1,) + (1,) * (np.ndim(sums) - 1))
         return np.divide(sums, norms, out=np.zeros_like(sums), where=norms != 0.0)
+
+
+def _block_size(grid: GridSpec) -> int:
+    """Samples per time block: as many as fill ``_TIME_BLOCK_POINTS`` grid points,
+    and at least one."""
+    return max(1, _TIME_BLOCK_POINTS // int(np.prod(grid.shape)))
+
+
+def _time_blocks(grid: GridSpec, times: np.ndarray):
+    """Consecutive time blocks of ``times``, of ``_block_size`` samples each."""
+    size = _block_size(grid)
+    return (times[i:i + size] for i in range(0, len(times), size))
 
 
 def divergence(grid: GridSpec, v: np.ndarray) -> np.ndarray:

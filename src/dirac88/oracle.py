@@ -18,26 +18,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .fields import EMField, FourCurrent, GridSpec
+from .fields import EMField, FourCurrent, GridSpec, _time_blocks
 
 __all__ = ["OracleRun", "CompareReport", "maxwell_evolve", "compare"]
 
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]   # (khat x v)_i = khat_{i+1} v_{i+2} - khat_{i+2} v_{i+1}
-_TO_EB = np.array([[0.5, 0.5], [-0.5j, 0.5j]])   # E = (F+ + F-) / 2, B = (F+ - F-) / 2i
 
 
 class OracleRun:
-    """Classical fields on a time grid, formed when read: ``samples()`` yields
-    (e, b), each of shape (*grid, 3), at every time in order, in fresh arrays,
-    each formed from t = 0 by ``form(t)`` alone."""
+    """Classical fields on a time grid, formed when read: ``blocks()`` yields
+    (e, b) a time block of B times at a time (``_time_blocks``), fresh arrays
+    (B, *grid, 3) that ``form(t)`` makes, each sample from t = 0 alone, and
+    ``samples()`` yields their per-sample views (*grid, 3) in time order."""
 
     def __init__(self, grid: GridSpec, times: np.ndarray, form):
         self.grid, self.times = grid, times
         self._form = form
 
-    def samples(self):
-        for t in self.times:
+    def blocks(self):
+        for t in _time_blocks(self.grid, self.times):
             yield self._form(t)
+
+    def samples(self):
+        for e, b in self.blocks():
+            yield from zip(e, b)
 
 
 @dataclass(frozen=True)
@@ -54,25 +58,28 @@ class CompareReport:
         return float(np.maximum(self.max_abs_e, self.max_abs_b))
 
 
-def _rotate(khat: np.ndarray, khat_next: np.ndarray, khat_prev: np.ndarray,
-            cos_a: np.ndarray, sin_a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate complex vectors v about unit vectors khat by the angle of cos_a and sin_a;
-    khat_next and khat_prev are khat with its components cycled by one and by two."""
-    par = np.einsum("...i,...i->...", khat, v)[..., None] * khat
-    crossed = khat_next * v[..., _PREV] - khat_prev * v[..., _NEXT]
-    return par + cos_a * (v - par) + sin_a * crossed
+def _rotate(par: np.ndarray, perp: np.ndarray, crossed: np.ndarray,
+            cos_a: np.ndarray, sin_a: np.ndarray) -> np.ndarray:
+    """Vectors with parts par along unit vectors khat and perp across them, and
+    crossed = khat x perp, turned about khat by the angle of cos_a and sin_a."""
+    out = np.multiply(cos_a, perp)
+    out += par
+    out += sin_a * crossed
+    return out
 
 
-def _source_integrals(t: float, omega: float, ck: np.ndarray):
+def _source_integrals(t, omega: float, ck: np.ndarray):
     """a = int_0^t cos(omega s) ds and, stacked per c|k| as (2, len(ck)),
-    b = int_0^t cos(omega s) cos(ck s) ds and d = int_0^t cos(omega s) sin(ck s) ds,
-    in sinc forms that stay smooth at omega = 0, ck = 0 and ck = +-omega."""
-    sinc = lambda x: np.sinc(x / np.pi)
-    minus, plus = (ck - omega) * t, (ck + omega) * t
-    b = 0.5 * t * (sinc(minus) + sinc(plus))
-    # (1 - cos xt) / x = x t^2 sinc^2(xt / 2) / 2, for x = ck -+ omega
-    d = 0.25 * t * (minus * sinc(0.5 * minus) ** 2 + plus * sinc(0.5 * plus) ** 2)
-    return t * sinc(omega * t), np.stack((b, d))
+    b = int_0^t cos(omega s) cos(ck s) ds and d = int_0^t cos(omega s) sin(ck s) ds
+    (times of shape (B, 1) give (B, 1) and (2, B, len(ck))).  Over the half phases
+    h = (ck -+ omega) t / 2, b = t/2 sum sinc(h) cos(h) and d = t/2 sum sinc(h) sin(h):
+    forms that stay smooth at omega = 0, ck = 0 and ck = +-omega."""
+    half = 0.5 * np.stack(((ck - omega) * t, (ck + omega) * t))
+    cos_sin = np.stack((np.cos(half), np.sin(half)))
+    sinc_h = np.divide(cos_sin[1], half, out=np.ones_like(half), where=half != 0.0)
+    wt = np.asarray(omega * t)
+    sinc_wt = np.divide(np.sin(wt), wt, out=np.ones_like(wt), where=wt != 0.0)
+    return t * sinc_wt, 0.5 * t * (sinc_h * cos_sin).sum(axis=1)
 
 
 def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
@@ -85,47 +92,69 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     rotates about khat by c|k|s.  That rotation is linear in the parts
     P = (khat.j)khat, Q = j - P and X = khat x j of the source amplitude j,
     so the integral is a P + b(k) Q -+ d(k) X, with the closed-form
-    integrals a, b, d of ``_source_integrals``.  Only F(+-) at t = 0 and the
-    parts are made here; the run forms each sample as it is read, from
-    t = 0, so its times may start anywhere.
+    integrals a, b, d of ``_source_integrals``.  Turned by R(+-c|k|t) it reads
+    a P + u Q +- w X, with u = b cos + d sin and w = b sin - d cos of c|k|t.
+    Only the parts of F(+-) at t = 0 and of j are made here; the run forms
+    each time block as it is read, from t = 0, so its times may start anywhere.
     """
     grid = em0.grid
     times = np.asarray(times, dtype=float)
-    axes = tuple(range(grid.ndim))
+    axes = tuple(range(-grid.ndim, 0))   # vectors are (3, *grid) here, components first
     # k from points and lengths, not GridSpec's wave vectors, so a fault there shows
     axis_k = [2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
               for n, length in zip(grid.points, grid.lengths)]
-    k = np.zeros(grid.shape + (3,))
-    k[..., 3 - grid.ndim:] = np.stack(np.meshgrid(*axis_k, indexing="ij"), axis=-1)
-    kn = np.linalg.norm(k, axis=-1)
-    # khat is 0 at k = 0, where the angle c|k|t is 0 too: that mode stays as it is
-    khat = k / np.where(kn > 0.0, kn, 1.0)[..., None]
-    axis = (khat, khat[..., _NEXT], khat[..., _PREV])
+    k = np.zeros((3,) + grid.shape)
+    k[3 - grid.ndim:] = np.meshgrid(*axis_k, indexing="ij")
+    kn = np.sqrt(np.sum(k * k, axis=0))
+    # khat is 0 at k = 0, where the angle c|k|t is 0 too: that mode stays as it is.
+    # It is complex, as every factor of a field: numpy casts a real one through a buffer
+    khat = (k / np.where(kn > 0.0, kn, 1.0)).astype(complex)
+    khat_next, khat_prev, ck_mode = khat[_NEXT], khat[_PREV], c * kn
+
+    def parts(v):
+        """P v = (khat.v) khat, Q v = v - P v and X v = khat x v, of vectors (..., 3, *grid)."""
+        comp = -khat.ndim
+        par = np.sum(khat * v, axis=comp, keepdims=True) * khat
+        crossed = (khat_next * np.take(v, _PREV, axis=comp)
+                   - khat_prev * np.take(v, _NEXT, axis=comp))
+        return par, v - par, crossed
 
     # F(+) and F(-) stacked on a leading axis, along which ``sign`` turns sin(angle) to +-sin
-    stack_axes = tuple(range(1, grid.ndim + 1))
-    f0 = np.fft.fftn(np.stack((em0.e + 1j * em0.b, em0.e - 1j * em0.b)), axes=stack_axes)
+    f0 = np.fft.fftn(np.moveaxis(np.stack((em0.e + 1j * em0.b, em0.e - 1j * em0.b)), -1, 1),
+                     axes=axes)
+    free = parts(f0)
     sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (grid.ndim + 1))
     if source is not None:
-        j_hat = np.fft.fftn(source.j_amp.astype(complex), axes=axes)
-        par = np.einsum("...i,...i->...", khat, j_hat)[..., None] * khat
-        perp = j_hat - par
-        signed_crossed = sign * np.cross(khat, j_hat)
+        j_hat = np.fft.fftn(np.moveaxis(source.j_amp, -1, 0).astype(complex), axes=axes)
+        # the parts of 4 pi j: form scales them by the time factors of its share
+        par, perp, crossed = (4 * np.pi * x for x in parts(j_hat))
+        signed_crossed = sign * crossed
         # b and d depend on |k| alone, and many modes share it (k and -k at least)
-        ck, mode_ck = np.unique(c * kn, return_inverse=True)
+        ck, mode_ck = np.unique(ck_mode, return_inverse=True)
         mode_ck = mode_ck.reshape(grid.shape)
 
     def form(t):
-        """(E, B) at t: F(+-) with the source's share, both turned in one
-        rotation by +-c|k|t and transformed back as one stacked array."""
-        f = f0
+        """(E, B) at a block of times t, each (len(t), *grid, 3): F(+-) turned by
+        +-c|k|t in one stacked rotation of its parts, less 4 pi times the source's
+        share turned with it, transformed back as one stacked array."""
+        angle = (ck_mode * t.reshape((-1,) + (1,) * grid.ndim))[:, None, None]
+        cos_a, sin_a = np.cos(angle), np.sin(angle)
+        f = _rotate(*free, cos_a.astype(complex), (sign * sin_a).astype(complex))
         if source is not None:
-            a, bd = _source_integrals(t, source.omega, ck)
-            b, d = bd[:, mode_ck, None]
-            f = f0 - 4 * np.pi * (a * par + b * perp - d * signed_crossed)
-        angle = (c * kn * t)[..., None]
-        f = _rotate(*axis, np.cos(angle), sign * np.sin(angle), f)
-        return tuple(np.fft.ifftn(np.einsum("ts,s...->t...", _TO_EB, f), axes=stack_axes))
+            a, bd = _source_integrals(t[:, None], source.omega, ck)
+            b, d = bd[:, :, None, None, mode_ck]
+            # R(+-)(a P + b Q -+ d X) = a P + u Q + w (+-X), each part taken off in place
+            a = a.reshape((-1,) + (1,) * (grid.ndim + 2))
+            u, w = cos_a * b + sin_a * d, sin_a * b - cos_a * d
+            for scale, part in ((a, par), (u, perp), (w, signed_crossed)):
+                f -= scale.astype(complex) * part
+        # E = (F+ + F-) / 2 and B = (F+ - F-) / 2i, in place, then back to space
+        minus = f[:, 1] - f[:, 0]
+        f[:, 0] += f[:, 1]
+        f[:, 0] *= 0.5
+        np.multiply(minus, 0.5j, out=f[:, 1])
+        fields = np.moveaxis(np.fft.ifftn(f, axes=axes, out=f), 2, -1)
+        return fields[:, 0], fields[:, 1]
 
     return OracleRun(grid, times, form)
 
@@ -133,21 +162,20 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
 def compare(run, oracle: OracleRun) -> CompareReport:
     """Max over samples and points of the field deviations, absolute and
     relative to the oracle field RMS.  ``run`` is an ``EvolutionRun`` on the
-    oracle's grid and times; its samples and the oracle's are read in step, one
-    of each at a time, and the RMS is summed as they pass."""
+    oracle's grid and times; its blocks and the oracle's, which hold the same
+    samples, are read in step, and the RMS is summed as they pass."""
     if run.grid != oracle.grid:
         raise GridMismatch("wave-function run and oracle run use different grids")
     if not np.array_equal(run.times, oracle.times):   # samples pair by index
         raise GridMismatch("wave-function run and oracle run use different time grids")
-    dev_e = dev_b = 0.0
-    sum_e = sum_b = count = 0
-    for i, (e, b) in enumerate(oracle.samples()):   # np.maximum keeps NaN
-        values = run.sample(i).values
+    dev_e = dev_b = sum_e = sum_b = 0.0
+    for values, (e, b) in zip(run.blocks(), oracle.blocks()):   # np.maximum keeps NaN
         dev_e = np.maximum(dev_e, np.max(np.abs(values[..., 1:4] - e)))
         dev_b = np.maximum(dev_b, np.max(np.abs(-1j * values[..., 5:8] - b)))
-        sum_e += np.sum(np.abs(e) ** 2)
-        sum_b += np.sum(np.abs(b) ** 2)
-        count += e.size
+        sum_e += np.vdot(e, e).real
+        sum_b += np.vdot(b, b).real
+        del e, b   # so the oracle's last block is freed before it forms the next
     dev_e, dev_b = float(dev_e), float(dev_b)
+    count = len(oracle.times) * 3 * int(np.prod(oracle.grid.shape))
     scale = max(float(np.sqrt(max(sum_e, sum_b) / count)), 1e-300)
     return CompareReport(dev_e, dev_b, dev_e / scale, dev_b / scale)

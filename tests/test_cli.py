@@ -191,6 +191,40 @@ def test_compare_oracle_command(tmp_path):
     assert rep["max_abs_e"] < 1e-11
 
 
+@pytest.mark.parametrize("points, mode", [([64], 3), ([16, 16, 16], [1, 2, 0])])
+def test_compare_oracle_runs_a_complex_wave(tmp_path, points, mode):
+    # the classical solver is linear, so it evolves the complex embedded fields
+    # of a circularly polarised wave as they are: no reality check refuses them
+    cfg = {"grid": {"points": points, "lengths": [TWO_PI] * len(points)}, "duration": 2.0,
+           "samples": 9, "state": {"type": "circular_analytic", "mode": mode},
+           "tolerance": 1e-12}
+    out = tmp_path / "out"
+    assert run_command("compare-oracle", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 0
+    row = read_summary(out)["checks"][0]
+    assert row["pass"] and row["deviation"] <= 1e-12
+
+
+def test_compare_oracle_refuses_a_broken_constraint(tmp_path, monkeypatch):
+    # the initial fields still need components 0 and 4 to vanish
+    import functools
+    from dirac88 import states
+    wave = states.travelling_wave
+
+    @functools.wraps(wave)   # the config keys follow its signature
+    def broken(*args, **kwargs):
+        psi = wave(*args, **kwargs)
+        psi.values[3, 0] = 1e-6
+        return psi
+
+    monkeypatch.setattr(states, "travelling_wave", broken)
+    cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 1.0, "samples": 4,
+           "state": {"type": "travelling_wave", "mode": 1}}
+    out = tmp_path / "out"
+    assert run_command("compare-oracle", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
+    row = read_summary(out)["checks"][0]
+    assert row["name"] == "ConstraintViolation" and "reach 1.000e-06" in row["error"]
+
+
 SHIPPED_COMPARE_ORACLE = Path(__file__).resolve().parents[1] / "configs" / "compare_oracle.json"
 
 
@@ -223,7 +257,7 @@ def test_compare_oracle_routes_share_no_source_integral(tmp_path, monkeypatch):
 
     def flipped_d(*args):
         a, bd = integrals(*args)
-        return a, bd * np.array([[1.0], [-1.0]])
+        return a, bd * np.array([1.0, -1.0]).reshape((2,) + (1,) * (bd.ndim - 1))
 
     monkeypatch.setattr(oracle, "_source_integrals", flipped_d)
     out = tmp_path / "integrals"
@@ -238,8 +272,8 @@ def test_compare_oracle_verdict_does_not_scale_with_the_amplitude(tmp_path, monk
     # row reads the deviation relative to the oracle field's RMS
     import dirac88.oracle as oracle
     rotate = oracle._rotate
-    monkeypatch.setattr(oracle, "_rotate", lambda khat, nxt, prv, cos_a, sin_a, v:
-                        rotate(khat, nxt, prv, cos_a, -sin_a, v))
+    monkeypatch.setattr(oracle, "_rotate", lambda par, perp, crossed, cos_a, sin_a:
+                        rotate(par, perp, crossed, cos_a, -sin_a))
     cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 2.0, "samples": 8,
            "state": {"type": "travelling_wave", "mode": 1, "amplitude": amplitude},
            "tolerance": 1e-10}
@@ -532,9 +566,9 @@ def test_a_command_forms_each_free_sample_once(tmp_path, monkeypatch, command):
     form_samples = evolution._form_samples
 
     def counted(*args, **kwargs):
-        for sample in form_samples(*args, **kwargs):
-            formed.append(1)
-            yield sample
+        for block in form_samples(*args, **kwargs):
+            formed.append(len(block[0]))
+            yield block
 
     monkeypatch.setattr(evolution, "_form_samples", counted)
     sourced = {**evolve_cfg(samples=9), "state": {"type": "zero_field"},
@@ -549,7 +583,7 @@ def test_a_command_forms_each_free_sample_once(tmp_path, monkeypatch, command):
     # one pass forms each sample; <L>'s width warning reads sample 0's density
     # from it, the jitter analysis reads the run's t = 0 branches, and a sourced
     # sample's constraint check runs as the pass forms it
-    assert len(formed) == cfg["samples"]
+    assert sum(formed) == cfg["samples"]
 
 
 def snapshot_cfg():
@@ -567,15 +601,15 @@ def test_evolve_writes_snapshots_without_stacking_the_run(tmp_path, monkeypatch)
     form_samples = evolution._form_samples
 
     def counted(*args, **kwargs):
-        for sample in form_samples(*args, **kwargs):
-            formed.append(1)
-            yield sample
+        for block in form_samples(*args, **kwargs):
+            formed.append(len(block[0]))
+            yield block
 
     monkeypatch.setattr(evolution, "_form_samples", counted)
     path = write_cfg(tmp_path, "cfg.json", snapshot_cfg())
     out = tmp_path / "out"
     assert run_command("evolve", path, str(out)) == 0
-    assert len(formed) == snapshot_cfg()["samples"]
+    assert sum(formed) == snapshot_cfg()["samples"]
     rows = read_summary(out)["checks"]
     assert [row["name"] for row in rows][-1] == "constrained components stay zero"
     assert sorted(p.name for p in out.glob("fields-*.csv")) == ["fields-0.csv", "fields-3.csv",
@@ -756,10 +790,10 @@ def test_nan_sample_fails_drift_checks(tmp_path, capsys, monkeypatch):
     import dirac88.evolution as evolution
     kernel = evolution._Moments.add
 
-    def nan_last_norm(moments, s, *args, **kwargs):
-        kernel(moments, s, *args, **kwargs)
-        if s == len(moments.norms) - 1:
-            moments.norms[s] = np.nan
+    def nan_last_norm(moments, s0, block, *args, **kwargs):
+        kernel(moments, s0, block, *args, **kwargs)
+        if s0 + len(block) == len(moments.norms):
+            moments.norms[-1] = np.nan
 
     monkeypatch.setattr(evolution._Moments, "add", nan_last_norm)
     path = write_cfg(tmp_path, "cfg.json", evolve_cfg(samples=8))

@@ -15,8 +15,8 @@ from dirac88.evolution import (_duhamel_kernels, _source_hat_parts, _Spectral,
                                energy_expectation_series, evolve_free, evolve_sourced,
                                hamiltonian_k, mode_decomposition, omega_k, run_free,
                                zitter_decompose, zitter_equals_poynting)
-from dirac88.fields import (EMField, GridSpec, SpinorField8, _Moments, divergence, embed_em,
-                            extract_em, extract_em_amplitudes)
+from dirac88.fields import (EMField, GridSpec, SpinorField8, _Moments, _time_blocks, divergence,
+                            embed_em, extract_em, extract_em_amplitudes)
 from dirac88.spin import angular_momentum_series
 from dirac88 import states
 
@@ -387,6 +387,43 @@ def test_a_sourced_run_holds_no_samples():
             tracemalloc.stop()
     stack_bytes = 30 * g.points[0] ** 3 * 8 * 16     # 30 samples more
     assert peaks[1] - peaks[0] < stack_bytes / 20, peaks
+
+
+def test_a_violation_mid_block_names_its_sample():
+    # 256 points: time blocks of 4 samples; the first violating sample, the
+    # sixth, is the second of the second block
+    g = grid1d(256)
+    e = np.zeros(g.shape + (3,), dtype=complex)
+    e[..., 2] = np.sin(g.positions()[..., 2])
+    src = states.uniform_current(g, [0, 1, 0], 0.0, 1.0)
+    times = np.concatenate((np.zeros(5), np.linspace(0.25, 1.0, 4)))
+    assert [len(t) for t in _time_blocks(g, times)] == [4, 4, 1]
+    run = evolve_sourced(embed_em(EMField(g, e, np.zeros_like(e))), src, times)
+    with pytest.raises(ConstraintViolation, match=r"reached \d\.\d{3}e[+-]\d+ at t = 0\.25;"):
+        for _ in run.samples():
+            pass
+    assert run._moments is None
+    assert run.sample(4).constraint_residual() == 0.0
+
+
+def test_a_sourced_pass_holds_one_block_whatever_its_length():
+    # the tracemalloc peak of a 1-D sourced run and its pass grows with its sample
+    # count by the per-sample sums alone: no block grows with the run
+    g = grid1d(256)
+    psi0 = states.zero_field(g)
+    src = states.gaussian_dipole_current(g, [0.6, 0, 0.8], 1.2, TWO_PI / 16, 4.0)
+    peaks = []
+    for n in (100, 1000):
+        tracemalloc.start()
+        try:
+            run = evolve_sourced(psi0, src, np.linspace(0.0, 3.0, n))
+            energy_expectation_series(run)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    sums = 8 + 8 * 8 * 16 + 8 + 9 * 8          # norm, Gram matrix, kinetic and <r p> sums
+    sample = g.points[0] * 8 * 16
+    assert peaks[1] - peaks[0] < 900 * sums + sample, peaks
 
 
 def test_sourced_electron_state_rejected():
@@ -973,6 +1010,20 @@ def test_samples_stream_the_free_evolution_in_order(case):
     assert all(np.array_equal(run.sample(i).values, seen[i]) for i in range(run.n_samples))
 
 
+def test_block_boundaries_of_a_free_run():
+    # 16 points: time blocks of 64 samples, the last one partial
+    psi0 = states.electron_rest_mix(grid1d(16), mass=1.0)
+    run, dec = run_free(psi0, np.linspace(0.0, 9.0, 300)), mode_decomposition(psi0)
+    sizes = [len(t) for t in _time_blocks(run.grid, run.times)]
+    assert len(sizes) > 2 and sizes[-1] < sizes[0]
+    seen = []
+    for t, psi in zip(run.times, run.samples()):
+        assert np.array_equal(psi.values, psi0.grid.ifft(dec.at(float(t))))
+        seen.append(psi.values.copy())
+    assert len(seen) == run.n_samples
+    assert all(np.array_equal(run.sample(i).values, seen[i]) for i in range(run.n_samples))
+
+
 @pytest.mark.parametrize("case", list(STREAM_CASES))
 def test_pass_moments_equal_the_stacked_moments(case):
     _, run = _stream_run(case)
@@ -1056,13 +1107,13 @@ def test_a_pass_left_early_fills_no_moments(monkeypatch):
     formed = []
     ifft_staged = GridSpec.ifft_staged
 
-    def counted(self, *args, **kwargs):
-        formed.append(1)
-        return ifft_staged(self, *args, **kwargs)
+    def counted(self, values, *args, **kwargs):
+        formed.append(len(values))
+        return ifft_staged(self, values, *args, **kwargs)
 
     monkeypatch.setattr(GridSpec, "ifft_staged", counted)
     norms = run.moments.norms
-    assert len(formed) == run.n_samples
+    assert sum(formed) == run.n_samples
     assert np.array_equal(norms, _stacked_moments(run.grid, stacked(run))[0])
     # the complete pass is cached: iterating again measures nothing and keeps it
     for _ in run.samples():
@@ -1070,14 +1121,18 @@ def test_a_pass_left_early_fills_no_moments(monkeypatch):
     assert run.moments.norms is norms
 
 
-def test_a_yielded_sample_is_valid_until_the_next():
-    _, run = _stream_run("free-1d")
-    first = None
+def test_a_yielded_sample_is_valid_until_the_next_block():
+    run = run_free(STREAM_CASES["free-1d"](), np.linspace(0.0, 1.7, 40))
+    size = len(next(_time_blocks(run.grid, run.times)))
+    assert 1 < size < run.n_samples
+    seen = []
     for psi in run.samples():
-        if first is None:
-            first, kept = psi.values, psi.values.copy()
-        else:
+        seen.append(psi.values)
+        if len(seen) == size:
+            kept = [values.copy() for values in seen]
+        if len(seen) == size + 1:
             break
-    # the buffer is reused: the first sample's values now hold the second's
-    assert np.array_equal(first, run.sample(1).values)
-    assert np.array_equal(kept, run.sample(0).values)
+    # the block's samples stay valid through it; the next block reuses its
+    # buffer, so the first sample's values now hold the first of the next block's
+    assert all(np.array_equal(kept[i], run.sample(i).values) for i in range(size))
+    assert np.array_equal(seen[0], run.sample(size).values)
