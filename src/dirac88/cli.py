@@ -31,8 +31,8 @@ from .errors import ConfigError, ConstraintViolation, Dirac88Error, FitError
 from .evolution import (alpha_density_series, alpha_expectation_series,
                         energy_expectation_series, evolve_sourced, run_free,
                         zitter_decompose)
-from .fields import (EMField, GridSpec, constraint_residual, extract_em, extract_em_amplitudes,
-                     save_em_csv)
+from .fields import (EMField, GridSpec, check_constraint, constraint_residual, extract_em,
+                     extract_em_amplitudes, save_em_csv)
 from .lorentz import (Boost, closed_form_field_boost, em_wavefunction_transform,
                       tensor_boost_oracle)
 from .oracle import compare, maxwell_evolve
@@ -212,6 +212,11 @@ def _checked_config(table: dict, raw: dict) -> dict:
     for key in axial + ["state.mode"]:
         if flat.get(key) is not None and np.size(flat[key]) != len(points):
             raise ConfigError(f"{key} must be {table[key][0].text}, got {flat[key]!r}")
+    for key in ("state.mode", "state.k0_mode"):   # a mode past n/2 aliases to another
+        modes = np.ravel(flat.get(key) or 0).tolist()   # an unset key reads mode 0
+        if not all(2 * abs(m) < n for m, n in zip(modes, points)):
+            raise ConfigError(f"{key} must be below half the points on every grid axis, "
+                              f"2|m| < n on {points}, got {flat[key]!r}")
     index = flat.get("point_index") or ()
     if not all(-n <= i < n for i, n in zip(index, points)):
         raise ConfigError(f"point_index must be in [-points, points) on grid {points}, got {index}")
@@ -399,11 +404,7 @@ def _cmd_compare_oracle(cfg: dict, outdir: Path, checks: _Checks):
     run, psi0, source = _run_from_config(cfg)
     # the classical solver is linear: it evolves the embedded fields as they are,
     # complex ones too, once the constrained components vanish
-    resid = constraint_residual(psi0.values)
-    if not resid <= 1e-10:   # NaN fails
-        raise ConstraintViolation(f"components 0/4 of the initial state reach {resid:.3e} "
-                                  "(tolerance 1.0e-10); Gauss-law or transversality "
-                                  "constraint broken")
+    check_constraint(psi0.values)
     oracle_run = maxwell_evolve(EMField(run.grid, *extract_em_amplitudes(psi0.values)), source,
                                 run.times, c=run.c)
     del psi0   # the pass below holds neither route's t = 0 state

@@ -25,15 +25,15 @@ coefficient, 4 sin^2(W dt / 2), comes from a single linear least squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConstraintViolation, FitError
-from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
-                     SpinorField8, _alpha_density, _block_size, _Moments, _time_blocks,
-                     extract_em_amplitudes)
+from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, _CONSTRAINT_TOL, FourCurrent,
+                     GridSpec, SpinorField8, _alpha_density, _block_size, _Moments,
+                     _time_blocks, extract_em_amplitudes)
 
 __all__ = [
     "EvolutionRun",
@@ -54,7 +54,6 @@ __all__ = [
     "zitter_equals_poynting",
 ]
 
-_CONSTRAINT_TOL = 1e-10     # sourced runs, relative to the field scale
 _CONTINUITY_TOL = 1e-8
 _MIN_SAMPLES = 16           # jitter analysis
 _MAX_LINES = 8
@@ -68,8 +67,8 @@ class EvolutionRun:
     A run holds no samples.  It holds ``branches``, the ``ModeDecomposition`` of
     its t = 0 state (grid, mass, c and hbar come from it), and, for a sourced run
     (``evolve_sourced``), the spectral source term added to each sample; it forms
-    each sample when it is read.  ``samples()`` is the pass: it forms and measures
-    a time block of samples at a time (``_form_samples``), then yields them in
+    each sample when it is read (``_formed``).  ``samples()`` is the pass: it forms
+    and measures a time block of samples at a time, then yields them in
     time order, each a read-only ``SpinorField8`` over a buffer the next block
     reuses, so a yielded sample stays valid only until the pass leaves its block
     (copy what must outlive it).  It measures from the axis-0 stage of the
@@ -93,7 +92,39 @@ class EvolutionRun:
         return len(self.times)
 
     def _formed(self, times):
-        return _form_samples(self.branches, times, self._source_term)
+        """Yield (block, axis-0 stage), each (B, *grid, 8), per time block of B times
+        (``_time_blocks``).  The block is the inverse transform of the spectral
+        amplitudes branches.at(t), plus what the source term adds to them in place
+        (t of shape (B, 1)), taken one axis at a time (``GridSpec.ifft_staged``);
+        the stage is that transform over grid axes 1.. alone, each sample's fft
+        along grid axis 0 up to round-off, which the moments pass reads instead of
+        transforming the block again.  Both live in arrays that every block
+        reuses, so a yielded pair is valid until the next; the block is a
+        read-only view.
+        A sourced sample is checked as it is formed: its constrained components
+        stay below ``_CONSTRAINT_TOL`` times the field scale, or the first that
+        does not raises ConstraintViolation (NaN fails too)."""
+        dec, grid, source_term = self.branches, self.grid, self._source_term
+        shape = (min(len(times), _block_size(grid)),) + dec.plus.shape
+        hat_rows, value_rows = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        for t in _time_blocks(grid, times):
+            hat, values = hat_rows[:len(t)], value_rows[:len(t)]
+            dec.at(t, out=hat, scratch=values)
+            if source_term is not None:
+                source_term(t[:, None], hat, values)
+            block = grid.ifft_staged(hat, out=values)
+            if source_term is not None:
+                size = abs(block).reshape(len(t), -1, 8).max(axis=1)   # per sample and component
+                resid, scale = size[:, ::4].max(axis=1), np.maximum(size.max(axis=1), 1.0)
+                bad = np.flatnonzero(~(resid <= _CONSTRAINT_TOL * scale))   # NaN fails
+                if len(bad):
+                    raise ConstraintViolation(
+                        f"constrained components reached {resid[bad[0]]:.3e} at "
+                        f"t = {t[bad[0]]:.6g}; check source continuity and the Gauss law "
+                        "of the initial data")
+            block = block.view()
+            block.flags.writeable = False
+            yield block, hat
 
     def samples(self):
         """The pass over the samples; see the class docstring."""
@@ -258,41 +289,6 @@ def run_free(psi0: SpinorField8, times: np.ndarray) -> EvolutionRun:
     The run holds the energy branches of psi0 and stores no samples: each is
     formed when read (``EvolutionRun.samples``, ``sample``)."""
     return EvolutionRun(mode_decomposition(psi0), times, psi0.kind)
-
-
-def _form_samples(dec: ModeDecomposition, times, source_term=None):
-    """Yield (block, axis-0 stage), each (B, *grid, 8), per time block of B times
-    (``_time_blocks``).  The block is the inverse transform of the spectral
-    amplitudes dec.at(t), plus what a given ``source_term(t, hat, scratch)``
-    adds to them in place (t of shape (B, 1)), taken one axis at a time
-    (``GridSpec.ifft_staged``); the stage is that transform over grid axes 1..
-    alone, each sample's fft along grid axis 0 up to round-off, which the
-    moments pass reads instead of transforming the block again.  Both live in
-    arrays that every block reuses, so a yielded pair is valid until the next;
-    the block is a read-only view.
-    A sourced sample is checked as it is formed: its constrained components
-    stay below ``_CONSTRAINT_TOL`` times the field scale, or the first that
-    does not raises ConstraintViolation (NaN fails too)."""
-    grid = dec.grid
-    shape = (min(len(times), _block_size(grid)),) + dec.plus.shape
-    hat_rows, value_rows = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for t in _time_blocks(grid, times):
-        hat, values = hat_rows[:len(t)], value_rows[:len(t)]
-        dec.at(t, out=hat, scratch=values)
-        if source_term is not None:
-            source_term(t[:, None], hat, values)
-        block = grid.ifft_staged(hat, out=values)
-        if source_term is not None:
-            size = abs(block).reshape(len(t), -1, 8).max(axis=1)   # per sample and component
-            resid, scale = size[:, ::4].max(axis=1), np.maximum(size.max(axis=1), 1.0)
-            bad = np.flatnonzero(~(resid <= _CONSTRAINT_TOL * scale))   # NaN fails
-            if len(bad):
-                raise ConstraintViolation(
-                    f"constrained components reached {resid[bad[0]]:.3e} at t = {t[bad[0]]:.6g}; "
-                    "check source continuity and the Gauss law of the initial data")
-        block = block.view()
-        block.flags.writeable = False
-        yield block, hat
 
 
 def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float):
@@ -535,23 +531,23 @@ def zitter_equals_poynting(run: EvolutionRun) -> PoyntingSplitReport:
     fails, not passes).  For a complex field only the volume row means anything.
     For photon fields the volume row is ~0 on both sides (total field momentum
     is conserved), so the pointwise row carries the check.
+
+    The run's blocks are read beside those of a run of its plus branch: each route
+    is formed once, and nothing is measured.
     """
     dec, grid = run.branches, run.grid
     plus = np.where((dec.omega == 0.0)[..., None], 0.5 * dec.plus, dec.plus)
-    positive = ModeDecomposition(grid, plus, np.zeros_like(plus), dec.omega, dec.mass,
-                                 dec.c, dec.hbar)
-    grid_axes = tuple(range(grid.ndim))
-    flux, jitter = np.zeros((run.n_samples, 3)), np.zeros((run.n_samples, 3))
-    pointwise_dev = 0.0
-    plus_samples = (sample for block, _ in _form_samples(positive, run.times) for sample in block)
-    for it, (psi, fields_plus) in enumerate(zip(run.samples(), plus_samples)):
-        density = 0.5 * _alpha_density(psi.values)
-        e, b = extract_em_amplitudes(fields_plus)
+    positive = EvolutionRun(replace(dec, plus=plus, minus=0), run.times, run.kind)
+    grid_axes = tuple(range(1, grid.ndim + 1))
+    flux, jitter, pointwise_dev = [], [], 0.0
+    for values, values_plus in zip(run.blocks(), positive.blocks()):
+        density = 0.5 * _alpha_density(values)
+        e, b = extract_em_amplitudes(values_plus)
         slow = 2.0 * np.cross(e.conj(), b).real
         fast = 2.0 * np.cross(e, b).real
-        pointwise_dev = max(pointwise_dev, float(np.max(np.abs(slow + fast - density))))
-        flux[it] = np.sum(density, axis=grid_axes) * grid.cell_volume
-        jitter[it] = np.sum(fast, axis=grid_axes) * grid.cell_volume
-    flux -= flux.mean(axis=0)
-    jitter -= jitter.mean(axis=0)
-    return PoyntingSplitReport(float(np.max(np.abs(flux - jitter))), pointwise_dev)
+        pointwise_dev = np.maximum(pointwise_dev, np.max(np.abs(slow + fast - density)))
+        flux.append(np.sum(density, axis=grid_axes))
+        jitter.append(np.sum(fast, axis=grid_axes))
+    flux, jitter = (np.concatenate(x) * grid.cell_volume for x in (flux, jitter))
+    osc = (flux - flux.mean(axis=0)) - (jitter - jitter.mean(axis=0))
+    return PoyntingSplitReport(float(np.max(np.abs(osc))), float(pointwise_dev))

@@ -32,6 +32,7 @@ __all__ = [
     "divergence",
     "curl",
     "constraint_residual",
+    "check_constraint",
     "save_spinor_csv",
     "load_spinor_csv",
     "save_em_csv",
@@ -41,6 +42,8 @@ __all__ = [
 PHOTON = "photon"
 ELECTRON = "electron"
 GENERIC = "generic"
+
+_CONSTRAINT_TOL = 1e-10   # constrained components, relative to the field scale
 
 # Each alpha'_i has exactly one nonzero entry per row, a unit phase, so
 # alpha'_i applied to psi is a gather and a scale:
@@ -243,24 +246,36 @@ def embed_em(em: EMField) -> SpinorField8:
     return SpinorField8(em.grid, values, kind=PHOTON, mass=0.0)
 
 
-def extract_em(psi: SpinorField8, tol: float = 1e-10) -> EMField:
+def check_constraint(values: np.ndarray, tol: float = _CONSTRAINT_TOL) -> float:
+    """The field scale of spinor values (..., 8), max(largest finite |value|, 1),
+    once components 0 and 4 stay within ``tol`` times it; else ConstraintViolation
+    (broken transversality / Gauss constraint), which a NaN or inf there raises too."""
+    rows, scale, resid = values.reshape(-1, 8), 1.0, 0.0
+    for start in range(0, len(rows), _TIME_BLOCK_POINTS):   # no temporary of the field's size
+        size = np.abs(rows[start:start + _TIME_BLOCK_POINTS])
+        scale = max(scale, float(np.max(size, where=size < np.inf, initial=1.0)))   # NaN-safe
+        resid = np.maximum(resid, np.max(size[:, ::4]))   # keeps NaN
+    if not resid <= tol * scale:
+        raise ConstraintViolation(
+            f"components 0/4 reach {resid:.3e} (tolerance {tol:.1e} of the field scale "
+            f"{scale:.3g}); Gauss-law or transversality constraint broken")
+    return scale
+
+
+def extract_em(psi: SpinorField8, tol: float = _CONSTRAINT_TOL) -> EMField:
     """Read (E, B) back out of a photon-embedded wave-function.
 
-    Raises ConstraintViolation if components 0 or 4 exceed ``tol`` anywhere
-    (broken transversality / Gauss constraint), or if the recovered fields
-    fail the reality check at the same tolerance; a NaN fails either.
+    Raises ConstraintViolation if components 0 or 4 exceed ``tol`` times the
+    field scale anywhere (``check_constraint``), or if the recovered fields fail
+    the reality check by the same rule; a NaN fails either.
     """
-    resid = psi.constraint_residual()
-    if not resid <= tol:   # NaN fails
-        raise ConstraintViolation(
-            f"components 0/4 reach {resid:.3e} (tolerance {tol:.1e}); "
-            "Gauss-law or transversality constraint broken")
+    scale = check_constraint(psi.values, tol)
     e = psi.values[..., 1:4]
     b = -1j * psi.values[..., 5:8]
     imag = float(np.maximum(np.max(np.abs(e.imag)), np.max(np.abs(b.imag))))   # keeps NaN
-    if not imag <= tol:
-        raise ConstraintViolation(
-            f"recovered fields have imaginary residue {imag:.3e} (tolerance {tol:.1e})")
+    if not imag <= tol * scale:
+        raise ConstraintViolation(f"recovered fields have imaginary residue {imag:.3e} "
+                                  f"(tolerance {tol:.1e} of the field scale {scale:.3g})")
     return EMField(psi.grid, e.real.astype(complex), b.real.astype(complex))
 
 
@@ -346,14 +361,11 @@ class _Moments:
 
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, s0: int, v: np.ndarray, axis0: np.ndarray):
-        """Measure samples s0, s0 + 1, ... of a block ``v``, of shape (B, *grid, 8)
-        or, for one sample, (*grid, 8); ``axis0`` is the fft of ``v`` along grid
-        axis 0 up to round-off, read in place of that transform, then
-        overwritten.  A sample whose squares overflow reads inf or NaN, which
-        the checks fail."""
+        """Measure samples s0, s0 + 1, ... of a block ``v`` of shape (B, *grid, 8);
+        ``axis0`` is the fft of ``v`` along grid axis 0 up to round-off, read in
+        place of that transform, then overwritten.  A sample whose squares
+        overflow reads inf or NaN, which the checks fail."""
         grid, cart = self.grid, self.grid.spatial_axes
-        v = v.reshape((-1,) + grid.shape + (8,))
-        axis0 = axis0.reshape(v.shape)
         n, s = len(v), slice(s0, s0 + len(v))
         scratch = self._scratch[:n]
         # |psi|^2 in the head of the scratch, which the Gram matrix overwrites after it

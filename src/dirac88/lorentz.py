@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import generators, levi_civita, pauli_matrices
 from .errors import ConstraintViolation
-from .fields import constraint_residual, field_tensor
+from .fields import _CONSTRAINT_TOL, constraint_residual, field_tensor
 
 __all__ = [
     "Boost",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _EPS = levi_civita()
-_CONSTRAINT_TOL = 1e-10     # boost leakage, relative to the field scale
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,11 @@ from .fields import EMField, FourCurrent, GridSpec, _time_blocks
 
 __all__ = ["OracleRun", "CompareReport", "maxwell_evolve", "compare"]
 
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]   # (khat x v)_i = khat_{i+1} v_{i+2} - khat_{i+2} v_{i+1}
-
 
 class OracleRun:
     """Classical fields on a time grid, formed when read: ``blocks()`` yields
     (e, b) a time block of B times at a time (``_time_blocks``), fresh arrays
-    (B, *grid, 3) that ``form(t)`` makes, each sample from t = 0 alone, and
-    ``samples()`` yields their per-sample views (*grid, 3) in time order."""
+    (B, *grid, 3) that ``form(t)`` makes, each sample from t = 0 alone."""
 
     def __init__(self, grid: GridSpec, times: np.ndarray, form):
         self.grid, self.times = grid, times
@@ -38,10 +35,6 @@ class OracleRun:
     def blocks(self):
         for t in _time_blocks(self.grid, self.times):
             yield self._form(t)
-
-    def samples(self):
-        for e, b in self.blocks():
-            yield from zip(e, b)
 
 
 @dataclass(frozen=True)
@@ -106,18 +99,15 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     k = np.zeros((3,) + grid.shape)
     k[3 - grid.ndim:] = np.meshgrid(*axis_k, indexing="ij")
     kn = np.sqrt(np.sum(k * k, axis=0))
-    # khat is 0 at k = 0, where the angle c|k|t is 0 too: that mode stays as it is.
-    # It is complex, as every factor of a field: numpy casts a real one through a buffer
-    khat = (k / np.where(kn > 0.0, kn, 1.0)).astype(complex)
-    khat_next, khat_prev, ck_mode = khat[_NEXT], khat[_PREV], c * kn
+    # khat is 0 at k = 0, where the angle c|k|t is 0 too: that mode stays as it is
+    khat, ck_mode = k / np.where(kn > 0.0, kn, 1.0), c * kn
 
     def parts(v):
         """P v = (khat.v) khat, Q v = v - P v and X v = khat x v, of vectors (..., 3, *grid)."""
         comp = -khat.ndim
         par = np.sum(khat * v, axis=comp, keepdims=True) * khat
-        crossed = (khat_next * np.take(v, _PREV, axis=comp)
-                   - khat_prev * np.take(v, _NEXT, axis=comp))
-        return par, v - par, crossed
+        # copied to C order: np.cross leaves the components last, which slows each block
+        return par, v - par, np.cross(khat, v, axisa=0, axisb=comp, axisc=comp).copy()
 
     # F(+) and F(-) stacked on a leading axis, along which ``sign`` turns sin(angle) to +-sin
     f0 = np.fft.fftn(np.moveaxis(np.stack((em0.e + 1j * em0.b, em0.e - 1j * em0.b)), -1, 1),

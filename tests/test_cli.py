@@ -563,14 +563,14 @@ def test_compare_oracle_reads_the_run_one_sample_at_a_time(tmp_path):
 def test_a_command_forms_each_free_sample_once(tmp_path, monkeypatch, command):
     import dirac88.evolution as evolution
     formed = []
-    form_samples = evolution._form_samples
+    form_blocks = evolution.EvolutionRun._formed
 
     def counted(*args, **kwargs):
-        for block in form_samples(*args, **kwargs):
+        for block in form_blocks(*args, **kwargs):
             formed.append(len(block[0]))
             yield block
 
-    monkeypatch.setattr(evolution, "_form_samples", counted)
+    monkeypatch.setattr(evolution.EvolutionRun, "_formed", counted)
     sourced = {**evolve_cfg(samples=9), "state": {"type": "zero_field"},
                "source": {"type": "gaussian_dipole", "direction": [0, 1, 0], "amplitude": 1.0,
                           "sigma": 0.4, "omega": 2.0},
@@ -598,14 +598,14 @@ def test_evolve_writes_snapshots_without_stacking_the_run(tmp_path, monkeypatch)
     # the snapshots are written from the one pass: no sample is formed twice
     import dirac88.evolution as evolution
     formed = []
-    form_samples = evolution._form_samples
+    form_blocks = evolution.EvolutionRun._formed
 
     def counted(*args, **kwargs):
-        for block in form_samples(*args, **kwargs):
+        for block in form_blocks(*args, **kwargs):
             formed.append(len(block[0]))
             yield block
 
-    monkeypatch.setattr(evolution, "_form_samples", counted)
+    monkeypatch.setattr(evolution.EvolutionRun, "_formed", counted)
     path = write_cfg(tmp_path, "cfg.json", snapshot_cfg())
     out = tmp_path / "out"
     assert run_command("evolve", path, str(out)) == 0
@@ -661,7 +661,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
     import contextlib
     import dirac88.evolution as evolution
     counts = {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
-    kernel, form_samples = evolution._Moments.add, evolution._form_samples
+    kernel, form_blocks = evolution._Moments.add, evolution.EvolutionRun._formed
 
     @contextlib.contextmanager
     def counting():
@@ -679,7 +679,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
 
     def counted_samples(*args, **kwargs):
         # the transforms that form each sample count too
-        samples = form_samples(*args, **kwargs)
+        samples = form_blocks(*args, **kwargs)
         while True:
             with counting():
                 item = next(samples, None)
@@ -688,7 +688,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
             yield item
 
     monkeypatch.setattr(evolution._Moments, "add", counted_kernel)
-    monkeypatch.setattr(evolution, "_form_samples", counted_samples)
+    monkeypatch.setattr(evolution.EvolutionRun, "_formed", counted_samples)
     samples = 5
     cfg = {
         "grid": {"points": [8, 8, 16], "lengths": [TWO_PI, 5.0, 9.0]},
@@ -910,6 +910,29 @@ def test_config_value_exit2(tmp_path, capsys, command, make, key, edit):
     out = tmp_path / "o"
     assert run_command(command, path, str(out)) == 2
     assert f"{key} must be" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def wave_cfg(mode, **extra):
+    return {**evolve_cfg(samples=8), "grid": {"points": [256], "lengths": [TWO_PI]},
+            "state": {"type": "travelling_wave", "mode": mode}, **extra}
+
+
+@pytest.mark.parametrize("command, key, cfg", [
+    ("evolve", "state.mode", wave_cfg(200)),
+    ("evolve", "state.mode", wave_cfg([-128])),
+    ("evolve", "state.mode", wave_cfg(128, outputs={"snapshots": [0]})),
+    ("zitter", "state.mode", {**zitter_cfg(), "grid": {"points": [4], "lengths": [TWO_PI]},
+                              "mass": 0.0, "state": {"type": "travelling_wave", "mode": 2}}),
+    ("evolve", "state.k0_mode", {**packet_cfg([8, 8, 16], 4), "state": {
+        "type": "electron_packet", "sigma": 0.5, "k0_mode": [1, -4, 2]}}),
+], ids=["mode-200-of-256", "mode-minus-half", "mode-half-with-snapshot", "zitter-mode-half",
+        "k0-mode-half"])
+def test_a_mode_at_or_past_half_the_grid_exit2(tmp_path, capsys, command, key, cfg):
+    # such a mode aliases: 200 of 256 would run as -56, and 128 lands whole in the minus branch
+    out = tmp_path / "o"
+    assert run_command(command, write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 2
+    assert f"{key} must be below half the points" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 

@@ -65,6 +65,9 @@ def value_strategies(command, points, samples, strict):
     in ``configs``)."""
     ndim = len(points)
     axis_ints = st.lists(st.integers(-3, 3), min_size=ndim, max_size=ndim)
+    # strict modes stay in the grid's band, 2|m| < n on every axis
+    band = [st.integers(max(-3, 1 - n // 2), min(3, n // 2 - 1)) for n in points]
+    axis_modes = st.tuples(*band).map(list) if strict else axis_ints
     axis_floats = st.lists(floats(-3.0, 3.0), min_size=ndim, max_size=ndim)
     positive, tolerance = floats(0.3, 3.0), st.sampled_from([0.0, 1e-12, 1e-8, 1e-3, 10.0])
     vector = st.lists(floats(-2.0, 2.0), min_size=3, max_size=3)
@@ -78,13 +81,14 @@ def value_strategies(command, points, samples, strict):
         "state.type": st.sampled_from(COMMAND_STATES.get(command, STATE_TYPES)),
         # zitter's state has a nonzero norm
         "state.amplitude": floats(-2.0, 2.0).filter(lambda v: command != "zitter" or v != 0.0),
-        "state.mode": axis_ints | st.integers(-3, 3) if ndim == 1 else axis_ints,
+        "state.mode": axis_modes | (band[0] if strict else st.integers(-3, 3)) if ndim == 1
+        else axis_modes,
         "state.polarisation": st.sampled_from(["x", "y", "z"]),
         "state.helicity": st.sampled_from([1, -1]),
         "state.plus_weight": floats(0.1 if strict else 0.0, 2.0),
         "state.minus_weight": floats(0.0, 2.0),
         "state.sigma": floats(0.2, 2.0),
-        "state.k0_mode": axis_ints,
+        "state.k0_mode": axis_modes,
         "state.center": axis_floats,
         "source.type": st.sampled_from(["uniform_current", "gaussian_dipole"]),
         "source.direction": vector,
@@ -198,7 +202,8 @@ def bad_values(command, key, cfg):
         bad = ["x", 1.0, [math.nan] * ndim, [True] * ndim, ["1"] * ndim, [1.0] * (ndim + 1)]
         return bad + ([[0.0] * ndim, [-1.0] * ndim] if key == "grid.lengths" else [])
     if key in ("state.mode", "state.k0_mode"):
-        return ["a", True, 1.5, None, [1.5] * ndim, [True] * ndim, [1] * (ndim + 1)]
+        return ["a", True, 1.5, None, [1.5] * ndim, [True] * ndim, [1] * (ndim + 1),
+                [n // 2 for n in points], [-(n // 2) for n in points]]
     if key == "point_index":
         return ["x", 0, [1.5] * ndim, [True] * ndim, [0] * (ndim + 1),
                 [points[0]] + [0] * (ndim - 1), [-points[-1] - 1] * ndim]

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac88.errors import ConstraintViolation, FitError
-from dirac88.evolution import (_duhamel_kernels, _source_hat_parts, _Spectral,
+from dirac88.evolution import (EvolutionRun, _duhamel_kernels, _source_hat_parts, _Spectral,
                                alpha_density_series, alpha_expectation_series, energy_expectation,
                                energy_expectation_series, evolve_free, evolve_sourced,
                                hamiltonian_k, mode_decomposition, omega_k, run_free,
                                zitter_decompose, zitter_equals_poynting)
-from dirac88.fields import (EMField, GridSpec, SpinorField8, _Moments, _time_blocks, divergence,
-                            embed_em, extract_em, extract_em_amplitudes)
+from dirac88.fields import (EMField, GridSpec, SpinorField8, _alpha_density, _Moments,
+                            _time_blocks, divergence, embed_em, extract_em,
+                            extract_em_amplitudes)
 from dirac88.spin import angular_momentum_series
 from dirac88 import states
 
@@ -777,7 +778,6 @@ def test_quadrature_standing_wave_dc_vanishes():
     period = TWO_PI / (2.0 * mode)
     times = np.linspace(0.0, period, 129)[:-1]
     run = run_free(psi, times)
-    from dirac88.evolution import _alpha_density
     avg = np.mean([0.5 * _alpha_density(psi.values) for psi in run.samples()], axis=0)
     assert np.max(np.abs(avg - dc)) < 1e-12
 
@@ -874,7 +874,6 @@ def random_free_field(static: bool) -> SpinorField8:
 
 
 def pointwise_deviation_over_scale(run):
-    from dirac88.evolution import _alpha_density
     scale = max(float(np.max(np.abs(0.5 * _alpha_density(psi.values)))) for psi in run.samples())
     return zitter_equals_poynting(run).pointwise_deviation / scale
 
@@ -884,6 +883,62 @@ def test_zitter_equals_poynting_for_a_multi_mode_field(static):
     # many frequencies at once; a static part sits whole in the plus branch and is halved
     run = run_free(random_free_field(static), np.linspace(0.0, 2.3, 7))
     assert pointwise_deviation_over_scale(run) <= 1e-12
+
+
+def poynting_reference(run):
+    """The check one sample at a time, each formed alone: the per-sample loop that
+    ``zitter_equals_poynting`` must equal bit for bit."""
+    dec, grid = run.branches, run.grid
+    plus = np.where((dec.omega == 0.0)[..., None], 0.5 * dec.plus, dec.plus)
+    positive = EvolutionRun(replace(dec, plus=plus, minus=np.zeros_like(plus)), run.times,
+                            run.kind)
+    grid_axes = tuple(range(grid.ndim))
+    flux, jitter = np.zeros((run.n_samples, 3)), np.zeros((run.n_samples, 3))
+    pointwise = 0.0
+    for i in range(run.n_samples):
+        density = 0.5 * _alpha_density(run.sample(i).values)
+        e, b = extract_em_amplitudes(positive.sample(i).values)
+        slow = 2.0 * np.cross(e.conj(), b).real
+        fast = 2.0 * np.cross(e, b).real
+        pointwise = max(pointwise, float(np.max(np.abs(slow + fast - density))))
+        flux[i] = np.sum(density, axis=grid_axes) * grid.cell_volume
+        jitter[i] = np.sum(fast, axis=grid_axes) * grid.cell_volume
+    flux -= flux.mean(axis=0)
+    jitter -= jitter.mean(axis=0)
+    return float(np.max(np.abs(flux - jitter))), pointwise
+
+
+@pytest.mark.parametrize("case", ["criterion_6", "multi_mode_16"])
+def test_zitter_equals_poynting_equals_the_per_sample_reference(case):
+    # four samples per time block on 256 points, one on 16^3
+    run = {"criterion_6": lambda: run_free(states.standing_wave(grid1d(256), 2, "x"),
+                                           np.linspace(0.0, 3.0, 48)),
+           "multi_mode_16": lambda: run_free(random_free_field(False),
+                                             np.linspace(0.0, 2.3, 21))}[case]()
+    rep = zitter_equals_poynting(run)
+    assert (rep.volume_deviation, rep.pointwise_deviation) == poynting_reference(run)
+
+
+def test_zitter_equals_poynting_forms_each_route_once_and_measures_nothing(monkeypatch):
+    import dirac88.evolution as evolution
+    run = run_free(random_free_field(False), np.linspace(0.0, 2.3, 7))
+    counts = {"add": 0, "formed": 0}
+    add, formed = _Moments.add, EvolutionRun._formed
+
+    def counted_add(*args, **kwargs):
+        counts["add"] += 1
+        return add(*args, **kwargs)
+
+    def counted_formed(*args, **kwargs):
+        for block in formed(*args, **kwargs):
+            counts["formed"] += len(block[0])
+            yield block
+
+    monkeypatch.setattr(evolution._Moments, "add", counted_add)
+    monkeypatch.setattr(EvolutionRun, "_formed", counted_formed)
+    zitter_equals_poynting(run)
+    # the run's samples and its plus branch's, each formed once
+    assert counts == {"add": 0, "formed": 2 * run.n_samples}
 
 
 def test_zitter_equals_poynting_for_two_frequencies():
@@ -1043,6 +1098,7 @@ def test_moments_allocate_nothing_of_the_sample_size():
     v = RNG.standard_normal(g.shape + (8,)) + 1j * RNG.standard_normal(g.shape + (8,))
     axis0 = np.fft.fft(v, axis=0)
     moments = _Moments(g, 3)
+    v, axis0 = v[None], axis0[None]   # a block of one sample
     moments.add(0, v, axis0.copy())
     tracemalloc.start()
     try:

@@ -10,9 +10,9 @@ from dirac88.cli import run_command
 from dirac88.errors import ConstraintViolation
 from dirac88.evolution import evolve_free, run_free
 from dirac88.fields import (_CSV_BLOCK_POINTS, EMField, FourCurrent, GridSpec, SpinorField8,
-                            _alpha_density, constraint_residual, curl, divergence, embed_em,
-                            extract_em, field_tensor, load_em_csv, load_spinor_csv, save_em_csv,
-                            save_spinor_csv)
+                            _alpha_density, check_constraint, constraint_residual, curl,
+                            divergence, embed_em, extract_em, field_tensor, load_em_csv,
+                            load_spinor_csv, save_em_csv, save_spinor_csv)
 
 TWO_PI = 2 * np.pi
 
@@ -137,6 +137,37 @@ def test_extract_fails_a_nan(slot, value, message):
     values[3, slot] = value
     with pytest.raises(ConstraintViolation, match=message):
         extract_em(SpinorField8(g, values, kind="photon"))
+
+
+@pytest.mark.parametrize("field, slot, value, scale", [
+    (1e11, 4, 1e2, 1e11), (1e11, 0, 1e6, None), (1e11, 0, np.inf, None),
+    (1e11, 4, np.nan, None), (1.0, 2, np.inf, None), (1.0, 2, np.nan, None),
+], ids=["residue-below-the-scale", "residue-above-the-scale", "inf-residue", "nan-residue",
+        "inf-field", "nan-field"])
+def test_check_constraint_is_relative_to_the_finite_field_scale(field, slot, value, scale):
+    # components 0/4 are judged against tol * max(largest finite |value|, 1): an
+    # inf or NaN field entry lifts no scale, so components 0/4 at 1e-3 still fail
+    values = np.zeros((8, 8), dtype=complex)
+    values[:, 1:4] = field
+    values[:, 0] = 1e-3 * (field == 1.0)
+    values[3, slot] = value
+    if scale is not None:
+        assert check_constraint(values, tol=1e-6) == scale
+    else:
+        with pytest.raises(ConstraintViolation, match="components 0/4 reach"):
+            check_constraint(values, tol=1e-6)
+
+
+def test_a_snapshot_of_a_large_amplitude_wave_passes(tmp_path):
+    # the imaginary residue of a 1e11 wave is ~1e-5 absolute, 2e-16 of its scale
+    cfg = {"grid": {"points": [64], "lengths": [TWO_PI]}, "duration": 2.0, "samples": 8,
+           "state": {"type": "travelling_wave", "mode": 3, "amplitude": 1e11},
+           "checks": {"norm_drift": 1e-8}, "outputs": {"snapshots": [1]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_command("evolve", str(path), str(tmp_path / "out")) == 0
+    em = load_em_csv(tmp_path / "out" / "fields-1.csv")
+    assert 0.99e11 < np.max(np.abs(em.e)) <= 1e11
 
 
 def test_field_tensor_entries():

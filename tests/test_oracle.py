@@ -22,8 +22,8 @@ def grid1d(n=256):
 
 def stacked(run):
     """Every (e, b) sample of an oracle run, stacked as two arrays."""
-    e, b = zip(*run.samples())
-    return np.array(e), np.array(b)
+    e, b = zip(*run.blocks())
+    return np.concatenate(e), np.concatenate(b)
 
 
 def test_free_plane_wave_closed_form():
@@ -54,7 +54,7 @@ def test_free_energy_conservation_random_divfree():
     em0 = EMField(g, e.astype(complex), b.astype(complex))
     times = np.linspace(0.0, 6.0, 40)
     run = maxwell_evolve(em0, None, times)
-    energies = [field_energy(g, e.real, b.real) for e, b in run.samples()]
+    energies = [field_energy(g, e.real, b.real) for e, b in zip(*stacked(run))]
     assert np.ptp(energies) / energies[0] < 1e-12
 
 
@@ -64,7 +64,7 @@ def test_uniform_mode_current_closed_form():
     src = states.uniform_current(g, [0, 1, 0], amp, omega)
     times = np.linspace(0.0, 2.0, 9)
     run = maxwell_evolve(EMField.zero(g), src, times)
-    for t, (e, b) in zip(times, run.samples()):
+    for t, e, b in zip(times, *stacked(run)):
         expect = -4 * np.pi * amp * np.sin(omega * t) / omega
         assert np.max(np.abs(e[..., 1].real - expect)) < 1e-10
         assert np.max(np.abs(b)) < 1e-12
@@ -75,7 +75,7 @@ def test_gauss_law_with_sources():
     src = states.gaussian_dipole_current(g, [0, 0, 1], 1.0, TWO_PI / 16, 4.0)
     times = np.linspace(0.0, 2.0, 17)
     run = maxwell_evolve(EMField.zero(g), src, times)
-    for t, (e, b) in zip(times, run.samples()):
+    for t, e, b in zip(times, *stacked(run)):
         gauss = divergence(g, e) - 4 * np.pi * src.charge(t)
         assert np.max(np.abs(gauss)) < 1e-10
         divb = divergence(g, b)
@@ -427,7 +427,7 @@ def test_sourced_oracle_memory_bounded():
             tracemalloc.start()
             try:
                 for _ in maxwell_evolve(EMField.zero(g), src,
-                                        np.linspace(0.0, 2.0, samples)).samples():
+                                        np.linspace(0.0, 2.0, samples)).blocks():
                     pass
                 _, peak = tracemalloc.get_traced_memory()
             finally:
