@@ -31,7 +31,7 @@ from .errors import ConfigError, ConstraintViolation, Dirac88Error, FitError
 from .evolution import (alpha_density_series, alpha_expectation_series,
                         energy_expectation_series, evolve_sourced, run_free,
                         zitter_decompose)
-from .fields import (EMField, GridSpec, check_constraint, constraint_residual, extract_em,
+from .fields import (EMField, GridSpec, check_constraint, constraint_residual,
                      extract_em_amplitudes, save_em_csv)
 from .lorentz import (Boost, closed_form_field_boost, em_wavefunction_transform,
                       tensor_boost_oracle)
@@ -334,7 +334,7 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     for i, psi in enumerate(run.samples()):
         if i in snapshots and snapshot_error is None:
             try:
-                save_em_csv(outdir / f"fields-{i}.csv", extract_em(psi, tol=1e-6))
+                save_em_csv(outdir / f"fields-{i}.csv", psi, tol=1e-6)
             except ConstraintViolation as exc:  # fails the run once the checks are in
                 snapshot_error = exc
     norms, energies = run.moments.norms * run.grid.cell_volume, energy_expectation_series(run)

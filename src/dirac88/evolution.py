@@ -268,10 +268,11 @@ class _Spectral:
         self._ck = [(i, c * hbar * k[..., i, None]) for i in grid.spatial_axes]
 
     def apply_h(self, hat: np.ndarray) -> np.ndarray:
-        """H(k) applied to spectral amplitudes of shape (*grid, 8)."""
-        out = self._mass_diag * hat
+        """H(k) applied to spectral amplitudes of shape (*grid, 8), through one
+        gathered array (mode "clip" writes it in place; "raise" would buffer it)."""
+        out, term = self._mass_diag * hat, np.empty_like(hat)
         for i, ck in self._ck:
-            term = hat[..., _ALPHA_COL[i]]
+            np.take(hat, _ALPHA_COL[i], axis=-1, out=term, mode="clip")
             term *= _ALPHA_COEF[i]
             term *= ck
             out += term
@@ -375,12 +376,17 @@ def mode_decomposition(psi: SpinorField8) -> ModeDecomposition:
 
 
 def _split(psi: SpinorField8, spectral: _Spectral) -> ModeDecomposition:
-    """``mode_decomposition`` with the spectral core of psi's grid and units."""
+    """``mode_decomposition`` with the spectral core of psi's grid and units:
+    plus = (hat + ratio) / 2 and minus = (hat - ratio) / 2 with
+    ratio = H hat / (hbar w), in three arrays of the state's size."""
     grid = psi.grid
     hat = grid.fft(psi.values)
-    ratio = (spectral.inv_omega / psi.hbar)[..., None] * spectral.apply_h(hat)
-    plus = 0.5 * (hat + ratio)
-    minus = 0.5 * (hat - ratio)
+    ratio = spectral.apply_h(hat)
+    np.multiply((spectral.inv_omega / psi.hbar)[..., None], ratio, out=ratio)
+    plus = np.add(hat, ratio)
+    np.multiply(0.5, plus, out=plus)
+    minus = np.subtract(hat, ratio, out=ratio)
+    np.multiply(0.5, minus, out=minus)
     zero = spectral.omega == 0.0
     if np.any(zero):
         # static zero mode: keep the whole amplitude on the plus side

@@ -262,6 +262,28 @@ def check_constraint(values: np.ndarray, tol: float = _CONSTRAINT_TOL) -> float:
     return scale
 
 
+def _check_em(values: np.ndarray, tol: float):
+    """``extract_em``'s checks on spinor values (..., 8), a block of rows at a
+    time: ``check_constraint``, then the imaginary residue of the recovered
+    fields (``_em_columns`` before the real part is taken) against the same
+    field scale; either raises ConstraintViolation, and a NaN fails."""
+    scale = check_constraint(values, tol)
+    rows, imag = values.reshape(-1, 8), 0.0
+    for start in range(0, len(rows), _TIME_BLOCK_POINTS):
+        block = rows[start:start + _TIME_BLOCK_POINTS]
+        imag = np.maximum(imag, np.maximum(np.max(np.abs(block[:, 1:4].imag)),   # keeps NaN
+                                           np.max(np.abs((-1j * block[:, 5:8]).imag))))
+    if not imag <= tol * scale:
+        raise ConstraintViolation(f"recovered fields have imaginary residue {float(imag):.3e} "
+                                  f"(tolerance {tol:.1e} of the field scale {scale:.3g})")
+
+
+def _em_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real E and B of spinor values (..., 8) as complex arrays: Re psi_1..3 and
+    Re(-i psi_5..7), with no check."""
+    return values[..., 1:4].real.astype(complex), (-1j * values[..., 5:8]).real.astype(complex)
+
+
 def extract_em(psi: SpinorField8, tol: float = _CONSTRAINT_TOL) -> EMField:
     """Read (E, B) back out of a photon-embedded wave-function.
 
@@ -269,14 +291,8 @@ def extract_em(psi: SpinorField8, tol: float = _CONSTRAINT_TOL) -> EMField:
     field scale anywhere (``check_constraint``), or if the recovered fields fail
     the reality check by the same rule; a NaN fails either.
     """
-    scale = check_constraint(psi.values, tol)
-    e = psi.values[..., 1:4]
-    b = -1j * psi.values[..., 5:8]
-    imag = float(np.maximum(np.max(np.abs(e.imag)), np.max(np.abs(b.imag))))   # keeps NaN
-    if not imag <= tol * scale:
-        raise ConstraintViolation(f"recovered fields have imaginary residue {imag:.3e} "
-                                  f"(tolerance {tol:.1e} of the field scale {scale:.3g})")
-    return EMField(psi.grid, e.real.astype(complex), b.real.astype(complex))
+    _check_em(psi.values, tol)
+    return EMField(psi.grid, *_em_columns(psi.values))
 
 
 def extract_em_amplitudes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,24 +336,21 @@ class _Moments:
     point of the first sample, and ``constraint[s]`` the largest |psi_0| or
     |psi_4| of sample s (``constraint_residual``; NaN stays NaN).
 
-    The set-up (coordinates, axis wave numbers, the weights W_b) and the
-    scratch array, one time block's size, are made once; ``add`` measures one
-    block, each sample to the bits it would read alone, allocating nothing of
-    the block's size, and drops the scratch after the last sample.  The norm
-    and the Gram matrix are sums over the sample itself.  The momentum sums
+    The set-up (coordinates, axis wave numbers, the weights W_b and one small
+    buffer for x W_b) is made once; ``add`` measures one block, each sample to
+    the bits it would read alone, and holds no array of the block's size: it
+    works in the block's axis-0 stage, which it is handed and overwrites.  The
+    norm and the Gram matrix are sums over the sample itself.  The momentum sums
     take, per grid axis b, the 1-D DFT A_b = fft(psi, axis=b), laid out with
-    k_b leading, and Parseval along b alone: k_b varies only along b, while alpha'_b and the coordinate r_a of
-    any other axis are constant along it.  So sum psi+ alpha'_b k_b psi =
-    sum_k k_b A_b+ alpha'_b A_b / N_b and sum r_a psi+ k_b psi =
-    sum r_a k_b |A_b|^2 / N_b.  The first is x . (x W_b) per point, x the float
-    view of A_b (component a in columns 2a, 2a + 1) and W_b the 16x16
-    ``_kinetic_weights``, summed per k_b line; x W_b goes, a cache-sized block
-    of lines at a time, into an array that is dead by then (the scratch after
-    the Gram matrix, the axis-0 stage after b = 0).  Run after the complex Gram
-    product, this real one also restores the speed of numpy's transforms along
-    the last axis.  Every sample brings A_0 along, the stage before the last of
-    its inverse transform (``GridSpec.ifft_staged``), so it costs one forward
-    transform fewer.
+    k_b leading, and Parseval along b alone: k_b varies only along b, while
+    alpha'_b and the coordinate r_a of any other axis are constant along it.
+    So sum psi+ alpha'_b k_b psi = sum_k k_b A_b+ alpha'_b A_b / N_b and
+    sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b.  The first is
+    x . (x W_b) per point, x the float view of A_b (component a in columns
+    2a, 2a + 1) and W_b the 16x16 ``_kinetic_weights``, summed per k_b line,
+    x W_b a cache-sized block of lines at a time.  Every sample brings A_0
+    along, the stage before the last of its inverse transform
+    (``GridSpec.ifft_staged``), so it costs one forward transform fewer.
     """
     def __init__(self, grid: GridSpec, n: int):
         self.grid = grid
@@ -357,55 +370,81 @@ class _Moments:
             w[:, 0, :, 0] = w[:, 1, :, 1] = alpha.real
             w[:, 0, :, 1], w[:, 1, :, 0] = -alpha.imag, alpha.imag
             self._kinetic_weights.append(w.reshape(16, 16))
-        self._scratch = np.empty((min(n, _block_size(grid)),) + grid.shape + (8,), dtype=complex)
+        # a block of lines holds _BLOCK_ROWS points, or one line per sample if
+        # that is more, and never more than the time block itself
+        samples, points = min(n, _block_size(grid)), int(np.prod(grid.shape))
+        rows = max(_BLOCK_ROWS, samples * points // min(grid.points))
+        self._xw = np.empty((min(rows, samples * points), 16))
 
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, s0: int, v: np.ndarray, axis0: np.ndarray):
         """Measure samples s0, s0 + 1, ... of a block ``v`` of shape (B, *grid, 8);
         ``axis0`` is the fft of ``v`` along grid axis 0 up to round-off, read in
         place of that transform, then overwritten.  A sample whose squares
-        overflow reads inf or NaN, which the checks fail."""
-        grid, cart = self.grid, self.grid.spatial_axes
+        overflow reads inf or NaN, which the checks fail.
+
+        Axis 0 is measured first, from ``axis0``; that array then holds |psi|^2,
+        psi* for the Gram product and each A_b (b >= 1) in turn.  Order rule: a
+        complex ``@`` (the Gram product) leaves numpy's transform along the last
+        axis of a field array 2.6x slower until a real product runs, so the
+        k-weighted sums of axis 0, real products, run between the Gram product
+        and the next transform on every rank (the b = 1 transform, or on a 1-D
+        grid the next block's inverse transform).
+        """
+        grid = self.grid
         n, s = len(v), slice(s0, s0 + len(v))
-        scratch = self._scratch[:n]
-        # |psi|^2 in the head of the scratch, which the Gram matrix overwrites after it
-        power = scratch.reshape(-1).view(float)[:v.size].reshape(v.shape)
+        lines0 = self._line_sums(0, axis0)
+        # |psi|^2 in the head of the dead stage, which psi* overwrites after it
+        power = axis0.reshape(-1).view(float)[:v.size].reshape(v.shape)
         power = np.square(np.abs(v, out=power), out=power)
         self.norms[s] = power.reshape(n, -1).sum(axis=1)
         if s0 == 0:
             self.density0 = power[0].sum(axis=-1)
         self.constraint[s] = abs(v[..., ::4]).reshape(n, -1).max(axis=1)   # keeps NaN
         flat = v.reshape(n, -1, 8)
-        self.gram[s] = np.conjugate(flat, out=scratch.reshape(flat.shape)).transpose(0, 2, 1) @ flat
-        for b, n_b in enumerate(grid.points):
+        self.gram[s] = np.conjugate(flat, out=axis0.reshape(flat.shape)).transpose(0, 2, 1) @ flat
+        self._reduce(s, 0, *lines0)
+        for b, n_b in enumerate(grid.points[1:], 1):
             others = grid.points[:b] + grid.points[b + 1:]
-            if b == 0:
-                lead = axis0
-            else:   # A_b straight into the reused array, k_b leading
-                lead = scratch.reshape((n, n_b) + others + (8,))
-                np.fft.fft(v, axis=b + 1, out=np.moveaxis(lead, 1, b + 1))
-            x = lead.reshape(n, n_b, -1, 8).view(float)
-            dead = (axis0 if b else scratch).reshape(-1, 8).view(float)
-            # a block of several samples fits in _BLOCK_ROWS whole: one pass of lines
-            lines = max(1, _BLOCK_ROWS // (n * x.shape[2]))
-            for k0 in range(0, n_b, lines):
-                block = x[:, k0:k0 + lines]
-                xw = np.matmul(block.reshape(-1, 16), self._kinetic_weights[b],
-                               out=dead[:block.size // 16])
-                per_line = np.vecdot(block.reshape(block.shape[:2] + (-1,)),
-                                     xw.reshape(block.shape[:2] + (-1,)))
-                self.kinetic[s] += np.vecdot(per_line, self._k_axes[b][k0:k0 + lines]) / n_b
-            if grid.ndim == 1:   # no other axis, no <r p> moment
-                continue
-            weighted = (self._k_axes[b] @ np.einsum("skmi,skmi->skm", x, x)).reshape((n,) + others)
-            for a in range(grid.ndim):
-                if a != b:
-                    along = a - (a > b)   # axis a among the others
-                    rest = tuple(ax + 1 for ax in range(len(others)) if ax != along)
-                    self.rk[s, cart[a], cart[b]] = np.vecdot(weighted.sum(axis=rest),
-                                                             self._coords[a]) / n_b
-        if s.stop == len(self.norms):   # the run keeps the sums, not the scratch
-            self._scratch = None
+            lead = axis0.reshape((n, n_b) + others + (8,))   # A_b, k_b leading
+            np.fft.fft(v, axis=b + 1, out=np.moveaxis(lead, 1, b + 1))
+            self._reduce(s, b, *self._line_sums(b, lead))
+        if s.stop == len(self.norms):   # the run keeps the sums, not the buffer
+            self._xw = None
+
+    def _line_sums(self, b: int, lead: np.ndarray):
+        """Per k_b line of A_b (``lead``, k_b leading after the sample axis):
+        sum x . (x W_b), as (first line, sums) per block of lines, and
+        sum |A_b|^2 per point of the other axes (None on a 1-D grid)."""
+        n, n_b = len(lead), self.grid.points[b]
+        x = lead.reshape(n, n_b, -1, 8).view(float)
+        # a block of several samples fits in _BLOCK_ROWS whole: one pass of lines
+        lines = max(1, _BLOCK_ROWS // (n * x.shape[2]))
+        per_line = []
+        for k0 in range(0, n_b, lines):
+            block = x[:, k0:k0 + lines]
+            xw = np.matmul(block.reshape(-1, 16), self._kinetic_weights[b],
+                           out=self._xw[:block.size // 16])
+            per_line.append((k0, np.vecdot(block.reshape(block.shape[:2] + (-1,)),
+                                           xw.reshape(block.shape[:2] + (-1,)))))
+        power = np.einsum("skmi,skmi->skm", x, x) if self.grid.ndim > 1 else None
+        return per_line, power
+
+    def _reduce(self, s: slice, b: int, per_line: list, power: np.ndarray | None):
+        """Add axis b's share of ``kinetic[s]`` and ``rk[s]`` from ``_line_sums``."""
+        grid, n_b, k = self.grid, self.grid.points[b], self._k_axes[b]
+        for k0, sums in per_line:
+            self.kinetic[s] += np.vecdot(sums, k[k0:k0 + sums.shape[1]]) / n_b
+        if power is None:   # no other axis, no <r p> moment
+            return
+        others = grid.points[:b] + grid.points[b + 1:]
+        weighted = (k @ power).reshape((len(power),) + others)
+        for a in range(grid.ndim):
+            if a != b:
+                along = a - (a > b)   # axis a among the others
+                rest = tuple(ax + 1 for ax in range(len(others)) if ax != along)
+                self.rk[s, grid.spatial_axes[a], grid.spatial_axes[b]] = np.vecdot(
+                    weighted.sum(axis=rest), self._coords[a]) / n_b
 
     @np.errstate(invalid="ignore")   # inf / inf reads NaN, which the checks fail
     def per_norm(self, sums: np.ndarray) -> np.ndarray:
@@ -441,33 +480,43 @@ def curl(grid: GridSpec, v: np.ndarray) -> np.ndarray:
 
 # --- columnar serialisation: CSV body plus a JSON sidecar with the grid ---
 
-# Grid points formatted per write: one block's rows are held at a time,
-# never a whole snapshot's.
+# Grid points whose distinct doubles are formatted together, and grid points
+# whose rows are held and written at a time: never a whole snapshot's.
 _CSV_BLOCK_POINTS = 2048
+_CSV_ROW_POINTS = 512
 
 
-def _write_csv(path: Path, grid: GridSpec, values: np.ndarray, ncomp: int, kindmeta: dict):
-    """Rows ``i,j,k,component,re,im`` in C order, CRLF ends, ``%.17g`` values.
+def _point_blocks(values: np.ndarray, ncomp: int):
+    """``values`` (..., ncomp) in consecutive blocks of ``_CSV_BLOCK_POINTS``
+    grid points, C order, each a view of shape (points, ncomp)."""
+    flat = values.reshape(-1, ncomp)
+    return (flat[start:start + _CSV_BLOCK_POINTS]
+            for start in range(0, len(flat), _CSV_BLOCK_POINTS))
 
-    A block is a uint8 matrix, one record of NUL-padded cells per CSV row:
-    ``i,``, ``j,``, ``k,``, ``component,``, re, ``,``, im and CRLF. No cell
-    can contain a NUL, so dropping the NULs leaves exactly the rows.
+
+def _write_csv(path: Path, grid: GridSpec, blocks, ncomp: int, kindmeta: dict):
+    """Rows ``i,j,k,component,re,im`` in C order, CRLF ends, ``%.17g`` values,
+    from ``blocks`` of complex values shaped as ``_point_blocks`` yields them.
+
     Snapshots repeat few values (exact zeros, a plane wave's few levels), so
     a block formats only the doubles that the previous block's table lacks.
     Doubles are keyed by bit pattern: 0.0 == -0.0 prints apart ("0", "-0").
+    The block's rows are then written ``_CSV_ROW_POINTS`` grid points at a
+    time, each chunk a uint8 matrix, one record of NUL-padded cells per CSV
+    row: ``i,``, ``j,``, ``k,``, ``component,``, re, ``,``, im and CRLF. No
+    cell can contain a NUL, so dropping the NULs leaves exactly the rows.
     """
     path = Path(path)
     idx_shape = grid.shape + (1,) * (3 - grid.ndim)
-    flat = values.reshape(-1, ncomp)
     axes = [np.array([f"{i}," for i in range(n)], dtype="S") for n in idx_shape]
     comp = np.array([f"{c}," for c in range(ncomp)], dtype="S")
     # one block's sorted bits and %.17g texts (<= 24 bytes); row 0 is +0.0, never sorted
     known_bits, known = np.zeros(1, np.uint64), np.array([b"0"], "S24")
     with path.open("wb") as fh:
         fh.write(b"i,j,k,component,re,im\r\n")
-        for start in range(0, len(flat), _CSV_BLOCK_POINTS):
-            block = flat[start:start + _CSV_BLOCK_POINTS]
-            keys = np.stack((block.real, block.imag), -1).view(np.uint64).ravel()
+        start = 0
+        for block in blocks:
+            keys = np.ascontiguousarray(block).view(np.uint64).ravel()   # re, im per value
             order = np.flatnonzero(keys)
             order = order[keys[order].argsort()]   # equal keys make one run in any order
             run = np.r_[np.uint64(0), keys[order]]
@@ -475,19 +524,25 @@ def _write_csv(path: Path, grid: GridSpec, values: np.ndarray, ncomp: int, kindm
             inverse = np.zeros(keys.shape, np.intp)
             inverse[order] = starts.cumsum()[1:] - 1
             bits = run[starts]
+            del keys, order, run, starts   # the rows are formed without them
             at = np.minimum(known_bits.searchsorted(bits), len(known_bits) - 1)
             miss = known_bits[at] != bits
             known_bits, known = bits, known[at]
             known[miss] = ("%.17g " * miss.sum() % tuple(bits[miss].view(float).tolist())).split()
-            text = known[inverse.reshape(block.shape + (2,))]
-            ijk = np.unravel_index(np.arange(start, start + len(block)), idx_shape)
-            cells = [axis[index, None] for axis, index in zip(axes, ijk)]
-            cells += [comp, text[..., 0], np.bytes_(b","), text[..., 1], np.bytes_(b"\r\n")]
-            rows = np.empty(block.shape, [(f"f{n}", cell.dtype) for n, cell in enumerate(cells)])
-            for name, cell in zip(rows.dtype.names, cells):
-                rows[name] = cell
-            rows = rows.view(np.uint8)
-            fh.write(rows[rows != 0])
+            inverse = inverse.reshape(block.shape + (2,))
+            for first in range(0, len(block), _CSV_ROW_POINTS):
+                text = known[inverse[first:first + _CSV_ROW_POINTS]]
+                ijk = np.unravel_index(np.arange(start, start + len(text)), idx_shape)
+                cells = [axis[index, None] for axis, index in zip(axes, ijk)]
+                cells += [comp, text[..., 0], np.bytes_(b","), text[..., 1], np.bytes_(b"\r\n")]
+                rows = np.empty(text.shape[:2],
+                                [(f"f{n}", cell.dtype) for n, cell in enumerate(cells)])
+                for name, cell in zip(rows.dtype.names, cells):
+                    rows[name] = cell
+                del cells, text
+                rows = rows.view(np.uint8)
+                fh.write(rows[rows != 0])
+                start += len(ijk[0])
     sidecar = {"grid": grid.to_dict(), "components": ncomp}
     sidecar.update(kindmeta)
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=1))
@@ -512,7 +567,7 @@ def _read_csv(path: Path) -> tuple[GridSpec, np.ndarray, dict]:
 
 
 def save_spinor_csv(path, psi: SpinorField8):
-    _write_csv(Path(path), psi.grid, psi.values, 8,
+    _write_csv(Path(path), psi.grid, _point_blocks(psi.values, 8), 8,
                {"kind": psi.kind, "mass": psi.mass, "c": psi.c, "hbar": psi.hbar})
 
 
@@ -524,9 +579,22 @@ def load_spinor_csv(path) -> SpinorField8:
                         hbar=float(meta.get("hbar", 1.0)))
 
 
-def save_em_csv(path, em: EMField):
-    stacked = np.concatenate([em.e, em.b], axis=-1)
-    _write_csv(Path(path), em.grid, stacked, 6, {"kind": "em"})
+def save_em_csv(path, field: EMField | SpinorField8, tol: float = _CONSTRAINT_TOL):
+    """Write E and B as one six-component snapshot, a block of rows at a time.
+
+    ``field`` is an ``EMField`` or a photon-embedded ``SpinorField8``, which is
+    read exactly as ``extract_em`` reads it: its checks run first, with ``tol``,
+    and a field that fails them raises ConstraintViolation before the file is
+    opened; each block's E and B are then recovered as the block is written, so
+    the snapshot makes no copy of the whole field.
+    """
+    if isinstance(field, EMField):
+        parts = zip(_point_blocks(field.e, 3), _point_blocks(field.b, 3))
+    else:
+        _check_em(field.values, tol)
+        parts = map(_em_columns, _point_blocks(field.values, 8))
+    blocks = map(lambda part: np.concatenate(part, axis=-1), parts)
+    _write_csv(Path(path), field.grid, blocks, 6, {"kind": "em"})
 
 
 def load_em_csv(path) -> EMField:

@@ -537,6 +537,54 @@ def test_evolve_keeps_no_stack_of_a_free_run(tmp_path):
     assert peak < stack_bytes / 3, (peak, stack_bytes)
 
 
+def test_snapshots_add_less_than_a_mebibyte_to_an_evolve(tmp_path):
+    # a snapshot is written from the pass's own sample a block of rows at a time,
+    # so it adds one CSV block to the pass and no copy of the field
+    import tracemalloc
+    samples = 9
+
+    def peak(snapshots):
+        cfg = {"grid": {"points": [16, 16, 16], "lengths": [TWO_PI] * 3}, "duration": 1.0,
+               "samples": samples, "checks": {"constraint": 1e-10},
+               "state": {"type": "travelling_wave", "mode": [0, 1, 2], "polarisation": "x"},
+               "outputs": {"snapshots": snapshots}}
+        path = write_cfg(tmp_path, f"cfg-{len(snapshots)}.json", cfg)
+        tracemalloc.start()
+        try:
+            assert run_command("evolve", path, str(tmp_path / f"out-{len(snapshots)}")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain, written = peak([]), peak(list(range(samples)))
+    assert len(list((tmp_path / f"out-{samples}").glob("fields-*.csv"))) == samples
+    assert written <= plain + 2 ** 20, (plain, written)
+
+
+def test_a_failing_snapshot_leaves_no_file(tmp_path, monkeypatch):
+    # E with an imaginary part fails the snapshot's reality check, which runs
+    # before the file is opened: the run fails on one row and writes no field file
+    import functools
+    from dirac88 import states
+    wave = states.travelling_wave
+
+    @functools.wraps(wave)   # the config keys follow its signature
+    def complex_e(*args, **kwargs):
+        psi = wave(*args, **kwargs)
+        psi.values[..., 1:4] *= 1.0 + 1e-3j
+        return psi
+
+    monkeypatch.setattr(states, "travelling_wave", complex_e)
+    cfg = {**evolve_cfg(samples=4), "outputs": {"snapshots": [0, -1]}}
+    out = tmp_path / "out"
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 1
+    rows = [row for row in read_summary(out)["checks"] if not row["pass"]]
+    assert [row["name"] for row in rows] == ["ConstraintViolation"]
+    assert "imaginary residue" in rows[0]["error"]
+    assert (out / "samples.csv").exists()
+    assert list(out.glob("fields-*")) == []
+
+
 def test_compare_oracle_reads_the_run_one_sample_at_a_time(tmp_path):
     # both routes form one sample at a time, so compare-oracle's memory is flat in
     # the sample count and within twice evolve's on the same run

@@ -1109,6 +1109,95 @@ def test_moments_allocate_nothing_of_the_sample_size():
     assert peak < v.nbytes / 4, peak
 
 
+def test_moments_hold_nothing_the_size_of_a_sample():
+    # the pass works in the block's own axis-0 stage; its one buffer holds x W_b
+    # for a cache-sized block of k_b lines
+    g = GridSpec((16, 16, 16), (TWO_PI, 5.0, 9.0))
+    sample_bytes = 16 ** 3 * 8 * 16
+    tracemalloc.start()
+    try:
+        moments = _Moments(g, 41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = [a for a in vars(moments).values() if isinstance(a, np.ndarray)]
+    assert max(a.nbytes for a in held) < sample_bytes
+    assert peak < sample_bytes, peak
+
+
+@pytest.mark.parametrize("grid", [GridSpec((256,), (TWO_PI,)), GridSpec((16, 32), (TWO_PI, 5.0)),
+                                  GridSpec((8, 8, 16), (TWO_PI, 5.0, 9.0))],
+                         ids=["1d", "2d", "3d"])
+def test_a_real_product_follows_the_gram_product_before_any_transform(monkeypatch, grid):
+    # a complex @ slows numpy's transforms along the last axis until a real
+    # product runs: in every add, a real dot of two or more terms comes between
+    # the Gram product (its operand is the conjugate) and the next transform
+    import types
+    import dirac88.fields as fields_module
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, all(np.asarray(a).dtype == float and np.size(a) > 1
+                                    for a in args[:2])))
+            return fn(*args, **kwargs)
+        return call
+
+    def spy(module, **names):
+        return types.SimpleNamespace(**{**{name: getattr(module, name) for name in dir(module)
+                                           if not name.startswith("__")}, **names})
+
+    monkeypatch.setattr(fields_module, "np", spy(
+        np, conjugate=recorded("conjugate", np.conjugate), vecdot=recorded("dot", np.vecdot),
+        matmul=recorded("dot", np.matmul),
+        fft=spy(np.fft, fft=recorded("fft", np.fft.fft), ifft=recorded("fft", np.fft.ifft))))
+    add = _Moments.add
+
+    def marked(*args, **kwargs):
+        calls.append(("add", False))
+        return add(*args, **kwargs)
+
+    monkeypatch.setattr(_Moments, "add", marked)
+    psi = states.electron_gaussian_packet(grid, 2.0, 0.6, k0_mode=[1] * grid.ndim,
+                                          minus_weight=0.5)
+    run_free(psi, np.linspace(0.0, 1.0, 7)).moments
+    calls.append(("add", False))
+    gram = [i for i, (name, _) in enumerate(calls) if name == "conjugate"]
+    assert len(gram) == [name for name, _ in calls].count("add") - 1 > 0   # one per block
+    for i in gram:
+        after = calls[i + 1:]
+        stop = next(j for j, (name, _) in enumerate(after) if name in ("fft", "add"))
+        assert ("dot", True) in after[:stop], calls[i:i + stop + 2]
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mode_decomposition_peaks_within_four_arrays_of_its_input():
+    # the spectral amplitudes, H applied to them through one gathered array, and
+    # plus and minus formed in place: three arrays of the state's size at a time
+    g = GridSpec((16, 16, 16), (TWO_PI, 5.0, 9.0))
+    psi = states.electron_gaussian_packet(g, 3.0, 0.6, k0_mode=[1, 0, 2], minus_weight=0.7)
+    peak = _traced_peak(lambda: mode_decomposition(psi))
+    assert peak <= 4 * psi.values.nbytes, peak / psi.values.nbytes
+
+
+def test_electron_packet_peaks_within_four_arrays_of_its_envelope():
+    # the split's three arrays beside the envelope, which the mixed branches are
+    # transformed back into
+    g = GridSpec((16, 16, 16), (TWO_PI, 5.0, 9.0))
+    field_bytes = 16 ** 3 * 8 * 16
+    peak = _traced_peak(lambda: states.electron_gaussian_packet(g, 3.0, 0.6, k0_mode=[1, 0, 2],
+                                                                minus_weight=0.7))
+    assert peak <= 5 * field_bytes, peak / field_bytes
+
+
 def _duhamel_reference(psi0, source):
     """The Duhamel term at t as a sum of the four source parts and their H
     images, each weighted by its kernel, with the kernels taken through five

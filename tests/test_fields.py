@@ -158,6 +158,46 @@ def test_check_constraint_is_relative_to_the_finite_field_scale(field, slot, val
             check_constraint(values, tol=1e-6)
 
 
+def _embedded_wave_16():
+    """A sample of a 16^3 photon wave's run: two CSV blocks of rows."""
+    g = GridSpec((16, 16, 16), (TWO_PI, 5.0, 9.0))
+    return run_free(states.travelling_wave(g, [1, 0, 2], "y"), [0.0, 0.7]).sample(1)
+
+
+@pytest.mark.parametrize("slot, value, message", [
+    (4, 1e-3, "components 0/4 reach"), (0, np.nan, "components 0/4 reach"),
+    (2, 1e-3j, "imaginary residue"), (6, 1e-3, "imaginary residue"),
+    (7, complex(0.0, np.nan), "imaginary residue"),
+], ids=["constraint", "constraint-nan", "e-imaginary", "b-imaginary", "b-nan"])
+def test_a_failing_snapshot_writes_no_file(tmp_path, slot, value, message):
+    # the fault sits in the last block of rows: the checks run over the whole
+    # sample before the file is opened, with extract_em's messages
+    psi = _embedded_wave_16()
+    psi.values[-1, -1, -1, slot] += value
+    with pytest.raises(ConstraintViolation, match=message) as raised:
+        save_em_csv(tmp_path / "fields-1.csv", psi, tol=1e-6)
+    with pytest.raises(ConstraintViolation) as extracted:
+        extract_em(psi, tol=1e-6)
+    assert str(raised.value) == str(extracted.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_spinor_snapshot_equals_its_extracted_fields(tmp_path):
+    # the writer recovers E and B a block at a time with extract_em's arithmetic:
+    # signed zeros, the residues that .real drops and every digit come out the same
+    psi = _embedded_wave_16()
+    rng = np.random.default_rng(37)
+    values = psi.values
+    values[..., [1, 2, 3, 5, 6, 7]] *= rng.choice([1.0, -1.0, 1.0 + 1e-9j], values.shape[:-1] + (6,))
+    values.reshape(-1)[rng.choice(values.size, 400)] *= -0.0
+    assert len(np.unique(values)) > 10
+    save_em_csv(tmp_path / "spinor.csv", psi, tol=1e-6)
+    save_em_csv(tmp_path / "fields.csv", extract_em(psi, tol=1e-6))
+    for suffix in ("", ".json"):
+        assert ((tmp_path / f"spinor.csv{suffix}").read_bytes()
+                == (tmp_path / f"fields.csv{suffix}").read_bytes())
+
+
 def test_a_snapshot_of_a_large_amplitude_wave_passes(tmp_path):
     # the imaginary residue of a 1e11 wave is ~1e-5 absolute, 2e-16 of its scale
     cfg = {"grid": {"points": [64], "lengths": [TWO_PI]}, "duration": 2.0, "samples": 8,
