@@ -11,8 +11,6 @@ wall-time fields.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import inspect
 import json
 import sys
@@ -40,6 +38,16 @@ from .spin import (angular_momentum_series, photon_spin_selection, spin_half, sp
                    verify_spin_evolution)
 
 __all__ = ["main", "run_command"]
+
+# the interpreter's built-in sha256: hashlib's would map OpenSSL into the process
+# for one digest of a few hundred bytes
+try:
+    from _sha2 import sha256   # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256   # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class _Checks:
@@ -330,16 +338,17 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     run = _run_from_config(cfg)[0]   # the t = 0 state is not kept alive through the pass
     snapshots = {snap % run.n_samples for snap in cfg["outputs"]["snapshots"]}
     snapshot_error = None
-    # the one pass over the samples: it fills run.moments, which every series below reads
-    for i, psi in enumerate(run.samples()):
+    angular = "angular_momentum_drift" in wanted or cfg["series"] == "angular_momentum"
+    # the one pass over the samples: it fills run.moments, which every series below reads,
+    # with the orbital sums of <L> only when they are read
+    for i, psi in enumerate(run.samples(orbital=angular)):
         if i in snapshots and snapshot_error is None:
             try:
                 save_em_csv(outdir / f"fields-{i}.csv", psi, tol=1e-6)
             except ConstraintViolation as exc:  # fails the run once the checks are in
                 snapshot_error = exc
     norms, energies = run.moments.norms * run.grid.cell_volume, energy_expectation_series(run)
-    angular = (angular_momentum_series(run) if "angular_momentum_drift" in wanted
-               or cfg["series"] == "angular_momentum" else None)
+    angular = angular_momentum_series(run) if angular else None
     alpha = alpha_expectation_series(run)
     constraint = np.max(run.moments.constraint)   # keeps NaN
     _evolve_checks(wanted, run, norms, energies, constraint, angular, checks)
@@ -479,8 +488,7 @@ def run_command(command: str, config_path: str, outdir: str) -> int:
         return 3
 
     checks = _Checks()
-    config_hash = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    config_hash = sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     try:
         handler, table = COMMANDS[command]
         # a non-finite run fails its own rows whatever the warning filters say, and the
@@ -529,6 +537,7 @@ def run_command(command: str, config_path: str, outdir: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse   # the library imports of this module do not pay for it
     parser = argparse.ArgumentParser(
         prog="dirac88",
         description="Verification and simulation commands for the unified "

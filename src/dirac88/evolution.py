@@ -71,10 +71,12 @@ class EvolutionRun:
     and measures a time block of samples at a time, then yields them in
     time order, each a read-only ``SpinorField8`` over a buffer the next block
     reuses, so a yielded sample stays valid only until the pass leaves its block
-    (copy what must outlive it).  It measures from the axis-0 stage of the
-    block's inverse transform, so a sample is transformed along axis 0 once, not
-    twice.  When the pass completes it fills ``moments``; a pass left early fills
-    nothing.  ``moments`` on a run nobody iterated runs the same pass.
+    (copy what must outlive it).  It measures from the stages of the block's
+    inverse transform, so the pass makes no forward transform but for the
+    orbital sums of <L>, which it takes when asked (``samples(orbital=True)``)
+    and otherwise leaves to a pass of their own, run when ``moments.rk`` is
+    first read.  When the pass completes it fills ``moments``; a pass left early
+    fills nothing.  ``moments`` on a run nobody iterated runs the same pass.
     ``blocks()`` yields the same time blocks, read-only (B, *grid, 8), and
     measures nothing.  ``sample(i)`` forms one sample as a fresh, writable copy.
     """
@@ -91,12 +93,13 @@ class EvolutionRun:
     def n_samples(self) -> int:
         return len(self.times)
 
-    def _formed(self, times):
+    def _formed(self, times, stage=None):
         """Yield (block, axis-0 stage), each (B, *grid, 8), per time block of B times
         (``_time_blocks``).  The block is the inverse transform of the spectral
         amplitudes branches.at(t), plus what the source term adds to them in place
-        (t of shape (B, 1)), taken one axis at a time (``GridSpec.ifft_staged``);
-        the stage is that transform over grid axes 1.. alone, each sample's fft
+        (t of shape (B, 1)), taken one axis at a time (``GridSpec.ifft_staged``,
+        which hands ``stage`` each stage before its axis is transformed); the
+        axis-0 stage is that transform over grid axes 1.. alone, each sample's fft
         along grid axis 0 up to round-off, which the moments pass reads instead of
         transforming the block again.  Both live in arrays that every block
         reuses, so a yielded pair is valid until the next; the block is a
@@ -112,7 +115,7 @@ class EvolutionRun:
             dec.at(t, out=hat, scratch=values)
             if source_term is not None:
                 source_term(t[:, None], hat, values)
-            block = grid.ifft_staged(hat, out=values)
+            block = grid.ifft_staged(hat, out=values, stage=stage)
             if source_term is not None:
                 size = abs(block).reshape(len(t), -1, 8).max(axis=1)   # per sample and component
                 resid, scale = size[:, ::4].max(axis=1), np.maximum(size.max(axis=1), 1.0)
@@ -126,18 +129,26 @@ class EvolutionRun:
             block.flags.writeable = False
             yield block, hat
 
-    def samples(self):
+    def samples(self, orbital: bool = False):
         """The pass over the samples; see the class docstring."""
-        measure = _Moments(self.grid, self.n_samples) if self._moments is None else None
+        measure = _Moments(self.grid, self.n_samples, orbital) if self._moments is None else None
         s0 = 0
-        for block, axis0 in self._formed(self.times):
+        for block, axis0 in self._formed(self.times, None if measure is None else measure.stage):
             if measure is not None:
                 measure.add(s0, block, axis0)
             s0 += len(block)
             for values in block:
                 yield SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
         if measure is not None:
+            measure.orbital_pass = self._orbital_pass
             self._moments = measure
+
+    def _orbital_pass(self):
+        """The orbital sums of ``moments`` alone, its samples formed again."""
+        s0 = 0
+        for block, axis0 in self._formed(self.times):
+            self._moments.add_orbital(s0, block, axis0)
+            s0 += len(block)
 
     def blocks(self):
         """The samples a time block at a time, unmeasured; see the class docstring."""

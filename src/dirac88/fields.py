@@ -13,6 +13,7 @@ Hamiltonian (natural units c = hbar = 1 by default).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,15 +128,21 @@ class GridSpec:
         """Inverse of ``fft``."""
         return np.fft.ifftn(values, axes=tuple(range(self.ndim)))
 
-    def ifft_staged(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def ifft_staged(self, values: np.ndarray, out: np.ndarray, stage=None) -> np.ndarray:
         """``ifft(values)`` into ``out``, as one-axis transforms in ifftn's own
         order, last grid axis first, so ``out`` receives the same bits; a block
         (B, *grid, 8) is transformed sample by sample.  Every stage but the last
         runs in place in ``values``, which is left holding the transform over
         grid axes 1.. alone: fft(out) along grid axis 0 up to round-off (the
-        spectral amplitudes themselves on a 1-D grid)."""
-        for axis in range(-2, -1 - self.ndim, -1):
-            np.fft.ifft(values, axis=axis, out=values)
+        spectral amplitudes themselves on a 1-D grid).  ``stage(b, values)``, if
+        given, is called just before grid axis b is transformed, when ``values``
+        is still spectral along grid axes 0..b and already spatial along the rest."""
+        for b in range(self.ndim - 1, 0, -1):
+            if stage is not None:
+                stage(b, values)
+            np.fft.ifft(values, axis=b - self.ndim - 1, out=values)
+        if stage is not None:
+            stage(0, values)
         return np.fft.ifft(values, axis=-1 - self.ndim, out=out)
 
     def to_dict(self) -> dict:
@@ -279,9 +286,9 @@ def _check_em(values: np.ndarray, tol: float):
 
 
 def _em_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real E and B of spinor values (..., 8) as complex arrays: Re psi_1..3 and
+    """Real E and B of spinor values (..., 8) as float arrays: Re psi_1..3 and
     Re(-i psi_5..7), with no check."""
-    return values[..., 1:4].real.astype(complex), (-1j * values[..., 5:8]).real.astype(complex)
+    return values[..., 1:4].real, (-1j * values[..., 5:8]).real
 
 
 def extract_em(psi: SpinorField8, tol: float = _CONSTRAINT_TOL) -> EMField:
@@ -330,38 +337,49 @@ class _Moments:
     ``norms[s]`` is sum |psi|^2 (numpy's pairwise sum) and ``gram[s]`` the
     8x8 Gram matrix G_ab = sum psi_a* psi_b, so that sum psi+ M psi =
     sum_ab M_ab G_ab for any constant matrix M.  The momentum sums are
-    ``kinetic[s]`` = sum psi+ (alpha'.k) psi and ``rk[s, i, j]`` =
+    ``kinetic[s]`` = sum psi+ (alpha'.k) psi and the orbital sums ``rk[s, i, j]`` =
     sum r_i psi+ (k_j psi) for Cartesian i != j (zero otherwise), with k the
     spectral wave-vector operator -i grad.  ``density0`` is sum_a |psi_a|^2 per
     point of the first sample, and ``constraint[s]`` the largest |psi_0| or
     |psi_4| of sample s (``constraint_residual``; NaN stays NaN).
 
     The set-up (coordinates, axis wave numbers, the weights W_b and one small
-    buffer for x W_b) is made once; ``add`` measures one block, each sample to
-    the bits it would read alone, and holds no array of the block's size: it
-    works in the block's axis-0 stage, which it is handed and overwrites.  The
-    norm and the Gram matrix are sums over the sample itself.  The momentum sums
-    take, per grid axis b, the 1-D DFT A_b = fft(psi, axis=b), laid out with
-    k_b leading, and Parseval along b alone: k_b varies only along b, while
-    alpha'_b and the coordinate r_a of any other axis are constant along it.
-    So sum psi+ alpha'_b k_b psi = sum_k k_b A_b+ alpha'_b A_b / N_b and
-    sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b.  The first is
-    x . (x W_b) per point, x the float view of A_b (component a in columns
-    2a, 2a + 1) and W_b the 16x16 ``_kinetic_weights``, summed per k_b line,
-    x W_b a cache-sized block of lines at a time.  Every sample brings A_0
-    along, the stage before the last of its inverse transform
-    (``GridSpec.ifft_staged``), so it costs one forward transform fewer.
+    buffer for x W_b) is made once.  A block of samples is measured as it is
+    formed: ``stage`` takes each kinetic share from the block's inverse
+    transform (``GridSpec.ifft_staged``), and ``add`` takes the rest from the
+    block and its axis-0 stage, which it is handed and overwrites; neither
+    holds an array of the block's size, and each sample reads the bits it
+    would read alone.  The norm and the Gram matrix are sums over the sample
+    itself.  Axis b's kinetic share is read from the stage that is still
+    spectral along grid axes 0..b, just before b is transformed: k_b varies
+    only along b and alpha'_b is constant, so by Parseval along the spectral
+    axes sum psi+ alpha'_b k_b psi = sum k_b A+ alpha'_b A / prod_{a<=b} N_a
+    over that stage A.  That is x . (x W_b) per point, x the float view of A
+    (component a in columns 2a, 2a + 1) and W_b the 16x16 ``_kinetic_weights``,
+    summed per k_b line, x W_b a cache-sized block of lines at a time.  So every
+    transform of the pass follows its own axis's real kinetic product, and
+    the pass makes no forward transform for the kinetic sums.
+
+    The orbital sums take, per grid axis b, the 1-D DFT A_b = fft(psi, axis=b),
+    laid out with k_b leading (for b = 0 the axis-0 stage itself), and
+    Parseval along b alone: sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b,
+    with r_a constant along b.  A pass made with ``orbital`` true takes them in
+    ``add``; otherwise ``rk`` is filled when it is first read, by
+    ``orbital_pass``, which the run sets: it forms the samples again and hands
+    each block to ``add_orbital``.
     """
-    def __init__(self, grid: GridSpec, n: int):
+    def __init__(self, grid: GridSpec, n: int, orbital: bool = False):
         self.grid = grid
         self.norms = np.empty(n)
         self.gram = np.empty((n, 8, 8), dtype=complex)
         self.kinetic = np.zeros(n)
-        self.rk = np.zeros((n, 3, 3))
+        self._rk = np.zeros((n, 3, 3)) if orbital else None
+        self.orbital_pass = None   # fills rk when it is read, if the pass did not
         self.constraint = np.empty(n)
         self.density0 = None    # the first sample's, set when it is measured
         self._coords = grid.axis_coords()
         self._k_axes = grid._axis_wave_numbers()
+        self._lines = {}   # grid axis -> per-line kinetic sums of the block being formed
         # Re psi+ alpha'_b psi = x . (x W_b) on the float view x of psi
         self._kinetic_weights = []
         for cart in grid.spatial_axes:
@@ -371,79 +389,116 @@ class _Moments:
             w[:, 0, :, 1], w[:, 1, :, 0] = -alpha.imag, alpha.imag
             self._kinetic_weights.append(w.reshape(16, 16))
         # a block of lines holds _BLOCK_ROWS points, or one line per sample if
-        # that is more, and never more than the time block itself
+        # that is more (a line of axis 0 is the longest), and never more than
+        # the time block itself
         samples, points = min(n, _block_size(grid)), int(np.prod(grid.shape))
-        rows = max(_BLOCK_ROWS, samples * points // min(grid.points))
+        rows = max(_BLOCK_ROWS, samples * points // grid.points[0])
         self._xw = np.empty((min(rows, samples * points), 16))
+
+    @property
+    def rk(self) -> np.ndarray:
+        if self._rk is None:
+            self._rk = np.zeros((len(self.norms), 3, 3))
+            self.orbital_pass()
+        return self._rk
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def stage(self, b: int, values: np.ndarray):
+        """Axis b's kinetic share of a block (B, *grid, 8) that is spectral along
+        grid axes 0..b (``GridSpec.ifft_staged``'s hook): sum x . (x W_b) per
+        k_b line, by the first line of each block of lines, for ``add``."""
+        n, points = len(values), self.grid.points
+        n_b, inner = points[b], math.prod(points[b + 1:])
+        x = values.view(float).reshape(n, -1, n_b, 16 * inner)   # (samples, outer, k_b, line)
+        lines = max(1, _BLOCK_ROWS // (n * inner))   # whole k_b lines per block
+        outer, step = (max(1, lines // n_b), n_b) if lines >= n_b else (1, lines)
+        per_line = {}
+        for p0 in range(0, x.shape[1], outer):
+            for k0 in range(0, n_b, step):
+                block = x[:, p0:p0 + outer, k0:k0 + step]
+                xw = np.matmul(block.reshape(-1, 16), self._kinetic_weights[b],
+                               out=self._xw[:block.size // 16])
+                sums = np.vecdot(block, xw.reshape(block.shape)).sum(axis=1)
+                if k0 in per_line:   # the same lines, at further outer points
+                    per_line[k0] += sums
+                else:
+                    per_line[k0] = sums
+        self._lines[b] = per_line
 
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, s0: int, v: np.ndarray, axis0: np.ndarray):
-        """Measure samples s0, s0 + 1, ... of a block ``v`` of shape (B, *grid, 8);
-        ``axis0`` is the fft of ``v`` along grid axis 0 up to round-off, read in
-        place of that transform, then overwritten.  A sample whose squares
-        overflow reads inf or NaN, which the checks fail.
+        """Measure samples s0, s0 + 1, ... of a block ``v`` of shape (B, *grid, 8),
+        whose kinetic shares ``stage`` took as the block was formed; ``axis0`` is
+        the fft of ``v`` along grid axis 0 up to round-off, read in place of that
+        transform, then overwritten.  A sample whose squares overflow reads inf
+        or NaN, which the checks fail.
 
-        Axis 0 is measured first, from ``axis0``; that array then holds |psi|^2,
-        psi* for the Gram product and each A_b (b >= 1) in turn.  Order rule: a
-        complex ``@`` (the Gram product) leaves numpy's transform along the last
-        axis of a field array 2.6x slower until a real product runs, so the
-        k-weighted sums of axis 0, real products, run between the Gram product
-        and the next transform on every rank (the b = 1 transform, or on a 1-D
-        grid the next block's inverse transform).
+        ``axis0`` holds |psi|^2, then psi* for the Gram product, then (orbital
+        sums) each A_b, b >= 1, in turn.  Order rule: a complex ``@`` (the Gram
+        product) leaves numpy's transform along the last axis of a field array
+        2.6x slower until a real product runs.  The kinetic shares are reduced
+        over k (real products) between the Gram product and the next transform,
+        a forward one for the orbital sums or the next block's inverse one, which
+        ``stage``'s own real product precedes too.
         """
-        grid = self.grid
         n, s = len(v), slice(s0, s0 + len(v))
-        lines0 = self._line_sums(0, axis0)
-        # |psi|^2 in the head of the dead stage, which psi* overwrites after it
-        power = axis0.reshape(-1).view(float)[:v.size].reshape(v.shape)
-        power = np.square(np.abs(v, out=power), out=power)
+        power0 = self._power(0, axis0) if self._rk is not None else None
+        # |psi|, then |psi|^2, in the head of the dead stage, which psi* overwrites after it
+        power = np.abs(v, out=axis0.reshape(-1).view(float)[:v.size].reshape(v.shape))
+        self.constraint[s] = power[..., ::4].max(axis=tuple(range(1, v.ndim)))   # keeps NaN
+        power = np.square(power, out=power)
         self.norms[s] = power.reshape(n, -1).sum(axis=1)
         if s0 == 0:
             self.density0 = power[0].sum(axis=-1)
-        self.constraint[s] = abs(v[..., ::4]).reshape(n, -1).max(axis=1)   # keeps NaN
         flat = v.reshape(n, -1, 8)
         self.gram[s] = np.conjugate(flat, out=axis0.reshape(flat.shape)).transpose(0, 2, 1) @ flat
-        self._reduce(s, 0, *lines0)
+        for b in sorted(self._lines):
+            scale, k = math.prod(self.grid.points[:b + 1]), self._k_axes[b]
+            for k0, sums in self._lines[b].items():
+                self.kinetic[s] += np.vecdot(sums, k[k0:k0 + sums.shape[1]]) / scale
+        self._lines.clear()
+        if power0 is not None:
+            self._orbital(s, v, axis0, power0)
+        if s.stop == len(self.norms):   # the run keeps the sums, not the buffer
+            self._xw = None
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def add_orbital(self, s0: int, v: np.ndarray, axis0: np.ndarray):
+        """The orbital sums alone of the block that ``add`` measures, from the
+        same arrays: ``rk`` for a pass made without them."""
+        self._orbital(slice(s0, s0 + len(v)), v, axis0, self._power(0, axis0))
+
+    def _orbital(self, s: slice, v: np.ndarray, axis0: np.ndarray, power0: np.ndarray | None):
+        """``rk[s]``: axis 0's share from ``power0``, then each A_b (b >= 1)
+        transformed into the dead ``axis0``."""
+        grid, n = self.grid, len(v)
+        self._reduce_rk(s, 0, power0)
         for b, n_b in enumerate(grid.points[1:], 1):
             others = grid.points[:b] + grid.points[b + 1:]
             lead = axis0.reshape((n, n_b) + others + (8,))   # A_b, k_b leading
             np.fft.fft(v, axis=b + 1, out=np.moveaxis(lead, 1, b + 1))
-            self._reduce(s, b, *self._line_sums(b, lead))
-        if s.stop == len(self.norms):   # the run keeps the sums, not the buffer
-            self._xw = None
+            self._reduce_rk(s, b, self._power(b, lead))
 
-    def _line_sums(self, b: int, lead: np.ndarray):
-        """Per k_b line of A_b (``lead``, k_b leading after the sample axis):
-        sum x . (x W_b), as (first line, sums) per block of lines, and
-        sum |A_b|^2 per point of the other axes (None on a 1-D grid)."""
-        n, n_b = len(lead), self.grid.points[b]
-        x = lead.reshape(n, n_b, -1, 8).view(float)
-        # a block of several samples fits in _BLOCK_ROWS whole: one pass of lines
-        lines = max(1, _BLOCK_ROWS // (n * x.shape[2]))
-        per_line = []
-        for k0 in range(0, n_b, lines):
-            block = x[:, k0:k0 + lines]
-            xw = np.matmul(block.reshape(-1, 16), self._kinetic_weights[b],
-                           out=self._xw[:block.size // 16])
-            per_line.append((k0, np.vecdot(block.reshape(block.shape[:2] + (-1,)),
-                                           xw.reshape(block.shape[:2] + (-1,)))))
-        power = np.einsum("skmi,skmi->skm", x, x) if self.grid.ndim > 1 else None
-        return per_line, power
+    def _power(self, b: int, lead: np.ndarray) -> np.ndarray | None:
+        """sum |A_b|^2 per point of A_b (``lead``, k_b leading after the sample
+        axis), (B, N_b, other points); None on a 1-D grid, which has no <r p>."""
+        if self.grid.ndim == 1:
+            return None
+        x = lead.reshape(len(lead), self.grid.points[b], -1, 8).view(float)
+        return np.einsum("skmi,skmi->skm", x, x)
 
-    def _reduce(self, s: slice, b: int, per_line: list, power: np.ndarray | None):
-        """Add axis b's share of ``kinetic[s]`` and ``rk[s]`` from ``_line_sums``."""
-        grid, n_b, k = self.grid, self.grid.points[b], self._k_axes[b]
-        for k0, sums in per_line:
-            self.kinetic[s] += np.vecdot(sums, k[k0:k0 + sums.shape[1]]) / n_b
-        if power is None:   # no other axis, no <r p> moment
+    def _reduce_rk(self, s: slice, b: int, power: np.ndarray | None):
+        """Axis b's share of ``rk[s]`` from ``_power``."""
+        if power is None:
             return
+        grid, n_b, k = self.grid, self.grid.points[b], self._k_axes[b]
         others = grid.points[:b] + grid.points[b + 1:]
         weighted = (k @ power).reshape((len(power),) + others)
         for a in range(grid.ndim):
             if a != b:
                 along = a - (a > b)   # axis a among the others
                 rest = tuple(ax + 1 for ax in range(len(others)) if ax != along)
-                self.rk[s, grid.spatial_axes[a], grid.spatial_axes[b]] = np.vecdot(
+                self._rk[s, grid.spatial_axes[a], grid.spatial_axes[b]] = np.vecdot(
                     weighted.sum(axis=rest), self._coords[a]) / n_b
 
     @np.errstate(invalid="ignore")   # inf / inf reads NaN, which the checks fail
@@ -494,29 +549,46 @@ def _point_blocks(values: np.ndarray, ncomp: int):
             for start in range(0, len(flat), _CSV_BLOCK_POINTS))
 
 
+def _records(shape: tuple, cells: list) -> np.ndarray:
+    """One record per entry of ``shape``: the byte-string ``cells``, each
+    broadcast to ``shape`` and NUL-padded to its width, side by side."""
+    rows = np.empty(shape, [(f"f{n}", cell.dtype) for n, cell in enumerate(cells)])
+    for name, cell in zip(rows.dtype.names, cells):
+        rows[name] = cell
+    return rows
+
+
 def _write_csv(path: Path, grid: GridSpec, blocks, ncomp: int, kindmeta: dict):
     """Rows ``i,j,k,component,re,im`` in C order, CRLF ends, ``%.17g`` values,
-    from ``blocks`` of complex values shaped as ``_point_blocks`` yields them.
+    from ``blocks`` of values shaped as ``_point_blocks`` yields them: complex,
+    or float64, whose im cell is the text of +0.0, "0".
 
     Snapshots repeat few values (exact zeros, a plane wave's few levels), so
     a block formats only the doubles that the previous block's table lacks.
     Doubles are keyed by bit pattern: 0.0 == -0.0 prints apart ("0", "-0").
     The block's rows are then written ``_CSV_ROW_POINTS`` grid points at a
-    time, each chunk a uint8 matrix, one record of NUL-padded cells per CSV
-    row: ``i,``, ``j,``, ``k,``, ``component,``, re, ``,``, im and CRLF. No
-    cell can contain a NUL, so dropping the NULs leaves exactly the rows.
+    time, each chunk one record of NUL-padded cells per CSV row: ``i,``, the
+    ``j,k,component,`` prefix (a table of one record per (j, k, component),
+    made once), re, then ``,``, im and CRLF, or ``,0`` and CRLF for a float
+    block.  No cell can contain a NUL, so dropping the NULs leaves exactly the
+    rows.
     """
     path = Path(path)
     idx_shape = grid.shape + (1,) * (3 - grid.ndim)
-    axes = [np.array([f"{i}," for i in range(n)], dtype="S") for n in idx_shape]
+    i_cells, j_cells, k_cells = (np.array([f"{i}," for i in range(n)], dtype="S")
+                                 for n in idx_shape)
     comp = np.array([f"{c}," for c in range(ncomp)], dtype="S")
+    jk = np.arange(idx_shape[1] * idx_shape[2])
+    prefix = _records(jk.shape + (ncomp,), [j_cells[jk // idx_shape[2], None],
+                                            k_cells[jk % idx_shape[2], None], comp])
+    prefix = prefix.view(np.dtype((np.void, prefix.itemsize)))   # one cell, NULs kept
     # one block's sorted bits and %.17g texts (<= 24 bytes); row 0 is +0.0, never sorted
     known_bits, known = np.zeros(1, np.uint64), np.array([b"0"], "S24")
     with path.open("wb") as fh:
         fh.write(b"i,j,k,component,re,im\r\n")
         start = 0
         for block in blocks:
-            keys = np.ascontiguousarray(block).view(np.uint64).ravel()   # re, im per value
+            keys = np.ascontiguousarray(block).view(np.uint64).ravel()   # re (and im) per value
             order = np.flatnonzero(keys)
             order = order[keys[order].argsort()]   # equal keys make one run in any order
             run = np.r_[np.uint64(0), keys[order]]
@@ -529,20 +601,18 @@ def _write_csv(path: Path, grid: GridSpec, blocks, ncomp: int, kindmeta: dict):
             miss = known_bits[at] != bits
             known_bits, known = bits, known[at]
             known[miss] = ("%.17g " * miss.sum() % tuple(bits[miss].view(float).tolist())).split()
-            inverse = inverse.reshape(block.shape + (2,))
+            inverse = inverse.reshape(block.shape + (-1,))   # (points, ncomp, re and im)
             for first in range(0, len(block), _CSV_ROW_POINTS):
                 text = known[inverse[first:first + _CSV_ROW_POINTS]]
-                ijk = np.unravel_index(np.arange(start, start + len(text)), idx_shape)
-                cells = [axis[index, None] for axis, index in zip(axes, ijk)]
-                cells += [comp, text[..., 0], np.bytes_(b","), text[..., 1], np.bytes_(b"\r\n")]
-                rows = np.empty(text.shape[:2],
-                                [(f"f{n}", cell.dtype) for n, cell in enumerate(cells)])
-                for name, cell in zip(rows.dtype.names, cells):
-                    rows[name] = cell
+                point = np.arange(start, start + len(text))
+                cells = [i_cells[point // len(prefix), None],
+                         np.take(prefix, point, axis=0, mode="wrap"), text[..., 0]]
+                cells += ([np.bytes_(b","), text[..., 1], np.bytes_(b"\r\n")]
+                          if text.shape[-1] == 2 else [np.bytes_(b",0\r\n")])
+                rows = _records(text.shape[:2], cells)
                 del cells, text
-                rows = rows.view(np.uint8)
-                fh.write(rows[rows != 0])
-                start += len(ijk[0])
+                fh.write(rows.tobytes().translate(None, b"\0"))
+                start += len(point)
     sidecar = {"grid": grid.to_dict(), "components": ncomp}
     sidecar.update(kindmeta)
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=1))
@@ -585,8 +655,9 @@ def save_em_csv(path, field: EMField | SpinorField8, tol: float = _CONSTRAINT_TO
     ``field`` is an ``EMField`` or a photon-embedded ``SpinorField8``, which is
     read exactly as ``extract_em`` reads it: its checks run first, with ``tol``,
     and a field that fails them raises ConstraintViolation before the file is
-    opened; each block's E and B are then recovered as the block is written, so
-    the snapshot makes no copy of the whole field.
+    opened; each block's real E and B are then recovered as the block is
+    written, so the snapshot makes no copy of the whole field, and their im
+    cells are the "0" that ``extract_em``'s complex fields would print.
     """
     if isinstance(field, EMField):
         parts = zip(_point_blocks(field.e, 3), _point_blocks(field.b, 3))

@@ -18,23 +18,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .fields import EMField, FourCurrent, GridSpec, _time_blocks
+from .fields import EMField, FourCurrent, GridSpec, _block_size, _time_blocks
 
 __all__ = ["OracleRun", "CompareReport", "maxwell_evolve", "compare"]
 
 
 class OracleRun:
     """Classical fields on a time grid, formed when read: ``blocks()`` yields
-    (e, b) a time block of B times at a time (``_time_blocks``), fresh arrays
-    (B, *grid, 3) that ``form(t)`` makes, each sample from t = 0 alone."""
+    (e, b) a time block of B times at a time (``_time_blocks``), each
+    (B, *grid, 3) and each sample from t = 0 alone.  ``form(t, f, scratch)``
+    forms a block in two arrays (B, 2, 3, *grid) that a pass makes once and
+    every block reuses, so a yielded pair is valid until the next."""
 
     def __init__(self, grid: GridSpec, times: np.ndarray, form):
         self.grid, self.times = grid, times
         self._form = form
 
     def blocks(self):
+        shape = (min(len(self.times), _block_size(self.grid)), 2, 3) + self.grid.shape
+        f_rows, scratch_rows = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
         for t in _time_blocks(self.grid, self.times):
-            yield self._form(t)
+            yield self._form(t, f_rows[:len(t)], scratch_rows[:len(t)])
 
 
 @dataclass(frozen=True)
@@ -52,12 +56,14 @@ class CompareReport:
 
 
 def _rotate(par: np.ndarray, perp: np.ndarray, crossed: np.ndarray,
-            cos_a: np.ndarray, sin_a: np.ndarray) -> np.ndarray:
+            cos_a: np.ndarray, sin_a: np.ndarray, out: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
     """Vectors with parts par along unit vectors khat and perp across them, and
-    crossed = khat x perp, turned about khat by the angle of cos_a and sin_a."""
-    out = np.multiply(cos_a, perp)
+    crossed = khat x perp, turned about khat by the angle of cos_a and sin_a,
+    into ``out`` through ``scratch`` (both of the result's shape)."""
+    np.multiply(cos_a, perp, out=out)
     out += par
-    out += sin_a * crossed
+    out += np.multiply(sin_a, crossed, out=scratch)
     return out
 
 
@@ -115,21 +121,23 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     free = parts(f0)
     sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (grid.ndim + 1))
     if source is not None:
-        j_hat = np.fft.fftn(np.moveaxis(source.j_amp, -1, 0).astype(complex), axes=axes)
-        # the parts of 4 pi j: form scales them by the time factors of its share
+        j_hat = np.fft.fftn(np.moveaxis(source.j_amp, -1, 0).astype(complex), axes=axes)[None]
+        # the parts of 4 pi j (a leading axis of 1, or of 2 once signed): form scales
+        # them by the time factors of its share
         par, perp, crossed = (4 * np.pi * x for x in parts(j_hat))
         signed_crossed = sign * crossed
         # b and d depend on |k| alone, and many modes share it (k and -k at least)
         ck, mode_ck = np.unique(ck_mode, return_inverse=True)
         mode_ck = mode_ck.reshape(grid.shape)
 
-    def form(t):
+    def form(t, f, scratch):
         """(E, B) at a block of times t, each (len(t), *grid, 3): F(+-) turned by
-        +-c|k|t in one stacked rotation of its parts, less 4 pi times the source's
-        share turned with it, transformed back as one stacked array."""
+        +-c|k|t in one stacked rotation of its parts into ``f``, less 4 pi times
+        the source's share turned with it, transformed back as one stacked array
+        in place; ``scratch`` is overwritten."""
         angle = (ck_mode * t.reshape((-1,) + (1,) * grid.ndim))[:, None, None]
         cos_a, sin_a = np.cos(angle), np.sin(angle)
-        f = _rotate(*free, cos_a.astype(complex), (sign * sin_a).astype(complex))
+        _rotate(*free, cos_a.astype(complex), (sign * sin_a).astype(complex), f, scratch)
         if source is not None:
             a, bd = _source_integrals(t[:, None], source.omega, ck)
             b, d = bd[:, :, None, None, mode_ck]
@@ -137,9 +145,9 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
             a = a.reshape((-1,) + (1,) * (grid.ndim + 2))
             u, w = cos_a * b + sin_a * d, sin_a * b - cos_a * d
             for scale, part in ((a, par), (u, perp), (w, signed_crossed)):
-                f -= scale.astype(complex) * part
+                f -= np.multiply(scale.astype(complex), part, out=scratch[:, :len(part)])
         # E = (F+ + F-) / 2 and B = (F+ - F-) / 2i, in place, then back to space
-        minus = f[:, 1] - f[:, 0]
+        minus = np.subtract(f[:, 1], f[:, 0], out=scratch[:, 0])
         f[:, 0] += f[:, 1]
         f[:, 0] *= 0.5
         np.multiply(minus, 0.5j, out=f[:, 1])
@@ -164,7 +172,6 @@ def compare(run, oracle: OracleRun) -> CompareReport:
         dev_b = np.maximum(dev_b, np.max(np.abs(-1j * values[..., 5:8] - b)))
         sum_e += np.vdot(e, e).real
         sum_b += np.vdot(b, b).real
-        del e, b   # so the oracle's last block is freed before it forms the next
     dev_e, dev_b = float(dev_e), float(dev_b)
     count = len(oracle.times) * 3 * int(np.prod(oracle.grid.shape))
     scale = max(float(np.sqrt(max(sum_e, sum_b) / count)), 1e-300)

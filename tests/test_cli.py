@@ -1,5 +1,9 @@
 import ast
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -272,8 +276,8 @@ def test_compare_oracle_verdict_does_not_scale_with_the_amplitude(tmp_path, monk
     # row reads the deviation relative to the oracle field's RMS
     import dirac88.oracle as oracle
     rotate = oracle._rotate
-    monkeypatch.setattr(oracle, "_rotate", lambda par, perp, crossed, cos_a, sin_a:
-                        rotate(par, perp, crossed, cos_a, -sin_a))
+    monkeypatch.setattr(oracle, "_rotate", lambda par, perp, crossed, cos_a, sin_a, *out:
+                        rotate(par, perp, crossed, cos_a, -sin_a, *out))
     cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 2.0, "samples": 8,
            "state": {"type": "travelling_wave", "mode": 1, "amplitude": amplitude},
            "tolerance": 1e-10}
@@ -487,6 +491,27 @@ def test_evolve_diagnostics_computed_once(tmp_path, monkeypatch):
     assert run_command("evolve", path, str(out)) == 0
     assert calls == {"kernel": 1, "energy": 1, "alpha": 1, "angular": 1}
     assert (out / "angular_momentum.csv").exists()
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_config(tmp_path):
+    cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 1.0, "samples": 4,
+           "state": {"type": "travelling_wave", "mode": 1, "amplitude": 0.5}}
+    out = tmp_path / "out"
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 0
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    assert read_summary(out)["config_hash"] == hashlib.sha256(canonical).hexdigest()
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_argparse():
+    # the config digest comes from the interpreter's built-in sha256, and main()
+    # imports argparse for itself
+    import dirac88
+    src = str(Path(dirac88.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dirac88.cli; print(sorted({'_hashlib', 'argparse'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_imports_no_private_names():
@@ -750,10 +775,16 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
     path = write_cfg(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
     assert run_command("evolve", path, str(out)) == 0
-    # forming and measuring a sample takes 2 ndim - 1 = 5 one-axis transforms: the
-    # pass reads the axis-0 stage of the inverse transform
+    # forming and measuring a sample with <L> takes 2 ndim - 1 = 5 one-axis
+    # transforms: the kinetic sums and rk along axis 0 read the stages of the
+    # inverse transform, and rk along each other axis takes one forward transform
     assert counts == {"fft": 2 * samples, "ifft": 3 * samples, "fftn": 0, "ifftn": 0}
     assert len((out / "angular_momentum.csv").read_text().splitlines()) == samples + 1
+    # without <L>, ndim = 3: the pass makes no forward transform
+    del cfg["series"]
+    counts.update(dict.fromkeys(counts, 0))
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 0
+    assert counts == {"fft": 0, "ifft": 3 * samples, "fftn": 0, "ifftn": 0}
 
 
 def zitter_point_cfg(point_index):

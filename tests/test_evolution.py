@@ -15,7 +15,7 @@ from dirac88.evolution import (EvolutionRun, _duhamel_kernels, _source_hat_parts
                                energy_expectation_series, evolve_free, evolve_sourced,
                                hamiltonian_k, mode_decomposition, omega_k, run_free,
                                zitter_decompose, zitter_equals_poynting)
-from dirac88.fields import (EMField, GridSpec, SpinorField8, _alpha_density, _Moments,
+from dirac88.fields import (_BETA, EMField, GridSpec, SpinorField8, _alpha_density, _Moments,
                             _time_blocks, divergence, embed_em, extract_em,
                             extract_em_amplitudes)
 from dirac88.spin import angular_momentum_series
@@ -1161,6 +1161,9 @@ def test_a_real_product_follows_the_gram_product_before_any_transform(monkeypatc
     psi = states.electron_gaussian_packet(grid, 2.0, 0.6, k0_mode=[1] * grid.ndim,
                                           minus_weight=0.5)
     run_free(psi, np.linspace(0.0, 1.0, 7)).moments
+    # and a pass that takes the orbital sums, with their forward transforms, too
+    for _ in run_free(psi, np.linspace(0.0, 1.0, 7)).samples(orbital=True):
+        pass
     calls.append(("add", False))
     gram = [i for i, (name, _) in enumerate(calls) if name == "conjugate"]
     assert len(gram) == [name for name, _ in calls].count("add") - 1 > 0   # one per block
@@ -1281,3 +1284,61 @@ def test_a_yielded_sample_is_valid_until_the_next_block():
     # buffer, so the first sample's values now hold the first of the next block's
     assert all(np.array_equal(kept[i], run.sample(i).values) for i in range(size))
     assert np.array_equal(seen[0], run.sample(size).values)
+
+
+def test_a_fresh_run_reads_alpha_without_a_forward_transform(monkeypatch):
+    # the pass measures from the stages of each sample's own inverse transform;
+    # only <L>'s orbital sums take forward ones
+    run = run_free(_packet((8, 8, 16), (TWO_PI, 5.0, 9.0), (1, 0, 2)), np.linspace(0.0, 1.0, 5))
+    counts = dict.fromkeys(("fft", "ifft", "fftn", "ifftn"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    alpha_expectation_series(run)
+    assert counts == {"fft": 0, "ifft": 3 * run.n_samples, "fftn": 0, "ifftn": 0}
+    angular_momentum_series(run)   # its own orbital pass: the samples formed again
+    assert counts == {"fft": 2 * run.n_samples, "ifft": 6 * run.n_samples, "fftn": 0, "ifftn": 0}
+
+
+def _random_state(points, lengths, seed):
+    g = GridSpec(points, lengths)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(g.shape + (8,)) + 1j * rng.standard_normal(g.shape + (8,))
+    return SpinorField8(g, values, kind="electron", mass=0.8, c=1.3, hbar=0.7)
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+@pytest.mark.parametrize("points, lengths", [((16, 8), (TWO_PI, 5.0)),
+                                             ((8, 4, 16), (TWO_PI, 5.0, 9.0))],
+                         ids=["2d", "3d"])
+def test_stage_kinetic_sums_equal_the_forward_transform_route(points, lengths, seed):
+    psi = _random_state(points, lengths, seed)
+    run = run_free(psi, np.linspace(0.0, 1.7, 9))
+    moments, energies = run.moments, energy_expectation_series(run)
+    norms, gram, kinetic, _ = _stacked_moments(run.grid, stacked(run))
+    scale = float(np.max(np.abs(run.grid.wave_vectors()))) * float(np.max(norms))
+    assert np.max(np.abs(moments.kinetic - kinetic)) <= 1e-15 * scale
+    # <H> with the run's own c and hbar, each term from the forward transforms
+    mass_term = psi.mass * psi.c ** 2 * np.einsum("a,saa->s", np.diag(_BETA).real, gram).real
+    want = (psi.c * psi.hbar * kinetic + mass_term) / norms
+    energy_scale = psi.c * psi.hbar * scale / float(np.min(norms)) + psi.mass * psi.c ** 2
+    assert np.max(np.abs(energies - want)) <= 1e-15 * energy_scale
+
+
+@pytest.mark.filterwarnings("ignore:density RMS width")
+@pytest.mark.parametrize("case", ["free-2d", "free-3d-ragged", "sourced-3d"])
+def test_orbital_sums_are_the_same_whichever_pass_takes_them(case):
+    # a pass asked for <L> takes rk beside the rest; one that was not leaves it to
+    # an orbital pass of its own, run when rk is first read: the same bits
+    _, asked = _stream_run(case)
+    for _ in asked.samples(orbital=True):
+        pass
+    _, later = _stream_run(case)
+    later.moments
+    assert later.moments._rk is None
+    for name in ("norms", "gram", "kinetic", "constraint", "rk"):
+        assert np.array_equal(getattr(asked.moments, name), getattr(later.moments, name)), name
+    for got, want in zip(angular_momentum_series(later), angular_momentum_series(asked)):
+        assert np.array_equal(got, want)

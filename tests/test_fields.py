@@ -10,7 +10,7 @@ from dirac88.cli import run_command
 from dirac88.errors import ConstraintViolation
 from dirac88.evolution import evolve_free, run_free
 from dirac88.fields import (_CSV_BLOCK_POINTS, EMField, FourCurrent, GridSpec, SpinorField8,
-                            _alpha_density, check_constraint, constraint_residual, curl,
+                            _alpha_density, _point_blocks, _write_csv, check_constraint, constraint_residual, curl,
                             divergence, embed_em, extract_em, field_tensor, load_em_csv,
                             load_spinor_csv, save_em_csv, save_spinor_csv)
 
@@ -196,6 +196,33 @@ def test_a_spinor_snapshot_equals_its_extracted_fields(tmp_path):
     for suffix in ("", ".json"):
         assert ((tmp_path / f"spinor.csv{suffix}").read_bytes()
                 == (tmp_path / f"fields.csv{suffix}").read_bytes())
+
+
+# signed zeros, subnormals, the extremes of the range, infinities and NaN payloads
+_SPECIAL_DOUBLES = np.r_[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
+                         1e300, -1.0000000000000001e300, np.inf, -np.inf, 0.1, -1.0 / 3.0,
+                         np.array([0x7FF8000000000123, 0xFFF0000000000042, 0x7FF0000000000001],
+                                  np.uint64).view(float)]
+
+
+@pytest.mark.parametrize("points", [(4096,), (32, 128), (8, 16, 32)], ids=["1d", "2d", "3d"])
+def test_a_real_snapshot_block_writes_the_bytes_of_its_complex_one(tmp_path, points):
+    # a float64 block writes each im cell as the "0" of a complex block's +0.0
+    g = GridSpec(points, (TWO_PI,) * len(points))
+    rng = np.random.default_rng(43)
+    values = rng.choice(_SPECIAL_DOUBLES, g.shape + (6,))
+    values.reshape(-1)[rng.choice(values.size, values.size // 2)] = rng.standard_normal(values.size // 2)
+    for name, v in (("real", values), ("complex", values.astype(complex))):
+        _write_csv(tmp_path / f"{name}.csv", g, _point_blocks(v, 6), 6, {"kind": "em"})
+    real = (tmp_path / "real.csv").read_bytes()
+    assert real == (tmp_path / "complex.csv").read_bytes()
+    assert real == _reference_csv(g, values.astype(complex))
+    # and through the checks: a spinor's real columns against its extracted complex fields
+    finite = np.where(np.isfinite(values), values, -0.0)
+    psi = embed_em(EMField(g, finite[..., :3], finite[..., 3:]))
+    save_em_csv(tmp_path / "spinor.csv", psi)
+    save_em_csv(tmp_path / "fields.csv", extract_em(psi))
+    assert (tmp_path / "spinor.csv").read_bytes() == (tmp_path / "fields.csv").read_bytes()
 
 
 def test_a_snapshot_of_a_large_amplitude_wave_passes(tmp_path):

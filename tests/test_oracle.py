@@ -21,8 +21,9 @@ def grid1d(n=256):
 
 
 def stacked(run):
-    """Every (e, b) sample of an oracle run, stacked as two arrays."""
-    e, b = zip(*run.blocks())
+    """Every (e, b) sample of an oracle run, stacked as two arrays: each block is
+    copied as it passes, since the next reuses its arrays."""
+    e, b = zip(*((e.copy(), b.copy()) for e, b in run.blocks()))
     return np.concatenate(e), np.concatenate(b)
 
 
