@@ -193,6 +193,11 @@ class ModeDecomposition:
         return tuple(np.einsum("...a,...a->...", x.conj(), x).real for x in (self.plus, self.minus))
 
     @cached_property
+    def _empty(self) -> bool:
+        """Whether both branches are identically zero (a branch may be the scalar 0)."""
+        return not (np.any(self.plus) or np.any(self.minus))
+
+    @cached_property
     def _distinct_omega(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct frequencies and, per mode, the index of its own."""
         distinct, mode = np.unique(self.omega, return_inverse=True)
@@ -204,7 +209,12 @@ class ModeDecomposition:
         vector of B times gives a block (B, *grid, 8).  Arrays of the result's
         shape given as ``out`` (the result) and ``scratch`` (overwritten) spare
         the two full-size temporaries.  Each distinct w's phase is taken once
-        and spread over the modes and components, so the products run along rows."""
+        and spread over the modes and components, so the products run along rows;
+        identically zero branches turn no phase and give zeros."""
+        if self._empty:
+            out = np.empty(np.shape(t) + self.omega.shape + (8,), complex) if out is None else out
+            out.fill(0.0)
+            return out
         distinct, mode = self._distinct_omega
         phase = np.exp(-1j * distinct * np.asarray(t, dtype=float)[..., None])[..., mode, None]
         out, scratch = (np.empty(phase.shape[:-1] + (8,), dtype=complex) if a is None else a
@@ -318,9 +328,9 @@ def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float
     return rho_part, j_part
 
 
-def _duhamel_kernels(w: np.ndarray, omega: float, t):
+def _duhamel_kernels(w: np.ndarray, omega: float, t, r: bool):
     """Duhamel kernels at time t, per mode frequency w, in closed form (times
-    of shape (B, 1) give kernels (B, len(w))).
+    of shape (B, 1) give kernels (B, len(w))); R is None unless ``r``.
 
     With the propagator's factors cos w(t-s) and sin w(t-s)/w and the source's
     cos(omega s) and sin(omega s)/omega integrated over s in [0, t]:
@@ -332,6 +342,8 @@ def _duhamel_kernels(w: np.ndarray, omega: float, t):
     sinc_pm = np.divide(np.sin(pm), pm, out=np.ones_like(pm), where=pm != 0.0)
     re_plus, re_minus = t * np.cos(pm) * sinc_pm[::-1]
     cc, cr = 0.5 * (re_plus + re_minus), 0.5 * t * t * sinc_pm[0] * sinc_pm[1]
+    if not r:
+        return cc, cr, None
     wt = np.asarray(omega * t)
     sinc_wt = np.divide(np.sin(wt), wt, out=np.ones_like(wt), where=wt != 0.0)
     w_larger = w >= abs(omega)
@@ -368,15 +380,26 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
              (rho_part - 1j * spectral.apply_h(j_part) / hbar) / (1j * hbar),
              spectral.apply_h(rho_part) / -(hbar * hbar))
 
+    # each part held on the span of components it fills, with the index of its
+    # kernel; an empty part is dropped, and its kernel is not taken (a transverse
+    # current has no rho: no last part, no R)
+    filled = []
+    for i, part in enumerate(parts):
+        comps = np.flatnonzero(np.any(part.reshape(-1, 8), axis=0))   # NaN fills
+        if len(comps):
+            span = slice(comps[0], comps[-1] + 1)
+            filled.append((i, span, part[..., span].copy()))
+    need_r = any(i == 2 for i, _, _ in filled)
     branches = _split(psi0, spectral)
     distinct, mode = branches._distinct_omega   # the kernels depend on w alone
 
     def duhamel(t, out: np.ndarray, scratch: np.ndarray):
         """Add the term at t, or at times (B, 1), to the spectral amplitudes
-        ``out``, through ``scratch``."""
-        for kernel, part in zip(_duhamel_kernels(distinct, source.omega, t), parts):
-            np.copyto(scratch, kernel[..., mode, None])
-            out += np.multiply(scratch, part, out=scratch)
+        ``out``, each part into its span, through ``scratch``."""
+        kernels = _duhamel_kernels(distinct, source.omega, t, need_r)
+        for i, span, part in filled:
+            term = scratch[..., :part.shape[-1]]
+            out[..., span] += np.multiply(kernels[i][..., mode, None], part, out=term)
 
     return EvolutionRun(branches, times, psi0.kind, duhamel)
 

@@ -253,33 +253,57 @@ def embed_em(em: EMField) -> SpinorField8:
     return SpinorField8(em.grid, values, kind=PHOTON, mass=0.0)
 
 
-def check_constraint(values: np.ndarray, tol: float = _CONSTRAINT_TOL) -> float:
-    """The field scale of spinor values (..., 8), max(largest finite |value|, 1),
-    once components 0 and 4 stay within ``tol`` times it; else ConstraintViolation
-    (broken transversality / Gauss constraint), which a NaN or inf there raises too."""
-    rows, scale, resid = values.reshape(-1, 8), 1.0, 0.0
+def _scan(values: np.ndarray, em: bool = False):
+    """One read of spinor values (..., 8), a block of rows at a time: the field
+    scale, max(largest finite |value|, 1); the largest |value| on components 0
+    and 4; and, if ``em``, the imaginary residue of the recovered fields
+    (``_em_columns`` before the real part is taken), else 0.  NaN stays in both
+    residues.  A finite block reads that residue as the largest of |Im psi_1..3|
+    and |Re psi_5..7|; a block with an inf or NaN takes it from the complex forms,
+    where an inf in Im psi_5..7 turns (-1j psi).imag NaN through 0 * inf."""
+    rows, scale, resid, imag = values.reshape(-1, 8), 1.0, 0.0, 0.0
     for start in range(0, len(rows), _TIME_BLOCK_POINTS):   # no temporary of the field's size
-        size = np.abs(rows[start:start + _TIME_BLOCK_POINTS])
-        scale = max(scale, float(np.max(size, where=size < np.inf, initial=1.0)))   # NaN-safe
+        block = rows[start:start + _TIME_BLOCK_POINTS]
+        size = np.abs(block)
+        top = np.max(size)
+        finite = top < np.inf   # NaN is not
+        if not finite:
+            top = np.max(size, where=size < np.inf, initial=1.0)
+        scale = max(scale, float(top))
         resid = np.maximum(resid, np.max(size[:, ::4]))   # keeps NaN
+        del size   # the residue's temporaries below take its place
+        if em and finite:
+            imag = np.maximum(imag, max(np.max(np.abs(block.imag[:, 1:4])),
+                                        np.max(np.abs(block.real[:, 5:8]))))
+        elif em:
+            imag = np.maximum(imag, np.maximum(np.max(np.abs(block[:, 1:4].imag)),   # keeps NaN
+                                               np.max(np.abs((-1j * block[:, 5:8]).imag))))
+    return scale, resid, imag
+
+
+def _raise_constraint(resid, scale: float, tol: float):
     if not resid <= tol * scale:
         raise ConstraintViolation(
             f"components 0/4 reach {resid:.3e} (tolerance {tol:.1e} of the field scale "
             f"{scale:.3g}); Gauss-law or transversality constraint broken")
+
+
+def check_constraint(values: np.ndarray, tol: float = _CONSTRAINT_TOL) -> float:
+    """The field scale of spinor values (..., 8), max(largest finite |value|, 1),
+    once components 0 and 4 stay within ``tol`` times it; else ConstraintViolation
+    (broken transversality / Gauss constraint), which a NaN or inf there raises too."""
+    scale, resid, _ = _scan(values)
+    _raise_constraint(resid, scale, tol)
     return scale
 
 
 def _check_em(values: np.ndarray, tol: float):
-    """``extract_em``'s checks on spinor values (..., 8), a block of rows at a
-    time: ``check_constraint``, then the imaginary residue of the recovered
-    fields (``_em_columns`` before the real part is taken) against the same
-    field scale; either raises ConstraintViolation, and a NaN fails."""
-    scale = check_constraint(values, tol)
-    rows, imag = values.reshape(-1, 8), 0.0
-    for start in range(0, len(rows), _TIME_BLOCK_POINTS):
-        block = rows[start:start + _TIME_BLOCK_POINTS]
-        imag = np.maximum(imag, np.maximum(np.max(np.abs(block[:, 1:4].imag)),   # keeps NaN
-                                           np.max(np.abs((-1j * block[:, 5:8]).imag))))
+    """``extract_em``'s checks on spinor values (..., 8), in one read (``_scan``):
+    ``check_constraint``'s, then the imaginary residue of the recovered fields
+    against the same field scale; either raises ConstraintViolation, the
+    constraint's first, and a NaN fails."""
+    scale, resid, imag = _scan(values, em=True)
+    _raise_constraint(resid, scale, tol)
     if not imag <= tol * scale:
         raise ConstraintViolation(f"recovered fields have imaginary residue {float(imag):.3e} "
                                   f"(tolerance {tol:.1e} of the field scale {scale:.3g})")

@@ -93,8 +93,9 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     so the integral is a P + b(k) Q -+ d(k) X, with the closed-form
     integrals a, b, d of ``_source_integrals``.  Turned by R(+-c|k|t) it reads
     a P + u Q +- w X, with u = b cos + d sin and w = b sin - d cos of c|k|t.
-    Only the parts of F(+-) at t = 0 and of j are made here; the run forms
-    each time block as it is read, from t = 0, so its times may start anywhere.
+    Only the parts of F(+-) at t = 0 and of j are made here, and none of a vacuum's
+    F(+-) or of a part that is identically zero; the run forms each time block as
+    it is read, from t = 0, so its times may start anywhere.
     """
     grid = em0.grid
     times = np.asarray(times, dtype=float)
@@ -118,14 +119,17 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
     # F(+) and F(-) stacked on a leading axis, along which ``sign`` turns sin(angle) to +-sin
     f0 = np.fft.fftn(np.moveaxis(np.stack((em0.e + 1j * em0.b, em0.e - 1j * em0.b)), -1, 1),
                      axes=axes)
-    free = parts(f0)
+    # a vacuum (F+- identically zero) has no free part to split or turn
+    free = parts(f0) if np.any(f0) else None
     sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (grid.ndim + 1))
     if source is not None:
         j_hat = np.fft.fftn(np.moveaxis(source.j_amp, -1, 0).astype(complex), axes=axes)[None]
-        # the parts of 4 pi j (a leading axis of 1, or of 2 once signed): form scales
-        # them by the time factors of its share
+        # the parts of 4 pi j (a leading axis of 1, or of 2 once signed), each with the
+        # index of the time factor that form scales it by; an identically zero part
+        # (P of a transverse current) is dropped
         par, perp, crossed = (4 * np.pi * x for x in parts(j_hat))
-        signed_crossed = sign * crossed
+        shares = [(i, part) for i, part in enumerate((par, perp, sign * crossed))
+                  if np.any(part)]
         # b and d depend on |k| alone, and many modes share it (k and -k at least)
         ck, mode_ck = np.unique(ck_mode, return_inverse=True)
         mode_ck = mode_ck.reshape(grid.shape)
@@ -137,15 +141,18 @@ def maxwell_evolve(em0: EMField, source: FourCurrent | None, times: np.ndarray,
         in place; ``scratch`` is overwritten."""
         angle = (ck_mode * t.reshape((-1,) + (1,) * grid.ndim))[:, None, None]
         cos_a, sin_a = np.cos(angle), np.sin(angle)
-        _rotate(*free, cos_a.astype(complex), (sign * sin_a).astype(complex), f, scratch)
+        if free is None:
+            f.fill(0.0)
+        else:
+            _rotate(*free, cos_a.astype(complex), (sign * sin_a).astype(complex), f, scratch)
         if source is not None:
             a, bd = _source_integrals(t[:, None], source.omega, ck)
             b, d = bd[:, :, None, None, mode_ck]
             # R(+-)(a P + b Q -+ d X) = a P + u Q + w (+-X), each part taken off in place
             a = a.reshape((-1,) + (1,) * (grid.ndim + 2))
-            u, w = cos_a * b + sin_a * d, sin_a * b - cos_a * d
-            for scale, part in ((a, par), (u, perp), (w, signed_crossed)):
-                f -= np.multiply(scale.astype(complex), part, out=scratch[:, :len(part)])
+            scales = (a, cos_a * b + sin_a * d, sin_a * b - cos_a * d)   # a, u, w
+            for i, part in shares:
+                f -= np.multiply(scales[i].astype(complex), part, out=scratch[:, :len(part)])
         # E = (F+ + F-) / 2 and B = (F+ - F-) / 2i, in place, then back to space
         minus = np.subtract(f[:, 1], f[:, 0], out=scratch[:, 0])
         f[:, 0] += f[:, 1]

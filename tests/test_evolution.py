@@ -20,6 +20,7 @@ from dirac88.fields import (_BETA, EMField, GridSpec, SpinorField8, _alpha_densi
                             extract_em_amplitudes)
 from dirac88.spin import angular_momentum_series
 from dirac88 import states
+from sourced_cases import SOURCE_CASES, bits_equal
 
 TWO_PI = 2 * np.pi
 RNG = np.random.default_rng(8)
@@ -285,7 +286,7 @@ def test_duhamel_kernels_match_quadrature():
     w = np.array([0.0, w_res, 37.5, 128.0])
     for t in (0.37, 1.0, 3.0):
         for omega in (0.0, 1e-6, -1e-6, 3.0, w_res, w_res + 1e-9, w_res - 1e-9):
-            cc, cr, r = _duhamel_kernels(w, omega, t)
+            cc, cr, r = _duhamel_kernels(w, omega, t, True)
             for i, wi in enumerate(w):
                 with mpmath.workdps(30):
                     ref = [float(x) for x in _kernel_reference(wi, omega, t)]
@@ -425,6 +426,114 @@ def test_a_sourced_pass_holds_one_block_whatever_its_length():
     sums = 8 + 8 * 8 * 16 + 8 + 9 * 8          # norm, Gram matrix, kinetic and <r p> sums
     sample = g.points[0] * 8 * 16
     assert peaks[1] - peaks[0] < 900 * sums + sample, peaks
+
+
+def _sourced_start(source, start):
+    g = source.grid
+    if start == "vacuum":
+        return states.zero_field(g)
+    return states.travelling_wave(g, 3 if g.ndim == 1 else (1, 0, 1), "y", 0.5)
+
+
+def _full_component_blocks(psi0, source, times):
+    """The samples of ``evolve_sourced(psi0, source, times)`` formed on all eight
+    components: both branches turned by their phases, then each of the three
+    Duhamel parts, empty or not, added with its kernel, a time block at a time."""
+    grid, hbar = psi0.grid, psi0.hbar
+    spectral = _Spectral(grid, psi0.mass, psi0.c, hbar)
+    dec = mode_decomposition(psi0)
+    rho_part, j_part = _source_hat_parts(grid, source, psi0.c, hbar)
+    parts = (j_part / (1j * hbar),
+             (rho_part - 1j * spectral.apply_h(j_part) / hbar) / (1j * hbar),
+             spectral.apply_h(rho_part) / -(hbar * hbar))
+    distinct, mode = np.unique(dec.omega, return_inverse=True)
+    mode = mode.reshape(dec.omega.shape)
+    blocks = []
+    for t in _time_blocks(grid, times):
+        phase = np.exp(-1j * distinct * t[:, None])[..., mode, None]
+        hat = phase * dec.plus + np.conjugate(phase) * dec.minus
+        for kernel, part in zip(_duhamel_kernels(distinct, source.omega, t[:, None], True), parts):
+            hat += kernel[..., mode, None] * part
+        blocks.append(np.fft.ifftn(hat, axes=tuple(range(1, grid.ndim + 1))))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("start", ["vacuum", "wave"])
+@pytest.mark.parametrize("case", list(SOURCE_CASES))
+def test_sourced_samples_equal_the_full_component_route(case, start):
+    # each Duhamel part is added on the components it fills, and a vacuum's
+    # branches turn no phase: the samples stay those of the all-component route
+    source = SOURCE_CASES[case]()
+    psi0, times = _sourced_start(source, start), np.linspace(0.0, 3.0, 11)
+    want = _full_component_blocks(psi0, source, times)
+    got = np.concatenate([block.copy() for block in evolve_sourced(psi0, source, times).blocks()])
+    assert np.max(np.abs(got[-1, ..., 1:4])) > 0.1
+    assert bits_equal(got, want)
+
+
+class _Multiplies(np.ndarray):
+    """An array that counts the multiplies it takes part in."""
+
+    count = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.multiply:
+            _Multiplies.count += 1
+        plain = lambda xs: tuple(x.view(np.ndarray) if isinstance(x, _Multiplies) else x
+                                 for x in xs)
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+
+@pytest.mark.parametrize("case", ["1d-x", "3d-dipole"])
+def test_a_vacuum_driven_run_turns_no_branch_phase(case):
+    source = SOURCE_CASES[case]()
+    times = np.linspace(0.0, 3.0, 11)
+    counts = {}
+    for start in ("vacuum", "wave"):
+        run = evolve_sourced(_sourced_start(source, start), source, times)
+        dec = run.branches
+        dec.plus, dec.minus = dec.plus.view(_Multiplies), dec.minus.view(_Multiplies)
+        _Multiplies.count = 0
+        for _ in run.blocks():
+            pass
+        counts[start] = _Multiplies.count
+    blocks = len(list(_time_blocks(source.grid, times)))
+    assert counts == {"vacuum": 0, "wave": 2 * blocks}
+
+
+@pytest.mark.parametrize("case, r", [("1d-x", False), ("1d-y", False), ("1d-oblique", True),
+                                     ("3d-dipole", True), ("3d-uniform", False)])
+def test_a_run_takes_the_r_kernel_only_for_a_charged_source(monkeypatch, case, r):
+    # R weights H rho alone, which a transverse or uniform current leaves empty
+    import dirac88.evolution as evolution
+    source, asked = SOURCE_CASES[case](), set()
+    kernels = evolution._duhamel_kernels
+
+    def spy(w, omega, t, r):
+        asked.add(r)
+        return kernels(w, omega, t, r)
+
+    monkeypatch.setattr(evolution, "_duhamel_kernels", spy)
+    for _ in evolve_sourced(states.zero_field(source.grid), source, [0.5, 1.0]).blocks():
+        pass
+    assert asked == {r}
+    w, t = np.linspace(0.0, 9.0, 7), np.array([[0.3], [2.0]])
+    cc, cr, none = kernels(w, 4.0, t, r=False)
+    assert none is None and all(np.array_equal(x, y) for x, y in zip((cc, cr), kernels(w, 4.0, t, True)))
+
+
+def test_empty_branches_form_zeros_and_a_scalar_branch_is_read():
+    g = grid1d(16)
+    dec = mode_decomposition(states.zero_field(g))
+    out = np.full((3,) + g.shape + (8,), np.nan, dtype=complex)
+    assert dec.at(np.array([0.0, 1.0, 2.0]), out=out) is out
+    assert not np.any(out) and dec.at(0.5).shape == g.shape + (8,)
+    wave = mode_decomposition(states.travelling_wave(g, 2, "x"))
+    positive = replace(wave, minus=0)   # as ``zitter_equals_poynting`` builds it
+    assert np.array_equal(positive.at(0.7), replace(wave, minus=np.zeros_like(wave.minus)).at(0.7))
+    assert not np.array_equal(positive.at(0.7), 0.0)
 
 
 def test_sourced_electron_state_rejected():

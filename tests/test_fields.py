@@ -10,7 +10,8 @@ from dirac88.cli import run_command
 from dirac88.errors import ConstraintViolation
 from dirac88.evolution import evolve_free, run_free
 from dirac88.fields import (_CSV_BLOCK_POINTS, EMField, FourCurrent, GridSpec, SpinorField8,
-                            _alpha_density, _point_blocks, _write_csv, check_constraint, constraint_residual, curl,
+                            _alpha_density, _check_em, _point_blocks, _write_csv,
+                            check_constraint, constraint_residual, curl,
                             divergence, embed_em, extract_em, field_tensor, load_em_csv,
                             load_spinor_csv, save_em_csv, save_spinor_csv)
 
@@ -180,6 +181,70 @@ def test_a_failing_snapshot_writes_no_file(tmp_path, slot, value, message):
         extract_em(psi, tol=1e-6)
     assert str(raised.value) == str(extracted.value)
     assert list(tmp_path.iterdir()) == []
+
+
+def _two_pass_checks(values, tol):
+    """``extract_em``'s checks read in two passes, the constraint's whole pass
+    first: the reference for the one read.  Returns the error message, or None."""
+    rows, scale, resid, imag = values.reshape(-1, 8), 1.0, 0.0, 0.0
+    for start in range(0, len(rows), 1024):
+        size = np.abs(rows[start:start + 1024])
+        scale = max(scale, float(np.max(size, where=size < np.inf, initial=1.0)))
+        resid = np.maximum(resid, np.max(size[:, ::4]))
+    if not resid <= tol * scale:
+        return (f"components 0/4 reach {resid:.3e} (tolerance {tol:.1e} of the field scale "
+                f"{scale:.3g}); Gauss-law or transversality constraint broken")
+    for start in range(0, len(rows), 1024):
+        block = rows[start:start + 1024]
+        imag = np.maximum(imag, np.maximum(np.max(np.abs(block[:, 1:4].imag)),
+                                           np.max(np.abs((-1j * block[:, 5:8]).imag))))
+    if not imag <= tol * scale:
+        return (f"recovered fields have imaginary residue {float(imag):.3e} "
+                f"(tolerance {tol:.1e} of the field scale {scale:.3g})")
+    return None
+
+
+@pytest.mark.parametrize("faults", [
+    {0: np.nan}, {6: complex(0.0, np.inf)}, {6: np.inf}, {1: np.inf}, {5: complex(0.0, np.nan)},
+    {1: 1e-3j}, {3: 1e-3j}, {4: 1e-3, 2: 1e-3j}, {0: np.nan, 7: complex(0.0, np.inf)},
+    {3: 2.5 - 1e-9j},
+], ids=["nan-in-0", "inf-in-im-6", "inf-in-re-6", "inf-in-e", "nan-in-im-5", "e-imaginary-1",
+        "e-imaginary-3", "both-fail", "both-fail-non-finite", "passes"])
+def test_snapshot_checks_read_as_the_two_passes(faults):
+    # one read gives the messages, their order (the constraint's first) and the
+    # NaN/inf verdicts of the two passes: an inf in Im psi_5..7 fails through
+    # (-1j psi).imag's 0 * inf, and an inf in E lifts no scale and passes (the
+    # CLI runs with numpy's warnings off, so 0 * inf warns nowhere)
+    values = _embedded_wave_16().values.copy()
+    for slot, value in faults.items():
+        values[-1, -1, -1, slot] += value
+    with np.errstate(all="ignore"):
+        want = _two_pass_checks(values, 1e-6)
+        assert (want is None) == (faults == {3: 2.5 - 1e-9j} or faults == {1: np.inf})
+        if want is None:
+            _check_em(values, 1e-6)
+            return
+        with pytest.raises(ConstraintViolation) as raised:
+            _check_em(values, 1e-6)
+    assert str(raised.value) == want
+
+
+class _RowReads(np.ndarray):
+    """Spinor values that record each block of rows sliced from them."""
+
+    reads = []
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            _RowReads.reads.append((key.start, key.stop))
+        return super().__getitem__(key)
+
+
+def test_snapshot_checks_read_each_row_block_once():
+    values = _embedded_wave_16().values   # 4096 points, four blocks of rows
+    _RowReads.reads = []
+    _check_em(values.view(_RowReads), 1e-6)
+    assert _RowReads.reads == [(start, start + 1024) for start in range(0, 4096, 1024)]
 
 
 def test_a_spinor_snapshot_equals_its_extracted_fields(tmp_path):

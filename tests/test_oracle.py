@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from dirac88.errors import GridMismatch
-from dirac88.fields import EMField, GridSpec, divergence, embed_em, extract_em
+from dirac88.fields import EMField, GridSpec, _time_blocks, divergence, embed_em, extract_em
 from dirac88.evolution import evolve_sourced, run_free
 from dirac88.oracle import compare, maxwell_evolve
 from dirac88 import oracle, states
+from sourced_cases import SOURCE_CASES, bits_equal
 
 TWO_PI = 2 * np.pi
 
@@ -448,3 +449,97 @@ def test_reading_an_oracle_run_again_starts_over():
     e2, b2 = stacked(run)
     assert np.max(np.abs(e1[-1])) > 0.1
     assert np.array_equal(e1, e2) and np.array_equal(b1, b2)
+
+
+def _start(source, start):
+    g = source.grid
+    if start == "vacuum":
+        return EMField.zero(g)
+    return extract_em(states.travelling_wave(g, 3 if g.ndim == 1 else (1, 0, 1), "y", 0.5))
+
+
+def _full_part_blocks(em0, source, times, c):
+    """The oracle's (E, B) samples formed from every part: F+- turned by its three
+    parts, a vacuum's too, less all three parts of 4 pi j, empty or not, each
+    scaled by its time factor, a time block at a time in the stacked layout."""
+    grid = em0.grid
+    axes = tuple(range(-grid.ndim, 0))
+    axis_k = [2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+              for n, length in zip(grid.points, grid.lengths)]
+    k = np.zeros((3,) + grid.shape)
+    k[3 - grid.ndim:] = np.meshgrid(*axis_k, indexing="ij")
+    kn = np.sqrt(np.sum(k * k, axis=0))
+    khat, ck_mode = k / np.where(kn > 0.0, kn, 1.0), c * kn
+
+    def parts(v):
+        comp = -khat.ndim
+        par = np.sum(khat * v, axis=comp, keepdims=True) * khat
+        return par, v - par, np.cross(khat, v, axisa=0, axisb=comp, axisc=comp).copy()
+
+    f0 = np.fft.fftn(np.moveaxis(np.stack((em0.e + 1j * em0.b, em0.e - 1j * em0.b)), -1, 1),
+                     axes=axes)
+    free = parts(f0)
+    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (grid.ndim + 1))
+    j_hat = np.fft.fftn(np.moveaxis(source.j_amp, -1, 0).astype(complex), axes=axes)[None]
+    par, perp, crossed = (4 * np.pi * x for x in parts(j_hat))
+    ck, mode_ck = np.unique(ck_mode, return_inverse=True)
+    mode_ck = mode_ck.reshape(grid.shape)
+    e_all, b_all = [], []
+    for t in _time_blocks(grid, times):
+        angle = (ck_mode * t.reshape((-1,) + (1,) * grid.ndim))[:, None, None]
+        cos_a, sin_a = np.cos(angle), np.sin(angle)
+        f = np.empty((len(t), 2, 3) + grid.shape, dtype=complex)
+        scratch = np.empty_like(f)
+        oracle._rotate(*free, cos_a.astype(complex), (sign * sin_a).astype(complex), f, scratch)
+        a, bd = oracle._source_integrals(t[:, None], source.omega, ck)
+        b, d = bd[:, :, None, None, mode_ck]
+        a = a.reshape((-1,) + (1,) * (grid.ndim + 2))
+        u, w = cos_a * b + sin_a * d, sin_a * b - cos_a * d
+        for scale, part in ((a, par), (u, perp), (w, sign * crossed)):
+            f -= scale.astype(complex) * part
+        e = 0.5 * (f[:, 0] + f[:, 1])
+        b = 0.5j * (f[:, 1] - f[:, 0])
+        e_all.append(np.moveaxis(np.fft.ifftn(e, axes=axes), 1, -1))
+        b_all.append(np.moveaxis(np.fft.ifftn(b, axes=axes), 1, -1))
+    return np.concatenate(e_all), np.concatenate(b_all)
+
+
+@pytest.mark.parametrize("start", ["vacuum", "wave"])
+@pytest.mark.parametrize("case", list(SOURCE_CASES))
+def test_oracle_blocks_equal_the_full_part_route(case, start):
+    # a vacuum's F+- is neither split nor turned, and an empty part of j (P of a
+    # transverse current) is dropped: the blocks stay those of the full route
+    source = SOURCE_CASES[case]()
+    em0, times = _start(source, start), np.linspace(0.0, 3.0, 11)
+    e_ref, b_ref = _full_part_blocks(em0, source, times, 1.3)
+    e, b = stacked(maxwell_evolve(em0, source, times, c=1.3))
+    assert np.max(np.abs(e[-1])) > 0.1
+    assert bits_equal(e, e_ref) and bits_equal(b, b_ref)
+
+
+def test_a_vacuum_oracle_holds_no_free_parts(monkeypatch):
+    # a vacuum's F+- has no P, Q or X to hold and nothing to rotate; a wave's has
+    # three (2, 3, *grid) complex arrays, held for the whole run
+    source = SOURCE_CASES["3d-dipole"]()
+    g = source.grid
+    rotations = []
+    rotate = oracle._rotate
+    monkeypatch.setattr(oracle, "_rotate", lambda *args: rotations.append(1) or rotate(*args))
+    held, calls = {}, {}
+    for start in ("vacuum", "wave"):
+        em0 = _start(source, start)
+        tracemalloc.start()
+        try:
+            run = maxwell_evolve(em0, source, np.linspace(0.0, 1.0, 5))
+            held[start] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rotations.clear()
+        stacked(run)
+        calls[start] = len(rotations)
+    field = 3 * int(np.prod(g.shape)) * 16   # one complex vector field
+    assert calls == {"vacuum": 0, "wave": 5}
+    # six fields; a cache that the first run fills may take a few hundred bytes of them
+    assert held["wave"] - held["vacuum"] > 5.5 * field, held
+    # the source's shares, P and Q of j and X signed, and per-mode tables
+    assert held["vacuum"] < 5 * field, held
