@@ -340,7 +340,7 @@ def _cmd_evolve(cfg: dict, outdir: Path, checks: _Checks):
     snapshot_error = None
     angular = "angular_momentum_drift" in wanted or cfg["series"] == "angular_momentum"
     # the one pass over the samples: it fills run.moments, which every series below reads,
-    # with the orbital sums of <L> only when they are read
+    # with the orbital sums of <L> only when they are wanted
     for i, psi in enumerate(run.samples(orbital=angular)):
         if i in snapshots and snapshot_error is None:
             try:

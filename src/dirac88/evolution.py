@@ -73,10 +73,11 @@ class EvolutionRun:
     reuses, so a yielded sample stays valid only until the pass leaves its block
     (copy what must outlive it).  It measures from the stages of the block's
     inverse transform, so the pass makes no forward transform but for the
-    orbital sums of <L>, which it takes when asked (``samples(orbital=True)``)
-    and otherwise leaves to a pass of their own, run when ``moments.rk`` is
-    first read.  When the pass completes it fills ``moments``; a pass left early
-    fills nothing.  ``moments`` on a run nobody iterated runs the same pass.
+    orbital sums of <L>, which it takes only when asked (``samples(orbital=True)``).
+    A pass measures a run that holds no moments; when it completes it fills
+    them, and a pass left early fills nothing.  ``measured(orbital)`` returns
+    them, running the same pass when none has run, or again when <L> is asked
+    of moments taken without it; ``moments`` is ``measured()``.
     ``blocks()`` yields the same time blocks, read-only (B, *grid, 8), and
     measures nothing.  ``sample(i)`` forms one sample as a fresh, writable copy.
     """
@@ -140,28 +141,23 @@ class EvolutionRun:
             for values in block:
                 yield SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
         if measure is not None:
-            measure.orbital_pass = self._orbital_pass
             self._moments = measure
-
-    def _orbital_pass(self):
-        """The orbital sums of ``moments`` alone, its samples formed again."""
-        s0 = 0
-        for block, axis0 in self._formed(self.times):
-            self._moments.add_orbital(s0, block, axis0)
-            s0 += len(block)
 
     def blocks(self):
         """The samples a time block at a time, unmeasured; see the class docstring."""
         for block, _ in self._formed(self.times):
             yield block
 
-    @property
-    def moments(self) -> _Moments:
-        """Grid sums of every sample: norms, Gram matrices and momentum sums."""
-        if self._moments is None:
-            for _ in self.samples():
+    def measured(self, orbital: bool = False) -> _Moments:
+        """Grid sums of every sample: norms, Gram matrices and momentum sums, with
+        the orbital sums of <L> if ``orbital``; see the class docstring."""
+        if self._moments is None or orbital and self._moments.rk is None:
+            self._moments = None   # moments without <L>: measure again
+            for _ in self.samples(orbital):
                 pass
         return self._moments
+
+    moments = property(measured)
 
     def sample(self, index: int) -> SpinorField8:
         values = next(self._formed(self.times[[index]]))[0][0].copy()

@@ -387,18 +387,16 @@ class _Moments:
     The orbital sums take, per grid axis b, the 1-D DFT A_b = fft(psi, axis=b),
     laid out with k_b leading (for b = 0 the axis-0 stage itself), and
     Parseval along b alone: sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b,
-    with r_a constant along b.  A pass made with ``orbital`` true takes them in
-    ``add``; otherwise ``rk`` is filled when it is first read, by
-    ``orbital_pass``, which the run sets: it forms the samples again and hands
-    each block to ``add_orbital``.
+    with r_a constant along b.  ``add`` takes them when the pass was made with
+    ``orbital`` true; otherwise ``rk`` is None.  The record holds what one pass
+    measured and calls back into no run.
     """
     def __init__(self, grid: GridSpec, n: int, orbital: bool = False):
         self.grid = grid
         self.norms = np.empty(n)
         self.gram = np.empty((n, 8, 8), dtype=complex)
         self.kinetic = np.zeros(n)
-        self._rk = np.zeros((n, 3, 3)) if orbital else None
-        self.orbital_pass = None   # fills rk when it is read, if the pass did not
+        self.rk = np.zeros((n, 3, 3)) if orbital else None
         self.constraint = np.empty(n)
         self.density0 = None    # the first sample's, set when it is measured
         self._coords = grid.axis_coords()
@@ -418,13 +416,6 @@ class _Moments:
         samples, points = min(n, _block_size(grid)), int(np.prod(grid.shape))
         rows = max(_BLOCK_ROWS, samples * points // grid.points[0])
         self._xw = np.empty((min(rows, samples * points), 16))
-
-    @property
-    def rk(self) -> np.ndarray:
-        if self._rk is None:
-            self._rk = np.zeros((len(self.norms), 3, 3))
-            self.orbital_pass()
-        return self._rk
 
     @np.errstate(over="ignore", invalid="ignore")
     def stage(self, b: int, values: np.ndarray):
@@ -466,7 +457,8 @@ class _Moments:
         ``stage``'s own real product precedes too.
         """
         n, s = len(v), slice(s0, s0 + len(v))
-        power0 = self._power(0, axis0) if self._rk is not None else None
+        # a 1-D grid has no <r p>: its rk stays zeros
+        power0 = self._power(0, axis0) if self.rk is not None and self.grid.ndim > 1 else None
         # |psi|, then |psi|^2, in the head of the dead stage, which psi* overwrites after it
         power = np.abs(v, out=axis0.reshape(-1).view(float)[:v.size].reshape(v.shape))
         self.constraint[s] = power[..., ::4].max(axis=tuple(range(1, v.ndim)))   # keeps NaN
@@ -481,40 +473,24 @@ class _Moments:
             for k0, sums in self._lines[b].items():
                 self.kinetic[s] += np.vecdot(sums, k[k0:k0 + sums.shape[1]]) / scale
         self._lines.clear()
-        if power0 is not None:
-            self._orbital(s, v, axis0, power0)
+        if power0 is not None:   # rk[s]: axis 0's share, then each A_b (b >= 1)
+            self._reduce_rk(s, 0, power0)
+            for b, n_b in enumerate(self.grid.points[1:], 1):
+                others = self.grid.points[:b] + self.grid.points[b + 1:]
+                lead = axis0.reshape((n, n_b) + others + (8,))   # A_b, k_b leading
+                np.fft.fft(v, axis=b + 1, out=np.moveaxis(lead, 1, b + 1))
+                self._reduce_rk(s, b, self._power(b, lead))
         if s.stop == len(self.norms):   # the run keeps the sums, not the buffer
             self._xw = None
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def add_orbital(self, s0: int, v: np.ndarray, axis0: np.ndarray):
-        """The orbital sums alone of the block that ``add`` measures, from the
-        same arrays: ``rk`` for a pass made without them."""
-        self._orbital(slice(s0, s0 + len(v)), v, axis0, self._power(0, axis0))
-
-    def _orbital(self, s: slice, v: np.ndarray, axis0: np.ndarray, power0: np.ndarray | None):
-        """``rk[s]``: axis 0's share from ``power0``, then each A_b (b >= 1)
-        transformed into the dead ``axis0``."""
-        grid, n = self.grid, len(v)
-        self._reduce_rk(s, 0, power0)
-        for b, n_b in enumerate(grid.points[1:], 1):
-            others = grid.points[:b] + grid.points[b + 1:]
-            lead = axis0.reshape((n, n_b) + others + (8,))   # A_b, k_b leading
-            np.fft.fft(v, axis=b + 1, out=np.moveaxis(lead, 1, b + 1))
-            self._reduce_rk(s, b, self._power(b, lead))
-
-    def _power(self, b: int, lead: np.ndarray) -> np.ndarray | None:
+    def _power(self, b: int, lead: np.ndarray) -> np.ndarray:
         """sum |A_b|^2 per point of A_b (``lead``, k_b leading after the sample
-        axis), (B, N_b, other points); None on a 1-D grid, which has no <r p>."""
-        if self.grid.ndim == 1:
-            return None
+        axis), (B, N_b, other points)."""
         x = lead.reshape(len(lead), self.grid.points[b], -1, 8).view(float)
         return np.einsum("skmi,skmi->skm", x, x)
 
-    def _reduce_rk(self, s: slice, b: int, power: np.ndarray | None):
+    def _reduce_rk(self, s: slice, b: int, power: np.ndarray):
         """Axis b's share of ``rk[s]`` from ``_power``."""
-        if power is None:
-            return
         grid, n_b, k = self.grid, self.grid.points[b], self._k_axes[b]
         others = grid.points[:b] + grid.points[b + 1:]
         weighted = (k @ power).reshape((len(power),) + others)
@@ -522,7 +498,7 @@ class _Moments:
             if a != b:
                 along = a - (a > b)   # axis a among the others
                 rest = tuple(ax + 1 for ax in range(len(others)) if ax != along)
-                self._rk[s, grid.spatial_axes[a], grid.spatial_axes[b]] = np.vecdot(
+                self.rk[s, grid.spatial_axes[a], grid.spatial_axes[b]] = np.vecdot(
                     weighted.sum(axis=rest), self._coords[a]) / n_b
 
     @np.errstate(invalid="ignore")   # inf / inf reads NaN, which the checks fail

@@ -143,7 +143,7 @@ def angular_momentum_series(run) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     identically-zero samples, NaN for NaN ones).  Warns when a localised
     packet reaches the boundary of a 2-D or 3-D box (wrap-around corrupts <L>).
     """
-    hbar, moments = run.hbar, run.moments
+    hbar, moments = run.hbar, run.measured(orbital=True)
     spin_op = (spin_one() if run.kind == PHOTON else spin_half()).components
     _warn_if_packet_too_wide(run)
     # L_i = eps_ijk <r_j p_k> with p = hbar k; int psi+ S_i psi = hbar sum_ab (S_i)_ab G_ab

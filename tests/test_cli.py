@@ -493,6 +493,25 @@ def test_evolve_diagnostics_computed_once(tmp_path, monkeypatch):
     assert (out / "angular_momentum.csv").exists()
 
 
+def test_an_angular_evolve_on_a_3d_grid_builds_one_moments_record(tmp_path, monkeypatch):
+    # evolve asks its one pass for <L> up front, so reading <L> starts no second pass
+    import dirac88.fields as fields
+    calls = count_calls(monkeypatch, {"kernel": fields._Moments})
+    cfg = {
+        "grid": {"points": [8, 8, 16], "lengths": [TWO_PI, 5.0, 9.0]},
+        "mass": 2.0,
+        "duration": 0.5,
+        "samples": 5,
+        "state": {"type": "electron_packet", "sigma": 0.45, "k0_mode": [1, 0, 1]},
+        "checks": {"norm_drift": 1e-10, "energy_drift": 1e-10},
+        "series": "angular_momentum",
+    }
+    out = tmp_path / "out"
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 0
+    assert calls == {"kernel": 1}
+    assert len((out / "angular_momentum.csv").read_text().splitlines()) == 6
+
+
 def test_config_hash_is_the_sha256_of_the_canonical_config(tmp_path):
     cfg = {"grid": {"points": [16], "lengths": [TWO_PI]}, "duration": 1.0, "samples": 4,
            "state": {"type": "travelling_wave", "mode": 1, "amplitude": 0.5}}

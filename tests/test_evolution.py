@@ -739,12 +739,21 @@ def test_run_diagnostics_share_one_moments_pass(monkeypatch):
     g = GridSpec((8, 8), (TWO_PI, 5.0))
     psi = states.electron_gaussian_packet(g, mass=1.5, sigma=0.5, k0_mode=(1, 1),
                                           minus_weight=0.5)
+    # <L> read first: its pass takes the orbital sums, and every later series reads it
+    run = run_free(psi, np.linspace(0.0, 1.0, 5))
+    angular_momentum_series(run)
+    energy_expectation_series(run)
+    alpha_expectation_series(run)
+    alpha_density_series(run, (2, 3))
+    assert len(calls) == 1
+    # <L> read after <H> and <alpha>: their pass did not take it, so <L> runs one more
+    calls.clear()
     run = run_free(psi, np.linspace(0.0, 1.0, 5))
     energies = energy_expectation_series(run)
     alpha = alpha_expectation_series(run)
     angular_momentum_series(run)
     alpha_density_series(run, (2, 3))
-    assert len(calls) == 1
+    assert len(calls) == 2
     # a free run reads its axis-0 transform from the spectral amplitudes, a lone
     # state transforms its values: the same sums up to round-off
     assert abs(energies[2] - energy_expectation(run.sample(2))) <= 1e-15 * np.max(np.abs(energies))
@@ -1191,13 +1200,32 @@ def test_block_boundaries_of_a_free_run():
 @pytest.mark.parametrize("case", list(STREAM_CASES))
 def test_pass_moments_equal_the_stacked_moments(case):
     _, run = _stream_run(case)
-    moments = run.moments            # the pass, before anything stacks the run
+    moments = run.measured(orbital=True)   # the pass, before anything stacks the run
     norms, gram, kinetic, rk = _stacked_moments(run.grid, stacked(run))
     assert np.array_equal(moments.norms, norms)
     assert np.array_equal(moments.gram, gram)
     scale = float(np.max(np.abs(run.grid.wave_vectors()))) * float(np.max(norms))
     assert np.max(np.abs(moments.kinetic - kinetic)) <= 1e-15 * scale
     assert np.max(np.abs(moments.rk - rk)) <= 1e-15 * scale * max(run.grid.lengths)
+
+
+@pytest.mark.parametrize("orbital", [False, True])
+def test_moments_are_a_plain_record_of_their_pass(orbital):
+    # the moments hold what one pass measured: nothing in them calls back into the run
+    run = run_free(STREAM_CASES["free-2d"](), np.linspace(0.0, 1.0, 4))
+    moments = run.measured(orbital)
+    assert not [name for name, value in vars(moments).items() if callable(value)]
+    assert (moments.rk is None) is not orbital
+
+
+def test_a_1d_pass_asked_for_l_takes_no_orbital_sums(monkeypatch):
+    # a 1-D grid has no <r p>: its rk stays zeros, and the pass forms no |A_b|^2
+    powers = []
+    power = _Moments._power
+    monkeypatch.setattr(_Moments, "_power", lambda *a: powers.append(a) or power(*a))
+    run = run_free(STREAM_CASES["free-1d"](), np.linspace(0.0, 1.0, 4))
+    assert not np.any(run.measured(orbital=True).rk)
+    assert not powers
 
 
 def test_moments_allocate_nothing_of_the_sample_size():
@@ -1439,15 +1467,19 @@ def test_stage_kinetic_sums_equal_the_forward_transform_route(points, lengths, s
 @pytest.mark.filterwarnings("ignore:density RMS width")
 @pytest.mark.parametrize("case", ["free-2d", "free-3d-ragged", "sourced-3d"])
 def test_orbital_sums_are_the_same_whichever_pass_takes_them(case):
-    # a pass asked for <L> takes rk beside the rest; one that was not leaves it to
-    # an orbital pass of its own, run when rk is first read: the same bits
+    # a pass asked for <L> up front takes rk beside the rest; a run whose pass was
+    # not asked is measured again when <L> is read: the same bits
     _, asked = _stream_run(case)
     for _ in asked.samples(orbital=True):
         pass
     _, later = _stream_run(case)
-    later.moments
-    assert later.moments._rk is None
+    first = later.moments
+    assert first.rk is None
+    again = later.measured(orbital=True)
+    assert again is not first and later.moments is again
+    for name in ("norms", "gram", "kinetic", "constraint"):
+        assert np.array_equal(getattr(first, name), getattr(again, name)), name
     for name in ("norms", "gram", "kinetic", "constraint", "rk"):
-        assert np.array_equal(getattr(asked.moments, name), getattr(later.moments, name)), name
+        assert np.array_equal(getattr(asked.moments, name), getattr(again, name)), name
     for got, want in zip(angular_momentum_series(later), angular_momentum_series(asked)):
         assert np.array_equal(got, want)
