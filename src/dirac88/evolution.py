@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ConstraintViolation, FitError
 from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, _CONSTRAINT_TOL, FourCurrent,
-                     GridSpec, SpinorField8, _alpha_density, _block_size, _Moments,
-                     _time_blocks, extract_em_amplitudes)
+                     GridSpec, SpinorField8, _alpha_density, _block_size, _components_first,
+                     _Moments, _time_blocks, extract_em_amplitudes)
 
 __all__ = [
     "EvolutionRun",
@@ -80,6 +80,10 @@ class EvolutionRun:
     of moments taken without it; ``moments`` is ``measured()``.
     ``blocks()`` yields the same time blocks, read-only (B, *grid, 8), and
     measures nothing.  ``sample(i)`` forms one sample as a fresh, writable copy.
+    Every field-size array of a run, its branches, Duhamel parts and both
+    block arrays, is stored components first (``_components_first``), so its
+    products and one-axis transforms run along whole grid planes; a yielded
+    sample or block is a (*grid, 8) view of that memory.
     """
 
     def __init__(self, branches: ModeDecomposition, times: np.ndarray, kind: str,
@@ -103,14 +107,14 @@ class EvolutionRun:
         axis-0 stage is that transform over grid axes 1.. alone, each sample's fft
         along grid axis 0 up to round-off, which the moments pass reads instead of
         transforming the block again.  Both live in arrays that every block
-        reuses, so a yielded pair is valid until the next; the block is a
-        read-only view.
+        reuses, stored components first, so a yielded pair is valid until the
+        next; the block is a read-only view.
         A sourced sample is checked as it is formed: its constrained components
         stay below ``_CONSTRAINT_TOL`` times the field scale, or the first that
         does not raises ConstraintViolation (NaN fails too)."""
         dec, grid, source_term = self.branches, self.grid, self._source_term
-        shape = (min(len(times), _block_size(grid)),) + dec.plus.shape
-        hat_rows, value_rows = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        shape = (min(len(times), _block_size(grid)),) + grid.shape + (8,)
+        hat_rows, value_rows = (_components_first(shape, grid.ndim) for _ in range(2))
         for t in _time_blocks(grid, times):
             hat, values = hat_rows[:len(t)], value_rows[:len(t)]
             dec.at(t, out=hat, scratch=values)
@@ -169,7 +173,8 @@ class ModeDecomposition:
     """Positive/negative-frequency amplitudes per wave vector.
 
     ``plus`` and ``minus`` hold the spectral amplitudes (fft convention,
-    shape (*grid, 8)); ``omega`` the positive branch frequency.  A zero
+    shape (*grid, 8); a split stores them components first, (8, *grid) in
+    memory); ``omega`` the positive branch frequency.  A zero
     mode with zero mass has no frequency split and is stored entirely in
     ``plus`` with omega = 0 (it does not evolve).  ``populations`` are constant in
     time.  A run's ``branches`` split its t = 0 state.
@@ -202,22 +207,23 @@ class ModeDecomposition:
     def at(self, t, out: np.ndarray | None = None,
            scratch: np.ndarray | None = None) -> np.ndarray:
         """Spectral amplitudes at time t, e^{-i w t} plus + e^{+i w t} minus; a
-        vector of B times gives a block (B, *grid, 8).  Arrays of the result's
-        shape given as ``out`` (the result) and ``scratch`` (overwritten) spare
-        the two full-size temporaries.  Each distinct w's phase is taken once
-        and spread over the modes and components, so the products run along rows;
-        identically zero branches turn no phase and give zeros."""
+        vector of B times gives a block (B, *grid, 8), stored components first
+        unless ``out`` is given.  Arrays of the result's shape given as ``out``
+        (the result) and ``scratch`` (overwritten) spare the two full-size
+        temporaries.  Each distinct w's phase is taken once and spread over the
+        modes; broadcast over the components, it multiplies whole grid planes
+        of branches stored components first.  Identically zero branches turn
+        no phase and give zeros."""
+        if out is None:
+            out = _components_first(np.shape(t) + self.omega.shape + (8,), self.grid.ndim)
         if self._empty:
-            out = np.empty(np.shape(t) + self.omega.shape + (8,), complex) if out is None else out
             out.fill(0.0)
             return out
         distinct, mode = self._distinct_omega
         phase = np.exp(-1j * distinct * np.asarray(t, dtype=float)[..., None])[..., mode, None]
-        out, scratch = (np.empty(phase.shape[:-1] + (8,), dtype=complex) if a is None else a
-                        for a in (out, scratch))
-        np.copyto(scratch, phase)
-        np.multiply(scratch, self.plus, out=out)
-        out += np.multiply(np.conjugate(scratch, out=scratch), self.minus, out=scratch)
+        scratch = np.empty_like(out) if scratch is None else scratch
+        np.multiply(phase, self.plus, out=out)
+        out += np.multiply(np.conjugate(phase, out=phase), self.minus, out=scratch)
         return out
 
 
@@ -285,11 +291,14 @@ class _Spectral:
         self._ck = [(i, c * hbar * k[..., i, None]) for i in grid.spatial_axes]
 
     def apply_h(self, hat: np.ndarray) -> np.ndarray:
-        """H(k) applied to spectral amplitudes of shape (*grid, 8), through one
-        gathered array (mode "clip" writes it in place; "raise" would buffer it)."""
+        """H(k) applied to spectral amplitudes of shape (*grid, 8), stored components
+        first (``_components_first``), through one gathered array of the same
+        layout: the gather picks whole component planes (mode "clip" writes it in
+        place; "raise" would buffer it)."""
         out, term = self._mass_diag * hat, np.empty_like(hat)
+        planes, term_planes = np.moveaxis(hat, -1, 0), np.moveaxis(term, -1, 0)
         for i, ck in self._ck:
-            np.take(hat, _ALPHA_COL[i], axis=-1, out=term, mode="clip")
+            np.take(planes, _ALPHA_COL[i], axis=0, out=term_planes, mode="clip")
             term *= _ALPHA_COEF[i]
             term *= ck
             out += term
@@ -317,9 +326,8 @@ def _source_hat_parts(grid: GridSpec, source: FourCurrent, c: float, hbar: float
     """
     rho_hat = grid.fft(source.rho_amp.astype(complex))
     j_hat = grid.fft(source.j_amp.astype(complex))
-    rho_part = np.zeros(grid.shape + (8,), dtype=complex)
+    rho_part, j_part = (_components_first(grid.shape + (8,), grid.ndim) for _ in range(2))
     rho_part[..., 0] = 4 * np.pi * hbar * c * rho_hat
-    j_part = np.zeros(grid.shape + (8,), dtype=complex)
     j_part[..., 1:4] = -4j * np.pi * hbar * j_hat
     return rho_part, j_part
 
@@ -384,7 +392,7 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
         comps = np.flatnonzero(np.any(part.reshape(-1, 8), axis=0))   # NaN fills
         if len(comps):
             span = slice(comps[0], comps[-1] + 1)
-            filled.append((i, span, part[..., span].copy()))
+            filled.append((i, span, part[..., span].copy(order="K")))
     need_r = any(i == 2 for i, _, _ in filled)
     branches = _split(psi0, spectral)
     distinct, mode = branches._distinct_omega   # the kernels depend on w alone
@@ -410,7 +418,7 @@ def _split(psi: SpinorField8, spectral: _Spectral) -> ModeDecomposition:
     plus = (hat + ratio) / 2 and minus = (hat - ratio) / 2 with
     ratio = H hat / (hbar w), in three arrays of the state's size."""
     grid = psi.grid
-    hat = grid.fft(psi.values)
+    hat = grid.fft(psi.values, out=_components_first(psi.values.shape, grid.ndim))
     ratio = spectral.apply_h(hat)
     np.multiply((spectral.inv_omega / psi.hbar)[..., None], ratio, out=ratio)
     plus = np.add(hat, ratio)

@@ -4,7 +4,8 @@ Grid axes map onto the last ``ndim`` Cartesian directions, so a 1-D grid
 varies along z, a 2-D grid along (y, z), and a 3-D grid along (x, y, z).
 Vector fields have shape (*grid, 3), wave-functions (*grid, 8); storage
 is complex throughout, with reality enforced only where classical fields
-are read out.
+are read out.  A run's field arrays have those shapes too, as views of
+memory stored components first (``_components_first``).
 
 Units are Gaussian; a wave-function carries the m, c and hbar of its
 Hamiltonian (natural units c = hbar = 1 by default).
@@ -120,9 +121,10 @@ class GridSpec:
             out[..., cart] = mesh[axis]
         return out
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        """Forward DFT over the grid axes, which lead every field array."""
-        return np.fft.fftn(values, axes=tuple(range(self.ndim)))
+    def fft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Forward DFT over the grid axes, which lead every field array, into
+        ``out`` if given (any layout: the same bits)."""
+        return np.fft.fftn(values, axes=tuple(range(self.ndim)), out=out)
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
         """Inverse of ``fft``."""
@@ -131,7 +133,9 @@ class GridSpec:
     def ifft_staged(self, values: np.ndarray, out: np.ndarray, stage=None) -> np.ndarray:
         """``ifft(values)`` into ``out``, as one-axis transforms in ifftn's own
         order, last grid axis first, so ``out`` receives the same bits; a block
-        (B, *grid, 8) is transformed sample by sample.  Every stage but the last
+        (B, *grid, 8) is transformed sample by sample.  A run's blocks are stored
+        components first (``_components_first``), so each one-axis transform
+        runs within whole component planes.  Every stage but the last
         runs in place in ``values``, which is left holding the transform over
         grid axes 1.. alone: fft(out) along grid axis 0 up to round-off (the
         spectral amplitudes themselves on a 1-D grid).  ``stage(b, values)``, if
@@ -348,11 +352,17 @@ def _alpha_density(values: np.ndarray) -> np.ndarray:
                      for i in range(3)], axis=-1)
 
 
-# rows per block of x and of x W_b in ``_Moments.add``, 256 KiB each: both stay
-# in a 2 MiB L2 cache; a time block holds half as many grid points, as a pass
-# holds several arrays of its size
-_BLOCK_ROWS = 2048
-_TIME_BLOCK_POINTS = _BLOCK_ROWS // 2
+# grid points per time block, whose arrays a pass holds several of: 128 KiB each
+_TIME_BLOCK_POINTS = 1024
+
+
+def _components_first(shape: tuple, ndim: int) -> np.ndarray:
+    """A complex array of zeros of ``shape`` (..., *grid, m), for a grid of ``ndim``
+    axes, stored components first: (..., m, *grid) in memory.  Every per-point
+    product and one-axis transform over it runs along whole grid planes."""
+    lead = len(shape) - ndim - 1
+    planes = np.zeros(shape[:lead] + shape[-1:] + shape[lead:-1], dtype=complex)
+    return np.moveaxis(planes, lead, -1)
 
 
 class _Moments:
@@ -367,29 +377,30 @@ class _Moments:
     point of the first sample, and ``constraint[s]`` the largest |psi_0| or
     |psi_4| of sample s (``constraint_residual``; NaN stays NaN).
 
-    The set-up (coordinates, axis wave numbers, the weights W_b and one small
-    buffer for x W_b) is made once.  A block of samples is measured as it is
-    formed: ``stage`` takes each kinetic share from the block's inverse
-    transform (``GridSpec.ifft_staged``), and ``add`` takes the rest from the
-    block and its axis-0 stage, which it is handed and overwrites; neither
-    holds an array of the block's size, and each sample reads the bits it
-    would read alone.  The norm and the Gram matrix are sums over the sample
-    itself.  Axis b's kinetic share is read from the stage that is still
-    spectral along grid axes 0..b, just before b is transformed: k_b varies
-    only along b and alpha'_b is constant, so by Parseval along the spectral
-    axes sum psi+ alpha'_b k_b psi = sum k_b A+ alpha'_b A / prod_{a<=b} N_a
-    over that stage A.  That is x . (x W_b) per point, x the float view of A
-    (component a in columns 2a, 2a + 1) and W_b the 16x16 ``_kinetic_weights``,
-    summed per k_b line, x W_b a cache-sized block of lines at a time.  So every
-    transform of the pass follows its own axis's real kinetic product, and
-    the pass makes no forward transform for the kinetic sums.
+    A block of samples (B, *grid, 8), stored components first
+    (``_components_first``), is measured as it is formed: ``stage`` takes each
+    kinetic share from the block's inverse transform (``GridSpec.ifft_staged``),
+    and ``add`` takes the rest from the block and its axis-0 stage, which it is
+    handed and overwrites; neither holds an array of the block's size, and each
+    sample reads the bits it would read alone.  The norm and the Gram matrix are
+    sums over the sample itself.  Axis b's kinetic share is read from the stage
+    that is still spectral along grid axes 0..b, just before b is transformed:
+    k_b varies only along b and alpha'_b is constant, so by Parseval along the
+    spectral axes sum psi+ alpha'_b k_b psi = sum k_b A+ alpha'_b A /
+    prod_{a<=b} N_a over that stage A.  alpha'_b has one entry per row, a unit
+    phase i s at (a, c), in four Hermitian pairs, so A+ alpha'_b A is
+    sum over pairs of -2 s Im(A_a* A_c), a product of two component planes
+    per pair summed per k_b: a dot along the contiguous k_b lines, or, on the
+    last grid axis, where a k_b line is one point, two real products.  So the
+    pass makes no forward transform for the kinetic sums, and the first
+    transform of each sample follows real products.
 
-    The orbital sums take, per grid axis b, the 1-D DFT A_b = fft(psi, axis=b),
-    laid out with k_b leading (for b = 0 the axis-0 stage itself), and
-    Parseval along b alone: sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b,
-    with r_a constant along b.  ``add`` takes them when the pass was made with
-    ``orbital`` true; otherwise ``rk`` is None.  The record holds what one pass
-    measured and calls back into no run.
+    The orbital sums take, per grid axis b, the 1-D DFT A_b = fft(psi, axis=b)
+    (for b = 0 the axis-0 stage itself), and Parseval along b alone:
+    sum r_a psi+ k_b psi = sum r_a k_b |A_b|^2 / N_b, with r_a constant along b
+    and |A_b|^2 summed over the component planes.  ``add`` takes them when the
+    pass was made with ``orbital`` true; otherwise ``rk`` is None.  The record
+    holds what one pass measured and calls back into no run.
     """
     def __init__(self, grid: GridSpec, n: int, orbital: bool = False):
         self.grid = grid
@@ -401,103 +412,90 @@ class _Moments:
         self.density0 = None    # the first sample's, set when it is measured
         self._coords = grid.axis_coords()
         self._k_axes = grid._axis_wave_numbers()
-        self._lines = {}   # grid axis -> per-line kinetic sums of the block being formed
-        # Re psi+ alpha'_b psi = x . (x W_b) on the float view x of psi
-        self._kinetic_weights = []
-        for cart in grid.spatial_axes:
-            alpha = _ALPHA[cart]
-            w = np.empty((8, 2, 8, 2))
-            w[:, 0, :, 0] = w[:, 1, :, 1] = alpha.real
-            w[:, 0, :, 1], w[:, 1, :, 0] = -alpha.imag, alpha.imag
-            self._kinetic_weights.append(w.reshape(16, 16))
-        # a block of lines holds _BLOCK_ROWS points, or one line per sample if
-        # that is more (a line of axis 0 is the longest), and never more than
-        # the time block itself
-        samples, points = min(n, _block_size(grid)), int(np.prod(grid.shape))
-        rows = max(_BLOCK_ROWS, samples * points // grid.points[0])
-        self._xw = np.empty((min(rows, samples * points), 16))
+        self._lines = {}   # grid axis -> per-k_b kinetic sums of the block being formed
+        # per grid axis, alpha'_b's pairs (a, c) with a < c and the weight -2 s of
+        # Im(A_a* A_c), s the imaginary part of its entry (every entry is +-i)
+        self._pairs = [[(a, c, -2.0 * _ALPHA_COEF[cart, a].imag)
+                        for a, c in enumerate(_ALPHA_COL[cart]) if a < c]
+                       for cart in grid.spatial_axes]
 
     @np.errstate(over="ignore", invalid="ignore")
     def stage(self, b: int, values: np.ndarray):
         """Axis b's kinetic share of a block (B, *grid, 8) that is spectral along
-        grid axes 0..b (``GridSpec.ifft_staged``'s hook): sum x . (x W_b) per
-        k_b line, by the first line of each block of lines, for ``add``."""
-        n, points = len(values), self.grid.points
-        n_b, inner = points[b], math.prod(points[b + 1:])
-        x = values.view(float).reshape(n, -1, n_b, 16 * inner)   # (samples, outer, k_b, line)
-        lines = max(1, _BLOCK_ROWS // (n * inner))   # whole k_b lines per block
-        outer, step = (max(1, lines // n_b), n_b) if lines >= n_b else (1, lines)
-        per_line = {}
-        for p0 in range(0, x.shape[1], outer):
-            for k0 in range(0, n_b, step):
-                block = x[:, p0:p0 + outer, k0:k0 + step]
-                xw = np.matmul(block.reshape(-1, 16), self._kinetic_weights[b],
-                               out=self._xw[:block.size // 16])
-                sums = np.vecdot(block, xw.reshape(block.shape)).sum(axis=1)
-                if k0 in per_line:   # the same lines, at further outer points
-                    per_line[k0] += sums
-                else:
-                    per_line[k0] = sums
-        self._lines[b] = per_line
+        grid axes 0..b (``GridSpec.ifft_staged``'s hook): per k_b, the sum of
+        Re A+ alpha'_b A over the other grid axes, pair by pair, for ``add``."""
+        n_b, inner = self.grid.points[b], math.prod(self.grid.points[b + 1:])
+        planes = np.moveaxis(values, -1, 1).reshape((len(values), 8, -1, n_b, inner))
+        lines = 0.0
+        for a, c, weight in self._pairs[b]:
+            x, y = planes[:, a], planes[:, c]
+            if inner > 1:   # sum_i x* y along each contiguous k_b line, then over outer points
+                im = np.vecdot(x, y).sum(axis=1).imag
+            else:
+                im = (np.einsum("soki,soki->sk", x.real, y.imag)
+                      - np.einsum("soki,soki->sk", x.imag, y.real))
+            lines = lines + weight * im
+        self._lines[b] = lines
 
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, s0: int, v: np.ndarray, axis0: np.ndarray):
         """Measure samples s0, s0 + 1, ... of a block ``v`` of shape (B, *grid, 8),
         whose kinetic shares ``stage`` took as the block was formed; ``axis0`` is
         the fft of ``v`` along grid axis 0 up to round-off, read in place of that
-        transform, then overwritten.  A sample whose squares overflow reads inf
-        or NaN, which the checks fail.
+        transform, then overwritten.  Both are stored components first.  A sample
+        whose squares overflow reads inf or NaN, which the checks fail.
 
-        ``axis0`` holds |psi|^2, then psi* for the Gram product, then (orbital
-        sums) each A_b, b >= 1, in turn.  Order rule: a complex ``@`` (the Gram
-        product) leaves numpy's transform along the last axis of a field array
-        2.6x slower until a real product runs.  The kinetic shares are reduced
-        over k (real products) between the Gram product and the next transform,
-        a forward one for the orbital sums or the next block's inverse one, which
-        ``stage``'s own real product precedes too.
+        ``axis0`` holds |psi|^2 (point-major, as a stacked sample would read it),
+        then psi* for the Gram product, then (orbital sums) each A_b, b >= 1, in
+        turn.  Order rule: a complex ``@`` (the Gram product) leaves numpy's
+        transform along a grid axis about 1.4x slower until a real product runs.
+        The kinetic shares are reduced over k (real products) between the Gram
+        product and the next transform, a forward one for the orbital sums or the
+        next block's inverse one, which the last axis's real products precede.
         """
         n, s = len(v), slice(s0, s0 + len(v))
-        # a 1-D grid has no <r p>: its rk stays zeros
-        power0 = self._power(0, axis0) if self.rk is not None and self.grid.ndim > 1 else None
-        # |psi|, then |psi|^2, in the head of the dead stage, which psi* overwrites after it
-        power = np.abs(v, out=axis0.reshape(-1).view(float)[:v.size].reshape(v.shape))
+        orbital = self.rk is not None and self.grid.ndim > 1   # a 1-D grid's rk stays zeros
+        if orbital:   # rk[s]: axis 0's share first, then each A_b (b >= 1)
+            self._reduce_rk(s, 0, self._power(axis0))
+        planes, dead = np.moveaxis(v, -1, 1), np.moveaxis(axis0, -1, 1)   # (B, 8, *grid)
+        # |psi|, then |psi|^2, point-major in the head of the dead stage, which psi*
+        # overwrites after it
+        power = dead.reshape(-1).view(float)[:v.size].reshape(v.shape)
+        np.abs(planes, out=np.moveaxis(power, -1, 1))
         self.constraint[s] = power[..., ::4].max(axis=tuple(range(1, v.ndim)))   # keeps NaN
         power = np.square(power, out=power)
         self.norms[s] = power.reshape(n, -1).sum(axis=1)
         if s0 == 0:
             self.density0 = power[0].sum(axis=-1)
-        flat = v.reshape(n, -1, 8)
-        self.gram[s] = np.conjugate(flat, out=axis0.reshape(flat.shape)).transpose(0, 2, 1) @ flat
+        planes = planes.reshape(n, 8, -1)
+        self.gram[s] = np.conjugate(planes, out=dead.reshape(planes.shape)) @ planes.transpose(0, 2, 1)
         for b in sorted(self._lines):
-            scale, k = math.prod(self.grid.points[:b + 1]), self._k_axes[b]
-            for k0, sums in self._lines[b].items():
-                self.kinetic[s] += np.vecdot(sums, k[k0:k0 + sums.shape[1]]) / scale
+            scale = math.prod(self.grid.points[:b + 1])
+            self.kinetic[s] += np.vecdot(self._lines[b], self._k_axes[b]) / scale
         self._lines.clear()
-        if power0 is not None:   # rk[s]: axis 0's share, then each A_b (b >= 1)
-            self._reduce_rk(s, 0, power0)
-            for b, n_b in enumerate(self.grid.points[1:], 1):
-                others = self.grid.points[:b] + self.grid.points[b + 1:]
-                lead = axis0.reshape((n, n_b) + others + (8,))   # A_b, k_b leading
-                np.fft.fft(v, axis=b + 1, out=np.moveaxis(lead, 1, b + 1))
-                self._reduce_rk(s, b, self._power(b, lead))
-        if s.stop == len(self.norms):   # the run keeps the sums, not the buffer
-            self._xw = None
+        if orbital:
+            for b in range(1, self.grid.ndim):
+                np.fft.fft(v, axis=b - self.grid.ndim - 1, out=axis0)
+                self._reduce_rk(s, b, self._power(axis0))
 
-    def _power(self, b: int, lead: np.ndarray) -> np.ndarray:
-        """sum |A_b|^2 per point of A_b (``lead``, k_b leading after the sample
-        axis), (B, N_b, other points)."""
-        x = lead.reshape(len(lead), self.grid.points[b], -1, 8).view(float)
-        return np.einsum("skmi,skmi->skm", x, x)
+    @staticmethod
+    def _power(spectrum: np.ndarray) -> np.ndarray:
+        """sum_a |A_a|^2 per point of a block (B, *grid, 8) stored components
+        first, summed over its component planes: (B, *grid)."""
+        planes = np.moveaxis(spectrum, -1, 1)
+        x = planes.view(float).reshape(len(planes), 8, -1)   # re and im of each point
+        squares = np.einsum("scp,scp->sp", x, x)
+        power = np.add(squares[:, ::2], squares[:, 1::2], out=squares[:, ::2])
+        return power.reshape(planes.shape[:1] + planes.shape[2:])
 
     def _reduce_rk(self, s: slice, b: int, power: np.ndarray):
-        """Axis b's share of ``rk[s]`` from ``_power``."""
-        grid, n_b, k = self.grid, self.grid.points[b], self._k_axes[b]
-        others = grid.points[:b] + grid.points[b + 1:]
-        weighted = (k @ power).reshape((len(power),) + others)
+        """Axis b's share of ``rk[s]`` from ``_power`` of A_b."""
+        grid, n_b = self.grid, self.grid.points[b]
+        weighted = np.moveaxis(power, b + 1, -1) @ self._k_axes[b]   # (B, the other axes)
         for a in range(grid.ndim):
             if a != b:
                 along = a - (a > b)   # axis a among the others
-                rest = tuple(ax + 1 for ax in range(len(others)) if ax != along)
+                rest = tuple(ax + 1 for ax in range(grid.ndim - 1) if ax != along)
                 self.rk[s, grid.spatial_axes[a], grid.spatial_axes[b]] = np.vecdot(
                     weighted.sum(axis=rest), self._coords[a]) / n_b
 

@@ -15,7 +15,8 @@ from dirac88.evolution import (EvolutionRun, _duhamel_kernels, _source_hat_parts
                                energy_expectation_series, evolve_free, evolve_sourced,
                                hamiltonian_k, mode_decomposition, omega_k, run_free,
                                zitter_decompose, zitter_equals_poynting)
-from dirac88.fields import (_BETA, EMField, GridSpec, SpinorField8, _alpha_density, _Moments,
+from dirac88.fields import (_BETA, EMField, GridSpec, SpinorField8, _alpha_density,
+                            _components_first, _Moments,
                             _time_blocks, divergence, embed_em, extract_em,
                             extract_em_amplitudes)
 from dirac88.spin import angular_momentum_series
@@ -1144,6 +1145,7 @@ STREAM_CASES = {
     "free-3d": lambda: _packet((8, 8, 16), (TWO_PI, 5.0, 9.0), (1, 0, 2)),
     "free-3d-ragged": lambda: _packet((4, 8, 16), (TWO_PI, 5.0, 9.0), (1, 2, 3)),
     "sourced-1d": lambda: states.travelling_wave(grid1d(64), 2, "y", 0.5),
+    "sourced-2d": lambda: states.travelling_wave(GridSpec((8, 16), (TWO_PI, 5.0)), (1, 2), "x", 0.5),
     "sourced-3d": lambda: states.travelling_wave(GridSpec((8, 4, 16), (TWO_PI, 5.0, 9.0)),
                                                  (1, 0, 2), "y", 0.5),
     # the grid of the bench's sourced 1-D runs
@@ -1156,6 +1158,7 @@ STREAM_SOURCES = {
                                                                TWO_PI / 16, 4.0),
     # uniform, so band-limited on a coarse grid, where that dipole's tail at the
     # Nyquist modes would break the Gauss law
+    "sourced-2d": lambda g: states.uniform_current(g, [1, 0, 0], 1.0, 2.0),
     "sourced-3d": lambda g: states.uniform_current(g, [0, 1, 0], 1.0, 2.0),
 }
 
@@ -1181,6 +1184,49 @@ def test_samples_stream_the_free_evolution_in_order(case):
         seen.append(psi.values.copy())
     assert len(seen) == run.n_samples
     assert all(np.array_equal(run.sample(i).values, seen[i]) for i in range(run.n_samples))
+
+
+def _turned_branches(run):
+    """Every sample of ``run`` as np.fft.ifftn of e^{-i w t} plus + e^{i w t} minus,
+    with the run's source term added, formed on C-contiguous copies of its branches."""
+    dec, t = run.branches, run.times
+    plus, minus = (np.ascontiguousarray(x) for x in (dec.plus, dec.minus))
+    distinct, mode = np.unique(dec.omega, return_inverse=True)
+    phase = np.exp(-1j * distinct * t[:, None])[..., mode.reshape(dec.omega.shape), None]
+    hat = phase * plus + np.conjugate(phase) * minus
+    if run._source_term is not None:
+        run._source_term(t[:, None], hat, np.empty_like(hat))
+    return np.fft.ifftn(hat, axes=tuple(range(1, run.grid.ndim + 1)))
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_samples_equal_the_inverse_transform_of_the_turned_branches(case):
+    # a pass stores its arrays components first; its samples keep the bits of the
+    # point-major route
+    _, run = _stream_run(case)
+    assert bits_equal(stacked(run), _turned_branches(run))
+
+
+@pytest.mark.parametrize("case", ["free-1d", "free-3d-ragged", "sourced-2d", "sourced-1d-256"])
+def test_a_pass_holds_its_arrays_components_first(monkeypatch, case):
+    # the branches and both block arrays of a pass are stored (..., 8, *grid), so
+    # every per-point product and one-axis transform runs along whole grid planes
+    _, run = _stream_run(case)
+
+    def components_first(x):
+        return np.moveaxis(x, -1, x.ndim - run.grid.ndim - 1).flags.c_contiguous
+
+    assert components_first(run.branches.plus) and components_first(run.branches.minus)
+    assert not components_first(np.ascontiguousarray(run.branches.plus))
+    seen, add = [], _Moments.add
+
+    def checked(self, s0, v, axis0):
+        seen.append(components_first(v) and components_first(axis0))
+        return add(self, s0, v, axis0)
+
+    monkeypatch.setattr(_Moments, "add", checked)
+    run.measured(orbital=True)
+    assert seen and all(seen)
 
 
 def test_block_boundaries_of_a_free_run():
@@ -1229,26 +1275,28 @@ def test_a_1d_pass_asked_for_l_takes_no_orbital_sums(monkeypatch):
 
 
 def test_moments_allocate_nothing_of_the_sample_size():
-    # the kinetic sum's product x W_b goes into an array that is dead by then,
-    # not into a temporary the size of the sample
+    # on a block stored components first, as a pass holds it, the kinetic shares
+    # read whole component planes, and |psi| and psi* go into the dead axis-0
+    # stage: nothing the size of the sample is allocated
     g = GridSpec((16, 16, 16), (TWO_PI, 5.0, 9.0))
-    v = RNG.standard_normal(g.shape + (8,)) + 1j * RNG.standard_normal(g.shape + (8,))
-    axis0 = np.fft.fft(v, axis=0)
-    moments = _Moments(g, 3)
-    v, axis0 = v[None], axis0[None]   # a block of one sample
-    moments.add(0, v, axis0.copy())
-    tracemalloc.start()
-    try:
-        moments.add(1, v, axis0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    v, axis0 = (_components_first((1,) + g.shape + (8,), g.ndim) for _ in range(2))
+    v[...] = RNG.standard_normal(v.shape) + 1j * RNG.standard_normal(v.shape)
+    moments = _Moments(g, 3, orbital=True)
+    for s in range(2):
+        np.fft.fft(v, axis=1, out=axis0)
+        tracemalloc.start()
+        try:
+            for b in range(g.ndim):
+                moments.stage(b, axis0)
+            moments.add(s, v, axis0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert peak < v.nbytes / 4, peak
 
 
 def test_moments_hold_nothing_the_size_of_a_sample():
-    # the pass works in the block's own axis-0 stage; its one buffer holds x W_b
-    # for a cache-sized block of k_b lines
+    # the pass works in the block's own axis-0 stage and holds no buffer
     g = GridSpec((16, 16, 16), (TWO_PI, 5.0, 9.0))
     sample_bytes = 16 ** 3 * 8 * 16
     tracemalloc.start()
