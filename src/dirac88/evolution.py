@@ -31,9 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintViolation, FitError
-from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, _CONSTRAINT_TOL, FourCurrent,
-                     GridSpec, SpinorField8, _alpha_density, _block_size, _components_first,
-                     _Moments, _time_blocks, extract_em_amplitudes)
+from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
+                     SpinorField8, _alpha_density, _block_size, _components_first,
+                     _first_violation, _Moments, _sizes, _time_blocks, extract_em_amplitudes)
 
 __all__ = [
     "EvolutionRun",
@@ -67,13 +67,14 @@ class EvolutionRun:
     A run holds no samples.  It holds ``branches``, the ``ModeDecomposition`` of
     its t = 0 state (grid, mass, c and hbar come from it), and, for a sourced run
     (``evolve_sourced``), the spectral source term added to each sample; it forms
-    each sample when it is read (``_formed``).  ``samples()`` is the pass: it forms
-    and measures a time block of samples at a time, then yields them in
-    time order, each a read-only ``SpinorField8`` over a buffer the next block
-    reuses, so a yielded sample stays valid only until the pass leaves its block
-    (copy what must outlive it).  It measures from the stages of the block's
-    inverse transform, so the pass makes no forward transform but for the
-    orbital sums of <L>, which it takes only when asked (``samples(orbital=True)``).
+    each sample, and checks a sourced one, when it is read (``_formed``).
+    ``samples()`` is the pass: it forms and measures a time block of samples at
+    a time, then yields them in time order, each a read-only ``SpinorField8``
+    over a buffer the next block reuses, so a yielded sample stays valid only
+    until the pass leaves its block (copy what must outlive it).  It measures
+    from the stages of the block's inverse transform, so the pass makes no
+    forward transform but for the orbital sums of <L>, which it takes only when
+    asked (``samples(orbital=True)``).
     A pass measures a run that holds no moments; when it completes it fills
     them, and a pass left early fills nothing.  ``measured(orbital)`` returns
     them, running the same pass when none has run, or again when <L> is asked
@@ -98,59 +99,50 @@ class EvolutionRun:
     def n_samples(self) -> int:
         return len(self.times)
 
-    def _formed(self, times, stage=None):
-        """Yield (block, axis-0 stage), each (B, *grid, 8), per time block of B times
-        (``_time_blocks``).  The block is the inverse transform of the spectral
-        amplitudes branches.at(t), plus what the source term adds to them in place
-        (t of shape (B, 1)), taken one axis at a time (``GridSpec.ifft_staged``,
-        which hands ``stage`` each stage before its axis is transformed); the
-        axis-0 stage is that transform over grid axes 1.. alone, each sample's fft
-        along grid axis 0 up to round-off, which the moments pass reads instead of
-        transforming the block again.  Both live in arrays that every block
-        reuses, stored components first, so a yielded pair is valid until the
-        next; the block is a read-only view.
-        A sourced sample is checked as it is formed: its constrained components
-        stay below ``_CONSTRAINT_TOL`` times the field scale, or the first that
-        does not raises ConstraintViolation (NaN fails too)."""
+    def _formed(self, times, measure: _Moments | None = None):
+        """Yield a read-only block (B, *grid, 8) per time block of B times
+        (``_time_blocks``), measured into ``measure`` if given.  The block is the
+        inverse transform of the spectral amplitudes branches.at(t), plus what the
+        source term adds to them in place (t of shape (B, 1)), taken one axis at a
+        time (``GridSpec.ifft_staged``, which hands ``measure.stage`` each stage);
+        ``measure.add`` reads the block and its axis-0 stage, each sample's fft
+        along grid axis 0 up to round-off.  Both live in arrays stored components
+        first that every block reuses, so a block is valid until the next.
+        A sourced sample is checked as it is formed by ``_first_violation``, and
+        the first that fails raises ConstraintViolation; the check reads the
+        sizes ``measure.add`` took, or its own (``_sizes``): |psi| is read once."""
         dec, grid, source_term = self.branches, self.grid, self._source_term
         shape = (min(len(times), _block_size(grid)),) + grid.shape + (8,)
         hat_rows, value_rows = (_components_first(shape, grid.ndim) for _ in range(2))
-        for t in _time_blocks(grid, times):
+        for i, t in enumerate(_time_blocks(grid, times)):   # every block but the last is full
             hat, values = hat_rows[:len(t)], value_rows[:len(t)]
             dec.at(t, out=hat, scratch=values)
             if source_term is not None:
                 source_term(t[:, None], hat, values)
-            block = grid.ifft_staged(hat, out=values, stage=stage)
+            block = grid.ifft_staged(hat, out=values, stage=measure and measure.stage)
+            sizes = None if measure is None else measure.add(i * len(hat_rows), block, hat)
             if source_term is not None:
-                size = abs(block).reshape(len(t), -1, 8).max(axis=1)   # per sample and component
-                resid, scale = size[:, ::4].max(axis=1), np.maximum(size.max(axis=1), 1.0)
-                bad = np.flatnonzero(~(resid <= _CONSTRAINT_TOL * scale))   # NaN fails
-                if len(bad):
+                resid, top = _sizes(block) if sizes is None else sizes
+                if (bad := _first_violation(resid, top)) is not None:
                     raise ConstraintViolation(
-                        f"constrained components reached {resid[bad[0]]:.3e} at "
-                        f"t = {t[bad[0]]:.6g}; check source continuity and the Gauss law "
+                        f"constrained components reached {resid[bad]:.3e} at "
+                        f"t = {t[bad]:.6g}; check source continuity and the Gauss law "
                         "of the initial data")
             block = block.view()
             block.flags.writeable = False
-            yield block, hat
+            yield block
 
     def samples(self, orbital: bool = False):
         """The pass over the samples; see the class docstring."""
         measure = _Moments(self.grid, self.n_samples, orbital) if self._moments is None else None
-        s0 = 0
-        for block, axis0 in self._formed(self.times, None if measure is None else measure.stage):
-            if measure is not None:
-                measure.add(s0, block, axis0)
-            s0 += len(block)
+        for block in self._formed(self.times, measure):
             for values in block:
                 yield SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
-        if measure is not None:
-            self._moments = measure
+        self._moments = self._moments or measure
 
     def blocks(self):
         """The samples a time block at a time, unmeasured; see the class docstring."""
-        for block, _ in self._formed(self.times):
-            yield block
+        return self._formed(self.times)
 
     def measured(self, orbital: bool = False) -> _Moments:
         """Grid sums of every sample: norms, Gram matrices and momentum sums, with
@@ -164,7 +156,7 @@ class EvolutionRun:
     moments = property(measured)
 
     def sample(self, index: int) -> SpinorField8:
-        values = next(self._formed(self.times[[index]]))[0][0].copy()
+        values = next(self._formed(self.times[[index]]))[0].copy()
         return SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
 
 
@@ -365,9 +357,9 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
     and forms each sample when it is read.  Continuity, whose residual
     (rho_amp + div j_amp) cos(Omega t) peaks at t = 0, is checked here; the
     constrained components are checked wherever a sample is formed, so a
-    violation raises on the first read that reaches it: they stay below
-    ``_CONSTRAINT_TOL`` (times the field scale) when the initial data satisfy
-    the Gauss law and the source satisfies continuity.
+    violation raises on the first read that reaches it: they stay within the
+    tolerance of ``fields._first_violation`` (times the field scale) when the
+    initial data satisfy the Gauss law and the source satisfies continuity.
     """
     if psi0.kind != "photon":
         raise ValueError("sourced evolution is defined for photon-embedded states")

@@ -215,8 +215,22 @@ class SpinorField8:
 
 def constraint_residual(values: np.ndarray) -> float:
     """Largest magnitude on the constrained components 0 and 4 of ``values`` (..., 8)."""
-    return float(np.maximum(np.max(np.abs(values[..., 0]), initial=0.0),   # keeps NaN
-                            np.max(np.abs(values[..., 4]), initial=0.0)))
+    return float(_sizes(np.asarray(values)[None])[0][0])
+
+
+def _sizes(values: np.ndarray, out: np.ndarray | None = None):
+    """The constraint's one read: each sample's largest |psi_0| or |psi_4| and
+    largest |psi|, of a stack (n, ..., 8), NaN and inf kept.  |psi| goes into
+    ``out`` if given, a component plane at a time (numpy buffers nothing)."""
+    size = np.abs(np.moveaxis(values, -1, 1), out=None if out is None else np.moveaxis(out, -1, 1))
+    axes = tuple(range(1, size.ndim))   # size is (n, 8, ...)
+    return size[:, ::4].max(axis=axes, initial=0.0), size.max(axis=axes, initial=0.0)
+
+
+def _first_violation(resid, top, tol: float = _CONSTRAINT_TOL):
+    """The rule of every relative check: the index of the first sample whose
+    residue exceeds ``tol`` times max(top, 1), NaN failing, else None."""
+    return next(iter(np.flatnonzero(~(resid <= tol * np.maximum(top, 1.0)))), None)
 
 
 @dataclass
@@ -264,29 +278,28 @@ def _scan(values: np.ndarray, em: bool = False):
     (``_em_columns`` before the real part is taken), else 0.  NaN stays in both
     residues.  A finite block reads that residue as the largest of |Im psi_1..3|
     and |Re psi_5..7|; a block with an inf or NaN takes it from the complex forms,
-    where an inf in Im psi_5..7 turns (-1j psi).imag NaN through 0 * inf."""
+    where an inf in Im psi_5..7 turns (-1j psi).imag NaN through 0 * inf, and
+    a NaN in Re psi_1..3 turns it NaN."""
     rows, scale, resid, imag = values.reshape(-1, 8), 1.0, 0.0, 0.0
     for start in range(0, len(rows), _TIME_BLOCK_POINTS):   # no temporary of the field's size
         block = rows[start:start + _TIME_BLOCK_POINTS]
-        size = np.abs(block)
-        top = np.max(size)
+        size = np.empty(block.shape)
+        (block_resid,), (top,) = _sizes(block[None], out=size[None])
         finite = top < np.inf   # NaN is not
-        if not finite:
-            top = np.max(size, where=size < np.inf, initial=1.0)
-        scale = max(scale, float(top))
-        resid = np.maximum(resid, np.max(size[:, ::4]))   # keeps NaN
-        del size   # the residue's temporaries below take its place
+        scale = max(scale, float(top if finite else np.max(size, where=size < np.inf, initial=1.0)))
+        resid = np.maximum(resid, block_resid)   # keeps NaN
         if em and finite:
             imag = np.maximum(imag, max(np.max(np.abs(block.imag[:, 1:4])),
                                         np.max(np.abs(block.real[:, 5:8]))))
         elif em:
             imag = np.maximum(imag, np.maximum(np.max(np.abs(block[:, 1:4].imag)),   # keeps NaN
                                                np.max(np.abs((-1j * block[:, 5:8]).imag))))
+            imag = np.nan if np.isnan(block.real[:, 1:4]).any() else imag
     return scale, resid, imag
 
 
 def _raise_constraint(resid, scale: float, tol: float):
-    if not resid <= tol * scale:
+    if _first_violation(resid, scale, tol) is not None:
         raise ConstraintViolation(
             f"components 0/4 reach {resid:.3e} (tolerance {tol:.1e} of the field scale "
             f"{scale:.3g}); Gauss-law or transversality constraint broken")
@@ -304,11 +317,11 @@ def check_constraint(values: np.ndarray, tol: float = _CONSTRAINT_TOL) -> float:
 def _check_em(values: np.ndarray, tol: float):
     """``extract_em``'s checks on spinor values (..., 8), in one read (``_scan``):
     ``check_constraint``'s, then the imaginary residue of the recovered fields
-    against the same field scale; either raises ConstraintViolation, the
-    constraint's first, and a NaN fails."""
+    against the same field scale and by the same rule (``_first_violation``);
+    either raises ConstraintViolation, the constraint's first, and a NaN fails."""
     scale, resid, imag = _scan(values, em=True)
     _raise_constraint(resid, scale, tol)
-    if not imag <= tol * scale:
+    if _first_violation(imag, scale, tol) is not None:
         raise ConstraintViolation(f"recovered fields have imaginary residue {float(imag):.3e} "
                                   f"(tolerance {tol:.1e} of the field scale {scale:.3g})")
 
@@ -324,7 +337,7 @@ def extract_em(psi: SpinorField8, tol: float = _CONSTRAINT_TOL) -> EMField:
 
     Raises ConstraintViolation if components 0 or 4 exceed ``tol`` times the
     field scale anywhere (``check_constraint``), or if the recovered fields fail
-    the reality check by the same rule; a NaN fails either.
+    the reality check by the same rule; a NaN fails either, in E and B too.
     """
     _check_em(psi.values, tol)
     return EMField(psi.grid, *_em_columns(psi.values))
@@ -375,7 +388,7 @@ class _Moments:
     sum r_i psi+ (k_j psi) for Cartesian i != j (zero otherwise), with k the
     spectral wave-vector operator -i grad.  ``density0`` is sum_a |psi_a|^2 per
     point of the first sample, and ``constraint[s]`` the largest |psi_0| or
-    |psi_4| of sample s (``constraint_residual``; NaN stays NaN).
+    |psi_4| of sample s (``_sizes``; NaN stays NaN).
 
     A block of samples (B, *grid, 8), stored components first
     (``_components_first``), is measured as it is formed: ``stage`` takes each
@@ -443,12 +456,13 @@ class _Moments:
         whose kinetic shares ``stage`` took as the block was formed; ``axis0`` is
         the fft of ``v`` along grid axis 0 up to round-off, read in place of that
         transform, then overwritten.  Both are stored components first.  A sample
-        whose squares overflow reads inf or NaN, which the checks fail.
+        whose squares overflow reads inf or NaN, which the checks fail.  Returns
+        each sample's residue and largest |psi| (``_sizes``) for a sourced check.
 
-        ``axis0`` holds |psi|^2 (point-major, as a stacked sample would read it),
-        then psi* for the Gram product, then (orbital sums) each A_b, b >= 1, in
-        turn.  Order rule: a complex ``@`` (the Gram product) leaves numpy's
-        transform along a grid axis about 1.4x slower until a real product runs.
+        ``axis0`` holds |psi| and |psi|^2 (point-major, as a stacked sample would
+        read it), then psi* for the Gram product, then (orbital sums) each A_b,
+        b >= 1, in turn.  Order rule: a complex ``@`` (the Gram product) leaves
+        numpy's transform along a grid axis about 1.4x slower until a real product runs.
         The kinetic shares are reduced over k (real products) between the Gram
         product and the next transform, a forward one for the orbital sums or the
         next block's inverse one, which the last axis's real products precede.
@@ -461,8 +475,7 @@ class _Moments:
         # |psi|, then |psi|^2, point-major in the head of the dead stage, which psi*
         # overwrites after it
         power = dead.reshape(-1).view(float)[:v.size].reshape(v.shape)
-        np.abs(planes, out=np.moveaxis(power, -1, 1))
-        self.constraint[s] = power[..., ::4].max(axis=tuple(range(1, v.ndim)))   # keeps NaN
+        self.constraint[s], top = _sizes(v, out=power)
         power = np.square(power, out=power)
         self.norms[s] = power.reshape(n, -1).sum(axis=1)
         if s0 == 0:
@@ -477,6 +490,7 @@ class _Moments:
             for b in range(1, self.grid.ndim):
                 np.fft.fft(v, axis=b - self.grid.ndim - 1, out=axis0)
                 self._reduce_rk(s, b, self._power(axis0))
+        return self.constraint[s], top
 
     @staticmethod
     def _power(spectrum: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import generators, levi_civita, pauli_matrices
 from .errors import ConstraintViolation
-from .fields import _CONSTRAINT_TOL, constraint_residual, field_tensor
+from .fields import _first_violation, _sizes, field_tensor
 
 __all__ = [
     "Boost",
@@ -120,14 +120,13 @@ def em_transform_matrix(boost: Boost) -> np.ndarray:
 def em_wavefunction_transform(psi: np.ndarray, boost: Boost) -> np.ndarray:
     """Boost photon-embedded wave-function values, shape (..., 8), per point or mode.
 
-    Raises ConstraintViolation if the output grows components 0/4 past
-    ``_CONSTRAINT_TOL`` relative to the field scale (a convention or
-    implementation error; the law preserves them identically), or NaN there.
+    Raises ConstraintViolation if the output grows components 0/4 past the
+    constraint's relative tolerance (``fields._first_violation``; a convention or
+    implementation error, the law preserves them identically), or NaN there.
     """
     values = np.einsum("ab,...b->...a", em_transform_matrix(boost), np.asarray(psi, dtype=complex))
-    resid = constraint_residual(values)
-    scale = float(np.max(np.abs(values)))
-    if not resid <= _CONSTRAINT_TOL * max(scale, 1.0):   # NaN fails
+    (resid,), (top,) = _sizes(values[None])
+    if _first_violation(resid, top) is not None:
         raise ConstraintViolation(
             f"boost leaked {resid:.3e} into the constrained components")
     return values

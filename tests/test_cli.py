@@ -659,7 +659,7 @@ def test_a_command_forms_each_free_sample_once(tmp_path, monkeypatch, command):
 
     def counted(*args, **kwargs):
         for block in form_blocks(*args, **kwargs):
-            formed.append(len(block[0]))
+            formed.append(len(block))
             yield block
 
     monkeypatch.setattr(evolution.EvolutionRun, "_formed", counted)
@@ -694,7 +694,7 @@ def test_evolve_writes_snapshots_without_stacking_the_run(tmp_path, monkeypatch)
 
     def counted(*args, **kwargs):
         for block in form_blocks(*args, **kwargs):
-            formed.append(len(block[0]))
+            formed.append(len(block))
             yield block
 
     monkeypatch.setattr(evolution.EvolutionRun, "_formed", counted)
@@ -753,7 +753,7 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
     import contextlib
     import dirac88.evolution as evolution
     counts = {"fft": 0, "ifft": 0, "fftn": 0, "ifftn": 0}
-    kernel, form_blocks = evolution._Moments.add, evolution.EvolutionRun._formed
+    form_blocks = evolution.EvolutionRun._formed
 
     @contextlib.contextmanager
     def counting():
@@ -765,12 +765,9 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
                 mp.setattr(np.fft, name, wrapper)
             yield
 
-    def counted_kernel(*args, **kwargs):
-        with counting():
-            return kernel(*args, **kwargs)
-
     def counted_samples(*args, **kwargs):
-        # the transforms that form each sample count too
+        # the transforms that form and measure each block: the pass's
+        # _Moments.add runs within _formed
         samples = form_blocks(*args, **kwargs)
         while True:
             with counting():
@@ -779,7 +776,6 @@ def test_evolve_diagnostics_one_axis_transform_per_grid_axis(tmp_path, monkeypat
                 return
             yield item
 
-    monkeypatch.setattr(evolution._Moments, "add", counted_kernel)
     monkeypatch.setattr(evolution.EvolutionRun, "_formed", counted_samples)
     samples = 5
     cfg = {

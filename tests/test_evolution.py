@@ -340,7 +340,7 @@ def test_sourced_gauss_initial_data_rejected():
 
 
 def test_a_violating_sourced_run_raises_on_its_first_read():
-    # the check runs where a sample is formed: the pass and sample(i)
+    # the check runs where a sample is formed: the pass, blocks() and sample(i)
     g = grid1d(64)
     e = np.zeros(g.shape + (3,), dtype=complex)
     e[..., 2] = np.sin(g.positions()[..., 2])
@@ -349,7 +349,8 @@ def test_a_violating_sourced_run_raises_on_its_first_read():
     message = (r"constrained components reached \d\.\d{3}e[+-]\d+ at t = 0\.142857; check "
                "source continuity and the Gauss law of the initial data")
     reads = {"pass": lambda run: list(run.samples()),
-             "moments": lambda run: run.moments, "sample": lambda run: run.sample(1)}
+             "moments": lambda run: run.moments, "blocks": lambda run: list(run.blocks()),
+             "sample": lambda run: run.sample(1)}
     for name, read in reads.items():
         run = evolve_sourced(embed_em(EMField(g, e, np.zeros_like(e))), src, times)
         assert run.sample(0).constraint_residual() == 0.0, name
@@ -372,6 +373,36 @@ def test_nan_fails_both_sourced_checks():
     # the NaN stays off components 0 and 4 on a 1-D grid; the NaN field scale fails it
     with pytest.raises(ConstraintViolation, match=r"reached 0\.000e\+00 at t = 0;"):
         run.moments
+
+
+def test_a_measured_sourced_pass_reads_psi_once_per_block(monkeypatch):
+    # the sourced check reads the sizes that the pass's moments took: one read
+    # of |psi| per time block; blocks(), which measures nothing, reads its own
+    import dirac88.evolution as evolution
+    import dirac88.fields as fields_module
+    g = grid1d(256)
+    reads, sizes, absolute = [], fields_module._sizes, np.abs
+
+    def counted_sizes(values, out=None):
+        reads.append(len(values))
+        return sizes(values, out)
+
+    def counted_abs(x, *args, **kwargs):
+        if np.size(x) >= g.points[0] * 8:   # a sample or more
+            reads.append("abs")
+        return absolute(x, *args, **kwargs)
+
+    for module in (fields_module, evolution):
+        monkeypatch.setattr(module, "_sizes", counted_sizes)
+    monkeypatch.setattr(np, "abs", counted_abs)
+    run = evolve_sourced(states.zero_field(g), states.gaussian_dipole_current(
+        g, [0, 1, 0], 1.0, 0.4, 2.0), np.linspace(0.0, 1.0, 9))
+    run.moments
+    assert reads == [4, "abs", 4, "abs", 1, "abs"]   # four samples per block on 256 points
+    reads.clear()
+    for _ in run.blocks():
+        pass
+    assert reads == [4, "abs", 4, "abs", 1, "abs"]
 
 
 def test_a_sourced_run_holds_no_samples():
@@ -1050,7 +1081,7 @@ def test_zitter_equals_poynting_forms_each_route_once_and_measures_nothing(monke
 
     def counted_formed(*args, **kwargs):
         for block in formed(*args, **kwargs):
-            counts["formed"] += len(block[0])
+            counts["formed"] += len(block)
             yield block
 
     monkeypatch.setattr(evolution._Moments, "add", counted_add)

@@ -130,9 +130,11 @@ def test_extract_constraint_violation():
 @pytest.mark.parametrize("slot, value, message", [
     (0, np.nan, "components 0/4"), (4, complex(0.0, np.nan), "components 0/4"),
     (2, complex(0.0, np.nan), "imaginary residue"), (6, np.nan, "imaginary residue"),
-], ids=["nan-in-slot-0", "nan-in-slot-4", "e-imaginary-nan", "b-real-nan"])
+    (1, np.nan, "imaginary residue"),
+], ids=["nan-in-slot-0", "nan-in-slot-4", "e-imaginary-nan", "b-real-nan", "e-real-nan"])
 def test_extract_fails_a_nan(slot, value, message):
-    # an E entry of 0 + NaN i passed the reality check, and .real wrote E = 0 there
+    # an E entry of 0 + NaN i passed the reality check, and .real wrote E = 0
+    # there; a NaN E entry passed it and was read out as E = NaN
     g = grid1d(8)
     values = np.zeros(g.shape + (8,), dtype=complex)
     values[3, slot] = value
@@ -168,8 +170,8 @@ def _embedded_wave_16():
 @pytest.mark.parametrize("slot, value, message", [
     (4, 1e-3, "components 0/4 reach"), (0, np.nan, "components 0/4 reach"),
     (2, 1e-3j, "imaginary residue"), (6, 1e-3, "imaginary residue"),
-    (7, complex(0.0, np.nan), "imaginary residue"),
-], ids=["constraint", "constraint-nan", "e-imaginary", "b-imaginary", "b-nan"])
+    (7, complex(0.0, np.nan), "imaginary residue"), (1, np.nan, "imaginary residue"),
+], ids=["constraint", "constraint-nan", "e-imaginary", "b-imaginary", "b-nan", "e-nan"])
 def test_a_failing_snapshot_writes_no_file(tmp_path, slot, value, message):
     # the fault sits in the last block of rows: the checks run over the whole
     # sample before the file is opened, with extract_em's messages

@@ -8,6 +8,9 @@ a power of two does not round, so the rescaled run forms the same samples and
 <S> and <L> stay too, and <H> is divided by lambda.  A units fault in the
 Hamiltonian, the dispersion, the energy split or the moments breaks a relation; a
 unitary run with the wrong dispersion conserves all that the CLI rows measure.
+A sourced run keeps its fields under c -> lambda c, t -> t / lambda with its
+source's Omega -> lambda Omega and j -> lambda j, on both routes: the
+wave-function route and the Maxwell oracle.
 """
 from dataclasses import replace
 
@@ -15,10 +18,12 @@ import numpy as np
 import pytest
 
 from dirac88 import states
-from dirac88.evolution import alpha_expectation_series, energy_expectation_series, run_free
-from dirac88.fields import GridSpec, SpinorField8
+from dirac88.evolution import (alpha_expectation_series, energy_expectation_series, evolve_sourced,
+                               run_free)
+from dirac88.fields import EMField, FourCurrent, GridSpec, SpinorField8
+from dirac88.oracle import maxwell_evolve
 from dirac88.spin import angular_momentum_series
-from sourced_cases import bits_equal
+from sourced_cases import SOURCE_CASES, bits_equal
 
 TWO_PI = 2.0 * np.pi
 GRIDS = {"1d": GridSpec((128,), (TWO_PI,)), "3d": GridSpec((16, 16, 16), (TWO_PI, 5.0, 9.0))}
@@ -76,3 +81,30 @@ def test_a_run_is_covariant_under_a_rescaled_box(grid, lam):
     for name, want, value in zip(("<alpha>", "<S>", "<L>"), (alpha, spin, orbital), got[2:]):
         assert bits_equal(value, want), name
     assert grid == "1d" or np.max(np.abs(orbital)) > 0.0
+
+
+# each route of a sourced run from the vacuum: (vacuum, source, times) -> its
+# samples, stacked, a field array per route
+SOURCED_ROUTES = {
+    "wave-function": lambda psi, source, times: np.concatenate(
+        [block.copy() for block in evolve_sourced(psi, source, times).blocks()]),
+    "oracle": lambda psi, source, times: np.concatenate(
+        [np.concatenate([e, b], axis=-1) for e, b in maxwell_evolve(
+            EMField.zero(psi.grid), source, times, c=psi.c).blocks()]),
+}
+
+
+@pytest.mark.parametrize("lam", [2.0 ** -2, 2.0, 2.0 ** 3])
+@pytest.mark.parametrize("route", list(SOURCED_ROUTES))
+@pytest.mark.parametrize("case", list(SOURCE_CASES))
+def test_a_sourced_run_is_covariant_under_rescaled_units(case, route, lam):
+    # c -> lam c, t -> t / lam, Omega -> lam Omega, j -> lam j: the same fields
+    source = SOURCE_CASES[case]()
+    psi = states.zero_field(source.grid)
+    times = np.linspace(0.0, 3.0, 11)
+    scaled_source = FourCurrent(source.grid, lam * source.j_amp, omega=lam * source.omega)
+    form = SOURCED_ROUTES[route]
+    want = form(psi, source, times)
+    got = form(replace(psi, c=lam * psi.c), scaled_source, times / lam)
+    assert np.max(np.abs(want)) > 0.1
+    assert bits_equal(got, want)
