@@ -27,13 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConstraintViolation, FitError
 from .fields import (_ALPHA, _ALPHA_COEF, _ALPHA_COL, _BETA, FourCurrent, GridSpec,
                      SpinorField8, _alpha_density, _block_size, _components_first,
-                     _first_violation, _Moments, _sizes, _time_blocks, extract_em_amplitudes)
+                     _first_violation, _Moments, _plane_runs, _sizes, _time_blocks,
+                     extract_em_amplitudes)
 
 __all__ = [
     "EvolutionRun",
@@ -71,7 +73,9 @@ class EvolutionRun:
     ``samples()`` is the pass: it forms and measures a time block of samples at
     a time, then yields them in time order, each a read-only ``SpinorField8``
     over a buffer the next block reuses, so a yielded sample stays valid only
-    until the pass leaves its block (copy what must outlive it).  It measures
+    until the pass leaves its block (copy what must outlive it); a sample it
+    measures carries the residue and largest |psi| its moments took, which the
+    sample's snapshot checks read (``fields._pass_sizes``).  It measures
     from the stages of the block's inverse transform, so the pass makes no
     forward transform but for the orbital sums of <L>, which it takes only when
     asked (``samples(orbital=True)``).
@@ -93,6 +97,9 @@ class EvolutionRun:
         self.grid, self.mass, self.c, self.hbar = (branches.grid, branches.mass, branches.c,
                                                    branches.hbar)
         self._source_term = source_term
+        # the component planes the source term adds into: all eight, unless
+        # evolve_sourced narrows them to the spans of its parts
+        self._source_planes = np.full(8, source_term is not None)
         self._moments: _Moments | None = None
 
     @property
@@ -110,8 +117,14 @@ class EvolutionRun:
         first that every block reuses, so a block is valid until the next.
         A sourced sample is checked as it is formed by ``_first_violation``, and
         the first that fails raises ConstraintViolation; the check reads the
-        sizes ``measure.add`` took, or its own (``_sizes``): |psi| is read once."""
+        sizes ``measure.add`` took, or its own (``_sizes``): |psi| is read once.
+        Only the component planes that the branches (``ModeDecomposition._filled``,
+        all if a phase overflows) or the source term fill are turned and
+        transformed; the others of the real-space array stay the zeros it was
+        made with, and ``at`` sets the spectral array's to zero again each
+        block, as ``measure.add`` overwrites it."""
         dec, grid, source_term = self.branches, self.grid, self._source_term
+        planes = _plane_runs(dec._filled | dec._overflows(times) | self._source_planes)
         shape = (min(len(times), _block_size(grid)),) + grid.shape + (8,)
         hat_rows, value_rows = (_components_first(shape, grid.ndim) for _ in range(2))
         for i, t in enumerate(_time_blocks(grid, times)):   # every block but the last is full
@@ -119,7 +132,8 @@ class EvolutionRun:
             dec.at(t, out=hat, scratch=values)
             if source_term is not None:
                 source_term(t[:, None], hat, values)
-            block = grid.ifft_staged(hat, out=values, stage=measure and measure.stage)
+            block = grid.ifft_staged(hat, out=values, stage=measure and measure.stage,
+                                     planes=planes)
             sizes = None if measure is None else measure.add(i * len(hat_rows), block, hat)
             if source_term is not None:
                 resid, top = _sizes(block) if sizes is None else sizes
@@ -135,9 +149,10 @@ class EvolutionRun:
     def samples(self, orbital: bool = False):
         """The pass over the samples; see the class docstring."""
         measure = _Moments(self.grid, self.n_samples, orbital) if self._moments is None else None
-        for block in self._formed(self.times, measure):
-            for values in block:
-                yield SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
+        for s, values in enumerate(chain.from_iterable(self._formed(self.times, measure))):
+            psi = SpinorField8(self.grid, values, self.kind, self.mass, self.c, self.hbar)
+            psi._sizes = measure and (values, measure.constraint[s], measure.peak[s])
+            yield psi
         self._moments = self._moments or measure
 
     def blocks(self):
@@ -186,9 +201,25 @@ class ModeDecomposition:
         return tuple(np.einsum("...a,...a->...", x.conj(), x).real for x in (self.plus, self.minus))
 
     @cached_property
-    def _empty(self) -> bool:
-        """Whether both branches are identically zero (a branch may be the scalar 0)."""
-        return not (np.any(self.plus) or np.any(self.minus))
+    def _filled(self) -> np.ndarray:
+        """Per component plane, whether either branch has a nonzero or NaN entry
+        there (a branch may be the scalar 0)."""
+        return np.logical_or(*(np.any(x, axis=tuple(range(np.ndim(x) - 1)))
+                               for x in (self.plus, self.minus)))
+
+    @cached_property
+    def _layout(self) -> tuple[list, list]:
+        """The runs of filled planes (``_plane_runs``), each as its slice and both
+        branches' planes there, and the runs of the other planes."""
+        runs = [(p, *(x[..., p] if np.ndim(x) else x for x in (self.plus, self.minus)))
+                for p in _plane_runs(self._filled)]
+        return runs, _plane_runs(~self._filled)
+
+    def _overflows(self, t) -> bool:
+        """Whether the branches fill a plane and a phase w t overflows at some time
+        t: NaN times a zero plane is NaN, so then every plane turns."""
+        return bool(self._layout[0]) and not np.isfinite(
+            self._distinct_omega[0][-1] * np.abs(t).max(initial=0.0))
 
     @cached_property
     def _distinct_omega(self) -> tuple[np.ndarray, np.ndarray]:
@@ -204,18 +235,28 @@ class ModeDecomposition:
         (the result) and ``scratch`` (overwritten) spare the two full-size
         temporaries.  Each distinct w's phase is taken once and spread over the
         modes; broadcast over the components, it multiplies whole grid planes
-        of branches stored components first.  Identically zero branches turn
-        no phase and give zeros."""
+        of branches stored components first.  Only the planes the branches fill
+        (``_filled``) are turned, one numpy call per run of them, unless a phase
+        overflows (``_overflows``); the others are set to zero, so identically
+        zero branches turn no phase and give zeros."""
         if out is None:
             out = _components_first(np.shape(t) + self.omega.shape + (8,), self.grid.ndim)
-        if self._empty:
-            out.fill(0.0)
+        runs, gaps = self._layout
+        if self._overflows(t):
+            runs, gaps = [(slice(None), self.plus, self.minus)], []
+        for p in gaps:
+            out[..., p] = 0.0
+        if not runs:
             return out
         distinct, mode = self._distinct_omega
         phase = np.exp(-1j * distinct * np.asarray(t, dtype=float)[..., None])[..., mode, None]
         scratch = np.empty_like(out) if scratch is None else scratch
-        np.multiply(phase, self.plus, out=out)
-        out += np.multiply(np.conjugate(phase, out=phase), self.minus, out=scratch)
+        for p, plus, _ in runs:
+            np.multiply(phase, plus, out=out[..., p])
+        np.conjugate(phase, out=phase)
+        for p, _, minus in runs:
+            planes = out[..., p]
+            planes += np.multiply(phase, minus, out=scratch[..., p])
         return out
 
 
@@ -379,12 +420,13 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
     # each part held on the span of components it fills, with the index of its
     # kernel; an empty part is dropped, and its kernel is not taken (a transverse
     # current has no rho: no last part, no R)
-    filled = []
+    filled, planes = [], np.zeros(8, bool)
     for i, part in enumerate(parts):
         comps = np.flatnonzero(np.any(part.reshape(-1, 8), axis=0))   # NaN fills
         if len(comps):
             span = slice(comps[0], comps[-1] + 1)
             filled.append((i, span, part[..., span].copy(order="K")))
+            planes[span] = True
     need_r = any(i == 2 for i, _, _ in filled)
     branches = _split(psi0, spectral)
     distinct, mode = branches._distinct_omega   # the kernels depend on w alone
@@ -394,10 +436,11 @@ def evolve_sourced(psi0: SpinorField8, source: FourCurrent, times: np.ndarray) -
         ``out``, each part into its span, through ``scratch``."""
         kernels = _duhamel_kernels(distinct, source.omega, t, need_r)
         for i, span, part in filled:
-            term = scratch[..., :part.shape[-1]]
-            out[..., span] += np.multiply(kernels[i][..., mode, None], part, out=term)
+            out[..., span] += np.multiply(kernels[i][..., mode, None], part, out=scratch[..., span])
 
-    return EvolutionRun(branches, times, psi0.kind, duhamel)
+    run = EvolutionRun(branches, times, psi0.kind, duhamel)
+    run._source_planes = planes
+    return run
 
 
 def mode_decomposition(psi: SpinorField8) -> ModeDecomposition:

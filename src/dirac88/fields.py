@@ -130,7 +130,8 @@ class GridSpec:
         """Inverse of ``fft``."""
         return np.fft.ifftn(values, axes=tuple(range(self.ndim)))
 
-    def ifft_staged(self, values: np.ndarray, out: np.ndarray, stage=None) -> np.ndarray:
+    def ifft_staged(self, values: np.ndarray, out: np.ndarray, stage=None,
+                    planes=(slice(None),)) -> np.ndarray:
         """``ifft(values)`` into ``out``, as one-axis transforms in ifftn's own
         order, last grid axis first, so ``out`` receives the same bits; a block
         (B, *grid, 8) is transformed sample by sample.  A run's blocks are stored
@@ -140,14 +141,20 @@ class GridSpec:
         grid axes 1.. alone: fft(out) along grid axis 0 up to round-off (the
         spectral amplitudes themselves on a 1-D grid).  ``stage(b, values)``, if
         given, is called just before grid axis b is transformed, when ``values``
-        is still spectral along grid axes 0..b and already spatial along the rest."""
+        is still spectral along grid axes 0..b and already spatial along the rest.
+        Only the component ``planes``, slices of the last axis, are transformed,
+        one numpy call per slice; the other planes of both arrays are left as
+        they are (a run keeps them zero)."""
         for b in range(self.ndim - 1, 0, -1):
             if stage is not None:
                 stage(b, values)
-            np.fft.ifft(values, axis=b - self.ndim - 1, out=values)
+            for p in planes:
+                np.fft.ifft(values[..., p], axis=b - self.ndim - 1, out=values[..., p])
         if stage is not None:
             stage(0, values)
-        return np.fft.ifft(values, axis=-1 - self.ndim, out=out)
+        for p in planes:
+            np.fft.ifft(values[..., p], axis=-1 - self.ndim, out=out[..., p])
+        return out
 
     def to_dict(self) -> dict:
         return {"points": [int(n) for n in self.points], "lengths": list(self.lengths)}
@@ -225,6 +232,12 @@ def _sizes(values: np.ndarray, out: np.ndarray | None = None):
     size = np.abs(np.moveaxis(values, -1, 1), out=None if out is None else np.moveaxis(out, -1, 1))
     axes = tuple(range(1, size.ndim))   # size is (n, 8, ...)
     return size[:, ::4].max(axis=axes, initial=0.0), size.max(axis=axes, initial=0.0)
+
+
+def _plane_runs(filled: np.ndarray) -> list[slice]:
+    """The runs of consecutive true entries of a mask over the component planes, as slices."""
+    edges = np.flatnonzero(np.diff(np.r_[False, filled, False]))
+    return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def _first_violation(resid, top, tol: float = _CONSTRAINT_TOL):
@@ -314,16 +327,33 @@ def check_constraint(values: np.ndarray, tol: float = _CONSTRAINT_TOL) -> float:
     return scale
 
 
-def _check_em(values: np.ndarray, tol: float):
+def _check_em(values: np.ndarray, tol: float, sizes=None):
     """``extract_em``'s checks on spinor values (..., 8), in one read (``_scan``):
     ``check_constraint``'s, then the imaginary residue of the recovered fields
     against the same field scale and by the same rule (``_first_violation``);
-    either raises ConstraintViolation, the constraint's first, and a NaN fails."""
-    scale, resid, imag = _scan(values, em=True)
+    either raises ConstraintViolation, the constraint's first, and a NaN fails.
+    ``sizes``, the residue and largest |psi| that a pass read of the sample
+    (``_sizes``), spare that read when the largest is finite: then the scale is
+    max(largest, 1), and only the imaginary residue is read, a component plane
+    at a time.  An inf or NaN largest takes ``_scan`` and its finite-only scale."""
+    if sizes is not None and sizes[1] < np.inf:
+        resid, scale = sizes[0], max(float(sizes[1]), 1.0)
+        imag = max(np.max(np.abs(values[..., c].imag if c < 4 else values[..., c].real))
+                   for c in (1, 2, 3, 5, 6, 7))
+    else:
+        scale, resid, imag = _scan(values, em=True)
     _raise_constraint(resid, scale, tol)
     if _first_violation(imag, scale, tol) is not None:
         raise ConstraintViolation(f"recovered fields have imaginary residue {float(imag):.3e} "
                                   f"(tolerance {tol:.1e} of the field scale {scale:.3g})")
+
+
+def _pass_sizes(psi: SpinorField8):
+    """The residue and largest |psi| that a run's pass took of a sample it
+    yielded (``EvolutionRun.samples``), while the sample holds the pass's
+    values; else None."""
+    values, *sizes = getattr(psi, "_sizes", None) or (None,)
+    return sizes if values is psi.values else None
 
 
 def _em_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,8 +417,8 @@ class _Moments:
     ``kinetic[s]`` = sum psi+ (alpha'.k) psi and the orbital sums ``rk[s, i, j]`` =
     sum r_i psi+ (k_j psi) for Cartesian i != j (zero otherwise), with k the
     spectral wave-vector operator -i grad.  ``density0`` is sum_a |psi_a|^2 per
-    point of the first sample, and ``constraint[s]`` the largest |psi_0| or
-    |psi_4| of sample s (``_sizes``; NaN stays NaN).
+    point of the first sample, ``constraint[s]`` the largest |psi_0| or |psi_4|
+    and ``peak[s]`` the largest |psi| of sample s (``_sizes``; NaN stays NaN).
 
     A block of samples (B, *grid, 8), stored components first
     (``_components_first``), is measured as it is formed: ``stage`` takes each
@@ -421,7 +451,7 @@ class _Moments:
         self.gram = np.empty((n, 8, 8), dtype=complex)
         self.kinetic = np.zeros(n)
         self.rk = np.zeros((n, 3, 3)) if orbital else None
-        self.constraint = np.empty(n)
+        self.constraint, self.peak = np.empty(n), np.empty(n)
         self.density0 = None    # the first sample's, set when it is measured
         self._coords = grid.axis_coords()
         self._k_axes = grid._axis_wave_numbers()
@@ -475,7 +505,7 @@ class _Moments:
         # |psi|, then |psi|^2, point-major in the head of the dead stage, which psi*
         # overwrites after it
         power = dead.reshape(-1).view(float)[:v.size].reshape(v.shape)
-        self.constraint[s], top = _sizes(v, out=power)
+        self.constraint[s], self.peak[s] = _sizes(v, out=power)
         power = np.square(power, out=power)
         self.norms[s] = power.reshape(n, -1).sum(axis=1)
         if s0 == 0:
@@ -490,7 +520,7 @@ class _Moments:
             for b in range(1, self.grid.ndim):
                 np.fft.fft(v, axis=b - self.grid.ndim - 1, out=axis0)
                 self._reduce_rk(s, b, self._power(axis0))
-        return self.constraint[s], top
+        return self.constraint[s], self.peak[s]
 
     @staticmethod
     def _power(spectrum: np.ndarray) -> np.ndarray:
@@ -674,7 +704,7 @@ def save_em_csv(path, field: EMField | SpinorField8, tol: float = _CONSTRAINT_TO
     if isinstance(field, EMField):
         parts = zip(_point_blocks(field.e, 3), _point_blocks(field.b, 3))
     else:
-        _check_em(field.values, tol)
+        _check_em(field.values, tol, _pass_sizes(field))
         parts = map(_em_columns, _point_blocks(field.values, 8))
     blocks = map(lambda part: np.concatenate(part, axis=-1), parts)
     _write_csv(Path(path), field.grid, blocks, 6, {"kind": "em"})

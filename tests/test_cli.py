@@ -708,6 +708,24 @@ def test_evolve_writes_snapshots_without_stacking_the_run(tmp_path, monkeypatch)
                                                                  "fields-5.csv"]
 
 
+def test_snapshot_checks_read_the_sizes_of_the_pass(tmp_path, monkeypatch):
+    # a snapshot's checks read the residue and largest |psi| that the pass took of
+    # its sample: with a snapshot at every sample (one per time block on 8x8x16),
+    # |psi| is read once per sample, and _scan runs for none
+    import dirac88.fields as fields_module
+    calls = {"_scan": 0, "_sizes": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(fields_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(fields_module, name, counted)
+    cfg = {**snapshot_cfg(), "outputs": {"snapshots": list(range(snapshot_cfg()["samples"]))}}
+    out = tmp_path / "out"
+    assert run_command("evolve", write_cfg(tmp_path, "cfg.json", cfg), str(out)) == 0
+    assert calls == {"_scan": 0, "_sizes": cfg["samples"]}
+    assert len(list(out.glob("fields-*.csv"))) == cfg["samples"]
+
+
 def test_snapshots_of_the_pass_equal_snapshots_of_one_sample(tmp_path):
     from dirac88 import cli
     from dirac88.fields import extract_em, save_em_csv

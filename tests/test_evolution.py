@@ -16,7 +16,7 @@ from dirac88.evolution import (EvolutionRun, _duhamel_kernels, _source_hat_parts
                                hamiltonian_k, mode_decomposition, omega_k, run_free,
                                zitter_decompose, zitter_equals_poynting)
 from dirac88.fields import (_BETA, EMField, GridSpec, SpinorField8, _alpha_density,
-                            _components_first, _Moments,
+                            _components_first, _Moments, _plane_runs,
                             _time_blocks, divergence, embed_em, extract_em,
                             extract_em_amplitudes)
 from dirac88.spin import angular_momentum_series
@@ -504,13 +504,13 @@ def test_sourced_samples_equal_the_full_component_route(case, start):
 
 
 class _Multiplies(np.ndarray):
-    """An array that counts the multiplies it takes part in."""
+    """An array that counts the component planes it gives to multiplies."""
 
     count = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.multiply:
-            _Multiplies.count += 1
+            _Multiplies.count += sum(x.shape[-1] for x in inputs if isinstance(x, _Multiplies))
         plain = lambda xs: tuple(x.view(np.ndarray) if isinstance(x, _Multiplies) else x
                                  for x in xs)
         if "out" in kwargs:
@@ -518,21 +518,38 @@ class _Multiplies(np.ndarray):
         return getattr(ufunc, method)(*plain(inputs), **kwargs)
 
 
-@pytest.mark.parametrize("case", ["1d-x", "3d-dipole"])
-def test_a_vacuum_driven_run_turns_no_branch_phase(case):
+@pytest.mark.parametrize("case, planes", [("1d-x", 2), ("3d-dipole", 4)], ids=["1d-x", "3d-dipole"])
+def test_a_vacuum_driven_run_turns_no_branch_phase(case, planes):
+    # per block, each branch turns the planes that either branch fills: E_y and
+    # B_x of the wave, and off axis B_z and the round-off of k.B on component 4,
+    # which the two branches cancel; a vacuum's branches turn none
     source = SOURCE_CASES[case]()
     times = np.linspace(0.0, 3.0, 11)
     counts = {}
     for start in ("vacuum", "wave"):
         run = evolve_sourced(_sourced_start(source, start), source, times)
         dec = run.branches
+        filled = np.any(dec.plus.reshape(-1, 8), axis=0) | np.any(dec.minus.reshape(-1, 8), axis=0)
         dec.plus, dec.minus = dec.plus.view(_Multiplies), dec.minus.view(_Multiplies)
         _Multiplies.count = 0
         for _ in run.blocks():
             pass
         counts[start] = _Multiplies.count
+    assert np.count_nonzero(filled) == planes
     blocks = len(list(_time_blocks(source.grid, times)))
-    assert counts == {"vacuum": 0, "wave": 2 * blocks}
+    assert counts == {"vacuum": 0, "wave": 2 * planes * blocks}
+
+
+def test_a_phase_that_overflows_turns_every_plane():
+    # NaN times a zero plane is NaN: where some w t overflows, every plane is
+    # turned, so components 0 and 4 read NaN as they did when every plane was,
+    # and the constraint maximum keeps failing
+    run = run_free(replace(states.travelling_wave(grid1d(16), 2, "y"), c=1e300), [0.0, 1e10])
+    assert np.count_nonzero(run.branches._filled) == 2
+    with np.errstate(all="ignore"):
+        got = stacked(run)
+    assert not np.isnan(got[0]).any() and np.isnan(got[1]).all()
+    assert np.isnan(run.moments.constraint[1])
 
 
 @pytest.mark.parametrize("case, r", [("1d-x", False), ("1d-y", False), ("1d-oblique", True),
@@ -1181,6 +1198,13 @@ STREAM_CASES = {
                                                  (1, 0, 2), "y", 0.5),
     # the grid of the bench's sourced 1-D runs
     "sourced-1d-256": lambda: states.zero_field(grid1d(256)),
+    # free photon waves, whose branches fill some planes: E_y, B_x, B_z and the
+    # round-off of k.B in three runs ({2}, {4, 5}, {7}, as the bench's 3-D wave),
+    # or E_z, B_x, B_y and that round-off in one ({3..6})
+    "photon-3d-three-runs": lambda: states.travelling_wave(
+        GridSpec((8, 4, 16), (TWO_PI, 5.0, 9.0)), (1, 0, -2), "y", 0.5),
+    "photon-3d-one-run": lambda: states.travelling_wave(
+        GridSpec((8, 4, 16), (TWO_PI, 5.0, 9.0)), (1, 1, 0), "z", 0.5),
 }
 STREAM_SOURCES = {
     "sourced-1d": lambda g: states.gaussian_dipole_current(g, [0, 1, 0], 1.0, TWO_PI / 16, 2.0),
@@ -1236,6 +1260,39 @@ def test_samples_equal_the_inverse_transform_of_the_turned_branches(case):
     # point-major route
     _, run = _stream_run(case)
     assert bits_equal(stacked(run), _turned_branches(run))
+
+
+@pytest.mark.parametrize("case, runs", [("photon-3d-three-runs", [(2, 3), (4, 6), (7, 8)]),
+                                        ("photon-3d-one-run", [(3, 7)])])
+def test_a_run_of_partly_filled_planes_equals_the_turned_branches(case, runs):
+    # the branches fill some component planes, a run of them per numpy call; the
+    # plus-only run that zitter_equals_poynting builds (minus the scalar 0) too
+    _, run = _stream_run(case)
+    assert [(p.start, p.stop) for p in _plane_runs(run.branches._filled)] == runs
+    dec = run.branches
+    plus = np.where((dec.omega == 0.0)[..., None], 0.5 * dec.plus, dec.plus)
+    positive = EvolutionRun(replace(dec, plus=plus, minus=0), run.times, run.kind)
+    for each in (run, positive):
+        assert bits_equal(stacked(each), _turned_branches(each))
+
+
+def test_a_pass_transforms_only_the_filled_planes(monkeypatch):
+    # a 16^3 wave fills planes 2, 4, 5 and 7: each one-axis inverse transform takes
+    # the runs {2}, {4, 5} and {7}, one call each, and the samples keep their bits
+    g = GridSpec((16, 16, 16), (TWO_PI, TWO_PI, TWO_PI))
+    run = run_free(states.travelling_wave(g, (1, 0, -2), "y", 0.5), np.linspace(0.0, 1.0, 3))
+    widths, ifft = [], np.fft.ifft
+
+    def spy(a, *args, **kwargs):
+        widths.append(a.shape[-1])
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    got = stacked(run)
+    assert widths == [1, 2, 1] * g.ndim * run.n_samples
+    monkeypatch.undo()
+    assert bits_equal(got, _turned_branches(run))
+    assert not np.any(got[..., [0, 1, 3, 6]])
 
 
 @pytest.mark.parametrize("case", ["free-1d", "free-3d-ragged", "sourced-2d", "sourced-1d-256"])

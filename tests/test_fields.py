@@ -10,7 +10,7 @@ from dirac88.cli import run_command
 from dirac88.errors import ConstraintViolation
 from dirac88.evolution import evolve_free, run_free
 from dirac88.fields import (_CSV_BLOCK_POINTS, EMField, FourCurrent, GridSpec, SpinorField8,
-                            _alpha_density, _check_em, _point_blocks, _write_csv,
+                            _alpha_density, _check_em, _pass_sizes, _point_blocks, _write_csv,
                             check_constraint, constraint_residual, curl,
                             divergence, embed_em, extract_em, field_tensor, load_em_csv,
                             load_spinor_csv, save_em_csv, save_spinor_csv)
@@ -171,18 +171,37 @@ def _embedded_wave_16():
     (4, 1e-3, "components 0/4 reach"), (0, np.nan, "components 0/4 reach"),
     (2, 1e-3j, "imaginary residue"), (6, 1e-3, "imaginary residue"),
     (7, complex(0.0, np.nan), "imaginary residue"), (1, np.nan, "imaginary residue"),
-], ids=["constraint", "constraint-nan", "e-imaginary", "b-imaginary", "b-nan", "e-nan"])
-def test_a_failing_snapshot_writes_no_file(tmp_path, slot, value, message):
+    (7, complex(0.0, np.inf), "imaginary residue"),
+], ids=["constraint", "constraint-nan", "e-imaginary", "b-imaginary", "b-nan", "e-nan", "b-inf"])
+@np.errstate(all="ignore")   # as in the CLI: the inf's 0 * inf warns nowhere
+def test_a_failing_snapshot_writes_no_file(tmp_path, monkeypatch, slot, value, message):
     # the fault sits in the last block of rows: the checks run over the whole
-    # sample before the file is opened, with extract_em's messages
+    # sample before the file is opened, with extract_em's messages; so do the
+    # checks of a pass's sample, which read the residue and largest |psi| the
+    # pass took of it (EvolutionRun.samples), and read it all again (_scan) only
+    # where that largest is inf or NaN
+    import dirac88.fields as fields_module
     psi = _embedded_wave_16()
     psi.values[-1, -1, -1, slot] += value
-    with pytest.raises(ConstraintViolation, match=message) as raised:
-        save_em_csv(tmp_path / "fields-1.csv", psi, tol=1e-6)
     with pytest.raises(ConstraintViolation) as extracted:
         extract_em(psi, tol=1e-6)
-    assert str(raised.value) == str(extracted.value)
+    (resid,), (top,) = fields_module._sizes(psi.values[None])
+    scans, scan = [], fields_module._scan
+    monkeypatch.setattr(fields_module, "_scan", lambda *a, **k: scans.append(a) or scan(*a, **k))
+    for sizes, reads in ((None, 1), ((psi.values, resid, top), int(not top < np.inf))):
+        psi._sizes, scans[:] = sizes, []
+        with pytest.raises(ConstraintViolation, match=message) as raised:
+            save_em_csv(tmp_path / "fields-1.csv", psi, tol=1e-6)
+        assert str(raised.value) == str(extracted.value) and len(scans) == reads
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sample_whose_values_were_replaced_drops_the_sizes_of_its_pass():
+    run = run_free(states.travelling_wave(grid1d(16), 2, "y"), [0.0, 0.5])
+    psi = next(run.samples())
+    assert _pass_sizes(psi) == [psi._sizes[1], psi._sizes[2]]
+    psi.values = psi.values.copy()
+    assert _pass_sizes(psi) is None
 
 
 def _two_pass_checks(values, tol):
